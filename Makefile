@@ -33,7 +33,7 @@ fuzz-smoke: ## 10s smoke run of each fuzz target
 	$(GO) test -run '^$$' -fuzz FuzzReplFrameDecode -fuzztime 10s ./internal/repl/
 
 bench: ## hot-path localization benchmarks (see BENCH_hotpath.json)
-	$(GO) test -run '^$$' -bench 'BenchmarkProbabilisticLargeMap$$|BenchmarkProbabilisticLocalize$$|BenchmarkHistogramLocalize$$|BenchmarkKNNSweep/k=3$$|BenchmarkBatchLocalize/workers=4$$|BenchmarkServerLocate$$' -benchmem -benchtime=2s .
+	$(GO) test -run '^$$' -bench 'BenchmarkProbabilisticLargeMap$$|BenchmarkProbabilisticLocalize$$|BenchmarkHistogramLocalize$$|BenchmarkKNNSweep/k=3$$|BenchmarkBatchLocalize$$|BenchmarkServerLocate$$' -benchmem -benchtime=2s .
 
 bench-ingest: ## live-ingestion pipeline benchmarks (see BENCH_ingest.json)
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestReport|BenchmarkSnapshotSwap|BenchmarkServerLocateUnderIngest|BenchmarkServerLocateBatch|BenchmarkServerLocate$$' -benchmem -benchtime=500x .

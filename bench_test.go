@@ -394,24 +394,21 @@ func BenchmarkPlanGIFRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchLocalize measures the concurrent working-phase fanout
-// at several pool sizes on 256 observations.
+// BenchmarkBatchLocalize measures the concurrent working-phase fan-out,
+// localize.BatchInto, on 256 observations.
 func BenchmarkBatchLocalize(b *testing.B) {
 	f := fixture(b)
 	ml := localize.NewMaxLikelihood(f.db)
 	obs := observations(f, 256, 10)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := localize.Batch(ml, obs, workers)
-				for j := range res {
-					if res[j].Err != nil {
-						b.Fatal(res[j].Err)
-					}
-				}
+	res := make([]localize.BatchResult, len(obs))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		localize.BatchInto(ml, obs, res)
+		for j := range res {
+			if res[j].Err != nil {
+				b.Fatal(res[j].Err)
 			}
-		})
+		}
 	}
 }
 
@@ -575,40 +572,6 @@ func syntheticObservations(db *trainingdb.DB, n int, seed int64) []localize.Obse
 	return out
 }
 
-// BenchmarkShardedLargeMap is experiment A7: one maximum-likelihood
-// query over a 3000-entry, 64-AP synthetic campus map, single-threaded
-// versus sharded across the worker pool. The sharded case forces
-// Cutover=1 so the comparison isolates the fan-out itself; speedup
-// tracks available cores (GOMAXPROCS), so run it with ≥4 CPUs to see
-// the serving-scale effect.
-func BenchmarkShardedLargeMap(b *testing.B) {
-	db := syntheticLargeDB(3000, 64, 16, 20)
-	obs := syntheticObservations(db, 32, 21)
-	cases := []struct {
-		name     string
-		sharding *localize.ShardedScorer
-	}{
-		{"single", &localize.ShardedScorer{Shards: 1}},
-		{"sharded", &localize.ShardedScorer{Cutover: 1}}, // Shards=0: one per CPU
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			ml := localize.NewMaxLikelihood(db)
-			ml.Sharding = c.sharding
-			if _, err := ml.Locate(obs[0]); err != nil { // compile the map
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ml.Locate(obs[i%len(obs)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkServerLocateBatch is experiment A8: 64 observations through
 // the serving pipeline, as one /locate/batch request against 64
 // repeated /locate round trips. Per-observation cost and allocations
@@ -724,7 +687,6 @@ func BenchmarkMapV2Campus100k(b *testing.B) {
 			ml := localize.NewMaxLikelihood(nil)
 			ml.Precompiled = c.view
 			ml.TopK = c.topk
-			ml.Sharding = &localize.ShardedScorer{Shards: 1} // isolate per-cell cost from fan-out
 			if _, err := ml.Locate(f.obs[0]); err != nil {
 				b.Fatal(err)
 			}
@@ -757,7 +719,6 @@ func BenchmarkMapV2KNN(b *testing.B) {
 			knn := localize.NewKNN(nil, 3)
 			knn.Precompiled = c.view
 			knn.TopK = c.topk
-			knn.Sharding = &localize.ShardedScorer{Shards: 1}
 			if _, err := knn.Locate(f.obs[0]); err != nil {
 				b.Fatal(err)
 			}
@@ -776,17 +737,11 @@ func BenchmarkMapV2KNN(b *testing.B) {
 // probabilistic-locator-plus-regenerated-name-map recipe locserved
 // uses, so rebuild cost in the numbers matches production.
 func liveRebuilder(db *trainingdb.DB) (*core.Service, error) {
-	loc, err := core.BuildLocator(core.AlgoProbabilistic, db, core.BuildConfig{})
+	in, err := core.New(core.WithDB(db), core.WithEntryNames())
 	if err != nil {
 		return nil, err
 	}
-	names := locmap.New()
-	for _, name := range db.Names() {
-		if err := names.Add(name, db.Entries[name].Pos); err != nil {
-			return nil, err
-		}
-	}
-	return &core.Service{DB: db, Locator: loc, Names: names}, nil
+	return in.Service, nil
 }
 
 // BenchmarkIngestReport is experiment A9a: the accept path of one

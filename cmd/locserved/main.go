@@ -7,7 +7,7 @@
 //
 //	locserved -db train.tdb -listen :8080
 //	locserved -db train.tdb -algo geometric -plan house.plan -listen 127.0.0.1:9000
-//	locserved -db big.tdb -shards 8 -shard-cutover 512 -batch-max 1024
+//	locserved -db big.tdb -batch-max 1024
 //	locserved -db train.tdb -train-wal reports.wal -train-flush-count 128
 //	locserved -map-file campus.ilr -quantize -topk 8
 //	locserved -db train.tdb -train-wal reports.wal -train-artifact live.ilr
@@ -16,16 +16,15 @@
 // POST /locate/batch, POST/DELETE /track/{client}, and — with
 // -train-wal — POST /train/report. See internal/server for the schema.
 //
-// The serving knobs: -shards splits one query's radio-map scan across
-// CPUs on large maps (0 = one shard per CPU), -shard-cutover sets the
-// map size below which a scan stays single-threaded (0 = the package
-// default; small maps gain nothing from fan-out), and -batch-max caps
-// the observations accepted by one /locate/batch request. -quantize
-// serves the int16-quantized radio map (about a quarter of the float64
-// matrix footprint, accuracy bounds documented in DESIGN.md), and
-// -topk N replaces the full candidate sort with a bounded heap
-// selection of the best N — both apply to the probabilistic and kNN
-// families.
+// The serving knobs: each locate is one scan of the radio map on the
+// request's goroutine, and cores are used by concurrent requests and
+// by /locate/batch, whose observations fan out over a worker pool.
+// -batch-max caps the observations accepted by one /locate/batch
+// request. -quantize serves the int16-quantized radio map (about a
+// quarter of the float64 matrix footprint, accuracy bounds documented
+// in DESIGN.md), and -topk N replaces the full candidate sort with a
+// bounded heap selection of the best N — both apply to the
+// probabilistic and kNN families.
 //
 // -map-file serves a compiled radio-map artifact (the v2 binary
 // `tdbtool compile` writes) instead of a training database: the file
@@ -72,7 +71,6 @@ import (
 	"indoorloc/internal/core"
 	"indoorloc/internal/floorplan"
 	"indoorloc/internal/ingest"
-	"indoorloc/internal/localize"
 	"indoorloc/internal/locmap"
 	"indoorloc/internal/repl"
 	"indoorloc/internal/server"
@@ -102,16 +100,13 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		algo         = fs.String("algo", core.AlgoProbabilistic, fmt.Sprintf("algorithm %v", core.Algorithms()))
 		planPath     = fs.String("plan", "", "annotated plan supplying AP positions (geometric algorithms)")
 		listen       = fs.String("listen", "127.0.0.1:8080", "listen address")
-		shards       = fs.Int("shards", 0, "row shards per radio-map scan (0 = one per CPU)")
-		cutover      = fs.Int("shard-cutover", 0,
-			fmt.Sprintf("min training entries before a scan shards (0 = %d)", localize.DefaultShardCutover))
-		batchMax  = fs.Int("batch-max", server.DefaultMaxBatch, "max observations per /locate/batch request")
-		maxBody   = fs.Int64("max-body", 0, "request body cap in bytes for every route (0 = per-route defaults: 1 MiB, 8 MiB batch/train)")
-		routeTO   = fs.Duration("route-timeout", 0, "per-route handler deadline; overruns answer 503 (0 = off, keeps the hot path allocation-free)")
-		metricsOn = fs.Bool("metrics", true, "expose Prometheus metrics at GET /metrics")
-		accessLog = fs.String("access-log", "", "append one line per request here via the drop-oldest ring ('-' = stderr)")
-		quantize  = fs.Bool("quantize", false, "serve the int16-quantized radio map (~4× smaller matrices)")
-		topK      = fs.Int("topk", 0, "bound rankings to the best K candidates via heap selection (0 = full sort)")
+		batchMax     = fs.Int("batch-max", server.DefaultMaxBatch, "max observations per /locate/batch request")
+		maxBody      = fs.Int64("max-body", 0, "request body cap in bytes for every route (0 = per-route defaults: 1 MiB, 8 MiB batch/train)")
+		routeTO      = fs.Duration("route-timeout", 0, "per-route handler deadline; overruns answer 503 (0 = off, keeps the hot path allocation-free)")
+		metricsOn    = fs.Bool("metrics", true, "expose Prometheus metrics at GET /metrics")
+		accessLog    = fs.String("access-log", "", "append one line per request here via the drop-oldest ring ('-' = stderr)")
+		quantize     = fs.Bool("quantize", false, "serve the int16-quantized radio map (~4× smaller matrices)")
+		topK         = fs.Int("topk", 0, "bound rankings to the best K candidates via heap selection (0 = full sort)")
 
 		trainWAL      = fs.String("train-wal", "", "report journal path; enables live training via POST /train/report")
 		trainQueue    = fs.Int("train-queue", 0, "bounded ingest queue depth (0 = 1024)")
@@ -201,8 +196,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		}
 		opts = append(opts, server.WithAccessLog(w))
 	}
-	cfg := core.BuildConfig{Shards: *shards, ShardCutover: *cutover,
-		Quantize: *quantize, TopK: *topK}
+	cfg := core.BuildConfig{Quantize: *quantize, TopK: *topK}
 	var planNames *locmap.Map
 	if *planPath != "" {
 		plan, err := floorplan.LoadFile(*planPath)

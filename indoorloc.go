@@ -69,9 +69,14 @@ const (
 func Algorithms() []string { return core.Algorithms() }
 
 // BuildLocator constructs a registered algorithm over a training
-// database.
+// database. It is core.New with WithDB, WithAlgorithm and WithConfig,
+// returning just the warmed locator.
 func BuildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (Locator, error) {
-	return core.BuildLocator(name, db, cfg)
+	in, err := core.New(core.WithDB(db), core.WithAlgorithm(name), core.WithConfig(cfg))
+	if err != nil {
+		return nil, err
+	}
+	return in.Service.Locator, nil
 }
 
 // Train runs Phase 1 from file paths: a wi-scan collection (directory

@@ -1,49 +1,29 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"indoorloc/internal/localize"
 	"indoorloc/internal/trainingdb"
 )
 
-// BuildLocatorFromCompiled constructs a registered algorithm directly
-// over a compiled radio-map view.
-//
-// Deprecated: use New with WithCompiled, WithAlgorithm and WithConfig;
-// the built locator is Instance.Service.Locator. This wrapper remains
-// for source compatibility.
-func BuildLocatorFromCompiled(name string, c *trainingdb.Compiled, cfg BuildConfig) (localize.Locator, error) {
-	return buildLocatorFromCompiled(name, c, cfg)
-}
-
 // buildLocatorFromCompiled constructs a registered algorithm directly
 // over a compiled radio-map view — the serving shape of a v2 artifact,
-// where the raw training database never existed in this process. Only
-// the algorithms whose entire working state derives from the compiled
-// matrices are supported: probabilistic, nnss, knn, wknn and sector.
-// Histogram needs raw per-sample tables, and the geometric family
-// needs AP positions plus a propagation fit; train those from a .tdb.
+// where the raw training database never existed in this process. See
+// WithCompiled for the algorithms it supports.
 //
 // The view's own floor parameters govern scoring. cfg.FloorRSSI is
-// ignored; Quantize, TopK, K, Shards and ShardCutover apply as in
-// buildLocator.
+// ignored; Quantize, TopK and K apply as in buildLocator.
 func buildLocatorFromCompiled(name string, c *trainingdb.Compiled, cfg BuildConfig) (localize.Locator, error) {
-	if c == nil {
-		return nil, errors.New("core: nil compiled view")
-	}
 	k := cfg.K
 	if k <= 0 {
 		k = 3
 	}
-	sharding := &localize.ShardedScorer{Shards: cfg.Shards, Cutover: cfg.ShardCutover}
 	var loc localize.Locator
 	switch name {
 	case AlgoProbabilistic:
 		ml := localize.NewMaxLikelihood(nil)
 		ml.Precompiled = c
-		ml.Sharding = sharding
 		ml.Quantize = cfg.Quantize
 		ml.TopK = cfg.TopK
 		loc = ml
@@ -58,7 +38,6 @@ func buildLocatorFromCompiled(name string, c *trainingdb.Compiled, cfg BuildConf
 		}
 		knn := localize.NewKNN(nil, k)
 		knn.Precompiled = c
-		knn.Sharding = sharding
 		knn.Weighted = name == AlgoWKNN
 		knn.Quantize = cfg.Quantize
 		knn.TopK = cfg.TopK
@@ -74,24 +53,4 @@ func buildLocatorFromCompiled(name string, c *trainingdb.Compiled, cfg BuildConf
 		}
 	}
 	return loc, nil
-}
-
-// ServiceFromCompiledFile opens a v2 radio-map artifact (memory-mapped
-// where supported), builds the named algorithm over it, and wraps it
-// as a ready-to-serve Service.
-//
-// The returned close is idempotent — every call after the first
-// returns the first call's error without re-closing — and error paths
-// inside this function always release the mapping themselves. Call it
-// only after the service has stopped answering (and nothing retains
-// estimate strings).
-//
-// Deprecated: use New with WithCompiledFile; the service is
-// Instance.Service and Instance.Close releases the mapping.
-func ServiceFromCompiledFile(path, algo string, cfg BuildConfig) (svc *Service, close func() error, err error) {
-	in, err := New(WithCompiledFile(path), WithAlgorithm(algo), WithConfig(cfg))
-	if err != nil {
-		return nil, nil, err
-	}
-	return in.Service, in.Close, nil
 }

@@ -23,28 +23,29 @@ func writeArtifact(t *testing.T, f *fixture) string {
 	return path
 }
 
-// TestServiceFromCompiledFile checks the artifact-serving path against
-// the conventional DB-built service: same entries, and estimates that
-// agree to within the quantization tolerance.
+// TestServiceFromCompiledFile checks the service served from a
+// compiled artifact against the DB-built locator for every
+// compiled-servable algorithm: same entries, entry names resolve by
+// default, and estimates agree to within the quantization tolerance.
 func TestServiceFromCompiledFile(t *testing.T) {
 	f := newFixture(t)
 	path := writeArtifact(t, f)
 	for _, algo := range []string{AlgoProbabilistic, AlgoNNSS, AlgoKNN, AlgoWKNN, AlgoSector} {
 		t.Run(algo, func(t *testing.T) {
-			svc, closeMap, err := ServiceFromCompiledFile(path, algo, BuildConfig{})
+			in, err := New(WithCompiledFile(path), WithAlgorithm(algo))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer closeMap()
-			if svc.DB.Len() != f.db.Len() || svc.Names.Len() != f.db.Len() {
-				t.Fatalf("skeleton has %d entries, names %d, want %d",
-					svc.DB.Len(), svc.Names.Len(), f.db.Len())
+			defer in.Close()
+			svc := in.Service
+			if svc.DB.Len() != f.db.Len() || svc.Names == nil || svc.Names.Len() != f.db.Len() {
+				t.Fatalf("artifact source should carry every entry and default to entry names")
 			}
-			ref, err := BuildLocator(algo, f.db, BuildConfig{})
+			ref, err := buildLocator(algo, f.db, BuildConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, name := range []string{"grid-0-0", "grid-2-3", "grid-4-4"} {
+			for _, name := range []string{"grid-0-0", "grid-2-3", "grid-3-2", "grid-4-4"} {
 				pos := f.db.Entries[name].Pos
 				obs := localize.ObservationFromRecords(f.sc.Capture(pos, 8, 0))
 				got, err := svc.Locate(obs)
@@ -59,11 +60,11 @@ func TestServiceFromCompiledFile(t *testing.T) {
 				// disagreement instead of demanding identity: within one
 				// grid cell of the float64 answer.
 				if d := math.Hypot(got.Estimate.Pos.X-want.Pos.X, got.Estimate.Pos.Y-want.Pos.Y); d > 8 {
-					t.Errorf("%s at %s: artifact answered %v, db answered %v (%.1f ft apart)",
-						algo, name, got.Estimate.Pos, want.Pos, d)
+					t.Errorf("at %s: artifact answered %v, db answered %v (%.1f ft apart)",
+						name, got.Estimate.Pos, want.Pos, d)
 				}
 				if got.NearestName == "" {
-					t.Errorf("%s at %s: no resolved name", algo, name)
+					t.Errorf("at %s: no resolved name", name)
 				}
 			}
 		})
@@ -76,13 +77,13 @@ func TestServiceFromCompiledFile(t *testing.T) {
 func TestArtifactLocateAllocParity(t *testing.T) {
 	f := newFixture(t)
 	path := writeArtifact(t, f)
-	svc, closeMap, err := ServiceFromCompiledFile(path, AlgoProbabilistic, BuildConfig{TopK: 4})
+	in, err := New(WithCompiledFile(path), WithConfig(BuildConfig{TopK: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeMap()
+	defer in.Close()
 
-	ref, err := BuildLocator(AlgoProbabilistic, f.db, BuildConfig{Quantize: true, TopK: 4})
+	ref, err := buildLocator(AlgoProbabilistic, f.db, BuildConfig{Quantize: true, TopK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestArtifactLocateAllocParity(t *testing.T) {
 			}
 		})
 	}
-	mmapAllocs := locate(svc.Locator)
+	mmapAllocs := locate(in.Service.Locator)
 	refAllocs := locate(ref)
 	if mmapAllocs > refAllocs {
 		t.Errorf("mmap-served Locate allocates %v/op, in-memory %v/op — the artifact path added allocations",
@@ -105,14 +106,11 @@ func TestArtifactLocateAllocParity(t *testing.T) {
 	}
 }
 
-func TestBuildLocatorFromCompiledErrors(t *testing.T) {
+func TestNewCompiledErrors(t *testing.T) {
 	f := newFixture(t)
 	c := f.db.Compile(-95, 4)
-	if _, err := BuildLocatorFromCompiled(AlgoProbabilistic, nil, BuildConfig{}); err == nil {
-		t.Error("nil view accepted")
-	}
 	for _, algo := range []string{AlgoHistogram, AlgoHybrid, AlgoGeometric, AlgoGeometricLS, "nope"} {
-		if _, err := BuildLocatorFromCompiled(algo, c, BuildConfig{}); err == nil {
+		if _, err := New(WithCompiled(c), WithAlgorithm(algo)); err == nil {
 			t.Errorf("%s over a compiled view accepted", algo)
 		}
 	}
@@ -120,7 +118,7 @@ func TestBuildLocatorFromCompiledErrors(t *testing.T) {
 
 func TestBuildConfigQuantizeTopK(t *testing.T) {
 	f := newFixture(t)
-	loc, err := BuildLocator(AlgoProbabilistic, f.db, BuildConfig{Quantize: true, TopK: 3})
+	loc, err := buildLocator(AlgoProbabilistic, f.db, BuildConfig{Quantize: true, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

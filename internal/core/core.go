@@ -63,14 +63,6 @@ type BuildConfig struct {
 	FloorRSSI float64
 	// K overrides the neighbour count for knn/wknn; zero means 3.
 	K int
-	// Shards and ShardCutover tune the localize.ShardedScorer behind
-	// the radio-map scanners (probabilistic, histogram, nnss/knn/wknn,
-	// hybrid): Shards is the per-query fan-out width (zero means one
-	// shard per CPU) and ShardCutover the minimum entry count before a
-	// scan leaves the single-thread fast path (zero means
-	// localize.DefaultShardCutover).
-	Shards       int
-	ShardCutover int
 	// Quantize compiles the radio map into the int16-quantized form
 	// (per-AP scale/offset, ~¼ the matrix footprint, within the bounds
 	// documented in localize's parity tests). Applies to the
@@ -84,21 +76,11 @@ type BuildConfig struct {
 	TopK int
 }
 
-// BuildLocator constructs a registered algorithm over a training
-// database.
-//
-// Deprecated: use New with WithDB, WithAlgorithm and WithConfig; the
-// built locator is Instance.Service.Locator. This wrapper remains for
-// source compatibility.
-func BuildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (localize.Locator, error) {
-	return buildLocator(name, db, cfg)
-}
-
 // buildLocator constructs a registered algorithm over a training
 // database. The returned locator is warmed: compiled radio maps,
 // histogram tables and identifying codes are built here, once, so
-// every consumer — the HTTP server, localize.Batch fanouts, the CLI
-// tools and the experiment harness — serves its first query at full
+// every consumer — the HTTP server, localize.BatchInto fan-outs, the
+// CLI tools and the experiment harness — serves its first query at full
 // speed.
 func buildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (localize.Locator, error) {
 	if db == nil {
@@ -112,22 +94,17 @@ func buildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (localize.Loc
 	if k <= 0 {
 		k = 3
 	}
-	// One scorer is shared by every scanner the locator composes; the
-	// zero-config value keeps the package defaults.
-	sharding := &localize.ShardedScorer{Shards: cfg.Shards, Cutover: cfg.ShardCutover}
 	var loc localize.Locator
 	switch name {
 	case AlgoProbabilistic:
 		ml := localize.NewMaxLikelihood(db)
 		ml.FloorRSSI = floor
-		ml.Sharding = sharding
 		ml.Quantize = cfg.Quantize
 		ml.TopK = cfg.TopK
 		loc = ml
 	case AlgoHistogram:
 		h := localize.NewHistogram(db)
 		h.FloorRSSI = floor
-		h.Sharding = sharding
 		h.TopK = cfg.TopK
 		loc = h
 	case AlgoSector:
@@ -137,14 +114,12 @@ func buildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (localize.Loc
 	case AlgoNNSS:
 		nn := localize.NewKNN(db, 1)
 		nn.FloorRSSI = floor
-		nn.Sharding = sharding
 		nn.Quantize = cfg.Quantize
 		nn.TopK = cfg.TopK
 		loc = nn
 	case AlgoKNN:
 		knn := localize.NewKNN(db, k)
 		knn.FloorRSSI = floor
-		knn.Sharding = sharding
 		knn.Quantize = cfg.Quantize
 		knn.TopK = cfg.TopK
 		loc = knn
@@ -152,7 +127,6 @@ func buildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (localize.Loc
 		w := localize.NewKNN(db, k)
 		w.Weighted = true
 		w.FloorRSSI = floor
-		w.Sharding = sharding
 		w.Quantize = cfg.Quantize
 		w.TopK = cfg.TopK
 		loc = w
@@ -171,7 +145,6 @@ func buildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (localize.Loc
 		if name == AlgoHybrid {
 			ml := localize.NewMaxLikelihood(db)
 			ml.FloorRSSI = floor
-			ml.Sharding = sharding
 			ml.Quantize = cfg.Quantize
 			ml.TopK = cfg.TopK
 			h, err := localize.NewHybrid(ml, g)

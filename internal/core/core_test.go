@@ -45,7 +45,7 @@ func newFixture(t *testing.T) *fixture {
 func TestAlgorithmsListMatchesRegistry(t *testing.T) {
 	f := newFixture(t)
 	for _, name := range Algorithms() {
-		loc, err := BuildLocator(name, f.db, BuildConfig{APPositions: f.scen.APPositions()})
+		loc, err := buildLocator(name, f.db, BuildConfig{APPositions: f.scen.APPositions()})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -58,36 +58,36 @@ func TestAlgorithmsListMatchesRegistry(t *testing.T) {
 
 func TestBuildLocatorErrors(t *testing.T) {
 	f := newFixture(t)
-	if _, err := BuildLocator("nope", f.db, BuildConfig{}); err == nil {
+	if _, err := buildLocator("nope", f.db, BuildConfig{}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, err := BuildLocator(AlgoProbabilistic, nil, BuildConfig{}); err == nil {
+	if _, err := buildLocator(AlgoProbabilistic, nil, BuildConfig{}); err == nil {
 		t.Error("nil DB accepted")
 	}
-	if _, err := BuildLocator(AlgoGeometric, f.db, BuildConfig{}); err == nil {
+	if _, err := buildLocator(AlgoGeometric, f.db, BuildConfig{}); err == nil {
 		t.Error("geometric without AP positions accepted")
 	}
 }
 
 func TestBuildLocatorKindsAndOptions(t *testing.T) {
 	f := newFixture(t)
-	nn, _ := BuildLocator(AlgoNNSS, f.db, BuildConfig{})
+	nn, _ := buildLocator(AlgoNNSS, f.db, BuildConfig{})
 	if nn.Name() != "nnss" {
 		t.Errorf("nnss built %q", nn.Name())
 	}
-	knn, _ := BuildLocator(AlgoKNN, f.db, BuildConfig{K: 5})
+	knn, _ := buildLocator(AlgoKNN, f.db, BuildConfig{K: 5})
 	if k, ok := knn.(*localize.KNN); !ok || k.K != 5 {
 		t.Errorf("knn K option lost: %#v", knn)
 	}
-	w, _ := BuildLocator(AlgoWKNN, f.db, BuildConfig{})
+	w, _ := buildLocator(AlgoWKNN, f.db, BuildConfig{})
 	if k, ok := w.(*localize.KNN); !ok || !k.Weighted {
 		t.Error("wknn not weighted")
 	}
-	ls, _ := BuildLocator(AlgoGeometricLS, f.db, BuildConfig{APPositions: f.scen.APPositions()})
+	ls, _ := buildLocator(AlgoGeometricLS, f.db, BuildConfig{APPositions: f.scen.APPositions()})
 	if g, ok := ls.(*localize.Geometric); !ok || g.Combine != localize.CombineLeastSquares {
 		t.Error("geometric-ls combiner wrong")
 	}
-	ml, _ := BuildLocator(AlgoProbabilistic, f.db, BuildConfig{FloorRSSI: -90})
+	ml, _ := buildLocator(AlgoProbabilistic, f.db, BuildConfig{FloorRSSI: -90})
 	if m, ok := ml.(*localize.MaxLikelihood); !ok || m.FloorRSSI != -90 {
 		t.Error("floor option lost")
 	}

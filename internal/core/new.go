@@ -10,10 +10,8 @@ import (
 	"indoorloc/internal/trainingdb"
 )
 
-// New is the single entry point for constructing a serving state. It
-// replaces the constructor sprawl that grew with the toolkit —
-// BuildLocator, BuildLocatorFromCompiled, ServiceFromCompiledFile and
-// StaticSnapshot — behind one functional-options call:
+// New is the single entry point for constructing a serving state: the
+// source, algorithm and build knobs arrive as functional options.
 //
 //	in, err := core.New(core.WithDB(db), core.WithAlgorithm(core.AlgoKNN))
 //	in, err := core.New(core.WithCompiledFile("campus.ilr"))
@@ -72,8 +70,8 @@ func New(opts ...Option) (*Instance, error) {
 		svc = &Service{DB: c.Skeleton(), Locator: loc}
 		closeFn = closeMap
 		if o.names == nil && !o.entryNames {
-			// ServiceFromCompiledFile behaviour: the training locations
-			// themselves resolve names unless the caller overrides.
+			// The training locations themselves resolve names unless
+			// the caller overrides.
 			o.entryNames = true
 		}
 	}
@@ -154,8 +152,11 @@ func WithDB(db *trainingdb.DB) Option {
 }
 
 // WithCompiled serves a compiled radio-map view directly (the shape of
-// a decoded v2 artifact). Only the compiled-servable algorithms apply;
-// see BuildLocatorFromCompiled's doc for the list.
+// a decoded v2 artifact). Only the algorithms whose entire working
+// state derives from the compiled matrices apply: probabilistic, nnss,
+// knn, wknn and sector. Histogram needs raw per-sample tables, and the
+// geometric family needs AP positions plus a propagation fit; train
+// those from a .tdb. The same holds for WithCompiledFile.
 func WithCompiled(c *trainingdb.Compiled) Option {
 	return func(o *newOptions) { o.compiled = c }
 }
@@ -178,8 +179,8 @@ func WithAlgorithm(name string) Option {
 	return func(o *newOptions) { o.algo = name }
 }
 
-// WithConfig applies the locator build knobs (sharding, quantization,
-// top-k, AP positions, floor level).
+// WithConfig applies the locator build knobs (quantization, top-k, AP
+// positions, floor level, neighbour count).
 func WithConfig(cfg BuildConfig) Option {
 	return func(o *newOptions) { o.cfg = cfg }
 }

@@ -70,10 +70,10 @@ func TestNewFromDB(t *testing.T) {
 	}
 }
 
-// TestNewCompiledFileParity proves New(WithCompiledFile) is the same
-// serving state ServiceFromCompiledFile built: entry names resolve by
-// default and estimates agree with the DB-built reference to within
-// quantization tolerance.
+// TestNewCompiledFileParity checks New(WithCompiledFile) with no
+// algorithm option: it serves the default probabilistic locator, entry
+// names resolve by default, and estimates agree with the DB-built
+// reference to within the quantization tolerance.
 func TestNewCompiledFileParity(t *testing.T) {
 	f := newFixture(t)
 	path := writeArtifact(t, f)
@@ -85,7 +85,7 @@ func TestNewCompiledFileParity(t *testing.T) {
 	if in.Service.Names == nil || in.Service.Names.Len() != f.db.Len() {
 		t.Fatal("artifact source should default to entry names")
 	}
-	ref, err := BuildLocator(AlgoProbabilistic, f.db, BuildConfig{})
+	ref, err := buildLocator(AlgoProbabilistic, f.db, BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestNewCompiledFileErrors(t *testing.T) {
 
 func TestNewWithService(t *testing.T) {
 	f := newFixture(t)
-	loc, err := BuildLocator(AlgoProbabilistic, f.db, BuildConfig{})
+	loc, err := buildLocator(AlgoProbabilistic, f.db, BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

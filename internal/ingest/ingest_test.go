@@ -9,7 +9,6 @@ import (
 
 	"indoorloc/internal/core"
 	"indoorloc/internal/geom"
-	"indoorloc/internal/locmap"
 	"indoorloc/internal/trainingdb"
 )
 
@@ -37,17 +36,11 @@ func testDB() *trainingdb.DB {
 // testRebuilder mirrors locserved's: probabilistic locator plus a name
 // map regenerated from the entry set.
 func testRebuilder(db *trainingdb.DB) (*core.Service, error) {
-	locator, err := core.BuildLocator(core.AlgoProbabilistic, db, core.BuildConfig{})
+	in, err := core.New(core.WithDB(db), core.WithEntryNames())
 	if err != nil {
 		return nil, err
 	}
-	names := locmap.New()
-	for _, name := range db.Names() {
-		if err := names.Add(name, db.Entries[name].Pos); err != nil {
-			return nil, err
-		}
-	}
-	return &core.Service{DB: db, Locator: locator, Names: names}, nil
+	return in.Service, nil
 }
 
 func newTestManager(t *testing.T, path string, cfg Config) *Manager {

@@ -12,59 +12,6 @@ type BatchResult struct {
 	Err      error
 }
 
-// Batch localizes many observations concurrently — the server-side
-// shape of the toolkit, where one trained service answers a building's
-// worth of clients. workers ≤ 0 selects the streaming mode: the fan-out
-// feeds the shared scoring pool directly (see BatchInto) instead of
-// spawning goroutines, bounded at one in-flight observation per CPU.
-// An explicit workers > 1 spawns that many goroutines for the call,
-// preserving a caller-chosen parallelism bound. Results preserve input
-// order. The locator must be safe for concurrent Locate calls; every
-// localizer in this package is — lazy caches (compiled radio maps,
-// histogram tables, codes) build under sync.Once, so no priming is
-// needed before fanning out.
-func Batch(loc Locator, observations []Observation, workers int) []BatchResult {
-	out := make([]BatchResult, len(observations))
-	if len(observations) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 1 {
-			BatchInto(loc, observations, out)
-			return out
-		}
-	}
-	if workers > len(observations) {
-		workers = len(observations)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					est, err := loc.Locate(observations[i])
-					out[i] = BatchResult{Estimate: est, Err: err}
-				}
-			}()
-		}
-		for i := range observations {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		return out
-	}
-	for i, obs := range observations {
-		est, err := loc.Locate(obs)
-		out[i] = BatchResult{Estimate: est, Err: err}
-	}
-	return out
-}
-
 // batchRun is the shared state of one BatchInto call; jobs carry only
 // an index range into it, so the whole fan-out costs a handful of
 // allocations regardless of batch size.
@@ -82,16 +29,19 @@ func (r *batchRun) locateRange(lo, hi int) {
 	}
 }
 
-// BatchInto is Batch's streaming mode, built for serving loops that
-// localize batch after batch: results land in the caller-owned out
-// slice (which must hold at least len(observations) results), and each
-// observation is offered to the shared scoring pool as one job — no
-// per-call goroutines, no per-observation closures. The caller's
-// goroutine localizes whatever the pool cannot take immediately, so a
-// saturated pool degrades to inline execution rather than queueing,
-// and nesting — a pooled observation job whose Locate shards its own
-// scan — cannot deadlock. Results preserve input order; out[i] is
-// valid when BatchInto returns.
+// BatchInto localizes many observations concurrently — the server-side
+// shape of the toolkit, where one trained service answers a building's
+// worth of clients. Results land in the caller-owned out slice (which
+// must hold at least len(observations) results), and each observation
+// is offered to the package's worker pool as one job — no per-call
+// goroutines, no per-observation closures. The caller's goroutine
+// localizes whatever the pool cannot take immediately, so a saturated
+// pool degrades to inline execution rather than queueing. Results
+// preserve input order; out[i] is valid when BatchInto returns.
+//
+// The locator must be safe for concurrent Locate calls; every
+// localizer in this package is — lazy caches (compiled radio maps,
+// histogram tables, codes) build under sync.Once.
 //
 //loclint:hotpath
 func BatchInto(loc Locator, observations []Observation, out []BatchResult) {
@@ -117,4 +67,45 @@ func BatchInto(loc Locator, observations []Observation, out []BatchResult) {
 	// The caller always localizes the last observation itself.
 	fn(n-1, n)
 	wg.Wait()
+}
+
+// scoreJob is one unit of pool work: run fn over [lo, hi) and check in.
+type scoreJob struct {
+	fn     func(lo, hi int)
+	lo, hi int
+	wg     *sync.WaitGroup
+}
+
+var (
+	scorePoolOnce sync.Once
+	scoreJobs     chan scoreJob
+)
+
+// ensureScorePool starts the package-level workers, one per CPU, on
+// first use. The channel is unbuffered on purpose: a handoff succeeds
+// only when a worker is parked and ready, so "no worker free" degrades
+// to inline execution at the submit site instead of queue buildup.
+func ensureScorePool() {
+	scorePoolOnce.Do(func() {
+		scoreJobs = make(chan scoreJob)
+		for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+			go func() {
+				for j := range scoreJobs {
+					j.fn(j.lo, j.hi)
+					j.wg.Done()
+				}
+			}()
+		}
+	})
+}
+
+// trySubmit offers one job to the pool without blocking; the caller
+// runs it inline when no worker is free.
+func trySubmit(j scoreJob) bool {
+	select {
+	case scoreJobs <- j:
+		return true
+	default:
+		return false
+	}
 }

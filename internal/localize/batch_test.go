@@ -24,26 +24,60 @@ func randomHousePoint(rng *rand.Rand) geom.Point {
 	return geom.Pt(rng.Float64()*50, rng.Float64()*40)
 }
 
-func TestBatchMatchesSequential(t *testing.T) {
-	loc, obs := batchFixture(t)
-	seq := Batch(loc, obs, 1)
-	par := Batch(loc, obs, 8)
-	if len(seq) != len(obs) || len(par) != len(obs) {
-		t.Fatal("length mismatch")
-	}
-	for i := range seq {
-		if (seq[i].Err == nil) != (par[i].Err == nil) {
-			t.Fatalf("obs %d error mismatch", i)
+// TestBatchIntoMatchesSequential checks the pooled fan-out returns the
+// same estimates and errors as the serial loop, in order, on the
+// paper's house and on a map large enough that one locate is a long
+// scan.
+func TestBatchIntoMatchesSequential(t *testing.T) {
+	t.Run("house", func(t *testing.T) {
+		loc, obs := batchFixture(t)
+		obs[3] = Observation{}                  // empty → error
+		obs[11] = Observation{"gh:os:t": -50.0} // no overlap → error
+		checkBatchInto(t, loc, obs)
+	})
+	t.Run("map=320", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		db := randomTrainDB(rng, 320, 12, 0.6)
+		var obs []Observation
+		for len(obs) < 48 {
+			if o := randomObs(rng, db, 0.7); len(o) > 0 {
+				obs = append(obs, o)
+			}
 		}
-		if seq[i].Err == nil && seq[i].Estimate.Name != par[i].Estimate.Name {
-			t.Fatalf("obs %d: %q vs %q", i, seq[i].Estimate.Name, par[i].Estimate.Name)
+		checkBatchInto(t, NewMaxLikelihood(db), obs)
+	})
+}
+
+// checkBatchInto compares BatchInto with the serial reference, one
+// Locate per observation in order.
+func checkBatchInto(t *testing.T, loc Locator, obs []Observation) {
+	t.Helper()
+	seq := make([]BatchResult, len(obs))
+	for i, o := range obs {
+		est, err := loc.Locate(o)
+		seq[i] = BatchResult{Estimate: est, Err: err}
+	}
+	out := make([]BatchResult, len(obs))
+	BatchInto(loc, obs, out)
+	for i := range seq {
+		if seq[i].Err != out[i].Err {
+			t.Fatalf("obs %d: err %v vs %v", i, seq[i].Err, out[i].Err)
+		}
+		if seq[i].Err != nil {
+			continue
+		}
+		if seq[i].Estimate.Name != out[i].Estimate.Name ||
+			seq[i].Estimate.Pos != out[i].Estimate.Pos ||
+			seq[i].Estimate.Score != out[i].Estimate.Score {
+			t.Fatalf("obs %d: %+v vs %+v", i, seq[i].Estimate, out[i].Estimate)
 		}
 	}
 }
 
 func TestBatchHistogramConcurrent(t *testing.T) {
-	// The histogram localizer has a lazy cache; Batch must prime it
-	// before fanning out (this test runs under -race in CI).
+	// The histogram localizer builds its tables lazily under sync.Once;
+	// concurrent first locates must not race (this test runs under
+	// -race in CI).
 	env := quietEnv(t)
 	db := buildDB(t, env, 10, 1)
 	h := NewHistogram(db)
@@ -52,7 +86,8 @@ func TestBatchHistogramConcurrent(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		obs = append(obs, observe(env, randomHousePoint(rng), 5, rng))
 	}
-	res := Batch(h, obs, 6)
+	res := make([]BatchResult, len(obs))
+	BatchInto(h, obs, res)
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("obs %d: %v", i, r.Err)
@@ -64,7 +99,8 @@ func TestBatchErrorsPropagatePerObservation(t *testing.T) {
 	loc, obs := batchFixture(t)
 	obs[7] = Observation{}                  // empty → error
 	obs[23] = Observation{"gh:os:t": -50.0} // no overlap → error
-	res := Batch(loc, obs, 4)
+	res := make([]BatchResult, len(obs))
+	BatchInto(loc, obs, res)
 	if res[7].Err != ErrEmptyObservation {
 		t.Errorf("obs 7 err = %v", res[7].Err)
 	}
@@ -76,18 +112,34 @@ func TestBatchErrorsPropagatePerObservation(t *testing.T) {
 	}
 }
 
+// TestBatchDegenerate covers the smallest batches: no observations
+// touch nothing, one observation runs inline, and two — the smallest
+// batch that offers work to the pool — and five still match the serial
+// loop.
 func TestBatchDegenerate(t *testing.T) {
 	loc, obs := batchFixture(t)
-	if got := Batch(loc, nil, 4); len(got) != 0 {
-		t.Error("nil observations produced results")
+	BatchInto(loc, nil, []BatchResult{})
+	one := make([]BatchResult, 1)
+	BatchInto(loc, obs[:1], one)
+	if one[0].Err != nil || one[0].Estimate.Name == "" {
+		t.Errorf("single observation: %+v", one[0])
 	}
-	one := Batch(loc, obs[:1], 16)
-	if len(one) != 1 || one[0].Err != nil {
-		t.Errorf("single observation: %+v", one)
+	checkBatchInto(t, loc, obs[:2])
+	checkBatchInto(t, loc, obs[:5])
+}
+
+// TestBatchIntoDegenerate pins the edge cases: empty input is a no-op,
+// a one-element batch runs inline, and an oversized out slice is left
+// untouched beyond len(observations).
+func TestBatchIntoDegenerate(t *testing.T) {
+	loc, obs := batchFixture(t)
+	BatchInto(loc, nil, nil) // must not panic
+	out := make([]BatchResult, 4)
+	BatchInto(loc, obs[:1], out)
+	if out[0].Err != nil {
+		t.Errorf("single observation failed: %v", out[0].Err)
 	}
-	// workers=0 means GOMAXPROCS — still correct.
-	auto := Batch(loc, obs[:5], 0)
-	if len(auto) != 5 {
-		t.Errorf("auto workers: %d results", len(auto))
+	if out[1].Err != nil || out[1].Estimate.Candidates != nil || out[1].Estimate.Name != "" {
+		t.Error("BatchInto wrote past len(observations)")
 	}
 }

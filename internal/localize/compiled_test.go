@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -456,102 +457,15 @@ func TestCompiledMatchesMapBased(t *testing.T) {
 	}
 }
 
-// compareBitIdentical demands exact equality — no tolerance. The
-// sharded scan computes each entry from the same precomputed baseline
-// with the same operation order as the single-thread scan; only the
-// assignment of entries to goroutines differs, so every float must
-// match to the last bit.
-func compareBitIdentical(t *testing.T, tag string, got Estimate, gotErr error, want Estimate, wantErr error) {
-	t.Helper()
-	if gotErr != wantErr {
-		t.Fatalf("%s: error mismatch: sharded %v, single-thread %v", tag, gotErr, wantErr)
-	}
-	if wantErr != nil {
-		return
-	}
-	if got.Name != want.Name || got.Pos != want.Pos || got.Score != want.Score {
-		t.Fatalf("%s: estimate (%q, %v, %v), single-thread (%q, %v, %v)",
-			tag, got.Name, got.Pos, got.Score, want.Name, want.Pos, want.Score)
-	}
-	if len(got.Candidates) != len(want.Candidates) {
-		t.Fatalf("%s: %d candidates, single-thread %d", tag, len(got.Candidates), len(want.Candidates))
-	}
-	for i := range got.Candidates {
-		if got.Candidates[i] != want.Candidates[i] {
-			t.Fatalf("%s: candidate %d = %+v, single-thread %+v",
-				tag, i, got.Candidates[i], want.Candidates[i])
-		}
-	}
-}
-
-// TestShardedMatchesSingleThread is the sharding equivalence property:
-// over randomized databases, forcing the scan through the worker pool
-// must return bit-identical estimates — best entry, position, score
-// and full candidate ranking — to the single-thread compiled path, for
-// every scanner wired through ShardedScorer.
-func TestShardedMatchesSingleThread(t *testing.T) {
-	single := &ShardedScorer{Shards: 1}
-	forced := &ShardedScorer{Shards: 5, Cutover: 1}
-	for seed := int64(100); seed < 106; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		nEntries := 50 + rng.Intn(400)
-		nAPs := 3 + rng.Intn(20)
-		db := randomTrainDB(rng, nEntries, nAPs, 0.3+rng.Float64()*0.6)
-		if len(db.BSSIDs) == 0 {
-			continue
-		}
-
-		type pair struct {
-			name            string
-			sharded, serial Locator
-		}
-		mlS := NewMaxLikelihood(db)
-		mlS.Sharding = forced
-		ml1 := NewMaxLikelihood(db)
-		ml1.Sharding = single
-		histS := NewHistogram(db)
-		histS.Sharding = forced
-		hist1 := NewHistogram(db)
-		hist1.Sharding = single
-		knnS := NewKNN(db, 4)
-		knnS.Sharding = forced
-		knn1 := NewKNN(db, 4)
-		knn1.Sharding = single
-		wknnS := &KNN{DB: db, K: 3, Weighted: true, FloorRSSI: -95, Sharding: forced}
-		wknn1 := &KNN{DB: db, K: 3, Weighted: true, FloorRSSI: -95, Sharding: single}
-		pairs := []pair{
-			{"ml", mlS, ml1},
-			{"histogram", histS, hist1},
-			{"knn", knnS, knn1},
-			{"wknn", wknnS, wknn1},
-		}
-
-		for trial := 0; trial < 8; trial++ {
-			obs := randomObs(rng, db, 0.1+rng.Float64()*0.8)
-			if len(obs) == 0 {
-				continue
-			}
-			for _, p := range pairs {
-				got, gotErr := p.sharded.Locate(obs)
-				want, wantErr := p.serial.Locate(obs)
-				tag := fmt.Sprintf("seed %d trial %d %s", seed, trial, p.name)
-				compareBitIdentical(t, tag, got, gotErr, want, wantErr)
-			}
-		}
-	}
-}
-
-// TestShardedConcurrentLocates hammers one sharded locator from many
-// goroutines — the serving shape where batch fan-out and shard fan-out
-// share the pool — and checks every answer against the single-thread
-// path. Run under -race in CI.
-func TestShardedConcurrentLocates(t *testing.T) {
+// TestConcurrentLocates hammers one locator from many goroutines — the
+// serving shape, where concurrent requests and BatchInto share it — and
+// checks every answer against a separately built locator queried
+// serially. Run under -race in CI.
+func TestConcurrentLocates(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	db := randomTrainDB(rng, 120, 10, 0.6)
 	ml := NewMaxLikelihood(db)
-	ml.Sharding = &ShardedScorer{Shards: 4, Cutover: 1}
 	serial := NewMaxLikelihood(db)
-	serial.Sharding = &ShardedScorer{Shards: 1}
 
 	type job struct {
 		obs  Observation
@@ -592,6 +506,52 @@ func TestShardedConcurrentLocates(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestLocateAllocsIndependentOfMapSize pins one scan per locate: with
+// TopK set, a locate on a 320-entry map allocates exactly as much as
+// one on a 30-entry map. testing.AllocsPerRun pins GOMAXPROCS to 1,
+// which would hide a per-locate fan-out sized to the CPU count, so
+// this test counts mallocs itself with at least two Ps.
+func TestLocateAllocsIndependentOfMapSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-runtime allocations make per-call counts nondeterministic")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	allocs := func(loc Locator, obs Observation) uint64 {
+		if _, err := loc.Locate(obs); err != nil { // warm the scratch pool
+			t.Fatalf("%s: %v", loc.Name(), err)
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			loc.Locate(obs)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs
+	}
+	perKind := func(entries int) (ml, knn uint64) {
+		rng := rand.New(rand.NewSource(int64(entries)))
+		db := randomTrainDB(rng, entries, 12, 0.6)
+		obs := randomObs(rng, db, 0.7)
+		for len(obs) == 0 {
+			obs = randomObs(rng, db, 0.7)
+		}
+		m := NewMaxLikelihood(db)
+		m.TopK = 5
+		k := NewKNN(db, 3)
+		k.TopK = 5
+		return allocs(m, obs), allocs(k, obs)
+	}
+	smallML, smallKNN := perKind(30)
+	largeML, largeKNN := perKind(320)
+	if largeML != smallML {
+		t.Errorf("MaxLikelihood: %d allocs per locate at 320 entries, %d at 30", largeML, smallML)
+	}
+	if largeKNN != smallKNN {
+		t.Errorf("KNN: %d allocs per locate at 320 entries, %d at 30", largeKNN, smallKNN)
 	}
 }
 

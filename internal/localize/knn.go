@@ -28,8 +28,6 @@ type KNN struct {
 	Weighted bool
 	// FloorRSSI substitutes for APs missing on either side. Typical -95.
 	FloorRSSI float64
-	// Sharding tunes the large-map scan fan-out, as in MaxLikelihood.
-	Sharding *ShardedScorer
 	// TopK bounds the ranked candidate list, as in MaxLikelihood. The
 	// effective bound never drops below K — the centroid always sees
 	// its neighbours.
@@ -152,16 +150,7 @@ func (k *KNN) Locate(obs Observation) (Estimate, error) {
 		topk = 0
 		candidates = make([]Candidate, n)
 	}
-	quant := c.Quant != nil
-	if k.Sharding.Parallel(n) {
-		k.Sharding.Scan(n, func(lo, hi int) {
-			if quant {
-				k.scoreRangeQuant(c, cols, vals, candidates, lo, hi)
-			} else {
-				k.scoreRange(c, cols, vals, candidates, lo, hi)
-			}
-		})
-	} else if quant {
+	if c.Quant != nil {
 		k.scoreRangeQuant(c, cols, vals, candidates, 0, n)
 	} else {
 		k.scoreRange(c, cols, vals, candidates, 0, n)
@@ -209,8 +198,7 @@ func (k *KNN) Locate(obs Observation) (Estimate, error) {
 // scoreRange computes the signal distances for entries [lo, hi). The
 // baseline assumes every column reads the floor; each heard column
 // replaces its floor term with the observed one. Mean holds the floor
-// level for untrained cells, so one load covers both cases. Shard
-// ranges are disjoint, so concurrent calls never race.
+// level for untrained cells, so one load covers both cases.
 //
 //loclint:hotpath
 func (k *KNN) scoreRange(c *trainingdb.Compiled, cols []int32, vals []float64, candidates []Candidate, lo, hi int) {

@@ -44,10 +44,6 @@ type MaxLikelihood struct {
 	// posterior-weighted mean over all training points. Name still
 	// reports the argmax, so the paper's validity metric is unaffected.
 	ExpectedPosition bool
-	// Sharding tunes how a single Locate fans the entry scan over the
-	// worker pool on large maps; nil uses the package defaults (one
-	// shard per CPU, DefaultShardCutover entries).
-	Sharding *ShardedScorer
 	// TopK bounds the ranked candidate list to the best k entries via
 	// bounded selection instead of a full sort; zero returns the full
 	// ranking. With TopK set, ExpectedPosition averages over the
@@ -131,9 +127,7 @@ func (m *MaxLikelihood) Locate(obs Observation) (Estimate, error) {
 		aux = append(aux, stats.LogGaussianPDF(v, c.FloorRSSI, c.FloorSigma))
 	}
 	sc.aux = aux
-	// Score over the union of APs, as the map-based loop did. Large
-	// maps shard the scan over the worker pool; below the cutover the
-	// direct call keeps the single-query path allocation-lean. With
+	// Score over the union of APs, as the map-based loop did. With
 	// TopK set, scoring fills a pooled buffer and only the k winners
 	// are copied out; otherwise the full slice goes to the caller and
 	// must be fresh.
@@ -146,16 +140,7 @@ func (m *MaxLikelihood) Locate(obs Observation) (Estimate, error) {
 		topk = 0
 		candidates = make([]Candidate, n)
 	}
-	quant := c.Quant != nil
-	if m.Sharding.Parallel(n) {
-		m.Sharding.Scan(n, func(lo, hi int) {
-			if quant {
-				m.scoreRangeQuant(c, cols, vals, aux, candidates, lo, hi)
-			} else {
-				m.scoreRange(c, cols, vals, aux, candidates, lo, hi)
-			}
-		})
-	} else if quant {
+	if c.Quant != nil {
 		m.scoreRangeQuant(c, cols, vals, aux, candidates, 0, n)
 	} else {
 		m.scoreRange(c, cols, vals, aux, candidates, 0, n)
@@ -183,8 +168,7 @@ func (m *MaxLikelihood) Locate(obs Observation) (Estimate, error) {
 // scoreRange scores entries [lo, hi): each starts at its precomputed
 // all-unheard baseline; heard columns swap the floor term for the
 // trained Gaussian (or add the observation-side floor term when the
-// entry never heard the AP) — absence is evidence too. Ranges are
-// disjoint across shards, so concurrent calls never race.
+// entry never heard the AP) — absence is evidence too.
 //
 //loclint:hotpath
 func (m *MaxLikelihood) scoreRange(c *trainingdb.Compiled, cols []int32, vals, aux []float64, candidates []Candidate, lo, hi int) {
@@ -258,8 +242,6 @@ type Histogram struct {
 	RangeLo, RangeHi float64
 	// FloorRSSI substitutes for unheard APs, as in MaxLikelihood.
 	FloorRSSI float64
-	// Sharding tunes the large-map scan fan-out, as in MaxLikelihood.
-	Sharding *ShardedScorer
 	// TopK bounds the ranked candidate list, as in MaxLikelihood. The
 	// posterior is renormalized over the retained candidates, so the
 	// scores still sum to 1 — a documented approximation that slightly
@@ -333,13 +315,7 @@ func (h *Histogram) Locate(obs Observation) (Estimate, error) {
 		topk = 0
 		candidates = make([]Candidate, n)
 	}
-	if h.Sharding.Parallel(n) {
-		h.Sharding.Scan(n, func(lo, hi int) {
-			h.scoreRange(c, t, cols, binIdx, candidates, lo, hi)
-		})
-	} else {
-		h.scoreRange(c, t, cols, binIdx, candidates, 0, n)
-	}
+	h.scoreRange(c, t, cols, binIdx, candidates, 0, n)
 	if topk > 0 {
 		out := make([]Candidate, topk)
 		copy(out, TopK(candidates, topk))
@@ -363,8 +339,7 @@ func (h *Histogram) Locate(obs Observation) (Estimate, error) {
 // scoreRange scores entries [lo, hi). Baseline: every trained AP
 // scored at the floor level; heard columns swap in the observed bin
 // (trained) or the uniform smoothed mass of an empty histogram
-// (untrained). Shard ranges are disjoint, so concurrent calls never
-// race.
+// (untrained).
 //
 //loclint:hotpath
 func (h *Histogram) scoreRange(c *trainingdb.Compiled, t *histTables, cols []int32, binIdx []int32, candidates []Candidate, lo, hi int) {

@@ -67,8 +67,8 @@ type FollowerConfig struct {
 	// default is core.AlgoProbabilistic. Match the trainer's algorithm
 	// and build knobs for answer-identical serving.
 	Algorithm string
-	// Build carries the locator build knobs (sharding, quantization,
-	// top-k); mirror the trainer's.
+	// Build carries the locator build knobs (quantization, top-k);
+	// mirror the trainer's.
 	Build core.BuildConfig
 	// Names controls the symbolic-name layer of published services.
 	// The zero value, NamesFromEntries, derives the name map from the

@@ -15,7 +15,6 @@ import (
 	"indoorloc/internal/core"
 	"indoorloc/internal/ingest"
 	"indoorloc/internal/localize"
-	"indoorloc/internal/locmap"
 	"indoorloc/internal/trainingdb"
 )
 
@@ -27,17 +26,11 @@ import (
 // replRebuilder mirrors locserved's: probabilistic locator plus entry
 // names, so the snapshot locator exposes a compiled view to replicate.
 func replRebuilder(db *trainingdb.DB) (*core.Service, error) {
-	locator, err := core.BuildLocator(core.AlgoProbabilistic, db, core.BuildConfig{})
+	in, err := core.New(core.WithDB(db), core.WithEntryNames())
 	if err != nil {
 		return nil, err
 	}
-	names := locmap.New()
-	for _, name := range db.Names() {
-		if err := names.Add(name, db.Entries[name].Pos); err != nil {
-			return nil, err
-		}
-	}
-	return &core.Service{DB: db, Locator: locator, Names: names}, nil
+	return in.Service, nil
 }
 
 // trainerInstance is one trainer lifetime: manager, source, and a

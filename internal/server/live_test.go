@@ -14,7 +14,6 @@ import (
 	"indoorloc/internal/core"
 	"indoorloc/internal/geom"
 	"indoorloc/internal/ingest"
-	"indoorloc/internal/locmap"
 	"indoorloc/internal/trainingdb"
 )
 
@@ -44,17 +43,11 @@ func gridDB(n int) *trainingdb.DB {
 // a name map regenerated from the entry set, so NearestName always
 // resolves against the same world the estimate came from.
 func gridRebuilder(db *trainingdb.DB) (*core.Service, error) {
-	locator, err := core.BuildLocator(core.AlgoProbabilistic, db, core.BuildConfig{})
+	in, err := core.New(core.WithDB(db), core.WithEntryNames())
 	if err != nil {
 		return nil, err
 	}
-	names := locmap.New()
-	for _, name := range db.Names() {
-		if err := names.Add(name, db.Entries[name].Pos); err != nil {
-			return nil, err
-		}
-	}
-	return &core.Service{DB: db, Locator: locator, Names: names}, nil
+	return in.Service, nil
 }
 
 type liveFixture struct {

@@ -44,12 +44,11 @@ func newFixture(t *testing.T, opts ...Option) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loc, err := core.BuildLocator(core.AlgoProbabilistic, db, core.BuildConfig{})
+	in, err := core.New(core.WithDB(db), core.WithNames(grid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := &core.Service{DB: db, Locator: loc, Names: grid}
-	srv, err := New(svc, nil, opts...)
+	srv, err := New(in.Service, nil, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,12 +491,12 @@ func TestTrackClientsNotSerialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loc, err := core.BuildLocator(core.AlgoProbabilistic, db, core.BuildConfig{})
+	in, err := core.New(core.WithDB(db), core.WithNames(grid))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var active, maxSeen atomic.Int32
-	srv, err := New(&core.Service{DB: db, Locator: loc, Names: grid}, func() filter.PositionFilter {
+	srv, err := New(in.Service, func() filter.PositionFilter {
 		return slowFilter{delay: 20 * time.Millisecond, active: &active, maxSeen: &maxSeen}
 	})
 	if err != nil {

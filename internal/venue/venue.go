@@ -92,7 +92,7 @@ type Config struct {
 	// means core.AlgoProbabilistic. Artifact-backed venues are limited
 	// to the compiled-servable algorithms.
 	Algorithm string
-	// Build carries the locator knobs (sharding, quantize, top-k)
+	// Build carries the locator knobs (quantize, top-k)
 	// applied to every venue.
 	Build core.BuildConfig
 	// MaxBytes is the LRU memory budget over resident venues,
