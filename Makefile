@@ -31,6 +31,7 @@ fuzz-smoke: ## 10s smoke run of each fuzz target
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz FuzzCompiledDecode -fuzztime 10s ./internal/trainingdb/
 	$(GO) test -run '^$$' -fuzz FuzzReplFrameDecode -fuzztime 10s ./internal/repl/
+	$(GO) test -run '^$$' -fuzz FuzzLocateDecode -fuzztime 10s ./internal/server/
 
 bench: ## hot-path localization benchmarks (see BENCH_hotpath.json)
 	$(GO) test -run '^$$' -bench 'BenchmarkProbabilisticLargeMap$$|BenchmarkProbabilisticLocalize$$|BenchmarkHistogramLocalize$$|BenchmarkKNNSweep/k=3$$|BenchmarkBatchLocalize$$|BenchmarkServerLocate$$' -benchmem -benchtime=2s .

@@ -38,6 +38,7 @@ import (
 	"indoorloc/internal/repl"
 	"indoorloc/internal/server"
 	"indoorloc/internal/sim"
+	"indoorloc/internal/stats"
 	"indoorloc/internal/trainingdb"
 )
 
@@ -103,6 +104,7 @@ type nodeLat struct {
 
 type followCapacity struct {
 	SliceS      float64   `json:"slice_s"`
+	Rounds      int       `json:"rounds"`
 	SingleRPS   float64   `json:"single_node_rps"`
 	PerFollower []float64 `json:"per_follower_rps"`
 	FleetRPS    float64   `json:"fleet_rps"`
@@ -446,17 +448,30 @@ func runFollow(o followSoakOpts, out io.Writer) error {
 		return fmt.Errorf("fleet generations never settled after steady state: %w", err)
 	}
 
-	// Capacity: saturated locate throughput, one node at a time.
-	fmt.Fprintf(out, "soak: capacity slices (%s each, %d workers)...\n", capSlice, o.workers)
+	// Capacity: saturated locate throughput, one node at a time, in
+	// capRounds interleaved rounds. Each node's figure is the median of
+	// its slices, so one slice the shared machine slowed down does not
+	// decide the scaling ratio.
+	fmt.Fprintf(out, "soak: capacity slices (%d rounds of %s each, %d workers)...\n", capRounds, capSlice, o.workers)
 	cap_ := followCapacity{
 		SliceS: capSlice.Seconds(),
-		Note:   "single-CPU container: per-node saturation measured sequentially; fleet_rps is the sum over followers",
+		Rounds: capRounds,
+		Note:   "single-CPU container: per-node saturation measured sequentially, median over interleaved rounds; fleet_rps is the sum over followers",
 	}
-	runtime.GC() // pay the steady phase's GC debt outside the slices
-	cap_.SingleRPS = saturate(client, trainerBase+"/locate", bodies.locate, o.workers, capSlice)
-	for i, n := range nodes {
-		runtime.GC()
-		rps := saturate(client, n.base+"/locate", bodies.locate, o.workers, capSlice)
+	urls := []string{trainerBase + "/locate"}
+	for _, n := range nodes {
+		urls = append(urls, n.base+"/locate")
+	}
+	slices := make([][]float64, len(urls))
+	for r := 0; r < capRounds; r++ {
+		for i, url := range urls {
+			runtime.GC() // pay earlier GC debt outside the slice
+			slices[i] = append(slices[i], saturate(client, url, bodies.locate, o.workers, capSlice))
+		}
+	}
+	cap_.SingleRPS = stats.Median(slices[0])
+	for i := range nodes {
+		rps := stats.Median(slices[i+1])
 		cap_.PerFollower = append(cap_.PerFollower, rps)
 		cap_.FleetRPS += rps
 		fmt.Fprintf(out, "soak: follower %d saturated at %.0f locates/s\n", i, rps)
@@ -498,6 +513,10 @@ func runFollow(o followSoakOpts, out io.Writer) error {
 	_, err = out.Write(enc)
 	return err
 }
+
+// capRounds is how many capacity slices each node gets: three is the
+// fewest whose median ignores one outlier slice.
+const capRounds = 3
 
 // saturate drives unpaced POSTs at url with the given worker count for
 // one slice and returns requests/sec (successful only).

@@ -185,7 +185,7 @@ func run(args []string, out io.Writer) error {
 		preload    = fs.Int("preload", 2000, "reports folded into the trainer before cold catch-up is timed (-followers mode)")
 		reportsQPS = fs.Float64("reports-qps", 200, "trainer ingest rate during the steady-state phase (-followers mode)")
 		locateQPS  = fs.Float64("locate-qps", 300, "paced locate rate per node during the steady-state phase (-followers mode)")
-		capSlice   = fs.Duration("cap-slice", 0, "saturated capacity slice per node (-followers mode; 0 = duration/2 clamped to [500ms, 5s])")
+		capSlice   = fs.Duration("cap-slice", 0, "length of each of a node's 3 saturated capacity slices (-followers mode; 0 = duration/2 clamped to [500ms, 5s])")
 		mapEntries = fs.Int("map-entries", 0, "replicate a synthetic map this large instead of the paper house (-followers mode)")
 		mapAPs     = fs.Int("map-aps", 0, "APs in the synthetic map (-followers mode with -map-entries; 0 = 8)")
 

@@ -78,8 +78,9 @@ func New(opts ...Option) (*Instance, error) {
 	if o.names != nil {
 		svc.Names = o.names
 	} else if o.entryNames && svc.Names == nil && svc.DB != nil {
-		names := locmap.New()
-		for _, name := range svc.DB.Names() {
+		entries := svc.DB.Names()
+		names := locmap.NewSized(len(entries))
+		for _, name := range entries {
 			if err := names.Add(name, svc.DB.Entries[name].Pos); err != nil {
 				if closeFn != nil {
 					err = errors.Join(err, closeFn())

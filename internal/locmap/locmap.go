@@ -35,13 +35,21 @@ import (
 
 // Map associates location names with coordinates.
 type Map struct {
-	points map[string]geom.Point
-	order  []string // insertion order for stable writes
+	index  map[string]int // name → its position in order and points
+	order  []string       // insertion order for stable writes
+	points []geom.Point   // parallel to order
 }
 
 // New returns an empty location map.
-func New() *Map {
-	return &Map{points: make(map[string]geom.Point)}
+func New() *Map { return NewSized(0) }
+
+// NewSized returns an empty location map with room for n locations.
+func NewSized(n int) *Map {
+	return &Map{
+		index:  make(map[string]int, n),
+		order:  make([]string, 0, n),
+		points: make([]geom.Point, 0, n),
+	}
 }
 
 // ErrEmpty is returned when a location map stream has no entries.
@@ -57,21 +65,27 @@ func (m *Map) Add(name string, p geom.Point) error {
 	if !p.IsFinite() {
 		return fmt.Errorf("locmap: %q has non-finite coordinates %v", name, p)
 	}
-	if _, exists := m.points[name]; !exists {
-		m.order = append(m.order, name)
+	if i, exists := m.index[name]; exists {
+		m.points[i] = p
+		return nil
 	}
-	m.points[name] = p
+	m.index[name] = len(m.order)
+	m.order = append(m.order, name)
+	m.points = append(m.points, p)
 	return nil
 }
 
 // Lookup returns the coordinates for name.
 func (m *Map) Lookup(name string) (geom.Point, bool) {
-	p, ok := m.points[name]
-	return p, ok
+	i, ok := m.index[name]
+	if !ok {
+		return geom.Point{}, false
+	}
+	return m.points[i], true
 }
 
 // Len returns the number of locations.
-func (m *Map) Len() int { return len(m.points) }
+func (m *Map) Len() int { return len(m.order) }
 
 // Names returns the location names in insertion order. The slice is a
 // copy.
@@ -88,23 +102,21 @@ func (m *Map) SortedNames() []string {
 // map. Ties break toward the lexically smaller name so the result is
 // deterministic.
 func (m *Map) Nearest(p geom.Point) (string, geom.Point, bool) {
-	// Scans insertion order with an explicit lexical tie-break rather
-	// than sorting a fresh name slice: this sits on the per-observation
-	// serving path, where the copy-and-sort was the map's only
-	// allocation.
-	bestName := ""
-	var bestPt geom.Point
-	best := math.Inf(1)
-	for _, name := range m.order {
-		q := m.points[name]
+	// Scans the point slice in insertion order with an explicit lexical
+	// tie-break: this sits on the per-observation serving path, so it
+	// neither sorts nor hashes a name per entry.
+	best := -1
+	bestD := math.Inf(1)
+	for i, q := range m.points {
 		d := p.DistSq(q)
-		if d < best || (d == best && (bestName == "" || name < bestName)) {
-			best = d
-			bestName = name
-			bestPt = q
+		if d < bestD || (d == bestD && (best < 0 || m.order[i] < m.order[best])) {
+			best, bestD = i, d
 		}
 	}
-	return bestName, bestPt, bestName != ""
+	if best < 0 {
+		return "", geom.Point{}, false
+	}
+	return m.order[best], m.points[best], true
 }
 
 // Read parses a location map stream.
@@ -174,8 +186,8 @@ func parseLine(line string) (name string, x, y float64, err error) {
 func Write(w io.Writer, m *Map) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# location map v1")
-	for _, name := range m.order {
-		p := m.points[name]
+	for i, name := range m.order {
+		p := m.points[i]
 		fmt.Fprintf(bw, "%s\t%g\t%g\n", name, p.X, p.Y)
 	}
 	return bw.Flush()

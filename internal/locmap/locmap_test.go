@@ -78,6 +78,16 @@ func TestNearest(t *testing.T) {
 	if name != "a" {
 		t.Errorf("tie break = %q, want a", name)
 	}
+	// The tie-break is lexical, not insertion order.
+	m.Add("0-late", geom.Pt(10, 0))
+	if name, _, _ = m.Nearest(geom.Pt(5, 0)); name != "0-late" {
+		t.Errorf("tie break = %q, want 0-late", name)
+	}
+	// Replacing a point moves the entry it names.
+	m.Add("b", geom.Pt(3, 0))
+	if name, p, _ = m.Nearest(geom.Pt(4, 0)); name != "b" || p != geom.Pt(3, 0) {
+		t.Errorf("after replace: Nearest = %q %v", name, p)
+	}
 }
 
 func TestReadBasic(t *testing.T) {

@@ -45,11 +45,11 @@
 // either the /locate answer shape or {"error": "..."} — one bad
 // observation never fails its batchmates. The batch path is the
 // high-throughput shape of the service: the fan-out feeds the shared
-// scoring pool directly and the request runs out of a pooled arena
-// (decode buffers, observation maps, response encoder), so the
-// per-observation allocation cost is a small constant instead of a
-// full request's worth of garbage. All handlers are safe for
-// concurrent use.
+// scoring pool directly. Every locate route, single or batch, runs out
+// of one pooled arena (decode buffers, observation maps, response
+// encoder), so the per-observation allocation cost is a small constant
+// instead of a full request's worth of garbage. All handlers are safe
+// for concurrent use.
 //
 // # Consistency model
 //
@@ -574,37 +574,6 @@ func (s *Server) locations(w http.ResponseWriter, svc *core.Service) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// parseObservation extracts the observation from a request body.
-func parseObservation(r *http.Request) (localize.Observation, error) {
-	var req locateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("bad request body: %w", err)
-	}
-	switch {
-	case len(req.Observation) > 0 && len(req.Records) > 0:
-		return nil, errors.New("give observation or records, not both")
-	case len(req.Observation) > 0:
-		return localize.Observation(req.Observation), nil
-	case len(req.Records) > 0:
-		recs := make([]wiscan.Record, len(req.Records))
-		for i, rj := range req.Records {
-			recs[i] = wiscan.Record{
-				TimeMillis: rj.TimeMillis,
-				BSSID:      rj.BSSID,
-				SSID:       rj.SSID,
-				Channel:    rj.Channel,
-				RSSI:       rj.RSSI,
-				Noise:      rj.Noise,
-			}
-		}
-		return localize.ObservationFromRecords(recs), nil
-	default:
-		return nil, errors.New("empty request: need observation or records")
-	}
-}
-
 // statusFor maps localization errors to HTTP statuses.
 func statusFor(err error) int {
 	switch {
@@ -631,8 +600,13 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	s.locate(w, r, s.current().Service)
 }
 
+// locate answers a single observation. The request runs out of a
+// pooled arena, as a batch does: the body, the observation map and the
+// response encoder are all reused.
 func (s *Server) locate(w http.ResponseWriter, r *http.Request, svc *core.Service) {
-	obs, err := parseObservation(r)
+	a := batchArenaPool.Get().(*batchArena)
+	defer batchArenaPool.Put(a)
+	obs, err := a.decodeLocate(r.Body)
 	if err != nil {
 		writeError(w, decodeStatus(err), err)
 		return
@@ -642,7 +616,7 @@ func (s *Server) locate(w http.ResponseWriter, r *http.Request, svc *core.Servic
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, locateResponse{
+	a.resp = locateResponse{
 		X:                res.Estimate.Pos.X,
 		Y:                res.Estimate.Pos.Y,
 		Location:         res.Estimate.Name,
@@ -650,7 +624,8 @@ func (s *Server) locate(w http.ResponseWriter, r *http.Request, svc *core.Servic
 		Room:             res.Room,
 		ConfidenceRadius: localize.ConfidenceRadius(res.Estimate, 0.9),
 		Algorithm:        svc.Locator.Name(),
-	})
+	}
+	a.writeOK(w, &a.resp)
 }
 
 // batchResponse is the /locate/batch response body. The algorithm is
@@ -676,17 +651,19 @@ type batchItem struct {
 // errBatchTooLarge distinguishes the 413 case from plain bad input.
 var errBatchTooLarge = errors.New("too many observations in batch")
 
-// batchArena is the reusable request-scoped state of one /locate/batch
-// call: the decode buffer, the observation maps (cleared and refilled
-// in place), the fan-out results, the response items, and an encoder
-// bound to a reusable output buffer. Pooled so a serving loop's
-// per-observation allocations are the decoder's key strings and the
-// scorer's candidate slice, not a fresh copy of all of this.
+// batchArena is the reusable request-scoped state of one locate call,
+// single or batch: the decode buffer, the observation maps (cleared
+// and refilled in place), the fan-out results, the response items, and
+// an encoder bound to a reusable output buffer. Pooled so a serving
+// loop's per-observation allocations are the scorer's candidate slice,
+// not a fresh copy of all of this.
 type batchArena struct {
 	body    bytes.Buffer
+	lim     io.LimitedReader
 	obs     []localize.Observation
 	results []localize.BatchResult
 	items   []batchItem
+	resp    locateResponse
 	out     bytes.Buffer
 	enc     *json.Encoder
 	// keys interns BSSID strings across requests: a fleet of clients
@@ -718,6 +695,63 @@ func (a *batchArena) intern(raw []byte) string {
 	return s
 }
 
+// obsAt returns the arena's n-th observation map, cleared. n is at
+// most len(a.obs), so the maps grow one at a time and are kept.
+//
+//loclint:hotpath
+func (a *batchArena) obsAt(n int) localize.Observation {
+	if n == len(a.obs) {
+		a.obs = append(a.obs, make(localize.Observation, 8)) //loclint:allow hotpathalloc
+	}
+	m := a.obs[n]
+	clear(m)
+	return m
+}
+
+// readBody buffers the request body into the arena. A body longer than
+// maxBatchBody answers tooLarge.
+func (a *batchArena) readBody(body io.Reader, tooLarge error) error {
+	a.body.Reset()
+	a.lim = io.LimitedReader{R: body, N: maxBatchBody + 1}
+	_, err := a.body.ReadFrom(&a.lim)
+	a.lim.R = nil // the pooled arena must not pin the request
+	if err != nil {
+		return fmt.Errorf("reading request body: %w", err)
+	}
+	if a.body.Len() > maxBatchBody {
+		return tooLarge
+	}
+	return nil
+}
+
+// writeOK encodes v through the arena's encoder and writes it as the
+// 200 response.
+func (a *batchArena) writeOK(w http.ResponseWriter, v any) {
+	a.out.Reset()
+	if err := a.enc.Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(a.out.Bytes())
+}
+
+// decodeLocate reads a /locate or /track body into the arena and
+// returns its observation. The canonical {"observation": {...}} shape
+// takes the hand-rolled scanner into a reused observation map;
+// anything else (records, escaped keys, malformed bodies) takes
+// decodeLocateSlow, which produces the user-facing errors.
+func (a *batchArena) decodeLocate(body io.Reader) (localize.Observation, error) {
+	if err := a.readBody(body, errBodyTooLarge); err != nil {
+		return nil, err
+	}
+	if obs, ok := a.decodeLocateFast(); ok {
+		return obs, nil
+	}
+	return a.decodeLocateSlow()
+}
+
 // decodeObservations reads the request body into the arena and parses
 // {"observations": [...]}, decoding each element into a reused
 // observation map. It returns the observation count.
@@ -728,12 +762,8 @@ func (a *batchArena) intern(raw []byte) string {
 // values, malformed syntax) falls back to the token-based decoder,
 // which produces the user-facing errors.
 func (a *batchArena) decodeObservations(body io.Reader, max int) (int, error) {
-	a.body.Reset()
-	if _, err := a.body.ReadFrom(io.LimitReader(body, maxBatchBody+1)); err != nil {
-		return 0, fmt.Errorf("reading request body: %w", err)
-	}
-	if a.body.Len() > maxBatchBody {
-		return 0, errBatchTooLarge
+	if err := a.readBody(body, errBatchTooLarge); err != nil {
+		return 0, err
 	}
 	if n, err, ok := a.decodeFast(max); ok {
 		return n, err
@@ -754,8 +784,10 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
-// simpleString parses a JSON string with no escapes starting at b[i]
-// (which must be '"'), returning the raw bytes between the quotes.
+// simpleString parses a JSON string of printable ASCII with no escapes
+// starting at b[i] (which must be '"'), returning the raw bytes between
+// the quotes. Anything else is left to encoding/json, which also
+// replaces invalid UTF-8.
 func simpleString(b []byte, i int) (raw []byte, next int, ok bool) {
 	if i >= len(b) || b[i] != '"' {
 		return nil, i, false
@@ -764,33 +796,120 @@ func simpleString(b []byte, i int) (raw []byte, next int, ok bool) {
 		switch {
 		case b[j] == '"':
 			return b[i+1 : j], j + 1, true
-		case b[j] == '\\' || b[j] < 0x20:
+		case b[j] == '\\' || b[j] < 0x20 || b[j] >= 0x80:
 			return nil, i, false
 		}
 	}
 	return nil, i, false
 }
 
-// number parses a JSON number starting at b[i].
+// digits advances past ASCII digits.
+func digits(b []byte, i int) int {
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// number parses a JSON number starting at b[i], exactly the RFC 8259
+// grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — so "+1",
+// "01", ".5" and "1." are refused here, as encoding/json refuses them.
 func number(b []byte, i int) (v float64, next int, ok bool) {
 	j := i
-	for j < len(b) {
-		switch c := b[j]; {
-		case c >= '0' && c <= '9', c == '-', c == '+', c == '.', c == 'e', c == 'E':
-			j++
-		default:
-			goto done
-		}
+	if j < len(b) && b[j] == '-' {
+		j++
 	}
-done:
-	if j == i {
+	switch {
+	case j < len(b) && b[j] == '0':
+		j++
+	case j < len(b) && b[j] >= '1' && b[j] <= '9':
+		j = digits(b, j+1)
+	default:
 		return 0, i, false
 	}
+	if j < len(b) && b[j] == '.' {
+		k := digits(b, j+1)
+		if k == j+1 {
+			return 0, i, false
+		}
+		j = k
+	}
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		j++
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		k := digits(b, j)
+		if k == j {
+			return 0, i, false
+		}
+		j = k
+	}
 	v, err := strconv.ParseFloat(string(b[i:j]), 64)
-	if err != nil {
+	if err != nil { // out of float64 range: encoding/json refuses it too
 		return 0, i, false
 	}
 	return v, j, true
+}
+
+// fieldStart scans `{ "key" :` from the start of b and returns the
+// index of the field's value.
+//
+//loclint:hotpath
+func fieldStart(b []byte, key string) (int, bool) {
+	i := skipSpace(b, 0)
+	if i >= len(b) || b[i] != '{' {
+		return i, false
+	}
+	raw, i, ok := simpleString(b, skipSpace(b, i+1))
+	if !ok || string(raw) != key {
+		return i, false
+	}
+	i = skipSpace(b, i)
+	if i >= len(b) || b[i] != ':' {
+		return i, false
+	}
+	return skipSpace(b, i+1), true
+}
+
+// scanObject parses the flat object at b[i] — plain string keys mapped
+// to numbers — into m, returning the index past its '}'. ok=false
+// means the object is not in that shape; m may then be partly filled.
+//
+//loclint:hotpath
+func (a *batchArena) scanObject(b []byte, i int, m localize.Observation) (next int, ok bool) {
+	if i >= len(b) || b[i] != '{' {
+		return i, false
+	}
+	i = skipSpace(b, i+1)
+	for i < len(b) && b[i] != '}' {
+		raw, j, sok := simpleString(b, i)
+		if !sok {
+			return i, false
+		}
+		j = skipSpace(b, j)
+		if j >= len(b) || b[j] != ':' {
+			return i, false
+		}
+		v, j, nok := number(b, skipSpace(b, j+1))
+		if !nok {
+			return i, false
+		}
+		m[a.intern(raw)] = v
+		i = skipSpace(b, j)
+		if i < len(b) && b[i] == ',' {
+			i = skipSpace(b, i+1)
+			if i >= len(b) || b[i] == '}' { // trailing comma
+				return i, false
+			}
+		} else if i >= len(b) || b[i] != '}' {
+			return i, false
+		}
+	}
+	if i >= len(b) {
+		return i, false
+	}
+	return i + 1, true
 }
 
 // decodeFast is the allocation-lean scanner for the canonical batch
@@ -800,20 +919,8 @@ done:
 //loclint:hotpath
 func (a *batchArena) decodeFast(max int) (n int, err error, ok bool) {
 	b := a.body.Bytes()
-	i := skipSpace(b, 0)
-	if i >= len(b) || b[i] != '{' {
-		return 0, nil, false
-	}
-	key, i, sok := simpleString(b, skipSpace(b, i+1))
-	if !sok || string(key) != "observations" {
-		return 0, nil, false
-	}
-	i = skipSpace(b, i)
-	if i >= len(b) || b[i] != ':' {
-		return 0, nil, false
-	}
-	i = skipSpace(b, i+1)
-	if i >= len(b) || b[i] != '[' {
+	i, ok := fieldStart(b, "observations")
+	if !ok || i >= len(b) || b[i] != '[' {
 		return 0, nil, false
 	}
 	i = skipSpace(b, i+1)
@@ -821,44 +928,11 @@ func (a *batchArena) decodeFast(max int) (n int, err error, ok bool) {
 		if n >= max {
 			return 0, errBatchTooLarge, true
 		}
-		if b[i] != '{' {
-			return 0, nil, false
-		}
-		if n == len(a.obs) {
-			a.obs = append(a.obs, make(localize.Observation, 8)) //loclint:allow hotpathalloc
-		}
-		m := a.obs[n]
-		clear(m)
-		i = skipSpace(b, i+1)
-		for i < len(b) && b[i] != '}' {
-			raw, j, sok := simpleString(b, i)
-			if !sok {
-				return 0, nil, false
-			}
-			j = skipSpace(b, j)
-			if j >= len(b) || b[j] != ':' {
-				return 0, nil, false
-			}
-			v, j, nok := number(b, skipSpace(b, j+1))
-			if !nok {
-				return 0, nil, false
-			}
-			m[a.intern(raw)] = v
-			i = skipSpace(b, j)
-			if i < len(b) && b[i] == ',' {
-				i = skipSpace(b, i+1)
-				if i >= len(b) || b[i] == '}' { // trailing comma
-					return 0, nil, false
-				}
-			} else if i >= len(b) || b[i] != '}' {
-				return 0, nil, false
-			}
-		}
-		if i >= len(b) {
+		if i, ok = a.scanObject(b, i, a.obsAt(n)); !ok {
 			return 0, nil, false
 		}
 		n++
-		i = skipSpace(b, i+1)
+		i = skipSpace(b, i)
 		if i < len(b) && b[i] == ',' {
 			i = skipSpace(b, i+1)
 			if i >= len(b) || b[i] == ']' { // trailing comma
@@ -906,11 +980,7 @@ func (a *batchArena) decodeSlow(max int) (int, error) {
 			if n >= max {
 				return 0, errBatchTooLarge
 			}
-			if n == len(a.obs) {
-				a.obs = append(a.obs, make(localize.Observation, 8))
-			}
-			m := a.obs[n]
-			clear(m)
+			m := a.obsAt(n)
 			if err := dec.Decode(&m); err != nil {
 				return 0, fmt.Errorf("bad observation %d: %w", n, err)
 			}
@@ -924,6 +994,61 @@ func (a *batchArena) decodeSlow(max int) (int, error) {
 		return 0, fmt.Errorf("bad request body: %w", err)
 	}
 	return n, nil
+}
+
+// decodeLocateFast is the allocation-lean scanner for the canonical
+// single shape, {"observation": {...}} with a non-empty flat object.
+// ok=false means "shape not recognised, retry with decodeLocateSlow".
+//
+//loclint:hotpath
+func (a *batchArena) decodeLocateFast() (localize.Observation, bool) {
+	b := a.body.Bytes()
+	i, ok := fieldStart(b, "observation")
+	if !ok {
+		return nil, false
+	}
+	m := a.obsAt(0)
+	if i, ok = a.scanObject(b, i, m); !ok || len(m) == 0 {
+		return nil, false
+	}
+	i = skipSpace(b, i)
+	if i >= len(b) || b[i] != '}' || skipSpace(b, i+1) != len(b) {
+		return nil, false
+	}
+	return m, true
+}
+
+// decodeLocateSlow decodes the buffered single body with encoding/json.
+// It accepts the records form and everything JSON allows, and is the
+// source of the single-locate decode error messages.
+func (a *batchArena) decodeLocateSlow() (localize.Observation, error) {
+	var req locateRequest
+	dec := json.NewDecoder(bytes.NewReader(a.body.Bytes()))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, fmt.Errorf("bad request body: %w", err)
+	}
+	switch {
+	case len(req.Observation) > 0 && len(req.Records) > 0:
+		return nil, errors.New("give observation or records, not both")
+	case len(req.Observation) > 0:
+		return localize.Observation(req.Observation), nil
+	case len(req.Records) > 0:
+		recs := make([]wiscan.Record, len(req.Records))
+		for i, rj := range req.Records {
+			recs[i] = wiscan.Record{
+				TimeMillis: rj.TimeMillis,
+				BSSID:      rj.BSSID,
+				SSID:       rj.SSID,
+				Channel:    rj.Channel,
+				RSSI:       rj.RSSI,
+				Noise:      rj.Noise,
+			}
+		}
+		return localize.ObservationFromRecords(recs), nil
+	default:
+		return nil, errors.New("empty request: need observation or records")
+	}
 }
 
 func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
@@ -986,18 +1111,11 @@ func (s *Server) locateBatch(w http.ResponseWriter, r *http.Request, svc *core.S
 	// Drop the candidate slices before pooling the arena so one big
 	// batch does not pin its estimates across unrelated requests.
 	clear(results)
-	a.out.Reset()
-	if err := a.enc.Encode(batchResponse{
+	a.writeOK(w, batchResponse{
 		Algorithm: svc.Locator.Name(),
 		Count:     n,
 		Results:   items,
-	}); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(a.out.Bytes())
+	})
 }
 
 // trackClient extracts the client id from a .../track/{client} path —
@@ -1041,7 +1159,9 @@ func (s *Server) trackPost(w http.ResponseWriter, r *http.Request, svc *core.Ser
 	if keyPrefix != "" {
 		key = keyPrefix + client
 	}
-	obs, err := parseObservation(r)
+	a := batchArenaPool.Get().(*batchArena)
+	defer batchArenaPool.Put(a)
+	obs, err := a.decodeLocate(r.Body)
 	if err != nil {
 		writeError(w, decodeStatus(err), err)
 		return
@@ -1075,7 +1195,7 @@ func (s *Server) trackPost(w http.ResponseWriter, r *http.Request, svc *core.Ser
 	}
 	pos := slot.tr.Filter.Update(est.Pos)
 	slot.mu.Unlock()
-	resp := locateResponse{
+	a.resp = locateResponse{
 		X:                pos.X,
 		Y:                pos.Y,
 		Location:         est.Name,
@@ -1084,16 +1204,16 @@ func (s *Server) trackPost(w http.ResponseWriter, r *http.Request, svc *core.Ser
 	}
 	if svc.Names != nil {
 		if name, _, ok := svc.Names.Nearest(pos); ok {
-			resp.NearestName = name
+			a.resp.NearestName = name
 		}
 	}
 	for _, room := range svc.Rooms {
 		if room.Poly.Contains(pos) {
-			resp.Room = room.Name
+			a.resp.Room = room.Name
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	a.writeOK(w, &a.resp)
 }
 
 // metricsBufPool holds the scrape render buffers. One scrape borrows

@@ -638,14 +638,23 @@ func TestDecodeFastSlowParity(t *testing.T) {
 	}{
 		{"canonical", `{"observations":[{"aa:bb":-61.5,"cc:dd":-70}]}`, true},
 		{"whitespace", " {\n\t\"observations\" : [ { \"aa:bb\" : -61.5 , \"cc:dd\" : -70 } , { \"ee:ff\" : -40 } ]\n} ", true},
-		{"exponents", `{"observations":[{"aa:bb":-6.15e1,"cc:dd":-7E1}]}`, true},
-		{"integers", `{"observations":[{"aa:bb":-61}]}`, true},
+		{"exponents", `{"observations":[{"aa:bb":-6.15e1,"cc:dd":-7E1,"ee:ff":-7e+1,"gg:hh":-700e-1}]}`, true},
+		{"integers", `{"observations":[{"aa:bb":-61,"cc:dd":0,"ee:ff":-0}]}`, true},
 		{"empty obs object", `{"observations":[{}]}`, true},
 		{"empty list", `{"observations":[]}`, true},
 		{"many", `{"observations":[{"a":-1},{"b":-2},{"c":-3}]}`, true},
 		{"escaped key", `{"observations":[{"aa\u003abb":-61.5}]}`, false},
+		{"non-ASCII key", `{"observations":[{"caf\u00e9":-61.5,"café":-60}]}`, false},
+		{"invalid UTF-8 key", "{\"observations\":[{\"a\xffb\":-61.5}]}", false},
 		{"null value", `{"observations":[{"aa:bb":null}]}`, false},
 		{"string value", `{"observations":[{"aa:bb":"-61"}]}`, false},
+		{"plus sign", `{"observations":[{"a":+1}]}`, false},
+		{"leading zero", `{"observations":[{"a":01}]}`, false},
+		{"bare fraction", `{"observations":[{"a":.5}]}`, false},
+		{"bare point", `{"observations":[{"a":1.}]}`, false},
+		{"bare minus", `{"observations":[{"a":-}]}`, false},
+		{"empty exponent", `{"observations":[{"a":1e}]}`, false},
+		{"out of range", `{"observations":[{"a":-1e400}]}`, false},
 		{"trailing comma in obs", `{"observations":[{"aa:bb":-61,}]}`, false},
 		{"trailing comma in list", `{"observations":[{"aa:bb":-61},]}`, false},
 		{"trailing garbage", `{"observations":[]} nope`, false},
@@ -653,38 +662,19 @@ func TestDecodeFastSlowParity(t *testing.T) {
 		{"not an object", `[]`, false},
 	}
 	for _, c := range cases {
-		fast := &batchArena{keys: map[string]string{}}
-		fast.body.WriteString(c.body)
-		fn, ferr, ok := fast.decodeFast(100)
-		if ok != c.wantFast {
+		if ok := batchParity(t, c.body, 100); ok != c.wantFast {
 			t.Errorf("%s: fast ok=%v, want %v", c.name, ok, c.wantFast)
-			continue
 		}
-		if !ok || ferr != nil {
-			continue
+	}
+	// The fast path refuses the non-RFC 8259 numbers; the fallback must
+	// then refuse them too, on both request shapes.
+	for _, num := range []string{"+1", "01", ".5", "1.", "-", "1e", "-1e400"} {
+		a := &batchArena{keys: map[string]string{}}
+		if _, err := a.decodeObservations(strings.NewReader(`{"observations":[{"a":`+num+`}]}`), 100); err == nil {
+			t.Errorf("batch accepted the number %q", num)
 		}
-		slow := &batchArena{keys: map[string]string{}}
-		slow.body.WriteString(c.body)
-		sn, serr := slow.decodeSlow(100)
-		if serr != nil {
-			t.Errorf("%s: fast accepted what slow rejects: %v", c.name, serr)
-			continue
-		}
-		if fn != sn {
-			t.Errorf("%s: fast %d observations, slow %d", c.name, fn, sn)
-			continue
-		}
-		for i := 0; i < fn; i++ {
-			fo, so := fast.obs[i], slow.obs[i]
-			if len(fo) != len(so) {
-				t.Errorf("%s obs %d: %v vs %v", c.name, i, fo, so)
-				continue
-			}
-			for k, v := range so {
-				if fo[k] != v {
-					t.Errorf("%s obs %d key %s: %v vs %v", c.name, i, k, fo[k], v)
-				}
-			}
+		if _, err := a.decodeLocate(strings.NewReader(`{"observation":{"a":` + num + `}}`)); err == nil {
+			t.Errorf("single accepted the number %q", num)
 		}
 	}
 }
