@@ -670,7 +670,9 @@ func campusBench(b *testing.B) *campusFixture {
 // baseline; quantized-fullsort isolates the int16 matrices (¼ the
 // bytes scanned, so the memory-bound scan speeds up); quantized-topk8
 // adds bounded ranking (no 100k-candidate sort). matrix-MB reports the
-// resident matrix footprint each configuration scans.
+// resident matrix footprint each configuration holds, and postings-MB
+// the part of it that is the int16 posting lists the quantized scan
+// actually reads.
 func BenchmarkMapV2Campus100k(b *testing.B) {
 	f := campusBench(b)
 	cases := []struct {
@@ -698,6 +700,11 @@ func BenchmarkMapV2Campus100k(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(c.view.MatrixBytes())/(1<<20), "matrix-MB")
+			var postings int
+			if q := c.view.Quant; q != nil {
+				postings = q.PostingBytes()
+			}
+			b.ReportMetric(float64(postings)/(1<<20), "postings-MB")
 		})
 	}
 }

@@ -45,6 +45,11 @@ func TestBatchIntoMatchesSequential(t *testing.T) {
 			}
 		}
 		checkBatchInto(t, NewMaxLikelihood(db), obs)
+		// The int16 posting scan and the index selector share the
+		// pooled score and index buffers across the pool's workers.
+		ml := NewMaxLikelihood(db)
+		ml.Quantize, ml.TopK = true, 8
+		checkBatchInto(t, ml, obs)
 	})
 }
 

@@ -62,14 +62,16 @@ func posteriorMean(cs []Candidate) geom.Point {
 }
 
 // scratch holds the per-Locate working buffers — interned observation
-// columns and values plus per-column precomputed terms — pooled so the
-// hot path allocates nothing beyond the returned candidate slice.
+// columns and values, per-column precomputed terms, the per-entry
+// score buffer and the top-k index heap — pooled so the hot path
+// allocates nothing beyond the returned candidate slice.
 type scratch struct {
 	cols  []int32
 	vals  []float64
 	aux   []float64
 	bins  []int32
-	cands []Candidate
+	score []float64
+	idx   []int32
 	mass  []massAt
 }
 
@@ -78,16 +80,14 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
 func putScratch(s *scratch) { scratchPool.Put(s) }
 
-// candidates returns a length-n candidate buffer backed by the
-// scratch, grown as needed. Only the bounded top-k paths score into it
-// (they copy the k winners out before the scratch is pooled); the
-// full-ranking paths hand their whole slice to the caller and must
-// allocate it fresh.
-func (s *scratch) candidates(n int) []Candidate {
-	if cap(s.cands) < n {
-		s.cands = make([]Candidate, n)
+// scores returns a length-n score buffer backed by the scratch, grown
+// as needed. Scorers overwrite every slot; rankScores copies what it
+// returns out before the scratch is pooled.
+func (s *scratch) scores(n int) []float64 {
+	if cap(s.score) < n {
+		s.score = make([]float64, n)
 	}
-	return s.cands[:n]
+	return s.score[:n]
 }
 
 // histTables is the Histogram localizer's compiled scoring state: per

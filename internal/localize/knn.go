@@ -138,30 +138,17 @@ func (k *KNN) Locate(obs Observation) (Estimate, error) {
 	if len(cols) == 0 {
 		return Estimate{}, ErrNoOverlap
 	}
-	n := len(c.Names)
 	topk := k.TopK
 	if topk > 0 && topk < k.kVal() {
 		topk = k.kVal() // the centroid needs at least K neighbours
 	}
-	var candidates []Candidate
-	if topk > 0 && topk < n {
-		candidates = sc.candidates(n)
-	} else {
-		topk = 0
-		candidates = make([]Candidate, n)
-	}
+	scores := sc.scores(len(c.Names))
 	if c.Quant != nil {
-		k.scoreRangeQuant(c, cols, vals, candidates, 0, n)
+		k.scoreAllQuant(c, cols, vals, scores)
 	} else {
-		k.scoreRange(c, cols, vals, candidates, 0, n)
+		k.scoreAll(c, cols, vals, scores)
 	}
-	if topk > 0 {
-		out := make([]Candidate, topk)
-		copy(out, TopK(candidates, topk))
-		candidates = out
-	} else {
-		rankCandidates(candidates)
-	}
+	candidates := rankScores(c, scores, topk, sc)
 	kk := k.kVal()
 	if kk > len(candidates) {
 		kk = len(candidates)
@@ -195,15 +182,15 @@ func (k *KNN) Locate(obs Observation) (Estimate, error) {
 	}, nil
 }
 
-// scoreRange computes the signal distances for entries [lo, hi). The
+// scoreAll computes every entry's negated signal distance. The
 // baseline assumes every column reads the floor; each heard column
 // replaces its floor term with the observed one. Mean holds the floor
 // level for untrained cells, so one load covers both cases.
 //
 //loclint:hotpath
-func (k *KNN) scoreRange(c *trainingdb.Compiled, cols []int32, vals []float64, candidates []Candidate, lo, hi int) {
+func (k *KNN) scoreAll(c *trainingdb.Compiled, cols []int32, vals, scores []float64) {
 	nAP := len(c.BSSIDs)
-	for i := lo; i < hi; i++ {
+	for i := range scores {
 		sum := c.SignalBase[i]
 		base := i * nAP
 		for h, j := range cols {
@@ -215,21 +202,21 @@ func (k *KNN) scoreRange(c *trainingdb.Compiled, cols []int32, vals []float64, c
 		if sum < 0 {
 			sum = 0 // guard the sqrt against rounding on near-exact matches
 		}
-		candidates[i] = Candidate{Name: c.Names[i], Pos: c.Pos[i], Score: -math.Sqrt(sum)}
+		scores[i] = -math.Sqrt(sum)
 	}
 }
 
-// scoreRangeQuant is scoreRange over the int16-quantized Mean matrix:
+// scoreAllQuant is scoreAll over the int16-quantized Mean matrix:
 // same baseline+correction algebra with each visited mean dequantized
 // through its column's affine factors, and the baseline taken from the
 // quantized mirror so the subtraction stays exact. Accumulators are
 // float64 throughout.
 //
 //loclint:hotpath
-func (k *KNN) scoreRangeQuant(c *trainingdb.Compiled, cols []int32, vals []float64, candidates []Candidate, lo, hi int) {
+func (k *KNN) scoreAllQuant(c *trainingdb.Compiled, cols []int32, vals, scores []float64) {
 	q := c.Quant
 	nAP := len(c.BSSIDs)
-	for i := lo; i < hi; i++ {
+	for i := range scores {
 		sum := q.SignalBase[i]
 		base := i * nAP
 		for h, j := range cols {
@@ -242,6 +229,6 @@ func (k *KNN) scoreRangeQuant(c *trainingdb.Compiled, cols []int32, vals []float
 		if sum < 0 {
 			sum = 0 // guard the sqrt against rounding on near-exact matches
 		}
-		candidates[i] = Candidate{Name: c.Names[i], Pos: c.Pos[i], Score: -math.Sqrt(sum)}
+		scores[i] = -math.Sqrt(sum)
 	}
 }

@@ -127,31 +127,15 @@ func (m *MaxLikelihood) Locate(obs Observation) (Estimate, error) {
 		aux = append(aux, stats.LogGaussianPDF(v, c.FloorRSSI, c.FloorSigma))
 	}
 	sc.aux = aux
-	// Score over the union of APs, as the map-based loop did. With
-	// TopK set, scoring fills a pooled buffer and only the k winners
-	// are copied out; otherwise the full slice goes to the caller and
-	// must be fresh.
-	n := len(c.Names)
-	topk := m.TopK
-	var candidates []Candidate
-	if topk > 0 && topk < n {
-		candidates = sc.candidates(n)
-	} else {
-		topk = 0
-		candidates = make([]Candidate, n)
-	}
+	// Score every entry into the pooled buffer; only the returned
+	// candidates are built from it.
+	scores := sc.scores(len(c.Names))
 	if c.Quant != nil {
-		m.scoreRangeQuant(c, cols, vals, aux, candidates, 0, n)
+		scorePostings(c.Quant, cols, vals, aux, scores)
 	} else {
-		m.scoreRange(c, cols, vals, aux, candidates, 0, n)
+		m.scoreAll(c, cols, vals, aux, scores)
 	}
-	if topk > 0 {
-		out := make([]Candidate, topk)
-		copy(out, TopK(candidates, topk))
-		candidates = out
-	} else {
-		rankCandidates(candidates)
-	}
+	candidates := rankScores(c, scores, m.TopK, sc)
 	best := candidates[0]
 	est := Estimate{
 		Pos:        best.Pos,
@@ -165,15 +149,15 @@ func (m *MaxLikelihood) Locate(obs Observation) (Estimate, error) {
 	return est, nil
 }
 
-// scoreRange scores entries [lo, hi): each starts at its precomputed
+// scoreAll scores every entry: each starts at its precomputed
 // all-unheard baseline; heard columns swap the floor term for the
 // trained Gaussian (or add the observation-side floor term when the
 // entry never heard the AP) — absence is evidence too.
 //
 //loclint:hotpath
-func (m *MaxLikelihood) scoreRange(c *trainingdb.Compiled, cols []int32, vals, aux []float64, candidates []Candidate, lo, hi int) {
+func (m *MaxLikelihood) scoreAll(c *trainingdb.Compiled, cols []int32, vals, aux, scores []float64) {
 	nAP := len(c.BSSIDs)
-	for i := lo; i < hi; i++ {
+	for i := range scores {
 		ll := c.UnheardLL[i]
 		base := i * nAP
 		for h, j := range cols {
@@ -185,39 +169,41 @@ func (m *MaxLikelihood) scoreRange(c *trainingdb.Compiled, cols []int32, vals, a
 				ll += aux[h]
 			}
 		}
-		candidates[i] = Candidate{Name: c.Names[i], Pos: c.Pos[i], Score: ll}
+		scores[i] = ll
 	}
 }
 
-// scoreRangeQuant is scoreRange over the int16-quantized matrices:
-// identical algebra, with each visited cell dequantized on the fly
-// through its column's affine factors and the baselines taken from the
-// quantized mirror (they were recomputed from dequantized cells, so
-// the baseline+correction subtraction stays exact). Accumulation is
-// float64 throughout; only the per-cell loads shrink.
+// scorePostings is scoreAll over the int16 posting lists, visiting
+// trained cells only. Every entry starts from its quantized all-unheard
+// baseline plus the untrained term of every heard column; each heard
+// column's postings then add the dequantized Gaussian correction minus
+// that column's untrained term. The per-cell algebra is scoreAll's —
+// only the summation order differs — and neither Trained nor the dense
+// code matrices are read. Accumulation is float64 throughout.
 //
 //loclint:hotpath
-func (m *MaxLikelihood) scoreRangeQuant(c *trainingdb.Compiled, cols []int32, vals, aux []float64, candidates []Candidate, lo, hi int) {
-	q := c.Quant
-	nAP := len(c.BSSIDs)
-	for i := lo; i < hi; i++ {
-		ll := q.UnheardLL[i]
-		base := i * nAP
-		for h, j := range cols {
-			cell := base + int(j)
-			if c.Trained[cell] {
-				jj := int(j)
-				mean := q.MeanOff[jj] + q.MeanScale[jj]*float64(q.MeanQ[cell])
-				sigma := q.SigmaOff[jj] + q.SigmaScale[jj]*float64(q.SigmaQ[cell])
-				d := (vals[h] - mean) / sigma
-				ll += -d*d/2 +
-					q.LogNormOff[jj] + q.LogNormScale[jj]*float64(q.LogNormQ[cell]) -
-					(q.FloorLLOff[jj] + q.FloorLLScale[jj]*float64(q.FloorLLQ[cell]))
-			} else {
-				ll += aux[h]
-			}
+func scorePostings(q *trainingdb.Quant, cols []int32, vals, aux, scores []float64) {
+	var unheard float64
+	for _, a := range aux {
+		unheard += a
+	}
+	for i := range scores {
+		scores[i] = q.UnheardLL[i] + unheard
+	}
+	for h, j := range cols {
+		v, a := vals[h], aux[h]
+		mOff, mScale := q.MeanOff[j], q.MeanScale[j]
+		sOff, sScale := q.SigmaOff[j], q.SigmaScale[j]
+		lOff, lScale := q.LogNormOff[j], q.LogNormScale[j]
+		fOff, fScale := q.FloorLLOff[j], q.FloorLLScale[j]
+		for _, p := range q.Post[q.PostStart[j]:q.PostStart[j+1]] {
+			mean := mOff + mScale*float64(p.MeanQ)
+			sigma := sOff + sScale*float64(p.SigmaQ)
+			d := (v - mean) / sigma
+			scores[p.Entry] += -d*d/2 +
+				lOff + lScale*float64(p.LogNormQ) -
+				(fOff + fScale*float64(p.FloorLLQ)) - a
 		}
-		candidates[i] = Candidate{Name: c.Names[i], Pos: c.Pos[i], Score: ll}
 	}
 }
 
@@ -306,23 +292,9 @@ func (h *Histogram) Locate(obs Observation) (Estimate, error) {
 		binIdx = append(binIdx, int32(t.bin(v)))
 	}
 	sc.bins = binIdx
-	n := len(c.Names)
-	topk := h.TopK
-	var candidates []Candidate
-	if topk > 0 && topk < n {
-		candidates = sc.candidates(n)
-	} else {
-		topk = 0
-		candidates = make([]Candidate, n)
-	}
-	h.scoreRange(c, t, cols, binIdx, candidates, 0, n)
-	if topk > 0 {
-		out := make([]Candidate, topk)
-		copy(out, TopK(candidates, topk))
-		candidates = out
-	} else {
-		rankCandidates(candidates)
-	}
+	scores := sc.scores(len(c.Names))
+	h.scoreAll(c, t, cols, binIdx, scores)
+	candidates := rankScores(c, scores, h.TopK, sc)
 	// Normalise scores into a posterior for the candidates (softmax of
 	// log-likelihoods with uniform prior; under TopK the posterior is
 	// over the retained candidates — see the field comment).
@@ -336,16 +308,15 @@ func (h *Histogram) Locate(obs Observation) (Estimate, error) {
 	}, nil
 }
 
-// scoreRange scores entries [lo, hi). Baseline: every trained AP
-// scored at the floor level; heard columns swap in the observed bin
-// (trained) or the uniform smoothed mass of an empty histogram
-// (untrained).
+// scoreAll scores every entry. Baseline: every trained AP scored at
+// the floor level; heard columns swap in the observed bin (trained) or
+// the uniform smoothed mass of an empty histogram (untrained).
 //
 //loclint:hotpath
-func (h *Histogram) scoreRange(c *trainingdb.Compiled, t *histTables, cols []int32, binIdx []int32, candidates []Candidate, lo, hi int) {
+func (h *Histogram) scoreAll(c *trainingdb.Compiled, t *histTables, cols []int32, binIdx []int32, scores []float64) {
 	nAP := len(c.BSSIDs)
 	bins := t.bins
-	for i := lo; i < hi; i++ {
+	for i := range scores {
 		ll := t.base[i]
 		base := i * nAP
 		for h2, j := range cols {
@@ -357,6 +328,6 @@ func (h *Histogram) scoreRange(c *trainingdb.Compiled, t *histTables, cols []int
 				ll += t.uniform
 			}
 		}
-		candidates[i] = Candidate{Name: c.Names[i], Pos: c.Pos[i], Score: ll}
+		scores[i] = ll
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"indoorloc/internal/sim"
+	"indoorloc/internal/stats"
 	"indoorloc/internal/trainingdb"
 )
 
@@ -22,7 +23,9 @@ import (
 //     relTol = 2·10⁻³ of the score's magnitude (entries far from the
 //     observation carry |score| in the hundreds, so a relative bound
 //     is the honest one — their absolute delta can reach ~0.5 while
-//     the leaders' sit below 10⁻³).
+//     the leaders' sit below 10⁻³). The relative bound is empirical:
+//     int16ScoreBound is the guaranteed per-entry one, and dense venues
+//     with a σ clamped far from the floor exceed relTol within it.
 //   - KNN: the signal distance moves by at most
 //     Σ_heard 2·|dv−df|·ε / (2·√sum) — bounded here by absTol = 0.05 dB.
 //
@@ -211,6 +214,168 @@ func TestQuantizedParitySimulated(t *testing.T) {
 				t.Fatalf("%s %s: errs %v / %v", scen.Name, name, refErr, qErr)
 			}
 			compareQuantParity(t, scen.Name+" "+name, refEst, qEst, quantRelTol, 0)
+		}
+	}
+}
+
+// denseQuantScores is the int16 maximum-likelihood scan before posting
+// lists: every entry × heard column cell, dense codes, Trained branch.
+// It is the reference the posting scan must match up to summation
+// order.
+func denseQuantScores(c *trainingdb.Compiled, cols []int32, vals, aux []float64) []float64 {
+	q := c.Quant
+	nAP := c.NumAPs()
+	scores := make([]float64, c.NumEntries())
+	for i := range scores {
+		ll := q.UnheardLL[i]
+		for h, j := range cols {
+			cell := i*nAP + int(j)
+			if !c.Trained[cell] {
+				ll += aux[h]
+				continue
+			}
+			mean := q.MeanOff[j] + q.MeanScale[j]*float64(q.MeanQ[cell])
+			sigma := q.SigmaOff[j] + q.SigmaScale[j]*float64(q.SigmaQ[cell])
+			d := (vals[h] - mean) / sigma
+			ll += -d*d/2 +
+				q.LogNormOff[j] + q.LogNormScale[j]*float64(q.LogNormQ[cell]) -
+				(q.FloorLLOff[j] + q.FloorLLScale[j]*float64(q.FloorLLQ[cell]))
+		}
+		scores[i] = ll
+	}
+	return scores
+}
+
+// TestPostingScanMatchesDenseScan pins that the posting scan changes
+// only the summation order of the int16 scores: over sparse and dense
+// random venues every entry's score stays within 1e-12 relative of the
+// dense cell-by-cell scan.
+func TestPostingScanMatchesDenseScan(t *testing.T) {
+	for seed := int64(60); seed < 68; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		hear := 0.05 + 0.25*rng.Float64() // sparse
+		if seed%2 == 1 {
+			hear = 0.85 + 0.15*rng.Float64() // dense
+		}
+		db := randomTrainDB(rng, 30+rng.Intn(200), 6+rng.Intn(24), hear)
+		if len(db.BSSIDs) == 0 {
+			continue
+		}
+		c := db.Compile(-95, 4)
+		c.Quantize()
+		for trial := 0; trial < 10; trial++ {
+			obs := randomObs(rng, db, 0.2+0.7*rng.Float64())
+			cols, vals := c.Intern(obs, nil, nil)
+			aux := make([]float64, len(vals))
+			for h, v := range vals {
+				aux[h] = stats.LogGaussianPDF(v, c.FloorRSSI, c.FloorSigma)
+			}
+			want := denseQuantScores(c, cols, vals, aux)
+			got := make([]float64, len(want))
+			scorePostings(c.Quant, cols, vals, aux, got)
+			for i := range want {
+				if !relClose(got[i], want[i], 1e-12) {
+					t.Fatalf("seed %d trial %d entry %d: posting scan %v, dense scan %v",
+						seed, trial, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// int16ScoreBound is the guaranteed per-entry score error of int16
+// maximum-likelihood scoring against exact statistics. Every
+// dequantized cell lies within half its column's code step (Scale/2)
+// of its float64 value (TestQuantizeRoundTripBound). A heard trained
+// cell's floor term cancels against the baseline, so it contributes
+// the log-norm error plus the widest swing of d²/2 over the mean and σ
+// intervals; an unheard trained cell contributes its floor term's
+// error. The bound is per column, not relative: one entry whose σ is
+// clamped to stats.MinSigma far from the floor stretches its column's
+// floor-term range to thousands of nats, and every entry of that
+// column then carries up to half that step.
+func int16ScoreBound(c *trainingdb.Compiled, obs map[int32]float64, i int) float64 {
+	q, nAP := c.Quant, c.NumAPs()
+	var b float64
+	for j := 0; j < nAP; j++ {
+		cell := i*nAP + j
+		if !c.Trained[cell] {
+			continue
+		}
+		v, heard := obs[int32(j)]
+		if !heard {
+			b += math.Abs(q.FloorLLScale[j]) / 2
+			continue
+		}
+		mean := q.MeanOff[j] + q.MeanScale[j]*float64(q.MeanQ[cell])
+		sigma := q.SigmaOff[j] + q.SigmaScale[j]*float64(q.SigmaQ[cell])
+		dm, ds := math.Abs(q.MeanScale[j])/2, math.Abs(q.SigmaScale[j])/2
+		dMax := (math.Abs(v-mean) + dm) / (sigma - ds)
+		dMin := math.Max(0, math.Abs(v-mean)-dm) / (sigma + ds)
+		b += math.Abs(q.LogNormScale[j])/2 + (dMax*dMax-dMin*dMin)/2
+	}
+	return b
+}
+
+// TestQuantizedMatchesOracle is the int16 oracle property: over random
+// sparse and dense venues, every posting-scan MaxLikelihood score lies
+// within int16ScoreBound of the uncompiled map-walking reference, and
+// the argmax is the reference's unless the reference's own top-2 gap
+// is inside 2·quantRelTol.
+func TestQuantizedMatchesOracle(t *testing.T) {
+	for seed := int64(70); seed < 78; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		hear := 0.05 + 0.25*rng.Float64() // sparse
+		if seed%2 == 1 {
+			hear = 0.85 + 0.15*rng.Float64() // dense
+		}
+		db := randomTrainDB(rng, 20+rng.Intn(150), 4+rng.Intn(20), hear)
+		if len(db.BSSIDs) == 0 {
+			continue
+		}
+		ref := NewMaxLikelihood(db)
+		mlQ := NewMaxLikelihood(db)
+		mlQ.Quantize = true
+		c := mlQ.CompiledView()
+		entry := make(map[string]int, len(c.Names))
+		for i, name := range c.Names {
+			entry[name] = i
+		}
+		for trial := 0; trial < 10; trial++ {
+			obs := randomObs(rng, db, 0.2+0.7*rng.Float64())
+			tag := fmt.Sprintf("seed %d trial %d", seed, trial)
+			refEst, refErr := refMaxLikelihood(ref, obs)
+			qEst, qErr := mlQ.Locate(obs)
+			if (refErr == nil) != (qErr == nil) {
+				t.Fatalf("%s: err %v vs reference %v", tag, qErr, refErr)
+			}
+			if refErr != nil {
+				continue
+			}
+			cols, vals := c.Intern(obs, nil, nil)
+			heard := make(map[int32]float64, len(cols))
+			for h, j := range cols {
+				heard[j] = vals[h]
+			}
+			refScore := make(map[string]float64, len(refEst.Candidates))
+			for _, cand := range refEst.Candidates {
+				refScore[cand.Name] = cand.Score
+			}
+			for _, cand := range qEst.Candidates {
+				r := refScore[cand.Name]
+				bound := int16ScoreBound(c, heard, entry[cand.Name]) + 1e-9*math.Max(1, math.Abs(r))
+				if d := math.Abs(cand.Score - r); d > bound {
+					t.Fatalf("%s: %q score %v, reference %v: error %v over the int16 bound %v",
+						tag, cand.Name, cand.Score, r, d, bound)
+				}
+			}
+			if qEst.Name != refEst.Name {
+				gap := refEst.Candidates[0].Score - refEst.Candidates[1].Score
+				if lim := 2 * quantRelTol * math.Max(1, math.Abs(refEst.Candidates[0].Score)); gap > lim {
+					t.Fatalf("%s: argmax %q, reference %q with gap %v (tolerance %v)",
+						tag, qEst.Name, refEst.Name, gap, lim)
+				}
+			}
 		}
 	}
 }

@@ -153,29 +153,11 @@ func (s *Sector) Locate(obs Observation) (Estimate, error) {
 			observed |= 1 << uint(j)
 		}
 	}
-	n := len(c.Names)
-	topk := s.TopK
-	var candidates []Candidate
-	if topk > 0 && topk < n {
-		candidates = sc.candidates(n)
-	} else {
-		topk = 0
-		candidates = make([]Candidate, n)
+	scores := sc.scores(len(c.Names))
+	for i, code := range s.codes {
+		scores[i] = -float64(hamming(observed, code))
 	}
-	for i := range c.Names {
-		candidates[i] = Candidate{
-			Name:  c.Names[i],
-			Pos:   c.Pos[i],
-			Score: -float64(hamming(observed, s.codes[i])),
-		}
-	}
-	if topk > 0 {
-		out := make([]Candidate, topk)
-		copy(out, TopK(candidates, topk))
-		candidates = out
-	} else {
-		rankCandidates(candidates)
-	}
+	candidates := rankScores(c, scores, s.TopK, sc)
 	// All minimum-distance locations vote; their centroid is the
 	// estimate. After ranking they are exactly the leading run of equal
 	// scores, already in name order.

@@ -1,82 +1,110 @@
 package localize
 
-// Bounded top-k candidate selection. Serving callers consume a handful
-// of ranked candidates (the argmax, a centroid over k neighbours, a
-// confidence quantile), yet every locator used to full-sort all n
-// entries per query — O(n log n) comparisons and a cache-hostile
-// shuffle of 40-byte Candidate structs. TopK replaces the sort with a
-// bounded selection: a worst-at-root heap over the first k slots
-// streams the remaining n−k candidates through in O(n + k log n) with
-// zero allocations, then heapsorts the k winners best-first.
-//
-// TopK permutes cs in place — no candidate is lost — but only cs[:k]
-// ends up ordered; the tail is scrambled. Callers that need the full
-// ranking ask for k ≥ len(cs) and get the rankCandidates sort.
+import "indoorloc/internal/trainingdb"
 
-// candidateBetter reports whether a outranks b: higher score first,
-// ties broken toward the lexically smaller name, matching
-// rankCandidates exactly. Names are unique within one estimate, so the
+// Bounded top-k selection by index. Serving callers consume a handful
+// of ranked candidates (the argmax, a centroid over k neighbours, a
+// confidence quantile), yet a full ranking sorts all n entries per
+// query. The compiled scorers instead write one float64 score per
+// entry into a pooled buffer; TopK streams that buffer through a
+// worst-at-root heap of k entry indices in O(n + k log n) with zero
+// allocations, heapsorts the winners best-first, and only those k
+// become Candidate structs.
+
+// scoreBetter reports whether entry a outranks entry b: higher score
+// first, ties broken toward the lexically smaller name, matching
+// rankCandidates exactly. Names are unique within one view, so the
 // order is total and the selected top-k set is identical to the full
 // sort's prefix.
 //
 //loclint:hotpath
-func candidateBetter(a, b *Candidate) bool {
-	if a.Score != b.Score { //loclint:allow nofloateq — exact compare mirrors rankCandidates so top-k prefix == full-sort prefix
-		return a.Score > b.Score
+func scoreBetter(scores []float64, names []string, a, b int32) bool {
+	if scores[a] != scores[b] { //loclint:allow nofloateq — exact compare mirrors rankCandidates so top-k prefix == full-sort prefix
+		return scores[a] > scores[b]
 	}
-	return a.Name < b.Name
+	return names[a] < names[b]
 }
 
-// siftWorst restores the worst-at-root heap property at index i over
-// cs[:n]: every parent ranks no better than its children.
+// siftIndex restores the worst-at-root heap property at index i over
+// idx[:n]: every parent ranks no better than its children.
 //
 //loclint:hotpath
-func siftWorst(cs []Candidate, i, n int) {
+func siftIndex(scores []float64, names []string, idx []int32, i, n int) {
 	for {
 		w := i
-		if l := 2*i + 1; l < n && candidateBetter(&cs[w], &cs[l]) {
+		if l := 2*i + 1; l < n && scoreBetter(scores, names, idx[w], idx[l]) {
 			w = l
 		}
-		if r := 2*i + 2; r < n && candidateBetter(&cs[w], &cs[r]) {
+		if r := 2*i + 2; r < n && scoreBetter(scores, names, idx[w], idx[r]) {
 			w = r
 		}
 		if w == i {
 			return
 		}
-		cs[i], cs[w] = cs[w], cs[i]
+		idx[i], idx[w] = idx[w], idx[i]
 		i = w
 	}
 }
 
-// TopK reorders cs so cs[:k] holds the k best candidates ranked
-// best-first (the exact prefix a full rankCandidates sort would
-// produce) and returns that prefix. The elements beyond k remain in cs
-// but in arbitrary order. k ≤ 0 or k ≥ len(cs) falls back to the full
-// sort and returns all of cs.
+// TopK fills idx with the indices of the len(idx) best entries of
+// scores, ranked best-first — the exact prefix a full rankCandidates
+// sort of the same entries would produce — and returns it. names[i]
+// breaks ties for scores[i]. len(idx) above len(scores) is clamped;
+// scores and names are only read.
 //
 //loclint:hotpath
-func TopK(cs []Candidate, k int) []Candidate {
-	if k <= 0 || k >= len(cs) {
-		rankCandidates(cs)
-		return cs
+func TopK(scores []float64, names []string, idx []int32) []int32 {
+	k := min(len(idx), len(scores))
+	idx = idx[:k]
+	if k == 0 {
+		return idx
 	}
-	// Heapify the first k slots with the worst candidate at the root.
+	for i := range idx {
+		idx[i] = int32(i)
+	}
 	for i := k/2 - 1; i >= 0; i-- {
-		siftWorst(cs, i, k)
+		siftIndex(scores, names, idx, i, k)
 	}
 	// Stream the tail through: anything better than the current worst
-	// swaps in (the evicted candidate lands at position i, preserved).
-	for i := k; i < len(cs); i++ {
-		if candidateBetter(&cs[i], &cs[0]) {
-			cs[0], cs[i] = cs[i], cs[0]
-			siftWorst(cs, 0, k)
+	// replaces it at the root.
+	worst := scores[idx[0]]
+	for i := k; i < len(scores); i++ {
+		if s := scores[i]; !(s > worst || (s == worst && names[i] < names[idx[0]])) { //loclint:allow nofloateq — inlined scoreBetter(i, idx[0])
+			continue
 		}
+		idx[0] = int32(i)
+		siftIndex(scores, names, idx, 0, k)
+		worst = scores[idx[0]]
 	}
 	// Heapsort the winners: extract the current worst to the end of the
-	// shrinking prefix until the best sits at cs[0].
+	// shrinking prefix until the best sits at idx[0].
 	for end := k - 1; end > 0; end-- {
-		cs[0], cs[end] = cs[end], cs[0]
-		siftWorst(cs, 0, end)
+		idx[0], idx[end] = idx[end], idx[0]
+		siftIndex(scores, names, idx, 0, end)
 	}
-	return cs[:k]
+	return idx
+}
+
+// rankScores turns per-entry scores into the ranked candidate list a
+// locator returns: the k best when 0 < k < len(scores), otherwise
+// every entry. Only the returned candidates are built.
+func rankScores(c *trainingdb.Compiled, scores []float64, k int, sc *scratch) []Candidate {
+	n := len(scores)
+	if k <= 0 || k >= n {
+		out := make([]Candidate, n)
+		for i, s := range scores {
+			out[i] = Candidate{Name: c.Names[i], Pos: c.Pos[i], Score: s}
+		}
+		rankCandidates(out)
+		return out
+	}
+	if cap(sc.idx) < k {
+		sc.idx = make([]int32, k)
+	}
+	sc.idx = TopK(scores, c.Names, sc.idx[:k])
+	out := make([]Candidate, k)
+	for r, i := range sc.idx {
+		out[r] = Candidate{Name: c.Names[i], Pos: c.Pos[i], Score: scores[i]}
+	}
+	return out
 }

@@ -6,89 +6,93 @@ import (
 	"testing"
 )
 
-// randomCandidates draws n candidates with unique names and occasional
-// duplicate scores, so the name tiebreak is exercised.
-func randomCandidates(rng *rand.Rand, n int) []Candidate {
-	cs := make([]Candidate, n)
-	for i := range cs {
-		score := float64(rng.Intn(n/2+1)) - float64(n)/4 // collisions on purpose
-		cs[i] = Candidate{Name: fmt.Sprintf("loc-%04d", i), Score: score}
+// randomScores draws n entries with unique names and occasional
+// duplicate scores, so the name tiebreak is exercised. Names are
+// shuffled against their indices, so index order is not name order.
+func randomScores(rng *rand.Rand, n int) (scores []float64, names []string) {
+	scores, names = make([]float64, n), make([]string, n)
+	for i := range scores {
+		scores[i] = float64(rng.Intn(n/2+1)) - float64(n)/4 // collisions on purpose
+		names[i] = fmt.Sprintf("loc-%04d", i)
 	}
-	rng.Shuffle(n, func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
-	return cs
+	rng.Shuffle(n, func(i, j int) { names[i], names[j] = names[j], names[i] })
+	return scores, names
 }
 
 // TestTopKMatchesFullSortPrefix is the selection property: for every
-// (n, k), TopK's prefix must equal the full sort's prefix exactly —
-// same candidates, same order, ties resolved identically.
+// (n, k), the selected indices must name exactly the full sort's
+// prefix — same candidates, same order, ties resolved identically.
 func TestTopKMatchesFullSortPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(300)
-		k := 1 + rng.Intn(n+4) // sometimes k > n: full-sort fallback
-		cs := randomCandidates(rng, n)
-		want := append([]Candidate(nil), cs...)
+		k := 1 + rng.Intn(n+4) // sometimes k > n: clamped to n
+		scores, names := randomScores(rng, n)
+		want := make([]Candidate, n)
+		for i := range want {
+			want[i] = Candidate{Name: names[i], Score: scores[i]}
+		}
 		rankCandidates(want)
 
-		got := TopK(cs, k)
-		wantLen := k
-		if wantLen > n {
-			wantLen = n
-		}
-		if len(got) != wantLen {
+		got := TopK(scores, names, make([]int32, k))
+		if wantLen := min(k, n); len(got) != wantLen {
 			t.Fatalf("n=%d k=%d: len = %d, want %d", n, k, len(got), wantLen)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d k=%d: prefix[%d] = %+v, full sort has %+v",
-					n, k, i, got[i], want[i])
+		for r, i := range got {
+			if c := (Candidate{Name: names[i], Score: scores[i]}); c != want[r] {
+				t.Fatalf("n=%d k=%d: prefix[%d] = %+v, full sort has %+v", n, k, r, c, want[r])
 			}
 		}
 	}
 }
 
-// TestTopKPermutes pins that TopK never loses a candidate: the slice
-// after selection is a permutation of the input.
+// TestTopKPermutes pins that selection never loses or invents an
+// entry: the indices are distinct and in range, and the scores and
+// names it read are left untouched.
 func TestTopKPermutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(100)
-		cs := randomCandidates(rng, n)
-		seen := make(map[string]float64, n)
-		for _, c := range cs {
-			seen[c.Name] = c.Score
-		}
-		TopK(cs, 1+rng.Intn(n))
-		if len(cs) != n {
-			t.Fatalf("length changed: %d → %d", n, len(cs))
-		}
-		for _, c := range cs {
-			score, ok := seen[c.Name]
-			if !ok || score != c.Score {
-				t.Fatalf("candidate %q corrupted after TopK", c.Name)
+		scores, names := randomScores(rng, n)
+		wantScores := append([]float64(nil), scores...)
+		wantNames := append([]string(nil), names...)
+		got := TopK(scores, names, make([]int32, 1+rng.Intn(n)))
+		seen := make(map[int32]bool, len(got))
+		for _, i := range got {
+			if i < 0 || int(i) >= n || seen[i] {
+				t.Fatalf("index %d out of range or repeated in %v", i, got)
 			}
-			delete(seen, c.Name)
+			seen[i] = true
+		}
+		for i := range scores {
+			if scores[i] != wantScores[i] || names[i] != wantNames[i] {
+				t.Fatalf("entry %d changed by TopK", i)
+			}
 		}
 	}
 }
 
 func TestTopKEdges(t *testing.T) {
-	if got := TopK(nil, 3); len(got) != 0 {
+	if got := TopK(nil, nil, make([]int32, 3)); len(got) != 0 {
 		t.Errorf("TopK(nil) = %v", got)
 	}
-	one := []Candidate{{Name: "only", Score: 1}}
-	if got := TopK(one, 0); len(got) != 1 { // k<=0 means full ranking
+	scores, names := []float64{1}, []string{"only"}
+	if got := TopK(scores, names, nil); len(got) != 0 { // k=0 selects nothing
 		t.Errorf("TopK(k=0) = %v", got)
+	}
+	if got := TopK(scores, names, make([]int32, 4)); len(got) != 1 || got[0] != 0 {
+		t.Errorf("TopK(k>n) = %v", got)
 	}
 }
 
 // TestTopKZeroAllocs pins the hot-path contract testing.AllocsPerRun
-// can see: bounded selection allocates nothing.
+// can see: bounded selection into a caller's buffer allocates nothing.
 func TestTopKZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	cs := randomCandidates(rng, 512)
+	scores, names := randomScores(rng, 512)
+	idx := make([]int32, 8)
 	if avg := testing.AllocsPerRun(100, func() {
-		TopK(cs, 8)
+		TopK(scores, names, idx)
 	}); avg != 0 {
 		t.Errorf("TopK allocates %v per run, want 0", avg)
 	}

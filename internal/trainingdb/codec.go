@@ -1,6 +1,7 @@
 package trainingdb
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -58,6 +59,9 @@ const (
 // Section ids. Required sections carry the view's identity and the
 // small per-entry vectors; the float64 matrices and the quantized
 // mirror are each optional, but at least one family must be present.
+// The quantized mirror's posting lists (post-start, post) are written
+// by every encoder; an artifact from before them gets its lists rebuilt
+// at decode.
 const (
 	secNames           uint32 = iota + 1 // [nE+1]u32 offsets + name blob
 	secBSSIDs                            // [nAP+1]u32 offsets + BSSID blob
@@ -77,6 +81,8 @@ const (
 	secQuantFactors                      // [8*nAP]float64: {scale, off} × {mean, sigma, lognorm, floorll}
 	secQuantUnheardLL                    // [nE]float64
 	secQuantSignalBase                   // [nE]float64
+	secPostStart                         // [nAP+1]int32 posting-list starts
+	secPost                              // [n]Posting, AP-major trained cells
 	secEnd                               // one past the last valid id
 )
 
@@ -87,7 +93,7 @@ var sectionNames = map[uint32]string{
 	secMean: "mean", secSigma: "sigma", secLogNorm: "lognorm", secFloorLL: "floor-ll",
 	secMeanQ: "mean-q", secSigmaQ: "sigma-q", secLogNormQ: "lognorm-q", secFloorLLQ: "floorll-q",
 	secQuantFactors: "quant-factors", secQuantUnheardLL: "quant-unheard-ll",
-	secQuantSignalBase: "quant-signal-base",
+	secQuantSignalBase: "quant-signal-base", secPostStart: "post-start", secPost: "post",
 }
 
 // hostLittle reports the running machine's byte order.
@@ -101,6 +107,11 @@ var hostLittle = func() bool {
 // geom.Point must be two packed float64s for the Pos section's raw
 // cast; this fails to compile if the layout ever changes.
 var _ = [1]struct{}{}[unsafe.Sizeof(geom.Point{})-16]
+
+// postingSize is the packed size of one Posting in the post section.
+const postingSize = 12
+
+var _ = [1]struct{}{}[unsafe.Sizeof(Posting{})-postingSize]
 
 // byteView reinterprets a typed slice as its raw bytes, sharing memory.
 //
@@ -214,7 +225,8 @@ func EncodeCompiled(c *Compiled) ([]byte, error) {
 	if q != nil {
 		if len(q.MeanQ) != cells || len(q.SigmaQ) != cells ||
 			len(q.LogNormQ) != cells || len(q.FloorLLQ) != cells ||
-			len(q.MeanScale) != nAP || len(q.UnheardLL) != nE || len(q.SignalBase) != nE {
+			len(q.MeanScale) != nAP || len(q.UnheardLL) != nE || len(q.SignalBase) != nE ||
+			len(q.PostStart) != nAP+1 || int(q.PostStart[nAP]) != len(q.Post) {
 			return nil, fmt.Errorf("trainingdb: encode: inconsistent quantized mirror")
 		}
 		factors := make([]float64, 0, 8*nAP)
@@ -235,6 +247,8 @@ func EncodeCompiled(c *Compiled) ([]byte, error) {
 			section{secQuantFactors, byteView(factors), 8},
 			section{secQuantUnheardLL, byteView(q.UnheardLL), 8},
 			section{secQuantSignalBase, byteView(q.SignalBase), 8},
+			section{secPostStart, byteView(q.PostStart), 8},
+			section{secPost, byteView(q.Post), 8},
 		)
 	}
 
@@ -277,10 +291,12 @@ func EncodeCompiled(c *Compiled) ([]byte, error) {
 
 // DecodeOptions controls DecodeCompiled's validation depth.
 type DecodeOptions struct {
-	// VerifyCRC checks every section's CRC-32 and the Trained bytes,
-	// touching all payload pages. The serve path leaves it off so an
-	// mmap load stays lazy (the header+table CRC is always checked);
-	// tdbtool verify and the fuzz harness turn it on.
+	// VerifyCRC checks every section's CRC-32, the Trained bytes and
+	// the posting lists against a rebuild from the dense int16
+	// matrices, touching all payload pages. The serve path leaves it
+	// off so an mmap load stays lazy (the header+table CRC and the
+	// posting-list invariants are always checked); tdbtool verify and
+	// the fuzz harness turn it on.
 	VerifyCRC bool
 }
 
@@ -556,6 +572,35 @@ func DecodeCompiled(data []byte, opts DecodeOptions) (*Compiled, error) {
 			return nil, err
 		}
 		q.SignalBase = castSlice[float64](p, nE)
+		// Posting lists: cast zero-copy once validated, or rebuilt
+		// from Trained and the codes for an artifact that predates them.
+		_, hasStart := secs[secPostStart]
+		if _, hasPost := secs[secPost]; hasStart || hasPost {
+			if p, err = take(secPostStart, (nAP+1)*4); err != nil {
+				return nil, err
+			}
+			q.PostStart = castSlice[int32](p, nAP+1)
+			if p, err = takeVar(secPost); err != nil {
+				return nil, err
+			}
+			if len(p)%postingSize != 0 {
+				return nil, fmt.Errorf("trainingdb: decode: section post is %d bytes, not a multiple of %d",
+					len(p), postingSize)
+			}
+			q.Post = castSlice[Posting](p, len(p)/postingSize)
+			if err = checkPostings(q.PostStart, q.Post, nE); err != nil {
+				return nil, err
+			}
+			if opts.VerifyCRC {
+				start, post := buildPostings(c.Trained, q, nE, nAP)
+				if !bytes.Equal(byteView(start), byteView(q.PostStart)) ||
+					!bytes.Equal(byteView(post), byteView(q.Post)) {
+					return nil, fmt.Errorf("trainingdb: decode: posting lists disagree with the int16 matrices")
+				}
+			}
+		} else {
+			q.PostStart, q.Post = buildPostings(c.Trained, q, nE, nAP)
+		}
 		c.Quant = q
 	}
 	if !hasFloat && c.Quant == nil {
@@ -567,6 +612,35 @@ func DecodeCompiled(data []byte, opts DecodeOptions) (*Compiled, error) {
 		c.apIndex[b] = j
 	}
 	return c, nil
+}
+
+// checkPostings validates posting lists before any scan indexes with
+// them: the starts rise monotonically from 0 to len(post), and each
+// list's entries strictly increase and stay below nE.
+func checkPostings(start []int32, post []Posting, nE int) error {
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("trainingdb: decode: posting lists: "+format, args...)
+	}
+	if start[0] != 0 {
+		return fail("first start is %d, want 0", start[0])
+	}
+	for j := 0; j+1 < len(start); j++ {
+		lo, hi := start[j], start[j+1]
+		if hi < lo || int(hi) > len(post) {
+			return fail("start %d of column %d out of order", hi, j+1)
+		}
+		prev := int32(-1)
+		for _, p := range post[lo:hi] {
+			if p.Entry <= prev || int(p.Entry) >= nE {
+				return fail("column %d lists entry %d after %d (entries %d)", j, p.Entry, prev, nE)
+			}
+			prev = p.Entry
+		}
+	}
+	if int(start[len(start)-1]) != len(post) {
+		return fail("starts cover %d postings, section holds %d", start[len(start)-1], len(post))
+	}
+	return nil
 }
 
 // SectionInfo describes one artifact section for inspection tools.

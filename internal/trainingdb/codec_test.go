@@ -125,6 +125,10 @@ func checkRoundTrip(t *testing.T, c, d *Compiled) {
 		sameF64(t, "FloorLLOff", dq.FloorLLOff, q.FloorLLOff)
 		sameF64(t, "q.UnheardLL", dq.UnheardLL, q.UnheardLL)
 		sameF64(t, "q.SignalBase", dq.SignalBase, q.SignalBase)
+		if !bytes.Equal(byteView(dq.PostStart), byteView(q.PostStart)) ||
+			!bytes.Equal(byteView(dq.Post), byteView(q.Post)) {
+			t.Fatal("posting lists differ from Quantize's")
+		}
 	}
 }
 
@@ -216,7 +220,7 @@ func TestReadFileInfo(t *testing.T) {
 	if !info.Quantized || !info.HasFloat64 {
 		t.Fatalf("matrix presence: %+v", info)
 	}
-	if len(info.Sections) != 7+4+7 {
+	if len(info.Sections) != 7+4+7+2 {
 		t.Fatalf("%d sections", len(info.Sections))
 	}
 	for i := 1; i < len(info.Sections); i++ {

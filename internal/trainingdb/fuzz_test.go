@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"indoorloc/internal/geom"
@@ -29,19 +31,60 @@ func fuzzFixture() *Compiled {
 	return c
 }
 
+// resealHeader recomputes the header+table CRC after a test edits
+// the header or the section table.
+func resealHeader(b []byte) []byte {
+	tableEnd := mapSectionsStart + int(le32(b[48:]))*mapSectionSize
+	putLE32(b[8:], 0)
+	putLE32(b[8:], crcOf(b[:tableEnd]))
+	return b
+}
+
+// patchSection rewrites section id's payload in place through f, which
+// may also shorten it, then re-seals the section's CRC and length and
+// the header CRC — so only semantic validation can object.
+func patchSection(b []byte, id uint32, f func(payload []byte) []byte) []byte {
+	for i := 0; i < int(le32(b[48:])); i++ {
+		e := b[mapSectionsStart+i*mapSectionSize:]
+		if le32(e) != id {
+			continue
+		}
+		off, n := le64(e[8:]), le64(e[16:])
+		p := f(b[off : off+n])
+		putLE32(e[4:], crcOf(p))
+		putLE64(e[16:], uint64(len(p)))
+	}
+	return resealHeader(b)
+}
+
+// stripSections copies an artifact and drops the given sections from
+// its table; their payload bytes stay behind unreferenced. Stripping
+// post-start and post gives the shape of an artifact written before
+// posting lists existed.
+func stripSections(buf []byte, ids ...uint32) []byte {
+	b := append([]byte(nil), buf...)
+	count, kept := int(le32(b[48:])), 0
+	for i := 0; i < count; i++ {
+		e := b[mapSectionsStart+i*mapSectionSize : mapSectionsStart+(i+1)*mapSectionSize]
+		if slices.Contains(ids, le32(e)) {
+			continue
+		}
+		copy(b[mapSectionsStart+kept*mapSectionSize:], e)
+		kept++
+	}
+	clear(b[mapSectionsStart+kept*mapSectionSize : mapSectionsStart+count*mapSectionSize])
+	putLE32(b[48:], uint32(kept))
+	return resealHeader(b)
+}
+
 // fuzzSeeds returns the named seed corpus: a pristine artifact plus
 // the corruption classes decode must reject (truncations, corrupt
-// CRCs, overlapping sections, hostile dimensions).
+// CRCs, overlapping sections, hostile dimensions, and posting lists
+// that are CRC-clean but break the list invariants).
 func fuzzSeeds() map[string][]byte {
 	buf, err := EncodeCompiled(fuzzFixture())
 	if err != nil {
 		panic(err)
-	}
-	reseal := func(b []byte) []byte {
-		tableEnd := mapSectionsStart + int(le32(b[48:]))*mapSectionSize
-		putLE32(b[8:], 0)
-		putLE32(b[8:], crcOf(b[:tableEnd]))
-		return b
 	}
 	cp := func() []byte { return append([]byte(nil), buf...) }
 
@@ -59,65 +102,36 @@ func fuzzSeeds() map[string][]byte {
 
 	b = cp()
 	putLE64(b[mapSectionsStart+mapSectionSize+8:], le64(b[mapSectionsStart+8:]))
-	seeds["overlapping-sections"] = reseal(b)
+	seeds["overlapping-sections"] = resealHeader(b)
 
 	b = cp()
 	putLE32(b[40:], 0x40000000)
 	putLE32(b[44:], 0x40000000)
-	seeds["hostile-dims"] = reseal(b)
-	return seeds
-}
+	seeds["hostile-dims"] = resealHeader(b)
 
-// FuzzCompiledDecode hammers the v2 artifact decoder: arbitrary bytes
-// must either decode into a self-consistent view or return an error —
-// never panic, and never allocate matrices beyond what the input's own
-// size can justify.
-func FuzzCompiledDecode(f *testing.F) {
-	for _, seed := range fuzzSeeds() {
-		f.Add(seed)
+	// The fixture's lists: apA → [hall], apB → [hall, porch], so
+	// post-start is [0 1 3] and post holds three postings.
+	starts := func(f func(s []int32)) []byte {
+		return patchSection(cp(), secPostStart, func(p []byte) []byte {
+			f(castSlice[int32](p, len(p)/4))
+			return p
+		})
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeCompiled(data, DecodeOptions{VerifyCRC: true})
-		if err != nil {
-			if c != nil {
-				t.Fatal("decode returned both a view and an error")
-			}
-			return
-		}
-		// A valid artifact stores at least one byte per Trained cell, so
-		// a decode that "succeeded" with matrices larger than the input
-		// over-allocated.
-		nE, nAP := c.NumEntries(), c.NumAPs()
-		cells := nE * nAP
-		if cells > len(data) {
-			t.Fatalf("decoded %d cells from %d input bytes", cells, len(data))
-		}
-		// Touch every decoded surface; corrupt views crash here.
-		if len(c.Pos) != nE || len(c.UnheardLL) != nE || len(c.SignalBase) != nE ||
-			len(c.Trained) != cells || len(c.N) != cells {
-			t.Fatal("inconsistent decoded dimensions")
-		}
-		for _, name := range c.Names {
-			_ = len(name)
-		}
-		for j, b := range c.BSSIDs {
-			if got, ok := c.APIndex(b); ok && got != j {
-				// Duplicate BSSIDs are representable; the index maps to
-				// one of the duplicates.
-				_ = got
-			}
-		}
-		if q := c.Quant; q != nil {
-			if len(q.MeanQ) != cells || len(q.MeanScale) != nAP {
-				t.Fatal("inconsistent quantized dimensions")
-			}
-		}
-		// The view must survive re-encoding (it may not be bytewise
-		// identical: section order and padding renormalize).
-		if _, err := EncodeCompiled(c); err != nil {
-			t.Fatalf("re-encode of decoded view failed: %v", err)
-		}
+	posts := func(f func(ps []Posting)) []byte {
+		return patchSection(cp(), secPost, func(p []byte) []byte {
+			f(castSlice[Posting](p, len(p)/postingSize))
+			return p
+		})
+	}
+	seeds["post-nonmonotone-starts"] = starts(func(s []int32) { s[1] = 4 })
+	seeds["post-entry-out-of-range"] = posts(func(ps []Posting) { ps[2].Entry = 2 })
+	seeds["post-unsorted-entries"] = posts(func(ps []Posting) { ps[1], ps[2] = ps[2], ps[1] })
+	seeds["post-duplicate-entries"] = posts(func(ps []Posting) { ps[2].Entry = ps[1].Entry })
+	seeds["post-count-mismatch"] = patchSection(cp(), secPost, func(p []byte) []byte {
+		return p[:len(p)-postingSize]
 	})
+	seeds["post-without-start"] = stripSections(buf, secPostStart)
+	return seeds
 }
 
 // TestFuzzSeedsBehave pins the seed corpus semantics outside the fuzz
@@ -125,12 +139,22 @@ func FuzzCompiledDecode(f *testing.F) {
 func TestFuzzSeedsBehave(t *testing.T) {
 	for name, seed := range fuzzSeeds() {
 		_, err := DecodeCompiled(seed, DecodeOptions{VerifyCRC: true})
-		if name == "valid" {
+		switch {
+		case name == "valid":
 			if err != nil {
 				t.Errorf("valid seed failed to decode: %v", err)
 			}
-		} else if err == nil {
+		case err == nil:
 			t.Errorf("seed %s decoded without error", name)
+		case strings.HasPrefix(name, "post-"):
+			// The posting seeds are CRC-clean: only the list checks
+			// may reject them, and they run on the serving path too.
+			if !strings.Contains(err.Error(), "post") {
+				t.Errorf("seed %s rejected for another reason: %v", name, err)
+			}
+			if _, err := DecodeCompiled(seed, DecodeOptions{}); err == nil {
+				t.Errorf("seed %s decoded without VerifyCRC", name)
+			}
 		}
 	}
 }

@@ -33,8 +33,16 @@ func (c *Compiled) Skeleton() *DB {
 		Entries: make(map[string]*Entry, len(c.Names)),
 		BSSIDs:  append([]string(nil), c.BSSIDs...),
 	}
+	sorted := true
 	for i, name := range c.Names {
 		db.Entries[name] = &Entry{Name: name, Pos: c.Pos[i], PerAP: map[string]*APStats{}}
+		sorted = sorted && (i == 0 || c.Names[i-1] < name)
+	}
+	if sorted {
+		// Compile and the codec keep names sorted and unique, so the
+		// sorted-name cache is the view's own slice; anything else
+		// leaves DB.Names to sort the keys.
+		db.names = c.Names[:len(c.Names):len(c.Names)]
 	}
 	return db
 }

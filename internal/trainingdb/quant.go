@@ -43,6 +43,57 @@ type Quant struct {
 	// dequantization error itself, never an inconsistent baseline.
 	UnheardLL  []float64
 	SignalBase []float64
+
+	// PostStart and Post are the AP-major posting lists of the trained
+	// cells: column j's cells are Post[PostStart[j]:PostStart[j+1]],
+	// in strictly increasing entry order, each carrying its four codes.
+	// The maximum-likelihood scan walks only the heard columns' lists,
+	// so it visits trained cells alone and never reads Trained or the
+	// dense code matrices.
+	PostStart []int32
+	Post      []Posting
+}
+
+// Posting is one trained ⟨entry, AP⟩ cell in a column's posting list:
+// the entry index and the cell's four int16 codes, 12 bytes packed.
+type Posting struct {
+	Entry                             int32
+	MeanQ, SigmaQ, LogNormQ, FloorLLQ int16
+}
+
+// buildPostings lists the trained cells column by column from the
+// entry-major Trained matrix and code matrices. Walking entries in
+// order leaves every list sorted by entry.
+func buildPostings(trained []bool, q *Quant, nE, nAP int) ([]int32, []Posting) {
+	start := make([]int32, nAP+1)
+	for i := 0; i < nE; i++ {
+		for j, t := range trained[i*nAP : (i+1)*nAP] {
+			if t {
+				start[j+1]++
+			}
+		}
+	}
+	for j := 0; j < nAP; j++ {
+		start[j+1] += start[j]
+	}
+	post := make([]Posting, start[nAP])
+	next := append([]int32(nil), start[:nAP]...)
+	for i := 0; i < nE; i++ {
+		base := i * nAP
+		for j, t := range trained[base : base+nAP] {
+			if !t {
+				continue
+			}
+			cell := base + j
+			post[next[j]] = Posting{
+				Entry: int32(i),
+				MeanQ: q.MeanQ[cell], SigmaQ: q.SigmaQ[cell],
+				LogNormQ: q.LogNormQ[cell], FloorLLQ: q.FloorLLQ[cell],
+			}
+			next[j]++
+		}
+	}
+	return start, post
 }
 
 // quantizeColumns fills codes/scale/off for one matrix: column j's
@@ -133,6 +184,7 @@ func (c *Compiled) Quantize() *Quant {
 		q.UnheardLL[i] = unheard
 		q.SignalBase[i] = sigBase
 	}
+	q.PostStart, q.Post = buildPostings(c.Trained, q, nE, nAP)
 	c.Quant = q
 	return q
 }
@@ -150,15 +202,21 @@ func (c *Compiled) ReleaseFloat64() {
 }
 
 // MatrixBytes reports the resident footprint of the per-cell matrices
-// the view currently holds — the number the v2 format's RSS claim is
-// measured on. Per-entry vectors and the name/BSSID tables are excluded
-// (they are O(entries+APs), not O(entries×APs)).
+// and posting lists the view currently holds — the number the v2
+// format's RSS claim is measured on. Per-entry vectors and the
+// name/BSSID tables are excluded (they are O(entries+APs), not
+// O(entries×APs)).
 func (c *Compiled) MatrixBytes() int {
 	cells := len(c.Trained)
 	n := cells * (1 + 4) // Trained []bool + N []int32
 	n += (len(c.Mean) + len(c.Sigma) + len(c.LogNorm) + len(c.FloorLL)) * 8
 	if q := c.Quant; q != nil {
 		n += (len(q.MeanQ) + len(q.SigmaQ) + len(q.LogNormQ) + len(q.FloorLLQ)) * 2
+		n += q.PostingBytes()
 	}
 	return n
 }
+
+// PostingBytes reports the footprint of the posting lists: one int32
+// start per column plus 12 bytes per trained cell.
+func (q *Quant) PostingBytes() int { return len(q.PostStart)*4 + len(q.Post)*postingSize }

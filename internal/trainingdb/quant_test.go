@@ -3,6 +3,7 @@ package trainingdb
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -142,9 +143,41 @@ func TestReleaseFloat64(t *testing.T) {
 		t.Error("ReleaseFloat64 dropped Trained/N")
 	}
 	released := c.MatrixBytes()
-	// 4 matrices × 8B → 4 × 2B: the per-cell payload shrinks 4×.
-	cells := len(c.Trained)
-	if want := cells*(1+4) + cells*4*2; released != want {
+	// 4 matrices × 8B → 4 × 2B: the per-cell payload shrinks 4×. The
+	// posting lists add a start per column plus 12B per trained cell.
+	cells, trained := len(c.Trained), 0
+	for _, t := range c.Trained {
+		if t {
+			trained++
+		}
+	}
+	if want := cells*(1+4) + cells*4*2 + (c.NumAPs()+1)*4 + trained*12; released != want {
 		t.Errorf("MatrixBytes after release = %d, want %d", released, want)
+	}
+}
+
+// TestQuantizePostings pins the posting-list layout: column j's list
+// holds exactly the trained cells of column j, in increasing entry
+// order, each carrying the cell's four dense codes.
+func TestQuantizePostings(t *testing.T) {
+	c := randomCompiled(t, 12, 40, 9, true, false)
+	q := c.Quant
+	nE, nAP := c.NumEntries(), c.NumAPs()
+	if len(q.PostStart) != nAP+1 || q.PostStart[0] != 0 || int(q.PostStart[nAP]) != len(q.Post) {
+		t.Fatalf("starts %v over %d postings", q.PostStart, len(q.Post))
+	}
+	for j := 0; j < nAP; j++ {
+		list := q.Post[q.PostStart[j]:q.PostStart[j+1]]
+		var want []Posting
+		for i := 0; i < nE; i++ {
+			if cell := i*nAP + j; c.Trained[cell] {
+				want = append(want, Posting{Entry: int32(i),
+					MeanQ: q.MeanQ[cell], SigmaQ: q.SigmaQ[cell],
+					LogNormQ: q.LogNormQ[cell], FloorLLQ: q.FloorLLQ[cell]})
+			}
+		}
+		if !slices.Equal(list, want) {
+			t.Fatalf("column %d: postings %v, want %v", j, list, want)
+		}
 	}
 }
