@@ -27,11 +27,11 @@ race:
 	$(GO) test -race ./...
 
 fuzz-smoke: ## 10s smoke run of each fuzz target
-	$(GO) test -run '^$$' -fuzz FuzzWiscanParse -fuzztime 10s ./internal/wiscan/
-	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/ingest/
-	$(GO) test -run '^$$' -fuzz FuzzCompiledDecode -fuzztime 10s ./internal/trainingdb/
-	$(GO) test -run '^$$' -fuzz FuzzReplFrameDecode -fuzztime 10s ./internal/repl/
-	$(GO) test -run '^$$' -fuzz FuzzLocateDecode -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzWiscanParse -fuzztime 10s -fuzzminimizetime 1s ./internal/wiscan/
+	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s -fuzzminimizetime 1s ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz FuzzCompiledDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/trainingdb/
+	$(GO) test -run '^$$' -fuzz FuzzReplFrameDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/repl/
+	$(GO) test -run '^$$' -fuzz FuzzLocateDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
 
 bench: ## hot-path localization benchmarks (see BENCH_hotpath.json)
 	$(GO) test -run '^$$' -bench 'BenchmarkProbabilisticLargeMap$$|BenchmarkProbabilisticLocalize$$|BenchmarkHistogramLocalize$$|BenchmarkKNNSweep/k=3$$|BenchmarkBatchLocalize$$|BenchmarkServerLocate$$' -benchmem -benchtime=2s .

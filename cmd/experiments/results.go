@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"indoorloc/internal/core"
+	"indoorloc/internal/eval"
 	"indoorloc/internal/localize"
 	"indoorloc/internal/sim"
 )
@@ -31,21 +32,36 @@ func runR51(w io.Writer, _ string) error {
 	// Repeat across seeds for a stable figure: 13 observations is a
 	// small sample, so any single seed (like the paper's single run)
 	// swings widely.
+	reports, err := seedReports(core.AlgoProbabilistic)
+	if err != nil {
+		return err
+	}
 	var rates []float64
-	for seed := int64(1); seed <= 20; seed++ {
-		d2, err := buildDataset(withSeed(sim.PaperHouse(), seed), 90, seed)
-		if err != nil {
-			return err
-		}
-		ml2, err := buildLocator(core.AlgoProbabilistic, d2.db, core.BuildConfig{})
-		if err != nil {
-			return err
-		}
-		rates = append(rates, evaluate(d2, ml2, 90, seed+100).ValidRate())
+	for _, r := range reports {
+		rates = append(rates, r.ValidRate())
 	}
 	fmt.Fprintf(w, "across 20 seeds: valid rate %s\n", summarize(rates, 100, "%"))
 	fmt.Fprintf(w, "(13-observation runs are high-variance; the paper's single 60%% run sits inside this band)\n")
 	return nil
+}
+
+// seedReports runs algo over houses seeded 1..20: PaperHouse with
+// shadow seed s, 90 training sweeps from scanner seed s and 90
+// observation sweeps from seed s+100. R5.1 and R5.2 summarize them.
+func seedReports(algo string) ([]*eval.Report, error) {
+	var reports []*eval.Report
+	for seed := int64(1); seed <= 20; seed++ {
+		d, err := buildDataset(withSeed(sim.PaperHouse(), seed), 90, seed)
+		if err != nil {
+			return nil, err
+		}
+		loc, err := buildLocator(algo, d.db, core.BuildConfig{APPositions: d.scen.APPositions()})
+		if err != nil {
+			return nil, err
+		}
+		reports = append(reports, evaluate(d, loc, 90, seed+100))
+	}
+	return reports, nil
 }
 
 // runR52 reproduces the §5.2 headline: the geometric approach's
@@ -86,18 +102,13 @@ func runR52(w io.Writer, _ string) error {
 		printReport(w, "combiner "+combo.label, evaluate(d, gl, 90, 2))
 	}
 
+	reports, err := seedReports(core.AlgoGeometric)
+	if err != nil {
+		return err
+	}
 	var means []float64
-	for seed := int64(1); seed <= 20; seed++ {
-		d2, err := buildDataset(withSeed(sim.PaperHouse(), seed), 90, seed)
-		if err != nil {
-			return err
-		}
-		g2, err := buildLocator(core.AlgoGeometric, d2.db,
-			core.BuildConfig{APPositions: d2.scen.APPositions()})
-		if err != nil {
-			return err
-		}
-		means = append(means, evaluate(d2, g2, 90, seed+100).MeanError())
+	for _, r := range reports {
+		means = append(means, r.MeanError())
 	}
 	fmt.Fprintf(w, "across 20 seeds: mean deviation %s\n", summarize(means, 1, " ft"))
 	return nil

@@ -38,7 +38,7 @@ func TestCompileInspectVerify(t *testing.T) {
 	if err := run([]string{"inspect", artifact}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"ILRMAPv2", "locations: 30", "quantized=true", "mean-q"} {
+	for _, want := range []string{"ILRMAPv2", "locations: 30", "quantized=true", "mean-q", "postings"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("inspect output missing %q:\n%s", want, out.String())
 		}
@@ -112,7 +112,7 @@ func TestCompileVariants(t *testing.T) {
 	defer closeF()
 	// MatrixBytes includes the shared Trained/N overhead, so the total
 	// ratio is a bit above the 4× of the matrices alone. It also counts
-	// the posting lists (12 B per trained cell — every cell of this
+	// the posting lists (16 B per trained cell — every cell of this
 	// house), which only a quantized view carries; leave them out here.
 	if qb, fb := qc.MatrixBytes()-qc.Quant.PostingBytes(), fc.MatrixBytes(); qb*2 >= fb {
 		t.Errorf("quantized matrices %d B vs float64 %d B — expected < ½", qb, fb)

@@ -144,7 +144,7 @@ func (k *KNN) Locate(obs Observation) (Estimate, error) {
 	}
 	scores := sc.scores(len(c.Names))
 	if c.Quant != nil {
-		k.scoreAllQuant(c, cols, vals, scores)
+		k.scorePostings(c, cols, vals, scores)
 	} else {
 		k.scoreAll(c, cols, vals, scores)
 	}
@@ -206,29 +206,33 @@ func (k *KNN) scoreAll(c *trainingdb.Compiled, cols []int32, vals, scores []floa
 	}
 }
 
-// scoreAllQuant is scoreAll over the int16-quantized Mean matrix:
-// same baseline+correction algebra with each visited mean dequantized
-// through its column's affine factors, and the baseline taken from the
-// quantized mirror so the subtraction stays exact. Accumulators are
-// float64 throughout.
+// scorePostings is scoreAll over the int16 posting lists. With t a
+// cell's mean and F the floor, a heard column's correction
+// (v−t)² − (F−t)² equals (v−F)² + 2(v−F)(F−t), and the second term
+// vanishes on untrained cells, whose mean is the floor (dequantized,
+// within half its column's code step of it). So every entry starts
+// from its quantized baseline plus Σ_h (v_h−F)², and each heard
+// column's postings add 2(v−F)(F−Center). Accumulators are float64
+// throughout.
 //
 //loclint:hotpath
-func (k *KNN) scoreAllQuant(c *trainingdb.Compiled, cols []int32, vals, scores []float64) {
-	q := c.Quant
-	nAP := len(c.BSSIDs)
+func (k *KNN) scorePostings(c *trainingdb.Compiled, cols []int32, vals, scores []float64) {
+	q, floor := c.Quant, c.FloorRSSI
+	var heard float64
+	for _, v := range vals {
+		heard += (v - floor) * (v - floor)
+	}
 	for i := range scores {
-		sum := q.SignalBase[i]
-		base := i * nAP
-		for h, j := range cols {
-			jj := int(j)
-			t := q.MeanOff[jj] + q.MeanScale[jj]*float64(q.MeanQ[base+jj])
-			dv := vals[h] - t
-			df := c.FloorRSSI - t
-			sum += dv*dv - df*df
+		scores[i] = q.SignalBase[i] + heard
+	}
+	for h, j := range cols {
+		w := 2 * (vals[h] - floor)
+		for _, p := range q.Post[q.PostStart[j]:q.PostStart[j+1]] {
+			scores[p.Entry] += w * (floor - float64(p.Center))
 		}
-		if sum < 0 {
-			sum = 0 // guard the sqrt against rounding on near-exact matches
-		}
-		scores[i] = -math.Sqrt(sum)
+	}
+	for i, sum := range scores {
+		// The max guards the sqrt against rounding on near-exact matches.
+		scores[i] = -math.Sqrt(max(0, sum))
 	}
 }

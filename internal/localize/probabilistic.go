@@ -176,10 +176,11 @@ func (m *MaxLikelihood) scoreAll(c *trainingdb.Compiled, cols []int32, vals, aux
 // scorePostings is scoreAll over the int16 posting lists, visiting
 // trained cells only. Every entry starts from its quantized all-unheard
 // baseline plus the untrained term of every heard column; each heard
-// column's postings then add the dequantized Gaussian correction minus
-// that column's untrained term. The per-cell algebra is scoreAll's —
-// only the summation order differs — and neither Trained nor the dense
-// code matrices are read. Accumulation is float64 throughout.
+// column's postings then add the Gaussian correction minus that
+// column's untrained term, from the record's precomputed center, half
+// precision and constant (trainingdb.Posting). The per-cell algebra is
+// scoreAll's, and neither Trained nor the dense code matrices are
+// read. Arithmetic and accumulation are float64.
 //
 //loclint:hotpath
 func scorePostings(q *trainingdb.Quant, cols []int32, vals, aux, scores []float64) {
@@ -192,17 +193,9 @@ func scorePostings(q *trainingdb.Quant, cols []int32, vals, aux, scores []float6
 	}
 	for h, j := range cols {
 		v, a := vals[h], aux[h]
-		mOff, mScale := q.MeanOff[j], q.MeanScale[j]
-		sOff, sScale := q.SigmaOff[j], q.SigmaScale[j]
-		lOff, lScale := q.LogNormOff[j], q.LogNormScale[j]
-		fOff, fScale := q.FloorLLOff[j], q.FloorLLScale[j]
 		for _, p := range q.Post[q.PostStart[j]:q.PostStart[j+1]] {
-			mean := mOff + mScale*float64(p.MeanQ)
-			sigma := sOff + sScale*float64(p.SigmaQ)
-			d := (v - mean) / sigma
-			scores[p.Entry] += -d*d/2 +
-				lOff + lScale*float64(p.LogNormQ) -
-				(fOff + fScale*float64(p.FloorLLQ)) - a
+			d := (v - float64(p.Center)) * float64(p.HalfPrec)
+			scores[p.Entry] += float64(p.Const) - a - d*d
 		}
 	}
 }

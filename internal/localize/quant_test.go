@@ -218,10 +218,18 @@ func TestQuantizedParitySimulated(t *testing.T) {
 	}
 }
 
+// dequantCell returns cell (column j)'s four dequantized statistics.
+func dequantCell(q *trainingdb.Quant, cell int, j int32) (mean, sigma, logNorm, floorLL float64) {
+	return q.MeanOff[j] + q.MeanScale[j]*float64(q.MeanQ[cell]),
+		q.SigmaOff[j] + q.SigmaScale[j]*float64(q.SigmaQ[cell]),
+		q.LogNormOff[j] + q.LogNormScale[j]*float64(q.LogNormQ[cell]),
+		q.FloorLLOff[j] + q.FloorLLScale[j]*float64(q.FloorLLQ[cell])
+}
+
 // denseQuantScores is the int16 maximum-likelihood scan before posting
-// lists: every entry × heard column cell, dense codes, Trained branch.
-// It is the reference the posting scan must match up to summation
-// order.
+// lists: every entry × heard column cell, dense codes dequantized in
+// float64, Trained branch. It is the reference the posting scan must
+// match up to its float32 records and summation order.
 func denseQuantScores(c *trainingdb.Compiled, cols []int32, vals, aux []float64) []float64 {
 	q := c.Quant
 	nAP := c.NumAPs()
@@ -234,22 +242,61 @@ func denseQuantScores(c *trainingdb.Compiled, cols []int32, vals, aux []float64)
 				ll += aux[h]
 				continue
 			}
-			mean := q.MeanOff[j] + q.MeanScale[j]*float64(q.MeanQ[cell])
-			sigma := q.SigmaOff[j] + q.SigmaScale[j]*float64(q.SigmaQ[cell])
+			mean, sigma, logNorm, floorLL := dequantCell(q, cell, j)
 			d := (vals[h] - mean) / sigma
-			ll += -d*d/2 +
-				q.LogNormOff[j] + q.LogNormScale[j]*float64(q.LogNormQ[cell]) -
-				(q.FloorLLOff[j] + q.FloorLLScale[j]*float64(q.FloorLLQ[cell]))
+			ll += -d*d/2 + logNorm - floorLL
 		}
 		scores[i] = ll
 	}
 	return scores
 }
 
-// TestPostingScanMatchesDenseScan pins that the posting scan changes
-// only the summation order of the int16 scores: over sparse and dense
-// random venues every entry's score stays within 1e-12 relative of the
-// dense cell-by-cell scan.
+// f32Rel bounds the relative error of rounding a float64 to float32:
+// half a float32 ulp, 2⁻²⁴ of the value (normal range).
+const f32Rel = 1.0 / (1 << 24)
+
+// float32ScoreBound is the guaranteed per-entry score error the
+// posting records' float32 rounding adds over the dequantized float64
+// cells. A record rounds three values, each by at most ½ ulp₃₂:
+// Center within f32Rel·|mean|, HalfPrec = 1/(σ√2) within f32Rel
+// relative, and Const = logNorm − floorLL within f32Rel·|Const|. With
+// a = |v − mean| and h = 1/(σ√2), the kernel's d = (v−Center)·HalfPrec
+// then lies in [(a − f32Rel·|mean|)·h·(1−f32Rel),
+// (a + f32Rel·|mean|)·h·(1+f32Rel)], so d² moves by at most the width
+// of that interval's square; the constant adds its own rounding. Only
+// heard trained cells have records in play.
+func float32ScoreBound(c *trainingdb.Compiled, obs map[int32]float64, i int) float64 {
+	q, nAP := c.Quant, c.NumAPs()
+	var b float64
+	for j, v := range obs {
+		cell := i*nAP + int(j)
+		if !c.Trained[cell] {
+			continue
+		}
+		mean, sigma, logNorm, floorLL := dequantCell(q, cell, j)
+		a, dc, h := math.Abs(v-mean), f32Rel*math.Abs(mean), 1/(sigma*math.Sqrt2)
+		hi := (a + dc) * h * (1 + f32Rel)
+		lo := math.Max(0, a-dc) * h * (1 - f32Rel)
+		b += f32Rel*math.Abs(logNorm-floorLL) + hi*hi - lo*lo
+	}
+	return b
+}
+
+// heardColumns maps each interned heard column to its observed level.
+func heardColumns(c *trainingdb.Compiled, obs Observation) map[int32]float64 {
+	cols, vals := c.Intern(obs, nil, nil)
+	heard := make(map[int32]float64, len(cols))
+	for h, j := range cols {
+		heard[j] = vals[h]
+	}
+	return heard
+}
+
+// TestPostingScanMatchesDenseScan pins that the posting scan differs
+// from the dense float64-dequantized scan only by its records' float32
+// rounding and the summation order: over sparse and dense random
+// venues every entry's score stays within float32ScoreBound, plus
+// 1e-12 relative for the order, of the dense cell-by-cell scan.
 func TestPostingScanMatchesDenseScan(t *testing.T) {
 	for seed := int64(60); seed < 68; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -273,10 +320,12 @@ func TestPostingScanMatchesDenseScan(t *testing.T) {
 			want := denseQuantScores(c, cols, vals, aux)
 			got := make([]float64, len(want))
 			scorePostings(c.Quant, cols, vals, aux, got)
+			heard := heardColumns(c, obs)
 			for i := range want {
-				if !relClose(got[i], want[i], 1e-12) {
-					t.Fatalf("seed %d trial %d entry %d: posting scan %v, dense scan %v",
-						seed, trial, i, got[i], want[i])
+				bound := float32ScoreBound(c, heard, i) + 1e-12*math.Max(1, math.Abs(want[i]))
+				if d := math.Abs(got[i] - want[i]); d > bound {
+					t.Fatalf("seed %d trial %d entry %d: posting scan %v, dense scan %v: error %v over the float32 bound %v",
+						seed, trial, i, got[i], want[i], d, bound)
 				}
 			}
 		}
@@ -284,7 +333,8 @@ func TestPostingScanMatchesDenseScan(t *testing.T) {
 }
 
 // int16ScoreBound is the guaranteed per-entry score error of int16
-// maximum-likelihood scoring against exact statistics. Every
+// maximum-likelihood scoring against exact statistics: the int16 term
+// below plus float32ScoreBound for the posting records. Every
 // dequantized cell lies within half its column's code step (Scale/2)
 // of its float64 value (TestQuantizeRoundTripBound). A heard trained
 // cell's floor term cancels against the baseline, so it contributes
@@ -307,14 +357,13 @@ func int16ScoreBound(c *trainingdb.Compiled, obs map[int32]float64, i int) float
 			b += math.Abs(q.FloorLLScale[j]) / 2
 			continue
 		}
-		mean := q.MeanOff[j] + q.MeanScale[j]*float64(q.MeanQ[cell])
-		sigma := q.SigmaOff[j] + q.SigmaScale[j]*float64(q.SigmaQ[cell])
+		mean, sigma, _, _ := dequantCell(q, cell, int32(j))
 		dm, ds := math.Abs(q.MeanScale[j])/2, math.Abs(q.SigmaScale[j])/2
 		dMax := (math.Abs(v-mean) + dm) / (sigma - ds)
 		dMin := math.Max(0, math.Abs(v-mean)-dm) / (sigma + ds)
 		b += math.Abs(q.LogNormScale[j])/2 + (dMax*dMax-dMin*dMin)/2
 	}
-	return b
+	return b + float32ScoreBound(c, obs, i)
 }
 
 // TestQuantizedMatchesOracle is the int16 oracle property: over random
@@ -352,11 +401,7 @@ func TestQuantizedMatchesOracle(t *testing.T) {
 			if refErr != nil {
 				continue
 			}
-			cols, vals := c.Intern(obs, nil, nil)
-			heard := make(map[int32]float64, len(cols))
-			for h, j := range cols {
-				heard[j] = vals[h]
-			}
+			heard := heardColumns(c, obs)
 			refScore := make(map[string]float64, len(refEst.Candidates))
 			for _, cand := range refEst.Candidates {
 				refScore[cand.Name] = cand.Score
@@ -375,6 +420,39 @@ func TestQuantizedMatchesOracle(t *testing.T) {
 					t.Fatalf("%s: argmax %q, reference %q with gap %v (tolerance %v)",
 						tag, qEst.Name, refEst.Name, gap, lim)
 				}
+			}
+		}
+	}
+}
+
+// TestQuantizedKNNMatchesOracle is the int16 kNN oracle property: over
+// random sparse and dense venues, every posting-scan NNSS distance lies
+// within quantAbsTol of the float64 kNN's, and the nearest neighbour is
+// the float64 one unless the reference's top-2 is a near-tie.
+func TestQuantizedKNNMatchesOracle(t *testing.T) {
+	for seed := int64(80); seed < 88; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		hear := 0.05 + 0.25*rng.Float64() // sparse
+		if seed%2 == 1 {
+			hear = 0.85 + 0.15*rng.Float64() // dense
+		}
+		db := randomTrainDB(rng, 20+rng.Intn(150), 4+rng.Intn(20), hear)
+		if len(db.BSSIDs) == 0 {
+			continue
+		}
+		ref := NewKNN(db, 1)
+		knnQ := NewKNN(db, 1)
+		knnQ.Quantize = true
+		for trial := 0; trial < 10; trial++ {
+			obs := randomObs(rng, db, 0.2+0.7*rng.Float64())
+			tag := fmt.Sprintf("seed %d trial %d knn", seed, trial)
+			refEst, refErr := ref.Locate(obs)
+			qEst, qErr := knnQ.Locate(obs)
+			if (refErr == nil) != (qErr == nil) {
+				t.Fatalf("%s: err %v vs reference %v", tag, qErr, refErr)
+			}
+			if refErr == nil {
+				compareQuantParity(t, tag, refEst, qEst, 0, quantAbsTol)
 			}
 		}
 	}

@@ -59,9 +59,10 @@ const (
 // Section ids. Required sections carry the view's identity and the
 // small per-entry vectors; the float64 matrices and the quantized
 // mirror are each optional, but at least one family must be present.
-// The quantized mirror's posting lists (post-start, post) are written
-// by every encoder; an artifact from before them gets its lists rebuilt
-// at decode.
+// The quantized mirror's posting lists (post-start, postings) are
+// written by every encoder. An artifact from before them, or one that
+// carries the retired 12-byte post section, gets its lists rebuilt at
+// decode.
 const (
 	secNames           uint32 = iota + 1 // [nE+1]u32 offsets + name blob
 	secBSSIDs                            // [nAP+1]u32 offsets + BSSID blob
@@ -82,7 +83,8 @@ const (
 	secQuantUnheardLL                    // [nE]float64
 	secQuantSignalBase                   // [nE]float64
 	secPostStart                         // [nAP+1]int32 posting-list starts
-	secPost                              // [n]Posting, AP-major trained cells
+	secPost                              // retired 12-byte records; decode ignores it
+	secPostings                          // [n]Posting, AP-major trained cells
 	secEnd                               // one past the last valid id
 )
 
@@ -94,6 +96,7 @@ var sectionNames = map[uint32]string{
 	secMeanQ: "mean-q", secSigmaQ: "sigma-q", secLogNormQ: "lognorm-q", secFloorLLQ: "floorll-q",
 	secQuantFactors: "quant-factors", secQuantUnheardLL: "quant-unheard-ll",
 	secQuantSignalBase: "quant-signal-base", secPostStart: "post-start", secPost: "post",
+	secPostings: "postings",
 }
 
 // hostLittle reports the running machine's byte order.
@@ -108,8 +111,9 @@ var hostLittle = func() bool {
 // cast; this fails to compile if the layout ever changes.
 var _ = [1]struct{}{}[unsafe.Sizeof(geom.Point{})-16]
 
-// postingSize is the packed size of one Posting in the post section.
-const postingSize = 12
+// postingSize is the packed size of one Posting in the postings
+// section.
+const postingSize = 16
 
 var _ = [1]struct{}{}[unsafe.Sizeof(Posting{})-postingSize]
 
@@ -248,11 +252,15 @@ func EncodeCompiled(c *Compiled) ([]byte, error) {
 			section{secQuantUnheardLL, byteView(q.UnheardLL), 8},
 			section{secQuantSignalBase, byteView(q.SignalBase), 8},
 			section{secPostStart, byteView(q.PostStart), 8},
-			section{secPost, byteView(q.Post), 8},
+			section{secPostings, byteView(q.Post), 8},
 		)
 	}
+	return layoutArtifact(c.Generation, c.FloorRSSI, c.FloorSigma, nE, nAP, secs), nil
+}
 
-	// Lay the sections out after the table, honouring alignments.
+// layoutArtifact writes the header, the section table and the payloads
+// after it, honouring each section's alignment.
+func layoutArtifact(gen uint64, floorRSSI, floorSigma float64, nE, nAP int, secs []section) []byte {
 	tableEnd := mapSectionsStart + len(secs)*mapSectionSize
 	offsets := make([]int, len(secs))
 	end := tableEnd
@@ -270,9 +278,9 @@ func EncodeCompiled(c *Compiled) ([]byte, error) {
 		flags |= mapFlagLittle
 	}
 	putLE32(buf[12:], flags)
-	putLE64(buf[16:], c.Generation)
-	putLE64(buf[24:], f64bits(c.FloorRSSI))
-	putLE64(buf[32:], f64bits(c.FloorSigma))
+	putLE64(buf[16:], gen)
+	putLE64(buf[24:], f64bits(floorRSSI))
+	putLE64(buf[32:], f64bits(floorSigma))
 	putLE32(buf[40:], uint32(nE))
 	putLE32(buf[44:], uint32(nAP))
 	putLE32(buf[48:], uint32(len(secs)))
@@ -286,7 +294,7 @@ func EncodeCompiled(c *Compiled) ([]byte, error) {
 	}
 	// Header CRC covers header+table with its own field zeroed (it is).
 	putLE32(buf[8:], crc32.ChecksumIEEE(buf[:tableEnd]))
-	return buf, nil
+	return buf
 }
 
 // DecodeOptions controls DecodeCompiled's validation depth.
@@ -423,6 +431,11 @@ func DecodeCompiled(data []byte, opts DecodeOptions) (*Compiled, error) {
 	gen, floorRSSI, floorSigma, nE, nAP, secs, err := parseHeader(data)
 	if err != nil {
 		return nil, err
+	}
+	// A view with no entries cannot rank anything: a locate that heard
+	// one of its APs would index an empty candidate list.
+	if nE == 0 {
+		return nil, fmt.Errorf("trainingdb: decode: artifact has no entries")
 	}
 	cells := nE * nAP
 
@@ -573,18 +586,19 @@ func DecodeCompiled(data []byte, opts DecodeOptions) (*Compiled, error) {
 		}
 		q.SignalBase = castSlice[float64](p, nE)
 		// Posting lists: cast zero-copy once validated, or rebuilt
-		// from Trained and the codes for an artifact that predates them.
-		_, hasStart := secs[secPostStart]
-		if _, hasPost := secs[secPost]; hasStart || hasPost {
+		// from Trained and the codes for an artifact without the
+		// postings section (from before posting lists, or carrying
+		// only the retired 12-byte post section).
+		if _, hasPost := secs[secPostings]; hasPost {
 			if p, err = take(secPostStart, (nAP+1)*4); err != nil {
 				return nil, err
 			}
 			q.PostStart = castSlice[int32](p, nAP+1)
-			if p, err = takeVar(secPost); err != nil {
+			if p, err = takeVar(secPostings); err != nil {
 				return nil, err
 			}
 			if len(p)%postingSize != 0 {
-				return nil, fmt.Errorf("trainingdb: decode: section post is %d bytes, not a multiple of %d",
+				return nil, fmt.Errorf("trainingdb: decode: section postings is %d bytes, not a multiple of %d",
 					len(p), postingSize)
 			}
 			q.Post = castSlice[Posting](p, len(p)/postingSize)

@@ -6,8 +6,10 @@ package trainingdb
 var (
 	FuzzSeeds      = fuzzSeeds
 	RandomCompiled = randomCompiled
+	LegacyPostings = legacyPostings
 )
 
 // StripPostings returns a copy of the artifact without its post-start
-// and post sections, as an encoder from before posting lists wrote it.
-func StripPostings(buf []byte) []byte { return stripSections(buf, secPostStart, secPost) }
+// and postings sections, as an encoder from before posting lists wrote
+// it.
+func StripPostings(buf []byte) []byte { return stripSections(buf, secPostStart, secPostings) }

@@ -13,7 +13,7 @@ import (
 // must either decode into a self-consistent view or return an error —
 // never panic, and never allocate matrices beyond what the input's own
 // size can justify. Every accepted view must also hold valid posting
-// lists and survive scoring one observation.
+// lists and survive scoring one observation through both int16 scans.
 func FuzzCompiledDecode(f *testing.F) {
 	for _, seed := range trainingdb.FuzzSeeds() {
 		f.Add(seed)
@@ -55,14 +55,20 @@ func FuzzCompiledDecode(f *testing.F) {
 			}
 			checkPostingInvariants(t, q, nE, nAP)
 		}
-		// Score one observation over the view: the posting scan (or the
-		// float64 scan) must index only what decode validated.
-		if nE > 0 && nAP > 0 {
+		// Score one observation over the view: the posting scans (or
+		// the float64 scans) must index only what decode validated.
+		if nAP > 0 {
 			ml := localize.NewMaxLikelihood(nil)
 			ml.Precompiled = c
 			ml.TopK = 1
-			if _, err := ml.Locate(localize.Observation{c.BSSIDs[0]: -60}); err != nil {
-				t.Fatalf("locate over decoded view: %v", err)
+			knn := localize.NewKNN(nil, 1)
+			knn.Precompiled = c
+			knn.TopK = 1
+			obs := localize.Observation{c.BSSIDs[0]: -60}
+			for _, loc := range []localize.Locator{ml, knn} {
+				if _, err := loc.Locate(obs); err != nil {
+					t.Fatalf("%s locate over decoded view: %v", loc.Name(), err)
+				}
 			}
 		}
 		// The view must survive re-encoding (it may not be bytewise
@@ -93,9 +99,10 @@ func checkPostingInvariants(t *testing.T, q *trainingdb.Quant, nE, nAP int) {
 }
 
 // TestStrippedArtifactAnswersIdentically pins the decode fallback: an
-// artifact without the posting sections rebuilds the same lists, and
-// the int16 locator over it answers exactly as over the full artifact
-// and over the in-memory view it was written from.
+// artifact without the posting sections, or with only the retired
+// 12-byte post section, rebuilds the same lists, and the int16
+// locators over it answer exactly as over the full artifact and over
+// the in-memory view it was written from.
 func TestStrippedArtifactAnswersIdentically(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		c := trainingdb.RandomCompiled(t, seed, 60, 12, true, true)
@@ -109,7 +116,7 @@ func TestStrippedArtifactAnswersIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range info.Sections {
-			if s.Name == "post-start" || s.Name == "post" {
+			if s.Name == "post-start" || s.Name == "postings" {
 				t.Fatalf("seed %d: stripped artifact still lists %s", seed, s.Name)
 			}
 		}
@@ -121,8 +128,14 @@ func TestStrippedArtifactAnswersIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(old.Quant.PostStart, c.Quant.PostStart) || !reflect.DeepEqual(old.Quant.Post, c.Quant.Post) {
-			t.Fatalf("seed %d: rebuilt postings differ from Quantize's", seed)
+		legacy, err := trainingdb.DecodeCompiled(trainingdb.LegacyPostings(buf), trainingdb.DecodeOptions{VerifyCRC: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, view := range []*trainingdb.Compiled{old, legacy} {
+			if !reflect.DeepEqual(view.Quant.PostStart, c.Quant.PostStart) || !reflect.DeepEqual(view.Quant.Post, c.Quant.Post) {
+				t.Fatalf("seed %d: rebuilt postings differ from Quantize's", seed)
+			}
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 10; trial++ {
@@ -135,19 +148,23 @@ func TestStrippedArtifactAnswersIdentically(t *testing.T) {
 			if len(obs) == 0 {
 				continue
 			}
-			var want localize.Estimate
-			for i, view := range []*trainingdb.Compiled{c, full, old} {
+			var want [2]localize.Estimate
+			for i, view := range []*trainingdb.Compiled{c, full, old, legacy} {
 				ml := localize.NewMaxLikelihood(nil)
 				ml.Precompiled = view
-				est, err := ml.Locate(obs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i == 0 {
-					want = est
-				} else if !reflect.DeepEqual(est, want) {
-					t.Fatalf("seed %d trial %d: decoded view %d answers %q (%v), in-memory view %q (%v)",
-						seed, trial, i, est.Name, est.Score, want.Name, want.Score)
+				knn := localize.NewKNN(nil, 3)
+				knn.Precompiled = view
+				for l, loc := range []localize.Locator{ml, knn} {
+					est, err := loc.Locate(obs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						want[l] = est
+					} else if !reflect.DeepEqual(est, want[l]) {
+						t.Fatalf("seed %d trial %d %s: decoded view %d answers %q (%v), in-memory view %q (%v)",
+							seed, trial, loc.Name(), i, est.Name, est.Score, want[l].Name, want[l].Score)
+					}
 				}
 			}
 		}

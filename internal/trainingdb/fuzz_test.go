@@ -118,7 +118,7 @@ func fuzzSeeds() map[string][]byte {
 		})
 	}
 	posts := func(f func(ps []Posting)) []byte {
-		return patchSection(cp(), secPost, func(p []byte) []byte {
+		return patchSection(cp(), secPostings, func(p []byte) []byte {
 			f(castSlice[Posting](p, len(p)/postingSize))
 			return p
 		})
@@ -127,15 +127,63 @@ func fuzzSeeds() map[string][]byte {
 	seeds["post-entry-out-of-range"] = posts(func(ps []Posting) { ps[2].Entry = 2 })
 	seeds["post-unsorted-entries"] = posts(func(ps []Posting) { ps[1], ps[2] = ps[2], ps[1] })
 	seeds["post-duplicate-entries"] = posts(func(ps []Posting) { ps[2].Entry = ps[1].Entry })
-	seeds["post-count-mismatch"] = patchSection(cp(), secPost, func(p []byte) []byte {
+	seeds["post-count-mismatch"] = patchSection(cp(), secPostings, func(p []byte) []byte {
 		return p[:len(p)-postingSize]
 	})
 	seeds["post-without-start"] = stripSections(buf, secPostStart)
+
+	// A well-formed view with APs but no entries: every section is
+	// CRC-clean and exactly sized, so only the entry check rejects it.
+	empty := &DB{Entries: map[string]*Entry{}, BSSIDs: []string{"apA", "apB"}}
+	ec := empty.Compile(-95, 4)
+	ec.Quantize()
+	if seeds["zero-entries"], err = EncodeCompiled(ec); err != nil {
+		panic(err)
+	}
 	return seeds
+}
+
+// legacyPostings returns a copy of the artifact as the encoder of
+// 12-byte posting records wrote it: the postings section gives way to
+// a post section of {Entry int32; MeanQ, SigmaQ, LogNormQ, FloorLLQ
+// int16} records in host order.
+func legacyPostings(buf []byte) []byte {
+	c, err := DecodeCompiled(buf, DecodeOptions{})
+	if err != nil {
+		panic(err)
+	}
+	type legacyPosting struct {
+		Entry                             int32
+		MeanQ, SigmaQ, LogNormQ, FloorLLQ int16
+	}
+	q, nAP := c.Quant, c.NumAPs()
+	recs := make([]legacyPosting, 0, len(q.Post))
+	for j := 0; j < nAP; j++ {
+		for _, p := range q.Post[q.PostStart[j]:q.PostStart[j+1]] {
+			cell := int(p.Entry)*nAP + j
+			recs = append(recs, legacyPosting{p.Entry,
+				q.MeanQ[cell], q.SigmaQ[cell], q.LogNormQ[cell], q.FloorLLQ[cell]})
+		}
+	}
+	gen, floorRSSI, floorSigma, nE, _, parsed, err := parseHeader(buf)
+	if err != nil {
+		panic(err)
+	}
+	var secs []section
+	for id, s := range parsed {
+		if id != secPostings {
+			secs = append(secs, section{id, buf[s.off : s.off+s.length], 8})
+		}
+	}
+	slices.SortFunc(secs, func(a, b section) int { return int(a.id) - int(b.id) })
+	secs = append(secs, section{secPost, byteView(recs), 8})
+	return layoutArtifact(gen, floorRSSI, floorSigma, nE, nAP, secs)
 }
 
 // TestFuzzSeedsBehave pins the seed corpus semantics outside the fuzz
 // engine: the pristine seed decodes, every corruption seed errors.
+// The posting and zero-entry seeds are CRC-clean: only the list and
+// entry checks may reject them, and those run on the serving path too.
 func TestFuzzSeedsBehave(t *testing.T) {
 	for name, seed := range fuzzSeeds() {
 		_, err := DecodeCompiled(seed, DecodeOptions{VerifyCRC: true})
@@ -146,10 +194,12 @@ func TestFuzzSeedsBehave(t *testing.T) {
 			}
 		case err == nil:
 			t.Errorf("seed %s decoded without error", name)
-		case strings.HasPrefix(name, "post-"):
-			// The posting seeds are CRC-clean: only the list checks
-			// may reject them, and they run on the serving path too.
-			if !strings.Contains(err.Error(), "post") {
+		case strings.HasPrefix(name, "post-") || name == "zero-entries":
+			want := "post"
+			if name == "zero-entries" {
+				want = "no entries"
+			}
+			if !strings.Contains(err.Error(), want) {
 				t.Errorf("seed %s rejected for another reason: %v", name, err)
 			}
 			if _, err := DecodeCompiled(seed, DecodeOptions{}); err == nil {

@@ -1,5 +1,7 @@
 package trainingdb
 
+import "math"
+
 // Quantized radio-map matrices. RSSI has roughly 1 dBm of native
 // resolution (receivers report integer dBm), so carrying the per-cell
 // statistics as float64 spends 8× the memory bandwidth the scoring
@@ -11,11 +13,11 @@ package trainingdb
 // chosen so the codes span each AP column's own value range: the
 // worst-case dequantization error is (max−min)/2·QuantLevels per
 // column, around 7·10⁻⁴ dB for a 90 dB RSSI column — three orders of
-// magnitude below the sensor's resolution. Scoring loops dequantize on
-// the fly and keep float64 accumulators, so results stay within the
-// tolerance of the equivalence property tests while the scan moves 4×
-// less matrix data (16 bytes per visited cell down to 4, plus the
-// shared per-AP factors that stay resident in cache).
+// magnitude below the sensor's resolution. The codes are the stored
+// model. The scans never read them: they walk posting records of the
+// trained cells, each dequantized once at build time into the float32
+// terms the kernel consumes, and keep float64 accumulators, so results
+// stay within the derived bound of the oracle property tests.
 
 // QuantLevels is the number of code steps an int16 column spans: codes
 // lie in [−QuantLevels/2, QuantLevels/2].
@@ -46,24 +48,34 @@ type Quant struct {
 
 	// PostStart and Post are the AP-major posting lists of the trained
 	// cells: column j's cells are Post[PostStart[j]:PostStart[j+1]],
-	// in strictly increasing entry order, each carrying its four codes.
-	// The maximum-likelihood scan walks only the heard columns' lists,
-	// so it visits trained cells alone and never reads Trained or the
-	// dense code matrices.
+	// in strictly increasing entry order. Both int16 scans walk only
+	// the heard columns' lists, so they visit trained cells alone and
+	// never read Trained or the dense code matrices.
 	PostStart []int32
 	Post      []Posting
 }
 
-// Posting is one trained ⟨entry, AP⟩ cell in a column's posting list:
-// the entry index and the cell's four int16 codes, 12 bytes packed.
+// Posting is one trained ⟨entry, AP⟩ cell in a column's posting list,
+// in the form the scans consume, 16 bytes packed. Every field derives
+// from the cell's dequantized int16 codes:
+//
+//	Center   = mean
+//	HalfPrec = 1/(σ·√2), so ((v−Center)·HalfPrec)² = (v−mean)²/2σ²
+//	Const    = logNorm − floorLL
+//
+// so neither scan divides or dequantizes per visit.
 type Posting struct {
-	Entry                             int32
-	MeanQ, SigmaQ, LogNormQ, FloorLLQ int16
+	Entry    int32
+	Center   float32
+	HalfPrec float32
+	Const    float32
 }
 
 // buildPostings lists the trained cells column by column from the
 // entry-major Trained matrix and code matrices. Walking entries in
-// order leaves every list sorted by entry.
+// order leaves every list sorted by entry. The records depend only on
+// the codes and factors and are rounded operation by operation (see
+// dequant), so VerifyCRC's byte-for-byte rebuild agrees on every CPU.
 func buildPostings(trained []bool, q *Quant, nE, nAP int) ([]int32, []Posting) {
 	start := make([]int32, nAP+1)
 	for i := 0; i < nE; i++ {
@@ -85,10 +97,13 @@ func buildPostings(trained []bool, q *Quant, nE, nAP int) ([]int32, []Posting) {
 				continue
 			}
 			cell := base + j
+			sigma := dequant(q.SigmaQ[cell], q.SigmaScale[j], q.SigmaOff[j])
 			post[next[j]] = Posting{
-				Entry: int32(i),
-				MeanQ: q.MeanQ[cell], SigmaQ: q.SigmaQ[cell],
-				LogNormQ: q.LogNormQ[cell], FloorLLQ: q.FloorLLQ[cell],
+				Entry:    int32(i),
+				Center:   float32(dequant(q.MeanQ[cell], q.MeanScale[j], q.MeanOff[j])),
+				HalfPrec: float32(1 / (sigma * math.Sqrt2)),
+				Const: float32(dequant(q.LogNormQ[cell], q.LogNormScale[j], q.LogNormOff[j]) -
+					dequant(q.FloorLLQ[cell], q.FloorLLScale[j], q.FloorLLOff[j])),
 			}
 			next[j]++
 		}
@@ -132,9 +147,12 @@ func quantizeColumns(src []float64, nE, nAP int, codes []int16, scale, off []flo
 	}
 }
 
-// Dequant returns Off + Scale·code — the scoring loops inline this.
+// dequant returns Off + Scale·code. The explicit conversion rounds the
+// product before the add, which the Go spec guarantees blocks fusing
+// the two into one multiply-add (arm64's FMADD would otherwise round
+// once and change the last bit).
 func dequant(code int16, scale, off float64) float64 {
-	return off + scale*float64(code)
+	return off + float64(scale*float64(code))
 }
 
 // Quantize builds (once) the int16-quantized mirror of the view's
@@ -218,5 +236,5 @@ func (c *Compiled) MatrixBytes() int {
 }
 
 // PostingBytes reports the footprint of the posting lists: one int32
-// start per column plus 12 bytes per trained cell.
+// start per column plus 16 bytes per trained cell.
 func (q *Quant) PostingBytes() int { return len(q.PostStart)*4 + len(q.Post)*postingSize }

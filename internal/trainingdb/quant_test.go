@@ -1,6 +1,8 @@
 package trainingdb
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"slices"
@@ -144,21 +146,22 @@ func TestReleaseFloat64(t *testing.T) {
 	}
 	released := c.MatrixBytes()
 	// 4 matrices × 8B → 4 × 2B: the per-cell payload shrinks 4×. The
-	// posting lists add a start per column plus 12B per trained cell.
+	// posting lists add a start per column plus 16B per trained cell.
 	cells, trained := len(c.Trained), 0
 	for _, t := range c.Trained {
 		if t {
 			trained++
 		}
 	}
-	if want := cells*(1+4) + cells*4*2 + (c.NumAPs()+1)*4 + trained*12; released != want {
+	if want := cells*(1+4) + cells*4*2 + (c.NumAPs()+1)*4 + trained*16; released != want {
 		t.Errorf("MatrixBytes after release = %d, want %d", released, want)
 	}
 }
 
 // TestQuantizePostings pins the posting-list layout: column j's list
 // holds exactly the trained cells of column j, in increasing entry
-// order, each carrying the cell's four dense codes.
+// order, each carrying the record derived from the cell's four
+// dequantized codes.
 func TestQuantizePostings(t *testing.T) {
 	c := randomCompiled(t, 12, 40, 9, true, false)
 	q := c.Quant
@@ -171,13 +174,61 @@ func TestQuantizePostings(t *testing.T) {
 		var want []Posting
 		for i := 0; i < nE; i++ {
 			if cell := i*nAP + j; c.Trained[cell] {
+				sigma := dequant(q.SigmaQ[cell], q.SigmaScale[j], q.SigmaOff[j])
 				want = append(want, Posting{Entry: int32(i),
-					MeanQ: q.MeanQ[cell], SigmaQ: q.SigmaQ[cell],
-					LogNormQ: q.LogNormQ[cell], FloorLLQ: q.FloorLLQ[cell]})
+					Center:   float32(dequant(q.MeanQ[cell], q.MeanScale[j], q.MeanOff[j])),
+					HalfPrec: float32(1 / (sigma * math.Sqrt2)),
+					Const: float32(dequant(q.LogNormQ[cell], q.LogNormScale[j], q.LogNormOff[j]) -
+						dequant(q.FloorLLQ[cell], q.FloorLLScale[j], q.FloorLLOff[j]))})
 			}
 		}
 		if !slices.Equal(list, want) {
 			t.Fatalf("column %d: postings %v, want %v", j, list, want)
 		}
+	}
+}
+
+// TestPostingBytesPinned pins the posting bytes built from one fixed
+// seeded set of codes and factors. VerifyCRC compares an artifact's
+// lists byte for byte against a rebuild, so an artifact written on
+// one CPU only verifies on another if buildPostings rounds the same
+// way on both; a fused multiply-add (arm64 FMADD) would move this
+// digest.
+func TestPostingBytesPinned(t *testing.T) {
+	if !hostLittle {
+		t.Skip("digest pinned for little-endian payloads")
+	}
+	const nE, nAP = 64, 9
+	rng := rand.New(rand.NewSource(17))
+	trained := make([]bool, nE*nAP)
+	q := &Quant{}
+	codes := []*[]int16{&q.MeanQ, &q.SigmaQ, &q.LogNormQ, &q.FloorLLQ}
+	for _, c := range codes {
+		*c = make([]int16, nE*nAP)
+	}
+	for cell := range trained {
+		trained[cell] = rng.Float64() < 0.6
+		for _, c := range codes {
+			(*c)[cell] = int16(rng.Intn(QuantLevels+1) - QuantLevels/2)
+		}
+	}
+	factor := func(scale, off float64) ([]float64, []float64) {
+		s, o := make([]float64, nAP), make([]float64, nAP)
+		for j := range s {
+			s[j], o[j] = scale*(0.5+rng.Float64()), off+rng.NormFloat64()
+		}
+		return s, o
+	}
+	q.MeanScale, q.MeanOff = factor(60.0/QuantLevels, -70)
+	q.SigmaScale, q.SigmaOff = factor(8.0/QuantLevels, 6)
+	q.LogNormScale, q.LogNormOff = factor(4.0/QuantLevels, -3)
+	q.FloorLLScale, q.FloorLLOff = factor(900.0/QuantLevels, -200)
+	start, post := buildPostings(trained, q, nE, nAP)
+	h := sha256.New()
+	h.Write(byteView(start))
+	h.Write(byteView(post))
+	const want = "2b4e56bc9d6cd077c750c50a692960c096cc9299ee1aad82f49e33def2b07efb"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("posting bytes sha256 %s, want %s", got, want)
 	}
 }
