@@ -39,7 +39,7 @@ bench: ## hot-path localization benchmarks (see BENCH_hotpath.json)
 bench-ingest: ## live-ingestion pipeline benchmarks (see BENCH_ingest.json)
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestReport|BenchmarkSnapshotSwap|BenchmarkServerLocateUnderIngest|BenchmarkServerLocateBatch|BenchmarkServerLocate$$' -benchmem -benchtime=500x .
 
-bench-mapv2: ## compiled-map v2 benchmarks: quantized vs float64, top-k vs full sort (see BENCH_mapv2.json)
+bench-mapv2: ## compiled-map v2 benchmarks: posting scans, top-k vs full sort (see BENCH_mapv2.json)
 	$(GO) test -run '^$$' -bench 'BenchmarkMapV2' -benchmem -benchtime=20x -timeout 30m .
 
 bench-soak: ## 60s mixed-traffic soak of the serving front end (see BENCH_soak.json)

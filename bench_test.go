@@ -627,13 +627,11 @@ func BenchmarkServerLocateBatch(b *testing.B) {
 }
 
 // campusFixture builds the 100k-entry, 64-AP synthetic campus once for
-// the map-v2 benchmarks: the float64 compiled view and its quantized
-// mirror (float64 matrices released), both from the same database.
+// the map-v2 benchmarks: the compiled view and the query set.
 type campusFixture struct {
-	db    *trainingdb.DB
-	f64   *trainingdb.Compiled
-	quant *trainingdb.Compiled
-	obs   []localize.Observation
+	db   *trainingdb.DB
+	view *trainingdb.Compiled
+	obs  []localize.Observation
 }
 
 var (
@@ -650,44 +648,32 @@ func campusBench(b *testing.B) *campusFixture {
 	b.Helper()
 	campusOnce.Do(func() {
 		db := syntheticLargeDB(*mapV2CampusEntries, 64, 16, 30)
-		f64 := db.Compile(-95, 4)
-		quant := db.Compile(-95, 4)
-		quant.Quantize()
-		quant.ReleaseFloat64()
 		campus = campusFixture{
-			db:    db,
-			f64:   f64,
-			quant: quant,
-			obs:   syntheticObservations(db, 32, 31),
+			db:   db,
+			view: db.Compile(-95, 4),
+			obs:  syntheticObservations(db, 32, 31),
 		}
 	})
 	return &campus
 }
 
 // BenchmarkMapV2Campus100k is experiment A10: one maximum-likelihood
-// query over the campus map in the three serving configurations the
-// compiled-map-v2 work introduces. float64-fullsort is the v1
-// baseline; quantized-fullsort isolates the int16 matrices (¼ the
-// bytes scanned, so the memory-bound scan speeds up); quantized-topk8
-// adds bounded ranking (no 100k-candidate sort). matrix-MB reports the
-// resident matrix footprint each configuration holds, and postings-MB
-// the part of it that is the int16 posting lists the quantized scan
-// actually reads.
+// query over the campus map's posting lists, with the full ranking
+// sorted and with bounded top-8 selection (no 100k-candidate sort).
+// matrix-MB reports the resident per-cell footprint the view holds, and
+// postings-MB the part of it that is the posting lists the scan reads.
 func BenchmarkMapV2Campus100k(b *testing.B) {
 	f := campusBench(b)
-	cases := []struct {
+	for _, c := range []struct {
 		name string
-		view *trainingdb.Compiled
 		topk int
 	}{
-		{"float64-fullsort", f.f64, 0},
-		{"quantized-fullsort", f.quant, 0},
-		{"quantized-topk8", f.quant, 8},
-	}
-	for _, c := range cases {
+		{"fullsort", 0},
+		{"topk8", 8},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			ml := localize.NewMaxLikelihood(nil)
-			ml.Precompiled = c.view
+			ml.Precompiled = f.view
 			ml.TopK = c.topk
 			if _, err := ml.Locate(f.obs[0]); err != nil {
 				b.Fatal(err)
@@ -699,45 +685,31 @@ func BenchmarkMapV2Campus100k(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(c.view.MatrixBytes())/(1<<20), "matrix-MB")
-			var postings int
-			if q := c.view.Quant; q != nil {
-				postings = q.PostingBytes()
-			}
-			b.ReportMetric(float64(postings)/(1<<20), "postings-MB")
+			b.ReportMetric(float64(f.view.MatrixBytes())/(1<<20), "matrix-MB")
+			b.ReportMetric(float64(f.view.PostingBytes())/(1<<20), "postings-MB")
 		})
 	}
 }
 
-// BenchmarkMapV2KNN runs the same three-way comparison for the kNN
-// scorer, whose scan is pure signal distance (no log-likelihood).
+// BenchmarkMapV2KNN runs the top-8 campus query for the kNN scorer,
+// whose scan is pure signal distance (no log-likelihood).
 func BenchmarkMapV2KNN(b *testing.B) {
 	f := campusBench(b)
-	cases := []struct {
-		name string
-		view *trainingdb.Compiled
-		topk int
-	}{
-		{"float64-fullsort", f.f64, 0},
-		{"quantized-topk8", f.quant, 8},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			knn := localize.NewKNN(nil, 3)
-			knn.Precompiled = c.view
-			knn.TopK = c.topk
-			if _, err := knn.Locate(f.obs[0]); err != nil {
+	b.Run("topk8", func(b *testing.B) {
+		knn := localize.NewKNN(nil, 3)
+		knn.Precompiled = f.view
+		knn.TopK = 8
+		if _, err := knn.Locate(f.obs[0]); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := knn.Locate(f.obs[i%len(f.obs)]); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := knn.Locate(f.obs[i%len(f.obs)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // liveRebuilder is the ingest benchmarks' Rebuilder: the same

@@ -9,7 +9,7 @@
 //	locserved -db train.tdb -algo geometric -plan house.plan -listen 127.0.0.1:9000
 //	locserved -db big.tdb -batch-max 1024
 //	locserved -db train.tdb -train-wal reports.wal -train-flush-count 128
-//	locserved -map-file campus.ilr -quantize -topk 8
+//	locserved -map-file campus.ilr -topk 8
 //	locserved -db train.tdb -train-wal reports.wal -train-artifact live.ilr
 //
 // Endpoints: GET /healthz /algorithms /locations, POST /locate,
@@ -20,16 +20,13 @@
 // request's goroutine, and cores are used by concurrent requests and
 // by /locate/batch, whose observations fan out over a worker pool.
 // -batch-max caps the observations accepted by one /locate/batch
-// request. -quantize serves the int16-quantized radio map (about a
-// quarter of the float64 matrix footprint, accuracy bounds documented
-// in DESIGN.md), and -topk N replaces the full candidate sort with a
-// bounded heap selection of the best N — both apply to the
-// probabilistic and kNN families.
+// request. -topk N replaces the full candidate sort with a bounded
+// heap selection of the best N.
 //
 // -map-file serves a compiled radio-map artifact (the v2 binary
 // `tdbtool compile` writes) instead of a training database: the file
 // is memory-mapped read-only, so startup does no compilation and
-// matrix pages fault in on demand. Artifact mode supports the
+// pages fault in on demand. Artifact mode supports the
 // probabilistic, nnss/knn/wknn and sector algorithms and excludes
 // -train-wal (live training folds raw samples, which the artifact does
 // not carry). With -train-wal, -train-artifact PATH writes the freshly
@@ -105,7 +102,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		routeTO      = fs.Duration("route-timeout", 0, "per-route handler deadline; overruns answer 503 (0 = off, keeps the hot path allocation-free)")
 		metricsOn    = fs.Bool("metrics", true, "expose Prometheus metrics at GET /metrics")
 		accessLog    = fs.String("access-log", "", "append one line per request here via the drop-oldest ring ('-' = stderr)")
-		quantize     = fs.Bool("quantize", false, "serve the int16-quantized radio map (~4× smaller matrices)")
 		topK         = fs.Int("topk", 0, "bound rankings to the best K candidates via heap selection (0 = full sort)")
 
 		trainWAL      = fs.String("train-wal", "", "report journal path; enables live training via POST /train/report")
@@ -196,7 +192,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		}
 		opts = append(opts, server.WithAccessLog(w))
 	}
-	cfg := core.BuildConfig{Quantize: *quantize, TopK: *topK}
+	cfg := core.BuildConfig{TopK: *topK}
 	var planNames *locmap.Map
 	if *planPath != "" {
 		plan, err := floorplan.LoadFile(*planPath)

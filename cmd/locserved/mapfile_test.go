@@ -12,8 +12,8 @@ import (
 	"indoorloc/internal/trainingdb"
 )
 
-// makeArtifact compiles the simulated house into a quantized v2
-// artifact — the file `tdbtool compile` would produce.
+// makeArtifact compiles the simulated house into a v2 artifact — the
+// file `tdbtool compile` would produce.
 func makeArtifact(t *testing.T) string {
 	t.Helper()
 	db, err := trainingdb.LoadFile(makeDB(t))
@@ -21,8 +21,6 @@ func makeArtifact(t *testing.T) string {
 		t.Fatal(err)
 	}
 	c := db.Compile(-95, 4)
-	c.Quantize()
-	c.ReleaseFloat64()
 	path := filepath.Join(t.TempDir(), "map.ilr")
 	if err := trainingdb.WriteCompiledFile(path, c); err != nil {
 		t.Fatal(err)
@@ -106,7 +104,6 @@ func TestTrainArtifactEmission(t *testing.T) {
 		"-train-wal", filepath.Join(dir, "reports.wal"),
 		"-train-flush-count", "1",
 		"-train-artifact", artifact,
-		"-quantize",
 	})
 	// The initial snapshot already emits one.
 	if _, err := os.Stat(artifact); err != nil {
@@ -127,8 +124,13 @@ func TestTrainArtifactEmission(t *testing.T) {
 		data, err := os.ReadFile(artifact)
 		if err == nil {
 			if info, err := trainingdb.ReadFileInfo(data); err == nil && info.Generation > 0 {
-				if !info.Quantized {
-					t.Error("live artifact is not quantized despite -quantize")
+				// The posting lists are the whole radio map.
+				names := map[string]bool{}
+				for _, s := range info.Sections {
+					names[s.Name] = true
+				}
+				if !names["postings"] || names["mean"] || names["mean-q"] {
+					t.Errorf("live artifact sections %v", info.Sections)
 				}
 				// And it still fully verifies.
 				if _, err := trainingdb.DecodeCompiled(data, trainingdb.DecodeOptions{VerifyCRC: true}); err != nil {

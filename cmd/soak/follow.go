@@ -546,10 +546,9 @@ func saturate(client *http.Client, url string, bodies [][]byte, workers int, sli
 // rebuild func, request bodies and locator build config (the follower
 // mirrors it for answer-identical serving). mapEntries == 0 gives the
 // paper house (the fixture every other soak mode uses); a positive
-// count gives a synthetic campus-scale map — served quantized with
-// top-k ranking, the v2 configuration a fleet would actually run —
-// so cold catch-up and recompile cost are measured at realistic map
-// sizes.
+// count gives a synthetic campus-scale map — served with top-k
+// ranking, the configuration a fleet would actually run — so cold
+// catch-up and recompile cost are measured at realistic map sizes.
 func buildFollowFixture(mapEntries, mapAPs int) (*trainingdb.DB, func(*trainingdb.DB) (*core.Service, error), *soakBodies, core.BuildConfig, error) {
 	if mapEntries == 0 {
 		var build core.BuildConfig
@@ -589,9 +588,7 @@ func buildFollowFixture(mapEntries, mapAPs int) (*trainingdb.DB, func(*trainingd
 	if heard < 1 {
 		heard = 1
 	}
-	// Unquantized on purpose: a replication source must publish float64
-	// matrices (repl.BuildReplica reconstructs the replica from them);
-	// TopK still bounds ranking so a 100k-entry locate stays sane.
+	// TopK bounds ranking so a 100k-entry locate stays sane.
 	build := core.BuildConfig{TopK: 8}
 	rng := rand.New(rand.NewSource(30))
 	db := &trainingdb.DB{Entries: make(map[string]*trainingdb.Entry, mapEntries)}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestCompileInspectVerify(t *testing.T) {
 	if err := run([]string{"compile", "-db", dbPath, "-out", artifact}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "quantized=true float64=false") {
+	if !strings.Contains(out.String(), "120 postings") {
 		t.Errorf("compile output: %q", out.String())
 	}
 
@@ -26,9 +27,8 @@ func TestCompileInspectVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumEntries() != 30 || c.Quant == nil || c.Mean != nil {
-		t.Errorf("artifact shape: %d entries quant=%v float64=%v",
-			c.NumEntries(), c.Quant != nil, c.Mean != nil)
+	if c.NumEntries() != 30 || len(c.Post) != 30*c.NumAPs() {
+		t.Errorf("artifact shape: %d entries, %d postings", c.NumEntries(), len(c.Post))
 	}
 	if err := closeMap(); err != nil {
 		t.Fatal(err)
@@ -38,9 +38,14 @@ func TestCompileInspectVerify(t *testing.T) {
 	if err := run([]string{"inspect", artifact}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"ILRMAPv2", "locations: 30", "quantized=true", "mean-q", "postings"} {
+	for _, want := range []string{"ILRMAPv2", "locations: 30", "post-start", "postings"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("inspect output missing %q:\n%s", want, out.String())
+		}
+	}
+	for _, retired := range []string{"mean-q", "quant-factors", "floor-ll"} {
+		if strings.Contains(out.String(), retired) {
+			t.Errorf("inspect output lists retired section %q:\n%s", retired, out.String())
 		}
 	}
 
@@ -72,50 +77,36 @@ func TestCompileInspectVerify(t *testing.T) {
 	}
 }
 
+// TestCompileVariants pins compile's floor-model flags: they reach
+// the artifact header and the records, over the same trained cells.
 func TestCompileVariants(t *testing.T) {
 	dbPath := makeDB(t)
 	var out bytes.Buffer
-
-	both := filepath.Join(t.TempDir(), "both.ilr")
-	if err := run([]string{"compile", "-db", dbPath, "-out", both, "-keep-float64"}, &out); err != nil {
-		t.Fatal(err)
+	open := func(args ...string) *trainingdb.Compiled {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "map.ilr")
+		if err := run(append([]string{"compile", "-db", dbPath, "-out", path}, args...), &out); err != nil {
+			t.Fatal(err)
+		}
+		c, closeMap, err := trainingdb.OpenCompiledFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { closeMap() })
+		return c
 	}
-	if !strings.Contains(out.String(), "quantized=true float64=true") {
-		t.Errorf("keep-float64 output: %q", out.String())
+	def := open()
+	tuned := open("-floor", "-90", "-floor-sigma", "6")
+	if def.FloorRSSI != -95 || def.FloorSigma != 4 || tuned.FloorRSSI != -90 || tuned.FloorSigma != 6 {
+		t.Errorf("floor models (%v, %v) and (%v, %v)", def.FloorRSSI, def.FloorSigma, tuned.FloorRSSI, tuned.FloorSigma)
 	}
-
-	out.Reset()
-	floats := filepath.Join(t.TempDir(), "f64.ilr")
-	if err := run([]string{"compile", "-db", dbPath, "-out", floats, "-quantize=false"}, &out); err != nil {
-		t.Fatal(err)
+	if !slices.Equal(def.PostStart, tuned.PostStart) {
+		t.Fatalf("posting starts %v and %v", def.PostStart, tuned.PostStart)
 	}
-	if !strings.Contains(out.String(), "quantized=false float64=true") {
-		t.Errorf("float64-only output: %q", out.String())
-	}
-
-	// The quantized matrices are a fraction of the float64 footprint.
-	// (File sizes on a toy 30×4 map are dominated by page-alignment
-	// padding, so compare the matrix payloads, not the files.)
-	quant := filepath.Join(t.TempDir(), "q.ilr")
-	if err := run([]string{"compile", "-db", dbPath, "-out", quant}, &out); err != nil {
-		t.Fatal(err)
-	}
-	qc, closeQ, err := trainingdb.OpenCompiledFile(quant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeQ()
-	fc, closeF, err := trainingdb.OpenCompiledFile(floats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeF()
-	// MatrixBytes includes the shared Trained/N overhead, so the total
-	// ratio is a bit above the 4× of the matrices alone. It also counts
-	// the posting lists (16 B per trained cell — every cell of this
-	// house), which only a quantized view carries; leave them out here.
-	if qb, fb := qc.MatrixBytes()-qc.Quant.PostingBytes(), fc.MatrixBytes(); qb*2 >= fb {
-		t.Errorf("quantized matrices %d B vs float64 %d B — expected < ½", qb, fb)
+	for i, p := range def.Post {
+		if q := tuned.Post[i]; p.Center != q.Center || p.HalfPrec != q.HalfPrec || p.Const == q.Const {
+			t.Fatalf("posting %d: %+v and %+v — the floor must move only the constant", i, p, q)
+		}
 	}
 }
 
@@ -128,9 +119,10 @@ func TestSubcommandErrors(t *testing.T) {
 		t.Error("compile of a missing db accepted")
 	}
 	dbPath := makeDB(t)
-	if err := run([]string{"compile", "-db", dbPath, "-out", "x.ilr",
-		"-quantize=false", "-keep-float64"}, &out); err == nil {
-		t.Error("contradictory -quantize=false -keep-float64 accepted")
+	for _, retired := range []string{"-quantize", "-keep-float64"} {
+		if err := run([]string{"compile", "-db", dbPath, "-out", "x.ilr", retired}, &out); err == nil {
+			t.Errorf("retired flag %s accepted", retired)
+		}
 	}
 	if err := run([]string{"inspect"}, &out); err == nil {
 		t.Error("inspect without a file accepted")

@@ -14,10 +14,10 @@
 // Compiled radio-map artifacts (the v2 binary locserved -map-file
 // serves) have their own subcommands:
 //
-//	tdbtool compile -db train.tdb -out campus.ilr     # quantized artifact
-//	tdbtool compile -db train.tdb -out c.ilr -keep-float64
+//	tdbtool compile -db train.tdb -out campus.ilr     # posting-list artifact
+//	tdbtool compile -db train.tdb -out c.ilr -floor -92
 //	tdbtool inspect campus.ilr                        # header + section table
-//	tdbtool verify campus.ilr                         # full CRC + payload check
+//	tdbtool verify campus.ilr                         # full CRC + posting-record check
 //
 // The city subcommand generates a synthetic multi-venue artifact
 // directory — the fixture `locserved -venues DIR` serves and the
@@ -196,17 +196,13 @@ func run(args []string, out io.Writer) error {
 }
 
 // runCompile is `tdbtool compile`: training database in, v2 radio-map
-// artifact out. By default the artifact carries only the quantized
-// matrices (the serving shape, about a quarter of the float64
-// footprint); -keep-float64 includes both families and -quantize=false
-// writes float64 only.
+// artifact out — the posting lists every compiled-servable algorithm
+// scores from.
 func runCompile(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tdbtool compile", flag.ContinueOnError)
 	var (
 		dbPath     = fs.String("db", "", "training database to compile (required)")
 		outPath    = fs.String("out", "", "artifact to write (required)")
-		quantize   = fs.Bool("quantize", true, "include the int16-quantized matrices")
-		keepFloats = fs.Bool("keep-float64", false, "keep the float64 matrices alongside the quantized ones")
 		floor      = fs.Float64("floor", -95, "floor RSSI (dBm) substituted for unheard APs")
 		floorSigma = fs.Float64("floor-sigma", 4, "floor model standard deviation (dB)")
 	)
@@ -216,20 +212,11 @@ func runCompile(args []string, out io.Writer) error {
 	if *dbPath == "" || *outPath == "" {
 		return fmt.Errorf("compile needs -db FILE and -out FILE")
 	}
-	if !*quantize && *keepFloats {
-		return fmt.Errorf("-keep-float64 only matters with -quantize")
-	}
 	db, err := trainingdb.LoadFile(*dbPath)
 	if err != nil {
 		return err
 	}
 	c := db.Compile(*floor, *floorSigma)
-	if *quantize {
-		c.Quantize()
-		if !*keepFloats {
-			c.ReleaseFloat64()
-		}
-	}
 	if err := trainingdb.WriteCompiledFile(*outPath, c); err != nil {
 		return err
 	}
@@ -237,14 +224,13 @@ func runCompile(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "compiled %s → %s: %d locations × %d APs, %d matrix bytes, %d on disk (quantized=%v float64=%v)\n",
-		*dbPath, *outPath, c.NumEntries(), c.NumAPs(), c.MatrixBytes(), st.Size(),
-		c.Quant != nil, c.Mean != nil)
+	fmt.Fprintf(out, "compiled %s → %s: %d locations × %d APs, %d postings, %d matrix bytes, %d on disk\n",
+		*dbPath, *outPath, c.NumEntries(), c.NumAPs(), len(c.Post), c.MatrixBytes(), st.Size())
 	return nil
 }
 
 // runCity is `tdbtool city`: generate a synthetic city of venues as
-// quantized v2 artifacts, one <venue-id>.ilr per floor, in the layout
+// v2 artifacts, one <venue-id>.ilr per floor, in the layout
 // venue.Registry serves from. The fixture is deterministic in -seed,
 // so two runs with the same flags produce byte-identical directories.
 func runCity(args []string, out io.Writer) error {
@@ -315,7 +301,6 @@ func runInspect(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "wal watermark: %d (epoch %016x, built %s)\n",
 			am.Watermark, am.Epoch, am.BuiltAt.Format("2006-01-02T15:04:05Z07:00"))
 	}
-	fmt.Fprintf(out, "matrices: quantized=%v float64=%v\n", info.Quantized, info.HasFloat64)
 	fmt.Fprintf(out, "sections (%d):\n", len(info.Sections))
 	for _, s := range info.Sections {
 		fmt.Fprintf(out, "  %-18s off=%-10d len=%-10d crc=%08x\n", s.Name, s.Offset, s.Length, s.CRC)
@@ -342,7 +327,7 @@ func runVerify(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("verify %s: %w", fs.Arg(0), err)
 	}
-	fmt.Fprintf(out, "%s OK: %d locations × %d APs, generation %d, quantized=%v float64=%v\n",
-		fs.Arg(0), c.NumEntries(), c.NumAPs(), c.Generation, c.Quant != nil, c.Mean != nil)
+	fmt.Fprintf(out, "%s OK: %d locations × %d APs, generation %d, %d postings\n",
+		fs.Arg(0), c.NumEntries(), c.NumAPs(), c.Generation, len(c.Post))
 	return nil
 }

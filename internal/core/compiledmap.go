@@ -13,7 +13,7 @@ import (
 // WithCompiled for the algorithms it supports.
 //
 // The view's own floor parameters govern scoring. cfg.FloorRSSI is
-// ignored; Quantize, TopK and K apply as in buildLocator.
+// ignored; TopK and K apply as in buildLocator.
 func buildLocatorFromCompiled(name string, c *trainingdb.Compiled, cfg BuildConfig) (localize.Locator, error) {
 	k := cfg.K
 	if k <= 0 {
@@ -24,7 +24,6 @@ func buildLocatorFromCompiled(name string, c *trainingdb.Compiled, cfg BuildConf
 	case AlgoProbabilistic:
 		ml := localize.NewMaxLikelihood(nil)
 		ml.Precompiled = c
-		ml.Quantize = cfg.Quantize
 		ml.TopK = cfg.TopK
 		loc = ml
 	case AlgoSector:
@@ -39,7 +38,6 @@ func buildLocatorFromCompiled(name string, c *trainingdb.Compiled, cfg BuildConf
 		knn := localize.NewKNN(nil, k)
 		knn.Precompiled = c
 		knn.Weighted = name == AlgoWKNN
-		knn.Quantize = cfg.Quantize
 		knn.TopK = cfg.TopK
 		loc = knn
 	default:

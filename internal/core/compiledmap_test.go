@@ -1,21 +1,19 @@
 package core
 
 import (
-	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"indoorloc/internal/localize"
 	"indoorloc/internal/trainingdb"
 )
 
-// writeArtifact compiles the fixture database into a quantized v2
-// artifact on disk.
+// writeArtifact compiles the fixture database into a v2 artifact on
+// disk.
 func writeArtifact(t *testing.T, f *fixture) string {
 	t.Helper()
 	c := f.db.Compile(-95, 4)
-	c.Quantize()
-	c.ReleaseFloat64()
 	path := filepath.Join(t.TempDir(), "map.ilr")
 	if err := trainingdb.WriteCompiledFile(path, c); err != nil {
 		t.Fatal(err)
@@ -26,7 +24,8 @@ func writeArtifact(t *testing.T, f *fixture) string {
 // TestServiceFromCompiledFile checks the service served from a
 // compiled artifact against the DB-built locator for every
 // compiled-servable algorithm: same entries, entry names resolve by
-// default, and estimates agree to within the quantization tolerance.
+// default, and estimates are identical — the artifact carries the very
+// records Compile builds.
 func TestServiceFromCompiledFile(t *testing.T) {
 	f := newFixture(t)
 	path := writeArtifact(t, f)
@@ -56,12 +55,9 @@ func TestServiceFromCompiledFile(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Quantization can flip near-ties, so bound the positional
-				// disagreement instead of demanding identity: within one
-				// grid cell of the float64 answer.
-				if d := math.Hypot(got.Estimate.Pos.X-want.Pos.X, got.Estimate.Pos.Y-want.Pos.Y); d > 8 {
-					t.Errorf("at %s: artifact answered %v, db answered %v (%.1f ft apart)",
-						name, got.Estimate.Pos, want.Pos, d)
+				if !reflect.DeepEqual(got.Estimate, want) {
+					t.Errorf("at %s: artifact answered %q %v, db answered %q %v",
+						name, got.Estimate.Name, got.Estimate.Pos, want.Name, want.Pos)
 				}
 				if got.NearestName == "" {
 					t.Errorf("at %s: no resolved name", name)
@@ -72,7 +68,7 @@ func TestServiceFromCompiledFile(t *testing.T) {
 }
 
 // TestArtifactLocateAllocParity is the acceptance bar for the mmap
-// path: serving from a memory-mapped quantized artifact must not add a
+// path: serving from a memory-mapped artifact must not add a
 // single hot-path allocation over the conventional in-memory locator.
 func TestArtifactLocateAllocParity(t *testing.T) {
 	f := newFixture(t)
@@ -83,7 +79,7 @@ func TestArtifactLocateAllocParity(t *testing.T) {
 	}
 	defer in.Close()
 
-	ref, err := buildLocator(AlgoProbabilistic, f.db, BuildConfig{Quantize: true, TopK: 4})
+	ref, err := buildLocator(AlgoProbabilistic, f.db, BuildConfig{TopK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,19 +112,21 @@ func TestNewCompiledErrors(t *testing.T) {
 	}
 }
 
+// TestBuildConfigQuantizeTopK pins that TopK reaches the built
+// locator and that the warmed locator serves the posting-list view.
 func TestBuildConfigQuantizeTopK(t *testing.T) {
 	f := newFixture(t)
-	loc, err := buildLocator(AlgoProbabilistic, f.db, BuildConfig{Quantize: true, TopK: 3})
+	loc, err := buildLocator(AlgoProbabilistic, f.db, BuildConfig{TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ml := loc.(*localize.MaxLikelihood)
-	if !ml.Quantize || ml.TopK != 3 {
-		t.Fatalf("options lost: quantize=%v topk=%d", ml.Quantize, ml.TopK)
+	if ml.TopK != 3 {
+		t.Fatalf("option lost: topk=%d", ml.TopK)
 	}
 	view := ml.CompiledView()
-	if view == nil || view.Quant == nil {
-		t.Fatal("warmed quantized locator has no quantized view")
+	if view == nil || len(view.Post) == 0 || len(view.PostStart) != view.NumAPs()+1 {
+		t.Fatal("warmed locator has no posting lists")
 	}
 	obs := localize.ObservationFromRecords(f.sc.Capture(f.db.Entries["grid-1-1"].Pos, 8, 0))
 	est, err := loc.Locate(obs)

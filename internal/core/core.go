@@ -63,10 +63,10 @@ type BuildConfig struct {
 	FloorRSSI float64
 	// K overrides the neighbour count for knn/wknn; zero means 3.
 	K int
-	// Quantize compiles the radio map into the int16-quantized form
-	// (per-AP scale/offset, ~¼ the matrix footprint, within the bounds
-	// documented in localize's parity tests). Applies to the
-	// probabilistic and kNN families; other algorithms ignore it.
+	// Quantize is ignored: every build serves the posting-list radio
+	// map.
+	//
+	// Deprecated: the int16 radio map is gone; leave it unset.
 	Quantize bool
 	// TopK bounds ranking to the best K candidates via a bounded-heap
 	// selection instead of a full sort. Zero keeps full ranking. Applies
@@ -99,7 +99,6 @@ func buildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (localize.Loc
 	case AlgoProbabilistic:
 		ml := localize.NewMaxLikelihood(db)
 		ml.FloorRSSI = floor
-		ml.Quantize = cfg.Quantize
 		ml.TopK = cfg.TopK
 		loc = ml
 	case AlgoHistogram:
@@ -114,20 +113,17 @@ func buildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (localize.Loc
 	case AlgoNNSS:
 		nn := localize.NewKNN(db, 1)
 		nn.FloorRSSI = floor
-		nn.Quantize = cfg.Quantize
 		nn.TopK = cfg.TopK
 		loc = nn
 	case AlgoKNN:
 		knn := localize.NewKNN(db, k)
 		knn.FloorRSSI = floor
-		knn.Quantize = cfg.Quantize
 		knn.TopK = cfg.TopK
 		loc = knn
 	case AlgoWKNN:
 		w := localize.NewKNN(db, k)
 		w.Weighted = true
 		w.FloorRSSI = floor
-		w.Quantize = cfg.Quantize
 		w.TopK = cfg.TopK
 		loc = w
 	case AlgoGeometric, AlgoGeometricLS, AlgoHybrid:
@@ -145,7 +141,6 @@ func buildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (localize.Loc
 		if name == AlgoHybrid {
 			ml := localize.NewMaxLikelihood(db)
 			ml.FloorRSSI = floor
-			ml.Quantize = cfg.Quantize
 			ml.TopK = cfg.TopK
 			h, err := localize.NewHybrid(ml, g)
 			if err != nil {

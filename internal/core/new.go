@@ -154,7 +154,7 @@ func WithDB(db *trainingdb.DB) Option {
 
 // WithCompiled serves a compiled radio-map view directly (the shape of
 // a decoded v2 artifact). Only the algorithms whose entire working
-// state derives from the compiled matrices apply: probabilistic, nnss,
+// state derives from the compiled view apply: probabilistic, nnss,
 // knn, wknn and sector. Histogram needs raw per-sample tables, and the
 // geometric family needs AP positions plus a propagation fit; train
 // those from a .tdb. The same holds for WithCompiledFile.
@@ -180,8 +180,8 @@ func WithAlgorithm(name string) Option {
 	return func(o *newOptions) { o.algo = name }
 }
 
-// WithConfig applies the locator build knobs (quantization, top-k, AP
-// positions, floor level, neighbour count).
+// WithConfig applies the locator build knobs (top-k, AP positions,
+// floor level, neighbour count).
 func WithConfig(cfg BuildConfig) Option {
 	return func(o *newOptions) { o.cfg = cfg }
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -72,8 +72,8 @@ func TestNewFromDB(t *testing.T) {
 
 // TestNewCompiledFileParity checks New(WithCompiledFile) with no
 // algorithm option: it serves the default probabilistic locator, entry
-// names resolve by default, and estimates agree with the DB-built
-// reference to within the quantization tolerance.
+// names resolve by default, and estimates are identical to the
+// DB-built reference's.
 func TestNewCompiledFileParity(t *testing.T) {
 	f := newFixture(t)
 	path := writeArtifact(t, f)
@@ -100,9 +100,9 @@ func TestNewCompiledFileParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := math.Hypot(got.Estimate.Pos.X-want.Pos.X, got.Estimate.Pos.Y-want.Pos.Y); d > 8 {
-			t.Errorf("at %s: artifact answered %v, db answered %v (%.1f ft apart)",
-				name, got.Estimate.Pos, want.Pos, d)
+		if !reflect.DeepEqual(got.Estimate, want) {
+			t.Errorf("at %s: artifact answered %q %v, db answered %q %v",
+				name, got.Estimate.Name, got.Estimate.Pos, want.Name, want.Pos)
 		}
 	}
 }

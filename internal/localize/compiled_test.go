@@ -14,12 +14,14 @@ import (
 )
 
 // This file is the compiled-vs-map equivalence property suite: the
-// scoring loops now run against trainingdb.Compiled matrices, and the
+// scoring loops now run against trainingdb.Compiled views, and the
 // reference implementations below preserve the original string-keyed
 // map walks verbatim. Randomized databases (sparse AP coverage,
 // constant-sample sigmas, unknown observation BSSIDs) must produce
 // identical names, positions and candidate orderings through both
-// paths for every algorithm.
+// paths for the histogram and sector algorithms, and answers within
+// the derived float32 record bounds (quant_test.go) for the
+// maximum-likelihood and kNN families.
 
 // randomTrainDB builds a database with nEntries locations over at most
 // nAPs access points; each location hears each AP with probability
@@ -379,9 +381,10 @@ func compareEstimates(t *testing.T, tag string, got Estimate, gotErr error, want
 }
 
 // TestCompiledMatchesMapBased is the equivalence property: over
-// randomized databases and observations, every algorithm must return
-// identical estimates through the compiled matrices and through the
-// original map walk.
+// randomized databases and observations, every algorithm must answer
+// through the compiled view as through the original map walk —
+// identically for histogram and sector, within float32ScoreBound and
+// float32DistBound for the posting scans.
 func TestCompiledMatchesMapBased(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -414,37 +417,21 @@ func TestCompiledMatchesMapBased(t *testing.T) {
 				return fmt.Sprintf("seed %d trial %d %s", seed, trial, algo)
 			}
 
-			est, err := ml.Locate(obs)
-			want, wantErr := refMaxLikelihood(ml, obs)
-			compareEstimates(t, tag("ml"), est, err, want, wantErr)
+			checkML(t, tag("ml"), ml, obs)
+			checkML(t, tag("ml-expected"), mlExp, obs)
+			checkML(t, tag("ml-minoverlap"), mlStrict, obs)
 
-			est, err = mlExp.Locate(obs)
-			want, wantErr = refMaxLikelihood(mlExp, obs)
-			compareEstimates(t, tag("ml-expected"), est, err, want, wantErr)
-
-			est, err = mlStrict.Locate(obs)
-			want, wantErr = refMaxLikelihood(mlStrict, obs)
-			compareEstimates(t, tag("ml-minoverlap"), est, err, want, wantErr)
-
-			est, err = hist.Locate(obs)
-			want, wantErr = refHistogram(hist, obs)
+			est, err := hist.Locate(obs)
+			want, wantErr := refHistogram(hist, obs)
 			compareEstimates(t, tag("histogram"), est, err, want, wantErr)
 
 			est, err = histCoarse.Locate(obs)
 			want, wantErr = refHistogram(histCoarse, obs)
 			compareEstimates(t, tag("histogram-coarse"), est, err, want, wantErr)
 
-			est, err = nnss.Locate(obs)
-			want, wantErr = refKNN(nnss, obs)
-			compareEstimates(t, tag("nnss"), est, err, want, wantErr)
-
-			est, err = knn.Locate(obs)
-			want, wantErr = refKNN(knn, obs)
-			compareEstimates(t, tag("knn"), est, err, want, wantErr)
-
-			est, err = wknn.Locate(obs)
-			want, wantErr = refKNN(wknn, obs)
-			compareEstimates(t, tag("wknn"), est, err, want, wantErr)
+			checkKNN(t, tag("nnss"), nnss, obs)
+			checkKNN(t, tag("knn"), knn, obs)
+			checkKNN(t, tag("wknn"), wknn, obs)
 
 			est, err = sec.Locate(obs)
 			want, wantErr = refSector(sec, obs)

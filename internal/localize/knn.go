@@ -17,7 +17,8 @@ import (
 //
 // Distances are computed against a compiled radio map built on first
 // use: each entry's squared distance starts from the precomputed
-// all-at-floor baseline and only the heard columns are corrected. The
+// all-at-floor baseline and only the heard columns' postings are
+// corrected. The
 // database and the K/Floor configuration must not change after the
 // first Locate or Warm call.
 type KNN struct {
@@ -32,9 +33,6 @@ type KNN struct {
 	// effective bound never drops below K — the centroid always sees
 	// its neighbours.
 	TopK int
-	// Quantize compiles the radio map to int16 matrices (format v2), as
-	// in MaxLikelihood.
-	Quantize bool
 	// Precompiled, when set, is served directly instead of compiling
 	// DB, as in MaxLikelihood. SignalDistance still walks DB and is
 	// unavailable without one.
@@ -68,7 +66,7 @@ func (k *KNN) kVal() int {
 }
 
 // Warm implements Warmer: it compiles the radio map eagerly (or adopts
-// Precompiled), quantizing it when Quantize is set.
+// Precompiled).
 func (k *KNN) Warm() error {
 	if k.Precompiled == nil && (k.DB == nil || k.DB.Len() == 0) {
 		return errors.New("localize: KNN has no training database")
@@ -80,10 +78,6 @@ func (k *KNN) Warm() error {
 			// The spread parameter is irrelevant to signal distances; only
 			// the floor level matters here.
 			k.compiled = k.DB.Compile(k.FloorRSSI, 4)
-		}
-		if k.Quantize {
-			k.compiled.Quantize()
-			k.compiled.ReleaseFloat64()
 		}
 	})
 	return nil
@@ -143,11 +137,7 @@ func (k *KNN) Locate(obs Observation) (Estimate, error) {
 		topk = k.kVal() // the centroid needs at least K neighbours
 	}
 	scores := sc.scores(len(c.Names))
-	if c.Quant != nil {
-		k.scorePostings(c, cols, vals, scores)
-	} else {
-		k.scoreAll(c, cols, vals, scores)
-	}
+	scoreDistances(c, cols, vals, scores)
 	candidates := rankScores(c, scores, topk, sc)
 	kk := k.kVal()
 	if kk > len(candidates) {
@@ -182,52 +172,28 @@ func (k *KNN) Locate(obs Observation) (Estimate, error) {
 	}, nil
 }
 
-// scoreAll computes every entry's negated signal distance. The
-// baseline assumes every column reads the floor; each heard column
-// replaces its floor term with the observed one. Mean holds the floor
-// level for untrained cells, so one load covers both cases.
+// scoreDistances computes every entry's negated signal distance over
+// the posting lists. The baseline assumes every column reads the
+// floor F. With t a trained cell's mean, a heard column's correction
+// (v−t)² − (F−t)² equals (v−F)² + 2(v−F)(F−t); an untrained cell
+// reads the floor on the training side, so only (v−F)² remains. So
+// every entry starts from its baseline plus Σ_h (v_h−F)², and each
+// heard column's postings add 2(v−F)(F−Center). Accumulators are
+// float64 throughout.
 //
 //loclint:hotpath
-func (k *KNN) scoreAll(c *trainingdb.Compiled, cols []int32, vals, scores []float64) {
-	nAP := len(c.BSSIDs)
-	for i := range scores {
-		sum := c.SignalBase[i]
-		base := i * nAP
-		for h, j := range cols {
-			t := c.Mean[base+int(j)]
-			dv := vals[h] - t
-			df := c.FloorRSSI - t
-			sum += dv*dv - df*df
-		}
-		if sum < 0 {
-			sum = 0 // guard the sqrt against rounding on near-exact matches
-		}
-		scores[i] = -math.Sqrt(sum)
-	}
-}
-
-// scorePostings is scoreAll over the int16 posting lists. With t a
-// cell's mean and F the floor, a heard column's correction
-// (v−t)² − (F−t)² equals (v−F)² + 2(v−F)(F−t), and the second term
-// vanishes on untrained cells, whose mean is the floor (dequantized,
-// within half its column's code step of it). So every entry starts
-// from its quantized baseline plus Σ_h (v_h−F)², and each heard
-// column's postings add 2(v−F)(F−Center). Accumulators are float64
-// throughout.
-//
-//loclint:hotpath
-func (k *KNN) scorePostings(c *trainingdb.Compiled, cols []int32, vals, scores []float64) {
-	q, floor := c.Quant, c.FloorRSSI
+func scoreDistances(c *trainingdb.Compiled, cols []int32, vals, scores []float64) {
+	floor := c.FloorRSSI
 	var heard float64
 	for _, v := range vals {
 		heard += (v - floor) * (v - floor)
 	}
 	for i := range scores {
-		scores[i] = q.SignalBase[i] + heard
+		scores[i] = c.SignalBase[i] + heard
 	}
 	for h, j := range cols {
 		w := 2 * (vals[h] - floor)
-		for _, p := range q.Post[q.PostStart[j]:q.PostStart[j+1]] {
+		for _, p := range c.Post[c.PostStart[j]:c.PostStart[j+1]] {
 			scores[p.Entry] += w * (floor - float64(p.Center))
 		}
 	}

@@ -22,9 +22,9 @@ import (
 //
 // Scoring runs against a compiled radio map (trainingdb.Compiled)
 // built on first use: each entry starts from its precomputed
-// "heard nothing" baseline and only the observation's heard columns
-// are corrected, so one Locate is O(entries × heard APs) over flat
-// matrices with no map lookups. The database and the Floor/MinOverlap
+// "heard nothing" baseline and only the heard columns' posting lists
+// are walked, so one Locate is O(entries + heard postings) with no map
+// lookups. The database and the Floor/MinOverlap
 // configuration must not change after the first Locate or Warm call.
 type MaxLikelihood struct {
 	DB *trainingdb.DB
@@ -50,10 +50,6 @@ type MaxLikelihood struct {
 	// retained candidates only — on radio maps large enough for TopK to
 	// matter the posterior mass beyond the leaders is negligible.
 	TopK int
-	// Quantize compiles the radio map to int16 matrices (format v2) and
-	// drops the float64 originals, quartering the scan's memory traffic
-	// at ≤ 10⁻³ dB dequantization error. See trainingdb.Quant.
-	Quantize bool
 	// Precompiled, when set, is served directly instead of compiling
 	// DB — the mmap-loaded artifact path. DB may then be nil. The view's
 	// own floor parameters govern scoring.
@@ -73,7 +69,7 @@ func NewMaxLikelihood(db *trainingdb.DB) *MaxLikelihood {
 func (m *MaxLikelihood) Name() string { return "probabilistic-ml" }
 
 // Warm implements Warmer: it compiles the radio map eagerly (or adopts
-// Precompiled), quantizing it when Quantize is set.
+// Precompiled).
 func (m *MaxLikelihood) Warm() error {
 	if m.Precompiled == nil && (m.DB == nil || m.DB.Len() == 0) {
 		return errors.New("localize: MaxLikelihood has no training database")
@@ -83,10 +79,6 @@ func (m *MaxLikelihood) Warm() error {
 			m.compiled = m.Precompiled
 		} else {
 			m.compiled = m.DB.Compile(m.FloorRSSI, m.FloorSigma)
-		}
-		if m.Quantize {
-			m.compiled.Quantize()
-			m.compiled.ReleaseFloat64()
 		}
 	})
 	return nil
@@ -130,11 +122,7 @@ func (m *MaxLikelihood) Locate(obs Observation) (Estimate, error) {
 	// Score every entry into the pooled buffer; only the returned
 	// candidates are built from it.
 	scores := sc.scores(len(c.Names))
-	if c.Quant != nil {
-		scorePostings(c.Quant, cols, vals, aux, scores)
-	} else {
-		m.scoreAll(c, cols, vals, aux, scores)
-	}
+	scorePostings(c, cols, vals, aux, scores)
 	candidates := rankScores(c, scores, m.TopK, sc)
 	best := candidates[0]
 	est := Estimate{
@@ -149,51 +137,26 @@ func (m *MaxLikelihood) Locate(obs Observation) (Estimate, error) {
 	return est, nil
 }
 
-// scoreAll scores every entry: each starts at its precomputed
-// all-unheard baseline; heard columns swap the floor term for the
-// trained Gaussian (or add the observation-side floor term when the
-// entry never heard the AP) — absence is evidence too.
+// scorePostings scores every entry over the posting lists, visiting
+// trained cells only. Every entry starts from its all-unheard baseline
+// plus the untrained term of every heard column — absence is evidence
+// too; each heard column's postings then swap that term for the
+// Gaussian correction, from the record's precomputed center, half
+// precision and constant (trainingdb.Posting). Trained is not read.
+// Arithmetic and accumulation are float64.
 //
 //loclint:hotpath
-func (m *MaxLikelihood) scoreAll(c *trainingdb.Compiled, cols []int32, vals, aux, scores []float64) {
-	nAP := len(c.BSSIDs)
-	for i := range scores {
-		ll := c.UnheardLL[i]
-		base := i * nAP
-		for h, j := range cols {
-			cell := base + int(j)
-			if c.Trained[cell] {
-				d := (vals[h] - c.Mean[cell]) / c.Sigma[cell]
-				ll += -d*d/2 + c.LogNorm[cell] - c.FloorLL[cell]
-			} else {
-				ll += aux[h]
-			}
-		}
-		scores[i] = ll
-	}
-}
-
-// scorePostings is scoreAll over the int16 posting lists, visiting
-// trained cells only. Every entry starts from its quantized all-unheard
-// baseline plus the untrained term of every heard column; each heard
-// column's postings then add the Gaussian correction minus that
-// column's untrained term, from the record's precomputed center, half
-// precision and constant (trainingdb.Posting). The per-cell algebra is
-// scoreAll's, and neither Trained nor the dense code matrices are
-// read. Arithmetic and accumulation are float64.
-//
-//loclint:hotpath
-func scorePostings(q *trainingdb.Quant, cols []int32, vals, aux, scores []float64) {
+func scorePostings(c *trainingdb.Compiled, cols []int32, vals, aux, scores []float64) {
 	var unheard float64
 	for _, a := range aux {
 		unheard += a
 	}
 	for i := range scores {
-		scores[i] = q.UnheardLL[i] + unheard
+		scores[i] = c.UnheardLL[i] + unheard
 	}
 	for h, j := range cols {
 		v, a := vals[h], aux[h]
-		for _, p := range q.Post[q.PostStart[j]:q.PostStart[j+1]] {
+		for _, p := range c.Post[c.PostStart[j]:c.PostStart[j+1]] {
 			d := (v - float64(p.Center)) * float64(p.HalfPrec)
 			scores[p.Entry] += float64(p.Const) - a - d*d
 		}

@@ -4,90 +4,248 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"indoorloc/internal/geom"
 	"indoorloc/internal/sim"
 	"indoorloc/internal/stats"
 	"indoorloc/internal/trainingdb"
 )
 
-// Quantization accuracy parity (format v2). The int16 codes reproduce
-// each matrix cell within half a code step of its AP column's value
-// range — ≤ (max−min)/131068, about 7·10⁻⁴ dB for a 90 dB RSSI column
-// (see trainingdb.QuantLevels). Propagated through the scoring
-// algebra, the worst-case per-candidate score deltas are:
-//
-//   - MaxLikelihood: each heard column perturbs the log-likelihood
-//     through mean, σ, log-norm and floor terms; on the RSSI and σ
-//     ranges the suite generates, the observed delta stays within
-//     relTol = 2·10⁻³ of the score's magnitude (entries far from the
-//     observation carry |score| in the hundreds, so a relative bound
-//     is the honest one — their absolute delta can reach ~0.5 while
-//     the leaders' sit below 10⁻³). The relative bound is empirical:
-//     int16ScoreBound is the guaranteed per-entry one, and dense venues
-//     with a σ clamped far from the floor exceed relTol within it.
-//   - KNN: the signal distance moves by at most
-//     Σ_heard 2·|dv−df|·ε / (2·√sum) — bounded here by absTol = 0.05 dB.
-//
-// A near-tie between the float64 top-1 and runner-up can flip under
-// those deltas; parity therefore demands an identical winner unless
-// the float64 gap itself is inside the tolerance.
-const (
-	quantRelTol = 2e-3
-	quantAbsTol = 0.05
-)
+// Oracle bounds for the posting scans. Compile rounds each record
+// field once from the database's float64 statistics to float32; the
+// baselines and every accumulator stay float64. So a compiled score
+// differs from the uncompiled map-walking reference (refMaxLikelihood,
+// KNN.SignalDistance) by the records' float32 rounding, derived per
+// entry below, plus float64 rounding of the sums. The bounds are
+// computed from the records themselves, so they hold for any view
+// whose records round float64 cells: a fresh Compile, or a legacy
+// float64 artifact.
 
-func relClose(a, ref, relTol float64) bool {
-	return math.Abs(a-ref) <= relTol*math.Max(1, math.Abs(ref))
+// f32Rel bounds the relative error of rounding a float64 to float32:
+// half a float32 ulp, 2⁻²⁴ of the value (normal range).
+const f32Rel = 1.0 / (1 << 24)
+
+// sumRel bounds the relative float64 rounding of a scan's sums against
+// the reference's differently ordered sums: a few hundred terms at
+// 2⁻⁵³ each, taken of the terms' total magnitude.
+const sumRel = 1e-12
+
+// postingOf returns entry i's record in column j's list.
+func postingOf(c *trainingdb.Compiled, i int, j int32) (trainingdb.Posting, bool) {
+	list := c.Post[c.PostStart[j]:c.PostStart[j+1]]
+	k := sort.Search(len(list), func(k int) bool { return int(list[k].Entry) >= i })
+	if k < len(list) && int(list[k].Entry) == i {
+		return list[k], true
+	}
+	return trainingdb.Posting{}, false
 }
 
-// compareQuantParity checks one estimate pair: bounded per-candidate
-// score deltas (matched by name — near-ties may reorder) and an
-// identical winner unless the reference ranking was itself a near-tie.
-func compareQuantParity(t *testing.T, tag string, ref, quant Estimate, relTol, absTol float64) {
-	t.Helper()
-	if len(quant.Candidates) != len(ref.Candidates) {
-		t.Fatalf("%s: %d candidates, reference %d", tag, len(quant.Candidates), len(ref.Candidates))
+// heardColumns maps each interned heard column to its observed level.
+func heardColumns(c *trainingdb.Compiled, obs Observation) map[int32]float64 {
+	cols, vals := c.Intern(obs, nil, nil)
+	heard := make(map[int32]float64, len(cols))
+	for h, j := range cols {
+		heard[j] = vals[h]
 	}
-	scores := make(map[string]float64, len(ref.Candidates))
-	for _, c := range ref.Candidates {
-		scores[c.Name] = c.Score
-	}
-	for _, c := range quant.Candidates {
-		r, ok := scores[c.Name]
+	return heard
+}
+
+// float32ScoreBound is the guaranteed error of entry i's compiled
+// maximum-likelihood score against exact statistics. Only heard
+// trained cells differ: unheard trained cells contribute the same
+// float64 floor term on both sides, and heard untrained cells the same
+// observation-side floor term. A record rounds three values, each by
+// at most ½ ulp₃₂: Center = mean, HalfPrec = h = 1/(σ√2) and
+// Const = logNorm − floorLL. Read back from the record, the mean lies
+// within δ = f32Rel·|Center|/(1−f32Rel) of Center and h in
+// [HalfPrec/(1+f32Rel), HalfPrec/(1−f32Rel)], so with a = |v − Center|
+// both the kernel's d = (v−Center)·HalfPrec and the exact (v−mean)·h
+// lie in [max(0, a−δ)·HalfPrec/(1+f32Rel), (a+δ)·HalfPrec/(1−f32Rel)],
+// and d² moves by at most the width of that interval's square; the
+// constant adds f32Rel·|Const|/(1−f32Rel). The sums add sumRel of
+// their magnitude.
+func float32ScoreBound(c *trainingdb.Compiled, heard map[int32]float64, i int) float64 {
+	var b, mag float64
+	mag = math.Abs(c.UnheardLL[i])
+	for j, v := range heard {
+		mag += math.Abs(stats.LogGaussianPDF(v, c.FloorRSSI, c.FloorSigma))
+		p, ok := postingOf(c, i, j)
 		if !ok {
-			t.Fatalf("%s: quantized ranking invented candidate %q", tag, c.Name)
+			continue
 		}
-		if relTol > 0 && !relClose(c.Score, r, relTol) {
-			t.Fatalf("%s: %q score %v, reference %v (rel bound %v)", tag, c.Name, c.Score, r, relTol)
-		}
-		if absTol > 0 && math.Abs(c.Score-r) > absTol {
-			t.Fatalf("%s: %q score %v, reference %v (abs bound %v)", tag, c.Name, c.Score, r, absTol)
+		center, hp, k := float64(p.Center), float64(p.HalfPrec), float64(p.Const)
+		a, dc := math.Abs(v-center), f32Rel*math.Abs(center)/(1-f32Rel)
+		hi := (a + dc) * hp / (1 - f32Rel)
+		lo := math.Max(0, a-dc) * hp / (1 + f32Rel)
+		b += f32Rel*math.Abs(k)/(1-f32Rel) + hi*hi - lo*lo
+		mag += math.Abs(k) + hi*hi
+	}
+	return b + sumRel*mag
+}
+
+// float32DistBound is the guaranteed error of entry i's compiled kNN
+// distance against KNN.SignalDistance, given the compiled distance
+// dist. Each heard trained cell adds 2(v−F)(F−Center) where the exact
+// sum adds 2(v−F)(F−mean), so the squared distance moves by at most
+// Σ 2|v−F|·δ with δ the Center rounding of float32ScoreBound, plus
+// sumRel of the sums' magnitude; call that E. Then the distance moves
+// by at most min(√E, E/dist).
+func float32DistBound(c *trainingdb.Compiled, heard map[int32]float64, i int, dist float64) float64 {
+	floor := c.FloorRSSI
+	e, mag := 0.0, c.SignalBase[i]
+	for j, v := range heard {
+		mag += (v - floor) * (v - floor)
+		if p, ok := postingOf(c, i, j); ok {
+			w := 2 * math.Abs(v-floor)
+			e += w * f32Rel * math.Abs(float64(p.Center)) / (1 - f32Rel)
+			mag += w * math.Abs(floor-float64(p.Center))
 		}
 	}
-	if quant.Name == ref.Name {
+	e += sumRel * mag
+	if dist > 0 {
+		return math.Min(math.Sqrt(e), e/dist)
+	}
+	return math.Sqrt(e)
+}
+
+// checkBoundedRanking checks a compiled estimate's candidates against
+// the reference's: the same candidates, each score within its bound
+// (matched by name), and a ranking that departs from the reference's
+// only on near-ties — any pair ranked against the reference order must
+// lie within their summed bounds. It returns the reference scores by
+// name.
+func checkBoundedRanking(t *testing.T, tag string, got, want Estimate, bound map[string]float64) map[string]float64 {
+	t.Helper()
+	if len(got.Candidates) != len(want.Candidates) {
+		t.Fatalf("%s: %d candidates, reference %d", tag, len(got.Candidates), len(want.Candidates))
+	}
+	ref := make(map[string]float64, len(want.Candidates))
+	for _, c := range want.Candidates {
+		ref[c.Name] = c.Score
+	}
+	for _, c := range got.Candidates {
+		r, ok := ref[c.Name]
+		if !ok {
+			t.Fatalf("%s: compiled ranking invented candidate %q", tag, c.Name)
+		}
+		if d := math.Abs(c.Score - r); d > bound[c.Name] {
+			t.Fatalf("%s: %q score %v, reference %v: error %v over the float32 bound %v",
+				tag, c.Name, c.Score, r, d, bound[c.Name])
+		}
+	}
+	for a := range got.Candidates {
+		for b := a + 1; b < len(got.Candidates); b++ {
+			x, y := got.Candidates[a].Name, got.Candidates[b].Name
+			if ref[y]-ref[x] > bound[x]+bound[y] {
+				t.Fatalf("%s: %q ranked above %q, reference scores %v < %v beyond their bounds",
+					tag, x, y, ref[x], ref[y])
+			}
+		}
+	}
+	return ref
+}
+
+// reweightedPosBound bounds how far a weighted mean of positions moves
+// when each weight is scaled by a factor within [e^−ε, e^ε]: the
+// normalized weights move by at most (e^{2ε}−1) of themselves, so the
+// mean moves by at most (e^{2ε}−1)·max|p − mean|.
+func reweightedPosBound(cands []Candidate, mean geom.Point, eps float64) float64 {
+	var r float64
+	for _, c := range cands {
+		r = math.Max(r, c.Pos.Dist(mean))
+	}
+	return math.Expm1(2*eps)*r + 1e-9
+}
+
+// checkML compares a MaxLikelihood Locate against refMaxLikelihood
+// under float32ScoreBound.
+func checkML(t *testing.T, tag string, m *MaxLikelihood, obs Observation) {
+	t.Helper()
+	got, gotErr := m.Locate(obs)
+	want, wantErr := refMaxLikelihood(m, obs)
+	if (gotErr == nil) != (wantErr == nil) || (wantErr != nil && gotErr != wantErr) {
+		t.Fatalf("%s: error mismatch: compiled %v, reference %v", tag, gotErr, wantErr)
+	}
+	if wantErr != nil {
 		return
 	}
-	// Different winner: only acceptable when the reference top-1 and
-	// runner-up were closer than the quantization tolerance.
-	if len(ref.Candidates) < 2 {
-		t.Fatalf("%s: winner %q, reference %q with no runner-up", tag, quant.Name, ref.Name)
+	c := m.CompiledView()
+	heard := heardColumns(c, obs)
+	bound := make(map[string]float64, len(c.Names))
+	eps := 0.0
+	for i, name := range c.Names {
+		bound[name] = float32ScoreBound(c, heard, i)
+		eps = math.Max(eps, bound[name])
 	}
-	gap := ref.Candidates[0].Score - ref.Candidates[1].Score
-	lim := 2 * relTol * math.Max(1, math.Abs(ref.Candidates[0].Score))
-	if absTol > 0 {
-		lim = 2 * absTol
-	}
-	if gap > lim {
-		t.Fatalf("%s: winner %q, reference %q with gap %v (tolerance %v)",
-			tag, quant.Name, ref.Name, gap, lim)
+	checkBoundedRanking(t, tag, got, want, bound)
+	if m.ExpectedPosition {
+		if d := got.Pos.Dist(want.Pos); d > reweightedPosBound(want.Candidates, want.Pos, eps) {
+			t.Fatalf("%s: expected position %v, reference %v (%v apart)", tag, got.Pos, want.Pos, d)
+		}
+	} else if got.Name == want.Name && got.Pos != want.Pos {
+		t.Fatalf("%s: position %v, reference %v", tag, got.Pos, want.Pos)
 	}
 }
 
-// TestQuantizedScoringParity is the randomized property: over sparse
-// random radio maps, quantized MaxLikelihood and KNN scoring must stay
-// within the documented score-delta bounds of the float64 path and
-// pick the same top-1 outside near-ties.
+// checkKNN compares a KNN Locate against refKNN (KNN.SignalDistance)
+// under float32DistBound.
+func checkKNN(t *testing.T, tag string, k *KNN, obs Observation) {
+	t.Helper()
+	got, gotErr := k.Locate(obs)
+	want, wantErr := refKNN(k, obs)
+	if (gotErr == nil) != (wantErr == nil) || (wantErr != nil && gotErr != wantErr) {
+		t.Fatalf("%s: error mismatch: compiled %v, reference %v", tag, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	c := k.CompiledView()
+	heard := heardColumns(c, obs)
+	entry := make(map[string]int, len(c.Names))
+	for i, name := range c.Names {
+		entry[name] = i
+	}
+	bound := make(map[string]float64, len(got.Candidates))
+	for _, cand := range got.Candidates {
+		bound[cand.Name] = float32DistBound(c, heard, entry[cand.Name], -cand.Score)
+	}
+	checkBoundedRanking(t, tag, got, want, bound)
+	kk := min(k.kVal(), len(want.Candidates))
+	same := true
+	for i := 0; i < kk; i++ {
+		found := false
+		for _, w := range want.Candidates[:kk] {
+			found = found || w.Name == got.Candidates[i].Name
+		}
+		same = same && found
+	}
+	if !same {
+		return // a near-tie at the K-th place, allowed by the ranking check
+	}
+	if got.Name != want.Name {
+		t.Fatalf("%s: Name = %q, reference %q", tag, got.Name, want.Name)
+	}
+	tol := 1e-9
+	if k.Weighted {
+		// Weight 1/(10⁻⁶+d) scales by at most (10⁻⁶+d)/(10⁻⁶+d−b).
+		eps := 0.0
+		for _, w := range want.Candidates[:kk] {
+			d := 1e-6 - w.Score
+			eps = math.Max(eps, math.Log(d/(d-bound[w.Name])))
+		}
+		tol = reweightedPosBound(want.Candidates[:kk], want.Pos, eps)
+	}
+	if d := got.Pos.Dist(want.Pos); d > tol {
+		t.Fatalf("%s: Pos = %v, reference %v (%v apart, tolerance %v)", tag, got.Pos, want.Pos, d, tol)
+	}
+}
+
+// TestQuantizedScoringParity is the randomized property over sparse
+// random radio maps: MaxLikelihood and KNN scoring over the float32
+// posting records stay within the derived bounds of the uncompiled
+// oracles and pick the same top-1 outside near-ties.
 func TestQuantizedScoringParity(t *testing.T) {
 	for seed := int64(40); seed < 46; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -95,51 +253,28 @@ func TestQuantizedScoringParity(t *testing.T) {
 		if len(db.BSSIDs) == 0 {
 			continue
 		}
-		mlF := NewMaxLikelihood(db)
-		mlQ := NewMaxLikelihood(db)
-		mlQ.Quantize = true
-		knnF := NewKNN(db, 3)
-		knnQ := NewKNN(db, 3)
-		knnQ.Quantize = true
-
+		ml := NewMaxLikelihood(db)
+		knn := NewKNN(db, 3)
 		for trial := 0; trial < 10; trial++ {
 			obs := randomObs(rng, db, 0.2+rng.Float64()*0.7)
 			if len(obs) == 0 {
 				continue
 			}
 			tag := fmt.Sprintf("seed %d trial %d", seed, trial)
-
-			refEst, refErr := mlF.Locate(obs)
-			qEst, qErr := mlQ.Locate(obs)
-			if (refErr == nil) != (qErr == nil) {
-				t.Fatalf("%s ml: err %v vs %v", tag, qErr, refErr)
-			}
-			if refErr == nil {
-				compareQuantParity(t, tag+" ml", refEst, qEst, quantRelTol, 0)
-			}
-
-			refEst, refErr = knnF.Locate(obs)
-			qEst, qErr = knnQ.Locate(obs)
-			if (refErr == nil) != (qErr == nil) {
-				t.Fatalf("%s knn: err %v vs %v", tag, qErr, refErr)
-			}
-			if refErr == nil {
-				compareQuantParity(t, tag+" knn", refEst, qEst, 0, quantAbsTol)
-			}
+			checkML(t, tag+" ml", ml, obs)
+			checkKNN(t, tag+" knn", knn, obs)
 		}
 	}
 }
 
-// TestQuantizedTopKConsistent pins that quantization and bounded
-// selection compose: the quantized TopK prefix equals the quantized
-// full ranking's prefix exactly (both score over the same codes).
+// TestQuantizedTopKConsistent pins that the record scan and bounded
+// selection compose: the TopK prefix equals the full ranking's prefix
+// exactly (both score over the same records).
 func TestQuantizedTopKConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	db := randomTrainDB(rng, 120, 10, 0.5)
 	full := NewMaxLikelihood(db)
-	full.Quantize = true
 	top := NewMaxLikelihood(db)
-	top.Quantize = true
 	top.TopK = 6
 	for trial := 0; trial < 8; trial++ {
 		obs := randomObs(rng, db, 0.6)
@@ -179,11 +314,10 @@ func simHouseDB(t *testing.T, scen sim.Scenario, seed int64, sweeps int) *traini
 	return db
 }
 
-// TestQuantizedParitySimulated runs the parity property on the paper's
+// TestQuantizedParitySimulated runs the oracle property on the paper's
 // simulated house and the larger office wing: working-phase captures
-// at every training point must localize to the same top-1 through the
-// quantized matrices as through float64 (sim observations are never
-// near-tied — distinct rooms differ by whole dB).
+// at every third training point localize within float32ScoreBound of
+// the uncompiled reference, to the same top-1 outside near-ties.
 func TestQuantizedParitySimulated(t *testing.T) {
 	for _, scen := range []sim.Scenario{sim.PaperHouse(), sim.OfficeWing()} {
 		db := simHouseDB(t, scen, 9, 15)
@@ -195,9 +329,7 @@ func TestQuantizedParitySimulated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mlF := NewMaxLikelihood(db)
-		mlQ := NewMaxLikelihood(db)
-		mlQ.Quantize = true
+		ml := NewMaxLikelihood(db)
 		sc := sim.NewScanner(env, 77)
 		for i, name := range grid.Names() {
 			if i%3 != 0 { // every third point keeps OfficeWing's runtime down
@@ -208,95 +340,39 @@ func TestQuantizedParitySimulated(t *testing.T) {
 			if len(obs) == 0 {
 				continue
 			}
-			refEst, refErr := mlF.Locate(obs)
-			qEst, qErr := mlQ.Locate(obs)
-			if refErr != nil || qErr != nil {
-				t.Fatalf("%s %s: errs %v / %v", scen.Name, name, refErr, qErr)
-			}
-			compareQuantParity(t, scen.Name+" "+name, refEst, qEst, quantRelTol, 0)
+			checkML(t, scen.Name+" "+name, ml, obs)
 		}
 	}
 }
 
-// dequantCell returns cell (column j)'s four dequantized statistics.
-func dequantCell(q *trainingdb.Quant, cell int, j int32) (mean, sigma, logNorm, floorLL float64) {
-	return q.MeanOff[j] + q.MeanScale[j]*float64(q.MeanQ[cell]),
-		q.SigmaOff[j] + q.SigmaScale[j]*float64(q.SigmaQ[cell]),
-		q.LogNormOff[j] + q.LogNormScale[j]*float64(q.LogNormQ[cell]),
-		q.FloorLLOff[j] + q.FloorLLScale[j]*float64(q.FloorLLQ[cell])
-}
-
-// denseQuantScores is the int16 maximum-likelihood scan before posting
-// lists: every entry × heard column cell, dense codes dequantized in
-// float64, Trained branch. It is the reference the posting scan must
-// match up to its float32 records and summation order.
-func denseQuantScores(c *trainingdb.Compiled, cols []int32, vals, aux []float64) []float64 {
-	q := c.Quant
-	nAP := c.NumAPs()
+// denseScores is the maximum-likelihood score of every entry walked
+// cell by cell over the database's exact float64 statistics — the
+// reference the posting kernel must match up to its records' float32
+// rounding and the summation order.
+func denseScores(db *trainingdb.DB, c *trainingdb.Compiled, obs Observation) []float64 {
 	scores := make([]float64, c.NumEntries())
-	for i := range scores {
-		ll := q.UnheardLL[i]
-		for h, j := range cols {
-			cell := i*nAP + int(j)
-			if !c.Trained[cell] {
-				ll += aux[h]
-				continue
+	for i, name := range c.Names {
+		e := db.Entries[name]
+		for _, b := range c.BSSIDs {
+			s, trained := e.PerAP[b]
+			v, heard := obs[b]
+			switch {
+			case trained && heard:
+				scores[i] += stats.LogGaussianPDF(v, s.Mean, s.StdDev)
+			case trained:
+				scores[i] += stats.LogGaussianPDF(c.FloorRSSI, s.Mean, s.StdDev)
+			case heard:
+				scores[i] += stats.LogGaussianPDF(v, c.FloorRSSI, c.FloorSigma)
 			}
-			mean, sigma, logNorm, floorLL := dequantCell(q, cell, j)
-			d := (vals[h] - mean) / sigma
-			ll += -d*d/2 + logNorm - floorLL
 		}
-		scores[i] = ll
 	}
 	return scores
 }
 
-// f32Rel bounds the relative error of rounding a float64 to float32:
-// half a float32 ulp, 2⁻²⁴ of the value (normal range).
-const f32Rel = 1.0 / (1 << 24)
-
-// float32ScoreBound is the guaranteed per-entry score error the
-// posting records' float32 rounding adds over the dequantized float64
-// cells. A record rounds three values, each by at most ½ ulp₃₂:
-// Center within f32Rel·|mean|, HalfPrec = 1/(σ√2) within f32Rel
-// relative, and Const = logNorm − floorLL within f32Rel·|Const|. With
-// a = |v − mean| and h = 1/(σ√2), the kernel's d = (v−Center)·HalfPrec
-// then lies in [(a − f32Rel·|mean|)·h·(1−f32Rel),
-// (a + f32Rel·|mean|)·h·(1+f32Rel)], so d² moves by at most the width
-// of that interval's square; the constant adds its own rounding. Only
-// heard trained cells have records in play.
-func float32ScoreBound(c *trainingdb.Compiled, obs map[int32]float64, i int) float64 {
-	q, nAP := c.Quant, c.NumAPs()
-	var b float64
-	for j, v := range obs {
-		cell := i*nAP + int(j)
-		if !c.Trained[cell] {
-			continue
-		}
-		mean, sigma, logNorm, floorLL := dequantCell(q, cell, j)
-		a, dc, h := math.Abs(v-mean), f32Rel*math.Abs(mean), 1/(sigma*math.Sqrt2)
-		hi := (a + dc) * h * (1 + f32Rel)
-		lo := math.Max(0, a-dc) * h * (1 - f32Rel)
-		b += f32Rel*math.Abs(logNorm-floorLL) + hi*hi - lo*lo
-	}
-	return b
-}
-
-// heardColumns maps each interned heard column to its observed level.
-func heardColumns(c *trainingdb.Compiled, obs Observation) map[int32]float64 {
-	cols, vals := c.Intern(obs, nil, nil)
-	heard := make(map[int32]float64, len(cols))
-	for h, j := range cols {
-		heard[j] = vals[h]
-	}
-	return heard
-}
-
-// TestPostingScanMatchesDenseScan pins that the posting scan differs
-// from the dense float64-dequantized scan only by its records' float32
-// rounding and the summation order: over sparse and dense random
-// venues every entry's score stays within float32ScoreBound, plus
-// 1e-12 relative for the order, of the dense cell-by-cell scan.
+// TestPostingScanMatchesDenseScan pins the kernel itself: over sparse
+// and dense random venues, every entry's posting-scan score — not only
+// the ranked candidates — stays within float32ScoreBound of the dense
+// cell-by-cell scan over exact statistics.
 func TestPostingScanMatchesDenseScan(t *testing.T) {
 	for seed := int64(60); seed < 68; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -309,7 +385,6 @@ func TestPostingScanMatchesDenseScan(t *testing.T) {
 			continue
 		}
 		c := db.Compile(-95, 4)
-		c.Quantize()
 		for trial := 0; trial < 10; trial++ {
 			obs := randomObs(rng, db, 0.2+0.7*rng.Float64())
 			cols, vals := c.Intern(obs, nil, nil)
@@ -317,13 +392,12 @@ func TestPostingScanMatchesDenseScan(t *testing.T) {
 			for h, v := range vals {
 				aux[h] = stats.LogGaussianPDF(v, c.FloorRSSI, c.FloorSigma)
 			}
-			want := denseQuantScores(c, cols, vals, aux)
+			want := denseScores(db, c, obs)
 			got := make([]float64, len(want))
-			scorePostings(c.Quant, cols, vals, aux, got)
+			scorePostings(c, cols, vals, aux, got)
 			heard := heardColumns(c, obs)
 			for i := range want {
-				bound := float32ScoreBound(c, heard, i) + 1e-12*math.Max(1, math.Abs(want[i]))
-				if d := math.Abs(got[i] - want[i]); d > bound {
+				if d, bound := math.Abs(got[i]-want[i]), float32ScoreBound(c, heard, i); d > bound {
 					t.Fatalf("seed %d trial %d entry %d: posting scan %v, dense scan %v: error %v over the float32 bound %v",
 						seed, trial, i, got[i], want[i], d, bound)
 				}
@@ -332,45 +406,11 @@ func TestPostingScanMatchesDenseScan(t *testing.T) {
 	}
 }
 
-// int16ScoreBound is the guaranteed per-entry score error of int16
-// maximum-likelihood scoring against exact statistics: the int16 term
-// below plus float32ScoreBound for the posting records. Every
-// dequantized cell lies within half its column's code step (Scale/2)
-// of its float64 value (TestQuantizeRoundTripBound). A heard trained
-// cell's floor term cancels against the baseline, so it contributes
-// the log-norm error plus the widest swing of d²/2 over the mean and σ
-// intervals; an unheard trained cell contributes its floor term's
-// error. The bound is per column, not relative: one entry whose σ is
-// clamped to stats.MinSigma far from the floor stretches its column's
-// floor-term range to thousands of nats, and every entry of that
-// column then carries up to half that step.
-func int16ScoreBound(c *trainingdb.Compiled, obs map[int32]float64, i int) float64 {
-	q, nAP := c.Quant, c.NumAPs()
-	var b float64
-	for j := 0; j < nAP; j++ {
-		cell := i*nAP + j
-		if !c.Trained[cell] {
-			continue
-		}
-		v, heard := obs[int32(j)]
-		if !heard {
-			b += math.Abs(q.FloorLLScale[j]) / 2
-			continue
-		}
-		mean, sigma, _, _ := dequantCell(q, cell, int32(j))
-		dm, ds := math.Abs(q.MeanScale[j])/2, math.Abs(q.SigmaScale[j])/2
-		dMax := (math.Abs(v-mean) + dm) / (sigma - ds)
-		dMin := math.Max(0, math.Abs(v-mean)-dm) / (sigma + ds)
-		b += math.Abs(q.LogNormScale[j])/2 + (dMax*dMax-dMin*dMin)/2
-	}
-	return b + float32ScoreBound(c, obs, i)
-}
-
-// TestQuantizedMatchesOracle is the int16 oracle property: over random
-// sparse and dense venues, every posting-scan MaxLikelihood score lies
-// within int16ScoreBound of the uncompiled map-walking reference, and
-// the argmax is the reference's unless the reference's own top-2 gap
-// is inside 2·quantRelTol.
+// TestQuantizedMatchesOracle is the maximum-likelihood oracle property
+// over random sparse and dense venues: every candidate score lies
+// within float32ScoreBound of the uncompiled map-walking reference,
+// and the argmax is the reference's unless its top-2 is a near-tie
+// inside those bounds.
 func TestQuantizedMatchesOracle(t *testing.T) {
 	for seed := int64(70); seed < 78; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -382,53 +422,17 @@ func TestQuantizedMatchesOracle(t *testing.T) {
 		if len(db.BSSIDs) == 0 {
 			continue
 		}
-		ref := NewMaxLikelihood(db)
-		mlQ := NewMaxLikelihood(db)
-		mlQ.Quantize = true
-		c := mlQ.CompiledView()
-		entry := make(map[string]int, len(c.Names))
-		for i, name := range c.Names {
-			entry[name] = i
-		}
+		ml := NewMaxLikelihood(db)
 		for trial := 0; trial < 10; trial++ {
-			obs := randomObs(rng, db, 0.2+0.7*rng.Float64())
-			tag := fmt.Sprintf("seed %d trial %d", seed, trial)
-			refEst, refErr := refMaxLikelihood(ref, obs)
-			qEst, qErr := mlQ.Locate(obs)
-			if (refErr == nil) != (qErr == nil) {
-				t.Fatalf("%s: err %v vs reference %v", tag, qErr, refErr)
-			}
-			if refErr != nil {
-				continue
-			}
-			heard := heardColumns(c, obs)
-			refScore := make(map[string]float64, len(refEst.Candidates))
-			for _, cand := range refEst.Candidates {
-				refScore[cand.Name] = cand.Score
-			}
-			for _, cand := range qEst.Candidates {
-				r := refScore[cand.Name]
-				bound := int16ScoreBound(c, heard, entry[cand.Name]) + 1e-9*math.Max(1, math.Abs(r))
-				if d := math.Abs(cand.Score - r); d > bound {
-					t.Fatalf("%s: %q score %v, reference %v: error %v over the int16 bound %v",
-						tag, cand.Name, cand.Score, r, d, bound)
-				}
-			}
-			if qEst.Name != refEst.Name {
-				gap := refEst.Candidates[0].Score - refEst.Candidates[1].Score
-				if lim := 2 * quantRelTol * math.Max(1, math.Abs(refEst.Candidates[0].Score)); gap > lim {
-					t.Fatalf("%s: argmax %q, reference %q with gap %v (tolerance %v)",
-						tag, qEst.Name, refEst.Name, gap, lim)
-				}
-			}
+			checkML(t, fmt.Sprintf("seed %d trial %d", seed, trial), ml, randomObs(rng, db, 0.2+0.7*rng.Float64()))
 		}
 	}
 }
 
-// TestQuantizedKNNMatchesOracle is the int16 kNN oracle property: over
-// random sparse and dense venues, every posting-scan NNSS distance lies
-// within quantAbsTol of the float64 kNN's, and the nearest neighbour is
-// the float64 one unless the reference's top-2 is a near-tie.
+// TestQuantizedKNNMatchesOracle is the kNN oracle property over random
+// sparse and dense venues: every NNSS distance lies within
+// float32DistBound of KNN.SignalDistance, and the nearest neighbour is
+// the reference's unless its top-2 is a near-tie inside those bounds.
 func TestQuantizedKNNMatchesOracle(t *testing.T) {
 	for seed := int64(80); seed < 88; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -440,20 +444,9 @@ func TestQuantizedKNNMatchesOracle(t *testing.T) {
 		if len(db.BSSIDs) == 0 {
 			continue
 		}
-		ref := NewKNN(db, 1)
-		knnQ := NewKNN(db, 1)
-		knnQ.Quantize = true
+		knn := NewKNN(db, 1)
 		for trial := 0; trial < 10; trial++ {
-			obs := randomObs(rng, db, 0.2+0.7*rng.Float64())
-			tag := fmt.Sprintf("seed %d trial %d knn", seed, trial)
-			refEst, refErr := ref.Locate(obs)
-			qEst, qErr := knnQ.Locate(obs)
-			if (refErr == nil) != (qErr == nil) {
-				t.Fatalf("%s: err %v vs reference %v", tag, qErr, refErr)
-			}
-			if refErr == nil {
-				compareQuantParity(t, tag, refEst, qEst, 0, quantAbsTol)
-			}
+			checkKNN(t, fmt.Sprintf("seed %d trial %d knn", seed, trial), knn, randomObs(rng, db, 0.2+0.7*rng.Float64()))
 		}
 	}
 }

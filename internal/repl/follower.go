@@ -67,7 +67,7 @@ type FollowerConfig struct {
 	// default is core.AlgoProbabilistic. Match the trainer's algorithm
 	// and build knobs for answer-identical serving.
 	Algorithm string
-	// Build carries the locator build knobs (quantization, top-k);
+	// Build carries the locator build knobs (top-k, k);
 	// mirror the trainer's.
 	Build core.BuildConfig
 	// Names controls the symbolic-name layer of published services.
@@ -360,11 +360,11 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if c.Generation != m.Generation {
 		return fmt.Errorf("repl: artifact generation %d != manifest %d", c.Generation, m.Generation)
 	}
-	sigmas, err := DecodeResume(resume, c)
+	cells, err := DecodeResume(resume, c)
 	if err != nil {
 		return err
 	}
-	replica, err := BuildReplica(c, sigmas)
+	replica, err := BuildReplica(c, cells)
 	if err != nil {
 		return err
 	}
@@ -539,7 +539,7 @@ const FrameRecordOverhead = 8
 // fold applies one WAL record to the replica exactly as the trainer's
 // compactor does — same resolution rules, same Welford update — minus
 // the copy-on-write clone: the replica's entries are never shared
-// with published snapshots (Compile deep-copies into matrices).
+// with published snapshots (Compile deep-copies into its view).
 func (f *Follower) fold(r ingest.Report) {
 	name, pos, ok := ingest.ResolveReport(f.replica, r, f.snapRadius)
 	if !ok {

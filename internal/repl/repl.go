@@ -21,9 +21,10 @@
 // records in strict sequence order. Because the trainer folds in WAL
 // order too (ingest.Manager serializes journal append and queue
 // insertion), and because Welford resume state ships exactly (the raw
-// per-cell standard deviations, not the clamped compiled ones), the
-// replica's compiled matrices after record N are byte-identical to the
-// trainer's after record N — the property the chaos tests pin.
+// per-cell means and standard deviations, not the rounded and clamped
+// compiled records), the replica's compiled view after record N is
+// byte-identical to the trainer's after record N — the property the
+// chaos tests pin.
 //
 // # Identity and ordering invariants
 //

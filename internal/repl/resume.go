@@ -2,50 +2,78 @@ package repl
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
 	"indoorloc/internal/trainingdb"
 )
 
-// The resume blob ships the one piece of trainer state the compiled
-// artifact destroys: the exact per-cell standard deviations. Compile
-// clamps Sigma to stats.MinSigma (σ=0 cells — every sample equal —
-// are common) and AddSample recovers Welford's second moment from the
-// stored σ, so resuming a fold from the clamped matrix would diverge
-// from the trainer on the very next record. Shipping the raw float64
-// bits restores the trainer's exact accumulator state: both sides run
-// the identical σ → m2 → σ round trip from identical bits, so every
-// subsequent fold lands on identical bits too.
+// The resume blob ships the trainer state the compiled artifact
+// destroys: the exact ⟨Mean, StdDev⟩ of every trained cell. The
+// artifact holds each mean only as a float32 posting center and σ only
+// as a clamped float32 half precision, and AddSample resumes Welford's
+// accumulator from the stored mean and σ, so resuming a fold from the
+// artifact would diverge from the trainer on the very next record.
+// Shipping the raw float64 bits restores the trainer's exact state:
+// both sides run the identical ⟨mean, σ⟩ → m2 → σ round trip from
+// identical bits, so every subsequent fold lands on identical bits too.
 //
 // Layout (all little endian):
 //
-//	8  bytes  magic "ILRSIGM1"
+//	8  bytes  magic "ILRCELL2"
 //	u32       entry count (must match the artifact)
 //	u32       AP count (must match the artifact)
-//	u64       trained-cell count
-//	f64 × n   raw StdDev per trained cell, entry-major artifact order
-const resumeMagic = "ILRSIGM1"
+//	u64       trained-cell count (must match the artifact)
+//	f64 × 2n  raw {Mean, StdDev} per trained cell, entry-major artifact order
+//
+// The first format, "ILRSIGM1", carried σ alone and took the means from
+// the artifact's retired float64 matrices; it is rejected.
+const (
+	resumeMagic       = "ILRCELL2"
+	resumeMagicSigma1 = "ILRSIGM1"
+)
 
 const resumeHeaderSize = 8 + 4 + 4 + 8
 
-// EncodeResume captures the raw standard deviations for every trained
-// cell of c from the frozen database it was compiled from, in the
-// artifact's entry-major cell order.
-func EncodeResume(c *trainingdb.Compiled, db *trainingdb.DB) ([]byte, error) {
-	nE, nAP := c.NumEntries(), c.NumAPs()
-	trained := 0
+// Named DecodeResume failures.
+var (
+	// ErrResumeRetired rejects a blob in the σ-only first format.
+	ErrResumeRetired = errors.New("repl: resume blob is the retired σ-only format " + resumeMagicSigma1 + "; upgrade the trainer")
+	// ErrResumeMagic rejects a blob that is no resume blob at all.
+	ErrResumeMagic = errors.New("repl: resume blob has bad magic")
+	// ErrResumeShape rejects a blob whose dimensions, cell count or
+	// length do not match the artifact it ships with.
+	ErrResumeShape = errors.New("repl: resume blob does not match the artifact")
+)
+
+// CellStats is one trained cell's exact trainer statistics.
+type CellStats struct {
+	Mean, StdDev float64
+}
+
+// trainedCells counts the artifact's trained cells.
+func trainedCells(c *trainingdb.Compiled) int {
+	n := 0
 	for _, t := range c.Trained {
 		if t {
-			trained++
+			n++
 		}
 	}
-	out := make([]byte, resumeHeaderSize, resumeHeaderSize+8*trained)
+	return n
+}
+
+// EncodeResume captures the exact ⟨Mean, StdDev⟩ of every trained cell
+// of c from the frozen database it was compiled from, in the artifact's
+// entry-major cell order.
+func EncodeResume(c *trainingdb.Compiled, db *trainingdb.DB) ([]byte, error) {
+	nE, nAP := c.NumEntries(), c.NumAPs()
+	trained := trainedCells(c)
+	out := make([]byte, resumeHeaderSize, resumeHeaderSize+16*trained)
 	copy(out, resumeMagic)
 	binary.LittleEndian.PutUint32(out[8:12], uint32(nE))
 	binary.LittleEndian.PutUint32(out[12:16], uint32(nAP))
 	binary.LittleEndian.PutUint64(out[16:24], uint64(trained))
-	var cell [8]byte
 	for i, name := range c.Names {
 		e := db.Entries[name]
 		if e == nil {
@@ -60,59 +88,56 @@ func EncodeResume(c *trainingdb.Compiled, db *trainingdb.DB) ([]byte, error) {
 			if s == nil {
 				return nil, fmt.Errorf("repl: resume: cell ⟨%s, %s⟩ trained in artifact but missing in database", name, b)
 			}
-			binary.LittleEndian.PutUint64(cell[:], math.Float64bits(s.StdDev))
-			out = append(out, cell[:]...)
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.Mean))
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.StdDev))
 		}
 	}
 	return out, nil
 }
 
 // DecodeResume validates the blob against the artifact's dimensions
-// and returns the raw sigmas in trained-cell order.
-func DecodeResume(data []byte, c *trainingdb.Compiled) ([]float64, error) {
+// and returns the exact cell statistics in trained-cell order.
+func DecodeResume(data []byte, c *trainingdb.Compiled) ([]CellStats, error) {
+	if len(data) >= 8 && string(data[:8]) == resumeMagicSigma1 {
+		return nil, ErrResumeRetired
+	}
 	if len(data) < resumeHeaderSize || string(data[:8]) != resumeMagic {
-		return nil, fmt.Errorf("repl: resume blob has bad magic")
+		return nil, ErrResumeMagic
 	}
 	nE := int(binary.LittleEndian.Uint32(data[8:12]))
 	nAP := int(binary.LittleEndian.Uint32(data[12:16]))
 	count := binary.LittleEndian.Uint64(data[16:24])
 	if nE != c.NumEntries() || nAP != c.NumAPs() {
-		return nil, fmt.Errorf("repl: resume blob is %d×%d, artifact is %d×%d", nE, nAP, c.NumEntries(), c.NumAPs())
+		return nil, fmt.Errorf("%w: blob is %d×%d, artifact is %d×%d", ErrResumeShape, nE, nAP, c.NumEntries(), c.NumAPs())
 	}
-	trained := 0
-	for _, t := range c.Trained {
-		if t {
-			trained++
+	if trained := trainedCells(c); count != uint64(trained) {
+		return nil, fmt.Errorf("%w: blob has %d cells, artifact has %d trained", ErrResumeShape, count, trained)
+	}
+	if uint64(len(data)-resumeHeaderSize) != count*16 {
+		return nil, fmt.Errorf("%w: length %d does not frame %d cells", ErrResumeShape, len(data), count)
+	}
+	cells := make([]CellStats, count)
+	for i := range cells {
+		off := resumeHeaderSize + i*16
+		cells[i] = CellStats{
+			Mean:   math.Float64frombits(binary.LittleEndian.Uint64(data[off:])),
+			StdDev: math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:])),
 		}
 	}
-	if count != uint64(trained) {
-		return nil, fmt.Errorf("repl: resume blob has %d cells, artifact has %d trained", count, trained)
-	}
-	if int64(len(data)-resumeHeaderSize) != int64(count)*8 {
-		return nil, fmt.Errorf("repl: resume blob length %d does not frame %d cells", len(data), count)
-	}
-	sigmas := make([]float64, count)
-	for i := range sigmas {
-		off := resumeHeaderSize + i*8
-		sigmas[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
-	}
-	return sigmas, nil
+	return cells, nil
 }
 
 // BuildReplica reconstructs a training database bit-identical (in
 // every field Compile and ResolveReport read) to the trainer's frozen
-// master at the artifact's generation: entry positions and per-cell
-// ⟨N, Mean⟩ come from the artifact's float64 matrices, the raw StdDev
-// from the resume blob. Raw sample lists are not replicated — nothing
-// on the follower's serve or fold path reads them (the follower is
-// restricted to compiled-servable algorithms). The replica's
-// generation counter is aligned to the artifact's, so trainer and
-// follower folding the same WAL suffix produce the same generation
-// numbers.
-func BuildReplica(c *trainingdb.Compiled, sigmas []float64) (*trainingdb.DB, error) {
-	if c.Mean == nil || c.N == nil {
-		return nil, fmt.Errorf("repl: artifact lacks float64 matrices; cannot reconstruct a replica")
-	}
+// master at the artifact's generation: names, entry positions, the AP
+// universe, which cells are trained and their sample counts come from
+// the artifact, the exact ⟨Mean, StdDev⟩ from the resume blob. Raw
+// sample lists are not replicated — nothing on the follower's serve or
+// fold path reads them (the follower is restricted to
+// compiled-servable algorithms). The replica's generation counter is
+// aligned to the artifact's, so trainer and follower folding the same
+// WAL suffix produce the same generation numbers.
+func BuildReplica(c *trainingdb.Compiled, cells []CellStats) (*trainingdb.DB, error) {
 	nAP := c.NumAPs()
 	db := &trainingdb.DB{
 		Entries: make(map[string]*trainingdb.Entry, len(c.Names)),
@@ -127,24 +152,24 @@ func BuildReplica(c *trainingdb.Compiled, sigmas []float64) (*trainingdb.DB, err
 			if !c.Trained[cell] {
 				continue
 			}
-			if k >= len(sigmas) {
+			if k >= len(cells) {
 				return nil, fmt.Errorf("repl: resume blob exhausted at cell ⟨%s, %s⟩", name, b)
 			}
-			mean := c.Mean[cell]
+			st := cells[k]
 			e.PerAP[b] = &trainingdb.APStats{
 				BSSID:  b,
 				N:      int(c.N[cell]),
-				Mean:   mean,
-				StdDev: sigmas[k],
-				Min:    mean,
-				Max:    mean,
+				Mean:   st.Mean,
+				StdDev: st.StdDev,
+				Min:    st.Mean,
+				Max:    st.Mean,
 			}
 			k++
 		}
 		db.Entries[name] = e
 	}
-	if k != len(sigmas) {
-		return nil, fmt.Errorf("repl: resume blob has %d extra cells", len(sigmas)-k)
+	if k != len(cells) {
+		return nil, fmt.Errorf("repl: resume blob has %d extra cells", len(cells)-k)
 	}
 	db.SetGeneration(c.Generation)
 	return db, nil

@@ -1,8 +1,10 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"indoorloc/internal/geom"
@@ -71,10 +73,6 @@ func compiledEqual(t *testing.T, label string, a, b *trainingdb.Compiled) {
 		name string
 		a, b []float64
 	}{
-		{"Mean", a.Mean, b.Mean},
-		{"Sigma", a.Sigma, b.Sigma},
-		{"LogNorm", a.LogNorm, b.LogNorm},
-		{"FloorLL", a.FloorLL, b.FloorLL},
 		{"UnheardLL", a.UnheardLL, b.UnheardLL},
 		{"SignalBase", a.SignalBase, b.SignalBase},
 	}
@@ -94,20 +92,41 @@ func compiledEqual(t *testing.T, label string, a, b *trainingdb.Compiled) {
 			t.Fatalf("%s: cell %d trained/N (%v,%d) != (%v,%d)", label, i, a.Trained[i], a.N[i], b.Trained[i], b.N[i])
 		}
 	}
+	if !slices.Equal(a.PostStart, b.PostStart) || len(a.Post) != len(b.Post) {
+		t.Fatalf("%s: posting starts %v != %v", label, a.PostStart, b.PostStart)
+	}
+	for i, p := range a.Post {
+		q := b.Post[i]
+		if p.Entry != q.Entry || math.Float32bits(p.Center) != math.Float32bits(q.Center) ||
+			math.Float32bits(p.HalfPrec) != math.Float32bits(q.HalfPrec) || math.Float32bits(p.Const) != math.Float32bits(q.Const) {
+			t.Fatalf("%s: posting %d %+v != %+v", label, i, p, q)
+		}
+	}
 }
 
+// TestResumeRoundTrip bootstraps a replica the way a follower does —
+// from the encoded artifact plus the resume blob — and checks it
+// compiles back to the trainer's view bit for bit.
 func TestResumeRoundTrip(t *testing.T) {
 	db := replTestDB()
-	c := db.Compile(-95, 2)
-	blob, err := EncodeResume(c, db)
+	master := db.Compile(-95, 2)
+	artifact, err := trainingdb.EncodeCompiled(master)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigmas, err := DecodeResume(blob, c)
+	c, err := trainingdb.DecodeCompiled(artifact, trainingdb.DecodeOptions{VerifyCRC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica, err := BuildReplica(c, sigmas)
+	blob, err := EncodeResume(master, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := DecodeResume(blob, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := BuildReplica(c, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,16 +143,20 @@ func TestDecodeResumeValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		mutate func([]byte) []byte
+		want   error
 	}{
-		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }},
-		{"truncated", func(b []byte) []byte { return b[:len(b)-4] }},
-		{"extra bytes", func(b []byte) []byte { return append(b, 0, 0, 0, 0, 0, 0, 0, 0) }},
-		{"wrong dims", func(b []byte) []byte { b[8]++; return b }},
-		{"wrong count", func(b []byte) []byte { b[16]++; return b }},
+		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }, ErrResumeMagic},
+		{"short header", func(b []byte) []byte { return b[:12] }, ErrResumeMagic},
+		{"retired σ-only format", func(b []byte) []byte { copy(b, "ILRSIGM1"); return b }, ErrResumeRetired},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-4] }, ErrResumeShape},
+		{"one cell short", func(b []byte) []byte { return b[:len(b)-16] }, ErrResumeShape},
+		{"extra bytes", func(b []byte) []byte { return append(b, 0, 0, 0, 0, 0, 0, 0, 0) }, ErrResumeShape},
+		{"wrong dims", func(b []byte) []byte { b[8]++; return b }, ErrResumeShape},
+		{"wrong count", func(b []byte) []byte { b[16]++; return b }, ErrResumeShape},
 	} {
 		bad := tc.mutate(append([]byte(nil), blob...))
-		if _, err := DecodeResume(bad, c); err == nil {
-			t.Errorf("%s accepted", tc.name)
+		if _, err := DecodeResume(bad, c); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }
@@ -150,11 +173,11 @@ func TestReplicaFoldsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigmas, err := DecodeResume(blob, c)
+	cells, err := DecodeResume(blob, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica, err := BuildReplica(c, sigmas)
+	replica, err := BuildReplica(c, cells)
 	if err != nil {
 		t.Fatal(err)
 	}

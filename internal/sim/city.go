@@ -113,7 +113,7 @@ func (c CityConfig) BuildVenueDB(campus, floor int) (*trainingdb.DB, error) {
 	return db, nil
 }
 
-// WriteArtifacts emits the whole city into dir as quantized v2
+// WriteArtifacts emits the whole city into dir as v2
 // artifacts (<venue-id>.ilr), the layout venue.Registry serves from,
 // and returns the venue ids written. Floor-model parameters match
 // tdbtool compile's defaults (-95 dBm floor, σ 4).
@@ -130,8 +130,6 @@ func WriteArtifacts(dir string, cfg CityConfig) ([]string, error) {
 				return nil, err
 			}
 			comp := db.Compile(-95, 4)
-			comp.Quantize()
-			comp.ReleaseFloat64()
 			id := VenueID(ca, fl)
 			if err := trainingdb.WriteCompiledFile(filepath.Join(dir, id+".ilr"), comp); err != nil {
 				return nil, fmt.Errorf("sim: city venue %s: %w", id, err)

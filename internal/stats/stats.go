@@ -185,13 +185,15 @@ func GaussianPDF(x, mean, sigma float64) float64 {
 
 // LogGaussianPDF returns log(GaussianPDF(x, mean, sigma)). Working in
 // log space keeps products of many per-AP likelihoods from
-// underflowing.
+// underflowing. The explicit conversions round each product before the
+// subtraction, which blocks fused multiply-adds, so the compiled radio
+// map's floor terms have the same bits on every CPU.
 func LogGaussianPDF(x, mean, sigma float64) float64 {
 	if sigma < MinSigma {
 		sigma = MinSigma
 	}
 	d := (x - mean) / sigma
-	return -d*d/2 - math.Log(sigma) - 0.5*math.Log(2*math.Pi)
+	return float64(-d*d/2) - math.Log(sigma) - float64(0.5*math.Log(2*math.Pi))
 }
 
 // MinSigma is the smallest standard deviation the Gaussian primitives

@@ -1,9 +1,9 @@
 package trainingdb
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,10 +16,9 @@ import (
 // of a Compiled view that can be written once by the trainer and
 // memory-mapped read-only at load. The gob+gzip DB format (Save/Load)
 // stores raw samples and statistics and must be re-Compiled after every
-// load; a v2 artifact stores the compiled matrices themselves in their
-// in-memory layout, so loading is a header parse plus pointer casts
-// into the mapping — cold venue loads touch no matrix pages until the
-// first query faults them in.
+// load; a v2 artifact stores the compiled view itself in its in-memory
+// layout, so loading is a header parse plus pointer casts into the
+// mapping and a walk of the posting lists' entry indices.
 //
 // File layout (all header fields little-endian regardless of host):
 //
@@ -56,13 +55,12 @@ const (
 	mapSectionsStart = mapHeaderSize
 )
 
-// Section ids. Required sections carry the view's identity and the
-// small per-entry vectors; the float64 matrices and the quantized
-// mirror are each optional, but at least one family must be present.
-// The quantized mirror's posting lists (post-start, postings) are
-// written by every encoder. An artifact from before them, or one that
-// carries the retired 12-byte post section, gets its lists rebuilt at
-// decode.
+// Section ids. Ids are never reused. The encoder writes names through
+// signal-base plus post-start and postings. The dense float64 matrices
+// (mean … floor-ll), the int16 codes with their factors and baselines
+// (mean-q … quant-signal-base) and the 12-byte post records are
+// retired: decode still reads the dense sections of older artifacts
+// and builds their posting lists from them, and ignores post.
 const (
 	secNames           uint32 = iota + 1 // [nE+1]u32 offsets + name blob
 	secBSSIDs                            // [nAP+1]u32 offsets + BSSID blob
@@ -71,17 +69,17 @@ const (
 	secN                                 // [nE*nAP]int32
 	secUnheardLL                         // [nE]float64
 	secSignalBase                        // [nE]float64
-	secMean                              // [nE*nAP]float64
-	secSigma                             // [nE*nAP]float64
-	secLogNorm                           // [nE*nAP]float64
-	secFloorLL                           // [nE*nAP]float64
-	secMeanQ                             // [nE*nAP]int16
-	secSigmaQ                            // [nE*nAP]int16
-	secLogNormQ                          // [nE*nAP]int16
-	secFloorLLQ                          // [nE*nAP]int16
-	secQuantFactors                      // [8*nAP]float64: {scale, off} × {mean, sigma, lognorm, floorll}
-	secQuantUnheardLL                    // [nE]float64
-	secQuantSignalBase                   // [nE]float64
+	secMean                              // retired: [nE*nAP]float64
+	secSigma                             // retired: [nE*nAP]float64
+	secLogNorm                           // retired: [nE*nAP]float64
+	secFloorLL                           // retired: [nE*nAP]float64
+	secMeanQ                             // retired: [nE*nAP]int16
+	secSigmaQ                            // retired: [nE*nAP]int16
+	secLogNormQ                          // retired: [nE*nAP]int16
+	secFloorLLQ                          // retired: [nE*nAP]int16
+	secQuantFactors                      // retired: [8*nAP]float64, {scale, off} × {mean, sigma, lognorm, floorll}
+	secQuantUnheardLL                    // retired: [nE]float64
+	secQuantSignalBase                   // retired: [nE]float64
 	secPostStart                         // [nAP+1]int32 posting-list starts
 	secPost                              // retired 12-byte records; decode ignores it
 	secPostings                          // [n]Posting, AP-major trained cells
@@ -190,8 +188,7 @@ type section struct {
 	align int
 }
 
-// EncodeCompiled serializes the view into a v2 artifact. The view must
-// carry the float64 matrices, the quantized mirror, or both.
+// EncodeCompiled serializes the view into a v2 artifact.
 func EncodeCompiled(c *Compiled) ([]byte, error) {
 	nE, nAP := len(c.Names), len(c.BSSIDs)
 	cells := nE * nAP
@@ -199,16 +196,9 @@ func EncodeCompiled(c *Compiled) ([]byte, error) {
 		len(c.UnheardLL) != nE || len(c.SignalBase) != nE {
 		return nil, fmt.Errorf("trainingdb: encode: inconsistent view dimensions")
 	}
-	hasFloat := c.Mean != nil
-	if hasFloat && (len(c.Mean) != cells || len(c.Sigma) != cells ||
-		len(c.LogNorm) != cells || len(c.FloorLL) != cells) {
-		return nil, fmt.Errorf("trainingdb: encode: inconsistent float64 matrices")
+	if len(c.PostStart) != nAP+1 || int(c.PostStart[nAP]) != len(c.Post) {
+		return nil, fmt.Errorf("trainingdb: encode: view has no consistent posting lists")
 	}
-	q := c.Quant
-	if !hasFloat && q == nil {
-		return nil, fmt.Errorf("trainingdb: encode: view has no matrices")
-	}
-
 	secs := []section{
 		{secNames, stringTable(c.Names), 8},
 		{secBSSIDs, stringTable(c.BSSIDs), 8},
@@ -217,43 +207,8 @@ func EncodeCompiled(c *Compiled) ([]byte, error) {
 		{secN, byteView(c.N), mapPageAlign},
 		{secUnheardLL, byteView(c.UnheardLL), 8},
 		{secSignalBase, byteView(c.SignalBase), 8},
-	}
-	if hasFloat {
-		secs = append(secs,
-			section{secMean, byteView(c.Mean), mapPageAlign},
-			section{secSigma, byteView(c.Sigma), mapPageAlign},
-			section{secLogNorm, byteView(c.LogNorm), mapPageAlign},
-			section{secFloorLL, byteView(c.FloorLL), mapPageAlign},
-		)
-	}
-	if q != nil {
-		if len(q.MeanQ) != cells || len(q.SigmaQ) != cells ||
-			len(q.LogNormQ) != cells || len(q.FloorLLQ) != cells ||
-			len(q.MeanScale) != nAP || len(q.UnheardLL) != nE || len(q.SignalBase) != nE ||
-			len(q.PostStart) != nAP+1 || int(q.PostStart[nAP]) != len(q.Post) {
-			return nil, fmt.Errorf("trainingdb: encode: inconsistent quantized mirror")
-		}
-		factors := make([]float64, 0, 8*nAP)
-		for _, f := range [][]float64{
-			q.MeanScale, q.MeanOff, q.SigmaScale, q.SigmaOff,
-			q.LogNormScale, q.LogNormOff, q.FloorLLScale, q.FloorLLOff,
-		} {
-			if len(f) != nAP {
-				return nil, fmt.Errorf("trainingdb: encode: inconsistent quantized factors")
-			}
-			factors = append(factors, f...)
-		}
-		secs = append(secs,
-			section{secMeanQ, byteView(q.MeanQ), mapPageAlign},
-			section{secSigmaQ, byteView(q.SigmaQ), mapPageAlign},
-			section{secLogNormQ, byteView(q.LogNormQ), mapPageAlign},
-			section{secFloorLLQ, byteView(q.FloorLLQ), mapPageAlign},
-			section{secQuantFactors, byteView(factors), 8},
-			section{secQuantUnheardLL, byteView(q.UnheardLL), 8},
-			section{secQuantSignalBase, byteView(q.SignalBase), 8},
-			section{secPostStart, byteView(q.PostStart), 8},
-			section{secPostings, byteView(q.Post), 8},
-		)
+		{secPostStart, byteView(c.PostStart), 8},
+		{secPostings, byteView(c.Post), 8},
 	}
 	return layoutArtifact(c.Generation, c.FloorRSSI, c.FloorSigma, nE, nAP, secs), nil
 }
@@ -299,12 +254,13 @@ func layoutArtifact(gen uint64, floorRSSI, floorSigma float64, nE, nAP int, secs
 
 // DecodeOptions controls DecodeCompiled's validation depth.
 type DecodeOptions struct {
-	// VerifyCRC checks every section's CRC-32, the Trained bytes and
-	// the posting lists against a rebuild from the dense int16
-	// matrices, touching all payload pages. The serve path leaves it
-	// off so an mmap load stays lazy (the header+table CRC and the
-	// posting-list invariants are always checked); tdbtool verify and
-	// the fuzz harness turn it on.
+	// VerifyCRC checks every section's CRC-32, the Trained bytes, and
+	// that the posting records list exactly the Trained cells with
+	// finite fields and a positive HalfPrec, touching all payload
+	// pages. The serve path leaves it off so an mmap load stays lazy
+	// (the header+table CRC and the posting-list structure are always
+	// checked); tdbtool verify, replication and the fuzz harness turn
+	// it on.
 	VerifyCRC bool
 }
 
@@ -528,97 +484,45 @@ func DecodeCompiled(data []byte, opts DecodeOptions) (*Compiled, error) {
 	}
 	c.SignalBase = castSlice[float64](p, nE)
 
+	// Posting lists: cast zero-copy when the artifact carries them,
+	// otherwise built from an older artifact's dense sections. An int16
+	// artifact's records and baselines come from its dequantized codes,
+	// whether or not it also carries the lists or float64 matrices.
+	_, hasPostings := secs[secPostings]
+	_, hasInt16 := secs[secMeanQ]
 	_, hasFloat := secs[secMean]
-	if hasFloat {
-		if p, err = take(secMean, cells*8); err != nil {
-			return nil, err
-		}
-		c.Mean = castSlice[float64](p, cells)
-		if p, err = take(secSigma, cells*8); err != nil {
-			return nil, err
-		}
-		c.Sigma = castSlice[float64](p, cells)
-		if p, err = take(secLogNorm, cells*8); err != nil {
-			return nil, err
-		}
-		c.LogNorm = castSlice[float64](p, cells)
-		if p, err = take(secFloorLL, cells*8); err != nil {
-			return nil, err
-		}
-		c.FloorLL = castSlice[float64](p, cells)
+	if hasInt16 {
+		err = decodeInt16(c, take, nE, nAP, !hasPostings)
+	} else if hasFloat && !hasPostings {
+		err = decodeFloat64(c, take, nE, nAP)
 	}
-	if _, hasQuant := secs[secMeanQ]; hasQuant {
-		q := &Quant{}
-		if p, err = take(secMeanQ, cells*2); err != nil {
-			return nil, err
-		}
-		q.MeanQ = castSlice[int16](p, cells)
-		if p, err = take(secSigmaQ, cells*2); err != nil {
-			return nil, err
-		}
-		q.SigmaQ = castSlice[int16](p, cells)
-		if p, err = take(secLogNormQ, cells*2); err != nil {
-			return nil, err
-		}
-		q.LogNormQ = castSlice[int16](p, cells)
-		if p, err = take(secFloorLLQ, cells*2); err != nil {
-			return nil, err
-		}
-		q.FloorLLQ = castSlice[int16](p, cells)
-		if p, err = take(secQuantFactors, 8*nAP*8); err != nil {
-			return nil, err
-		}
-		factors := castSlice[float64](p, 8*nAP)
-		q.MeanScale = factors[0*nAP : 1*nAP : 1*nAP]
-		q.MeanOff = factors[1*nAP : 2*nAP : 2*nAP]
-		q.SigmaScale = factors[2*nAP : 3*nAP : 3*nAP]
-		q.SigmaOff = factors[3*nAP : 4*nAP : 4*nAP]
-		q.LogNormScale = factors[4*nAP : 5*nAP : 5*nAP]
-		q.LogNormOff = factors[5*nAP : 6*nAP : 6*nAP]
-		q.FloorLLScale = factors[6*nAP : 7*nAP : 7*nAP]
-		q.FloorLLOff = factors[7*nAP : 8*nAP : 8*nAP]
-		if p, err = take(secQuantUnheardLL, nE*8); err != nil {
-			return nil, err
-		}
-		q.UnheardLL = castSlice[float64](p, nE)
-		if p, err = take(secQuantSignalBase, nE*8); err != nil {
-			return nil, err
-		}
-		q.SignalBase = castSlice[float64](p, nE)
-		// Posting lists: cast zero-copy once validated, or rebuilt
-		// from Trained and the codes for an artifact without the
-		// postings section (from before posting lists, or carrying
-		// only the retired 12-byte post section).
-		if _, hasPost := secs[secPostings]; hasPost {
-			if p, err = take(secPostStart, (nAP+1)*4); err != nil {
-				return nil, err
-			}
-			q.PostStart = castSlice[int32](p, nAP+1)
-			if p, err = takeVar(secPostings); err != nil {
-				return nil, err
-			}
-			if len(p)%postingSize != 0 {
-				return nil, fmt.Errorf("trainingdb: decode: section postings is %d bytes, not a multiple of %d",
-					len(p), postingSize)
-			}
-			q.Post = castSlice[Posting](p, len(p)/postingSize)
-			if err = checkPostings(q.PostStart, q.Post, nE); err != nil {
-				return nil, err
-			}
-			if opts.VerifyCRC {
-				start, post := buildPostings(c.Trained, q, nE, nAP)
-				if !bytes.Equal(byteView(start), byteView(q.PostStart)) ||
-					!bytes.Equal(byteView(post), byteView(q.Post)) {
-					return nil, fmt.Errorf("trainingdb: decode: posting lists disagree with the int16 matrices")
-				}
-			}
-		} else {
-			q.PostStart, q.Post = buildPostings(c.Trained, q, nE, nAP)
-		}
-		c.Quant = q
+	if err != nil {
+		return nil, err
 	}
-	if !hasFloat && c.Quant == nil {
-		return nil, fmt.Errorf("trainingdb: decode: artifact carries no matrices")
+	if hasPostings {
+		if p, err = take(secPostStart, (nAP+1)*4); err != nil {
+			return nil, err
+		}
+		c.PostStart = castSlice[int32](p, nAP+1)
+		if p, err = takeVar(secPostings); err != nil {
+			return nil, err
+		}
+		if len(p)%postingSize != 0 {
+			return nil, fmt.Errorf("trainingdb: decode: section postings is %d bytes, not a multiple of %d",
+				len(p), postingSize)
+		}
+		c.Post = castSlice[Posting](p, len(p)/postingSize)
+	}
+	if c.PostStart == nil {
+		return nil, fmt.Errorf("trainingdb: decode: artifact carries no posting lists")
+	}
+	if err = checkPostings(c.PostStart, c.Post, nE); err != nil {
+		return nil, err
+	}
+	if opts.VerifyCRC {
+		if err = checkRecords(c); err != nil {
+			return nil, err
+		}
 	}
 
 	c.apIndex = make(map[string]int, nAP)
@@ -657,6 +561,105 @@ func checkPostings(start []int32, post []Posting, nE int) error {
 	return nil
 }
 
+// checkRecords is VerifyCRC's semantic pass over lists that already
+// passed checkPostings: they hold exactly the Trained cells (every
+// listed cell is trained and the counts agree, so with strictly rising
+// entries none is missing), and every record is finite with a positive
+// HalfPrec.
+func checkRecords(c *Compiled) error {
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("trainingdb: decode: posting records: "+format, args...)
+	}
+	nAP, trained := len(c.BSSIDs), 0
+	for _, t := range c.Trained {
+		if t {
+			trained++
+		}
+	}
+	if trained != len(c.Post) {
+		return fail("%d postings for %d trained cells", len(c.Post), trained)
+	}
+	finite := func(f float32) bool { return !math.IsNaN(float64(f)) && !math.IsInf(float64(f), 0) }
+	for j := 0; j < nAP; j++ {
+		for _, p := range c.Post[c.PostStart[j]:c.PostStart[j+1]] {
+			if !c.Trained[int(p.Entry)*nAP+j] {
+				return fail("column %d lists untrained entry %d", j, p.Entry)
+			}
+			if !finite(p.Center) || !finite(p.Const) || !finite(p.HalfPrec) || !(p.HalfPrec > 0) {
+				return fail("column %d entry %d holds %+v", j, p.Entry, p)
+			}
+		}
+	}
+	return nil
+}
+
+// takeFunc fetches a fixed-length section, as DecodeCompiled's take.
+type takeFunc func(id uint32, wantLen int) ([]byte, error)
+
+// decodeInt16 reads a legacy int16 artifact's codes, factors and
+// baselines. The baselines replace the float64 ones: they were summed
+// from the dequantized cells the records derive from. With buildLists
+// set (the artifact does not carry the lists) the posting lists are
+// built from the codes.
+func decodeInt16(c *Compiled, take takeFunc, nE, nAP int, buildLists bool) error {
+	cells := nE * nAP
+	var codes [4][]int16
+	for k, id := range []uint32{secMeanQ, secSigmaQ, secLogNormQ, secFloorLLQ} {
+		p, err := take(id, cells*2)
+		if err != nil {
+			return err
+		}
+		codes[k] = castSlice[int16](p, cells)
+	}
+	p, err := take(secQuantFactors, 8*nAP*8)
+	if err != nil {
+		return err
+	}
+	// {scale, off} for mean, sigma, lognorm and floorll, each nAP long.
+	f := castSlice[float64](p, 8*nAP)
+	factor := func(k, j int) (scale, off float64) { return f[2*k*nAP+j], f[(2*k+1)*nAP+j] }
+	if p, err = take(secQuantUnheardLL, nE*8); err != nil {
+		return err
+	}
+	c.UnheardLL = castSlice[float64](p, nE)
+	if p, err = take(secQuantSignalBase, nE*8); err != nil {
+		return err
+	}
+	c.SignalBase = castSlice[float64](p, nE)
+	if !buildLists {
+		return nil
+	}
+	c.PostStart, c.Post = buildPostings(c.Trained, nE, nAP, func(i, j, cell int) Posting {
+		var v [4]float64
+		for k := range v {
+			scale, off := factor(k, j)
+			v[k] = dequant(codes[k][cell], scale, off)
+		}
+		return newPosting(i, v[0], v[1], v[2], v[3])
+	})
+	return nil
+}
+
+// decodeFloat64 builds the posting lists of a legacy float64 artifact
+// from its dense matrices. Its baselines were summed from the same
+// float64 cells, so the records match what Compile builds from the
+// database the artifact was compiled from.
+func decodeFloat64(c *Compiled, take takeFunc, nE, nAP int) error {
+	cells := nE * nAP
+	var m [4][]float64
+	for k, id := range []uint32{secMean, secSigma, secLogNorm, secFloorLL} {
+		p, err := take(id, cells*8)
+		if err != nil {
+			return err
+		}
+		m[k] = castSlice[float64](p, cells)
+	}
+	c.PostStart, c.Post = buildPostings(c.Trained, nE, nAP, func(i, _, cell int) Posting {
+		return newPosting(i, m[0][cell], m[1][cell], m[2][cell], m[3][cell])
+	})
+	return nil
+}
+
 // SectionInfo describes one artifact section for inspection tools.
 type SectionInfo struct {
 	ID     uint32
@@ -676,8 +679,6 @@ type FileInfo struct {
 	FloorSigma   float64
 	NumEntries   int
 	NumAPs       int
-	Quantized    bool
-	HasFloat64   bool
 	Sections     []SectionInfo
 }
 
@@ -697,8 +698,6 @@ func ReadFileInfo(data []byte) (*FileInfo, error) {
 		NumEntries:   nE,
 		NumAPs:       nAP,
 	}
-	_, info.HasFloat64 = secs[secMean]
-	_, info.Quantized = secs[secMeanQ]
 	for _, s := range secs {
 		info.Sections = append(info.Sections, SectionInfo{
 			ID: s.id, Name: sectionNames[s.id],

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"indoorloc/internal/geom"
@@ -15,9 +16,8 @@ import (
 func crcOf(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 
 // randomCompiled builds a compiled view from a randomized DB with
-// sparse coverage, optionally quantized and optionally stripped of the
-// float64 matrices.
-func randomCompiled(t *testing.T, seed int64, nE, nAP int, quantize, release bool) *Compiled {
+// sparse coverage.
+func randomCompiled(t *testing.T, seed int64, nE, nAP int) *Compiled {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db := &DB{Entries: make(map[string]*Entry)}
@@ -44,14 +44,8 @@ func randomCompiled(t *testing.T, seed int64, nE, nAP int, quantize, release boo
 	for b := range universe {
 		db.BSSIDs = append(db.BSSIDs, b)
 	}
-	c := db.Compile(-95, 4)
-	if quantize {
-		c.Quantize()
-	}
-	if release {
-		c.ReleaseFloat64()
-	}
-	return c
+	sort.Strings(db.BSSIDs)
+	return db.Compile(-95, 4)
 }
 
 func sameF64(t *testing.T, what string, a, b []float64) {
@@ -95,56 +89,37 @@ func checkRoundTrip(t *testing.T, c, d *Compiled) {
 	}
 	sameF64(t, "UnheardLL", d.UnheardLL, c.UnheardLL)
 	sameF64(t, "SignalBase", d.SignalBase, c.SignalBase)
-	if (c.Mean == nil) != (d.Mean == nil) {
-		t.Fatalf("float64 presence: got %v want %v", d.Mean != nil, c.Mean != nil)
-	}
-	if c.Mean != nil {
-		sameF64(t, "Mean", d.Mean, c.Mean)
-		sameF64(t, "Sigma", d.Sigma, c.Sigma)
-		sameF64(t, "LogNorm", d.LogNorm, c.LogNorm)
-		sameF64(t, "FloorLL", d.FloorLL, c.FloorLL)
-	}
-	if (c.Quant == nil) != (d.Quant == nil) {
-		t.Fatalf("quant presence: got %v want %v", d.Quant != nil, c.Quant != nil)
-	}
-	if q := c.Quant; q != nil {
-		dq := d.Quant
-		if !bytes.Equal(byteView(dq.MeanQ), byteView(q.MeanQ)) ||
-			!bytes.Equal(byteView(dq.SigmaQ), byteView(q.SigmaQ)) ||
-			!bytes.Equal(byteView(dq.LogNormQ), byteView(q.LogNormQ)) ||
-			!bytes.Equal(byteView(dq.FloorLLQ), byteView(q.FloorLLQ)) {
-			t.Fatal("quant codes mismatch")
-		}
-		sameF64(t, "MeanScale", dq.MeanScale, q.MeanScale)
-		sameF64(t, "MeanOff", dq.MeanOff, q.MeanOff)
-		sameF64(t, "SigmaScale", dq.SigmaScale, q.SigmaScale)
-		sameF64(t, "SigmaOff", dq.SigmaOff, q.SigmaOff)
-		sameF64(t, "LogNormScale", dq.LogNormScale, q.LogNormScale)
-		sameF64(t, "LogNormOff", dq.LogNormOff, q.LogNormOff)
-		sameF64(t, "FloorLLScale", dq.FloorLLScale, q.FloorLLScale)
-		sameF64(t, "FloorLLOff", dq.FloorLLOff, q.FloorLLOff)
-		sameF64(t, "q.UnheardLL", dq.UnheardLL, q.UnheardLL)
-		sameF64(t, "q.SignalBase", dq.SignalBase, q.SignalBase)
-		if !bytes.Equal(byteView(dq.PostStart), byteView(q.PostStart)) ||
-			!bytes.Equal(byteView(dq.Post), byteView(q.Post)) {
-			t.Fatal("posting lists differ from Quantize's")
-		}
+	if !bytes.Equal(byteView(d.PostStart), byteView(c.PostStart)) ||
+		!bytes.Equal(byteView(d.Post), byteView(c.Post)) {
+		t.Fatal("posting lists differ")
 	}
 }
 
+// TestCodecRoundTrip pins that a view survives encode → decode
+// unchanged. "postings" is a fresh Compile. The other cases start from
+// the legacy house artifacts (testdata/legacy): the decoded view,
+// re-encoded in the current format, decodes to the same view — the
+// upgrade path for artifacts written before postings were the only
+// form. "quant-only" carries int16 codes alone, "both" int16 codes
+// and their posting records.
 func TestCodecRoundTrip(t *testing.T) {
-	cases := []struct {
-		name              string
-		quantize, release bool
-	}{
-		{"float64-only", false, false},
-		{"both", true, false},
-		{"quant-only", true, true},
-	}
-	for _, tc := range cases {
+	for _, tc := range []struct{ name, fixture string }{
+		{"postings", ""},
+		{"float64-only", "house-float64.ilr"},
+		{"quant-only", "house-int16.ilr"},
+		{"both", "house-int16-postings.ilr"},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := randomCompiled(t, 11, 23, 7, tc.quantize, tc.release)
-			c.Generation = 42
+			var c *Compiled
+			if tc.fixture == "" {
+				c = randomCompiled(t, 11, 23, 7)
+				c.Generation = 42
+			} else {
+				var err error
+				if c, err = DecodeCompiled(legacyFixture(t, tc.fixture), DecodeOptions{VerifyCRC: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			buf, err := EncodeCompiled(c)
 			if err != nil {
 				t.Fatal(err)
@@ -177,15 +152,15 @@ func TestCodecEmptyishDims(t *testing.T) {
 }
 
 func TestEncodeRejectsMatrixlessView(t *testing.T) {
-	c := randomCompiled(t, 3, 4, 3, false, false)
-	c.Mean, c.Sigma, c.LogNorm, c.FloorLL = nil, nil, nil, nil
+	c := randomCompiled(t, 3, 4, 3)
+	c.PostStart, c.Post = nil, nil
 	if _, err := EncodeCompiled(c); err == nil {
-		t.Fatal("encoded a view with no matrices")
+		t.Fatal("encoded a view with no posting lists")
 	}
 }
 
 func TestOpenCompiledFile(t *testing.T) {
-	c := randomCompiled(t, 5, 40, 9, true, true)
+	c := randomCompiled(t, 5, 40, 9)
 	path := filepath.Join(t.TempDir(), "map.ilr")
 	if err := WriteCompiledFile(path, c); err != nil {
 		t.Fatal(err)
@@ -204,7 +179,7 @@ func TestOpenCompiledFile(t *testing.T) {
 }
 
 func TestReadFileInfo(t *testing.T) {
-	c := randomCompiled(t, 6, 12, 5, true, false)
+	c := randomCompiled(t, 6, 12, 5)
 	c.Generation = 7
 	buf, err := EncodeCompiled(c)
 	if err != nil {
@@ -217,10 +192,7 @@ func TestReadFileInfo(t *testing.T) {
 	if info.NumEntries != 12 || info.NumAPs != len(c.BSSIDs) || info.Generation != 7 {
 		t.Fatalf("info = %+v", info)
 	}
-	if !info.Quantized || !info.HasFloat64 {
-		t.Fatalf("matrix presence: %+v", info)
-	}
-	if len(info.Sections) != 7+4+7+2 {
+	if len(info.Sections) != 7+2 {
 		t.Fatalf("%d sections", len(info.Sections))
 	}
 	for i := 1; i < len(info.Sections); i++ {
@@ -235,7 +207,7 @@ func TestReadFileInfo(t *testing.T) {
 // target explores: every mutation class must produce an error, never a
 // panic.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	c := randomCompiled(t, 8, 10, 6, true, false)
+	c := randomCompiled(t, 8, 10, 6)
 	buf, err := EncodeCompiled(c)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +259,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // TestDecodeMisalignedInput pins the copy fallback: a view decoded
 // from a deliberately misaligned byte slice must still round-trip.
 func TestDecodeMisalignedInput(t *testing.T) {
-	c := randomCompiled(t, 9, 8, 4, false, false)
+	c := randomCompiled(t, 9, 8, 4)
 	buf, err := EncodeCompiled(c)
 	if err != nil {
 		t.Fatal(err)

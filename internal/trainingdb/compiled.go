@@ -7,19 +7,19 @@ import (
 	"indoorloc/internal/stats"
 )
 
-// Compiled is a dense, read-only view of a DB built for the
-// localization hot path. Where the DB stores per-entry statistics in
-// string-keyed maps, the compiled view interns every BSSID to a dense
-// column index and lays the per-⟨entry, AP⟩ statistics out in flat
-// entry-major matrices, so a scoring loop is a linear scan with zero
-// map lookups, zero sorting, and zero per-call log/sqrt work for the
-// terms that do not depend on the observation.
+// Compiled is a read-only view of a DB built for the localization hot
+// path. Where the DB stores per-entry statistics in string-keyed maps,
+// the compiled view interns every BSSID to a dense column index and
+// stores the per-⟨entry, AP⟩ statistics as AP-major posting lists of
+// precomputed records, so a scoring loop walks the heard columns'
+// lists with zero map lookups, zero sorting, and zero per-call
+// log/sqrt work for the terms that do not depend on the observation.
 //
-// Radio-map systems (RADAR and its descendants) assume exactly this
-// representation: the radio map is a matrix scanned per query, not a
-// hash-map walk. The toolkit's Locator implementations compile the DB
-// once — lazily on first Locate or eagerly via their Warm method — and
-// score every subsequent observation against the matrices.
+// This is the inverted index FAB-MAP serves WiFi fingerprints from:
+// one list per AP of the training points that heard it. The toolkit's
+// Locator implementations compile the DB once — lazily on first Locate
+// or eagerly via their Warm method — and score every subsequent
+// observation against the lists.
 //
 // A Compiled view is immutable after construction and therefore safe
 // for unsynchronised concurrent reads. It is a snapshot: mutating the
@@ -54,36 +54,27 @@ type Compiled struct {
 	// int32 keeps the matrix mmap-able and halves its footprint; a
 	// single ⟨entry, AP⟩ cell never approaches 2³¹ samples.
 	N []int32
-	// Mean is the trained mean RSSI; untrained cells hold FloorRSSI so
-	// signal-distance loops read one value without branching.
-	Mean []float64
-	// Sigma is the trained standard deviation clamped to
-	// stats.MinSigma; untrained cells hold FloorSigma.
-	Sigma []float64
-	// LogNorm is the Gaussian log-normalisation term −log σ − ½·log 2π,
-	// precomputed so the per-observation likelihood is one subtraction,
-	// one multiply and one add per cell.
-	LogNorm []float64
-	// FloorLL is the precomputed floor-model log-likelihood
-	// LogGaussianPDF(FloorRSSI, Mean, Sigma) for trained cells — the
-	// "trained but not heard" score — and 0 for untrained cells.
-	FloorLL []float64
 
 	// UnheardLL is the per-entry log-likelihood of hearing nothing at
-	// all: the sum of FloorLL over the entry's trained cells. Scoring an
-	// observation starts from this baseline and corrects only the heard
-	// columns, making the scan O(entries × heard APs) instead of
+	// all: the sum over the entry's trained cells of the floor-model
+	// term LogGaussianPDF(FloorRSSI, mean, σ). Scoring an observation
+	// starts from this baseline and corrects only the heard columns'
+	// postings, making the scan O(entries + heard postings) instead of
 	// O(entries × universe).
 	UnheardLL []float64
 	// SignalBase is the per-entry squared signal distance of the
-	// all-floor observation: the sum of (FloorRSSI−Mean)² over trained
-	// cells. The kNN family applies per-heard-column corrections to it.
+	// all-floor observation: the sum of (FloorRSSI−mean)² over trained
+	// cells. The kNN family applies per-posting corrections to it.
 	SignalBase []float64
 
-	// Quant is the int16-quantized mirror of the four matrices above,
-	// built by Quantize (or loaded from a v2 artifact, in which case the
-	// float64 matrices may be nil). Scorers prefer it when present.
-	Quant *Quant
+	// PostStart and Post are the AP-major posting lists of the trained
+	// cells: column j's cells are Post[PostStart[j]:PostStart[j+1]], in
+	// strictly increasing entry order. They are the radio map the
+	// maximum-likelihood and kNN scans read: one record per trained
+	// ⟨entry, AP⟩ pair, the paper's ⟨mean, σ⟩ in the form the loop
+	// consumes.
+	PostStart []int32
+	Post      []Posting
 
 	apIndex map[string]int
 	// backing pins the byte region a decoded view's slices and strings
@@ -92,9 +83,10 @@ type Compiled struct {
 	backing []byte
 }
 
-// Compile builds the dense view of the database under the given
-// floor-model parameters. floorSigma below stats.MinSigma is raised to
-// it. The view snapshots the DB: later DB mutations are not reflected.
+// Compile builds the view of the database under the given floor-model
+// parameters, straight from the DB's float64 statistics. floorSigma
+// below stats.MinSigma is raised to it. The view snapshots the DB:
+// later DB mutations are not reflected.
 func (db *DB) Compile(floorRSSI, floorSigma float64) *Compiled {
 	if floorSigma < stats.MinSigma {
 		floorSigma = stats.MinSigma
@@ -110,10 +102,6 @@ func (db *DB) Compile(floorRSSI, floorSigma float64) *Compiled {
 		BSSIDs:     append([]string(nil), db.BSSIDs...),
 		Trained:    make([]bool, nE*nAP),
 		N:          make([]int32, nE*nAP),
-		Mean:       make([]float64, nE*nAP),
-		Sigma:      make([]float64, nE*nAP),
-		LogNorm:    make([]float64, nE*nAP),
-		FloorLL:    make([]float64, nE*nAP),
 		UnheardLL:  make([]float64, nE),
 		SignalBase: make([]float64, nE),
 		apIndex:    make(map[string]int, nAP),
@@ -121,39 +109,35 @@ func (db *DB) Compile(floorRSSI, floorSigma float64) *Compiled {
 	for j, b := range c.BSSIDs {
 		c.apIndex[b] = j
 	}
-	halfLog2Pi := 0.5 * math.Log(2*math.Pi)
+	entries := make([]*Entry, nE)
 	for i, name := range c.Names {
 		e := db.Entries[name]
+		entries[i] = e
 		c.Pos[i] = e.Pos
-		base := i * nAP
-		for j, b := range c.BSSIDs {
-			cell := base + j
-			s, ok := e.PerAP[b]
-			if !ok {
-				c.Mean[cell] = floorRSSI
-				c.Sigma[cell] = floorSigma
-				continue
+		for b, s := range e.PerAP {
+			if j, ok := c.apIndex[b]; ok {
+				c.Trained[i*nAP+j] = true
+				c.N[i*nAP+j] = int32(s.N)
 			}
-			sigma := s.StdDev
-			if sigma < stats.MinSigma {
-				sigma = stats.MinSigma
-			}
-			c.Trained[cell] = true
-			c.N[cell] = int32(s.N)
-			c.Mean[cell] = s.Mean
-			c.Sigma[cell] = sigma
-			c.LogNorm[cell] = -math.Log(sigma) - halfLog2Pi
-			c.FloorLL[cell] = stats.LogGaussianPDF(floorRSSI, s.Mean, s.StdDev)
-			c.UnheardLL[i] += c.FloorLL[cell]
-			d := floorRSSI - s.Mean
-			c.SignalBase[i] += d * d
 		}
 	}
+	halfLog2Pi := 0.5 * math.Log(2*math.Pi)
+	c.PostStart, c.Post = buildPostings(c.Trained, nE, nAP, func(i, j, _ int) Posting {
+		s := entries[i].PerAP[c.BSSIDs[j]]
+		sigma := max(s.StdDev, stats.MinSigma)
+		floorLL := stats.LogGaussianPDF(floorRSSI, s.Mean, s.StdDev)
+		c.UnheardLL[i] += floorLL
+		d := floorRSSI - s.Mean
+		// Rounding the square before the add blocks a fused
+		// multiply-add, so the baseline has the same bits on every CPU.
+		c.SignalBase[i] += float64(d * d)
+		return newPosting(i, s.Mean, sigma, -math.Log(sigma)-halfLog2Pi, floorLL)
+	})
 	return c
 }
 
 // Stale reports whether db has mutated since the view was compiled —
-// the view still serves the old matrices, so answers drawn from it no
+// the view still serves the old radio map, so answers drawn from it no
 // longer reflect the database. Locators bind to the generation current
 // at their first Warm/Locate; a deployment that mutates the DB
 // afterwards must rebuild them (the ingest compactor's hot-swap path)

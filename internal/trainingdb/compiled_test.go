@@ -59,33 +59,30 @@ func TestCompileLayout(t *testing.T) {
 	if c.Trained[2] || !c.Trained[3] {
 		t.Fatalf("kitchen Trained = %v", c.Trained[2:])
 	}
-	// Constant-sample σ clamps to MinSigma; untrained cells read the
-	// floor model.
-	if c.Sigma[0] != stats.MinSigma {
-		t.Errorf("clamped sigma = %v", c.Sigma[0])
-	}
-	if c.Mean[2] != -95 || c.Sigma[2] != 4 {
-		t.Errorf("untrained cell = mean %v sigma %v", c.Mean[2], c.Sigma[2])
-	}
 	if c.N[0] != 9 || c.N[2] != 0 {
 		t.Errorf("N = %v", c.N)
 	}
 
-	// LogNorm and FloorLL agree with the stats primitives.
+	// Postings: apX lists hall; apY lists hall then kitchen.
+	if !slices.Equal(c.PostStart, []int32{0, 1, 3}) {
+		t.Fatalf("PostStart = %v", c.PostStart)
+	}
+	if c.Post[0].Entry != 0 || c.Post[1].Entry != 0 || c.Post[2].Entry != 1 {
+		t.Fatalf("posting entries = %d %d %d", c.Post[0].Entry, c.Post[1].Entry, c.Post[2].Entry)
+	}
+	// Constant-sample σ clamps to MinSigma in the record; the constant
+	// folds the log-norm and floor terms of the stats primitives.
 	wantNorm := -math.Log(stats.MinSigma) - 0.5*math.Log(2*math.Pi)
-	if math.Abs(c.LogNorm[0]-wantNorm) > 1e-12 {
-		t.Errorf("LogNorm = %v, want %v", c.LogNorm[0], wantNorm)
-	}
-	wantFloor := stats.LogGaussianPDF(-95, -60, 0)
-	if c.FloorLL[0] != wantFloor {
-		t.Errorf("FloorLL = %v, want %v", c.FloorLL[0], wantFloor)
-	}
-	if c.FloorLL[2] != 0 {
-		t.Errorf("untrained FloorLL = %v", c.FloorLL[2])
+	floorX := stats.LogGaussianPDF(-95, -60, 0)
+	want := Posting{Entry: 0, Center: -60,
+		HalfPrec: float32(1 / (stats.MinSigma * math.Sqrt2)),
+		Const:    float32(wantNorm - floorX)}
+	if c.Post[0] != want {
+		t.Errorf("hall/apX record = %+v, want %+v", c.Post[0], want)
 	}
 
 	// Baselines sum the trained cells only.
-	wantUnheard := c.FloorLL[0] + c.FloorLL[1]
+	wantUnheard := floorX + stats.LogGaussianPDF(-95, -72, 3)
 	if math.Abs(c.UnheardLL[0]-wantUnheard) > 1e-12 {
 		t.Errorf("UnheardLL = %v, want %v", c.UnheardLL[0], wantUnheard)
 	}

@@ -8,8 +8,3 @@ var (
 	RandomCompiled = randomCompiled
 	LegacyPostings = legacyPostings
 )
-
-// StripPostings returns a copy of the artifact without its post-start
-// and postings sections, as an encoder from before posting lists wrote
-// it.
-func StripPostings(buf []byte) []byte { return stripSections(buf, secPostStart, secPostings) }

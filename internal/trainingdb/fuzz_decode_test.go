@@ -2,6 +2,8 @@ package trainingdb_test
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -13,10 +15,14 @@ import (
 // must either decode into a self-consistent view or return an error —
 // never panic, and never allocate matrices beyond what the input's own
 // size can justify. Every accepted view must also hold valid posting
-// lists and survive scoring one observation through both int16 scans.
+// lists and survive scoring one observation through both posting scans.
+// The legacy house artifacts seed the dense-section decode paths.
 func FuzzCompiledDecode(f *testing.F) {
 	for _, seed := range trainingdb.FuzzSeeds() {
 		f.Add(seed)
+	}
+	for _, name := range legacyArtifacts {
+		f.Add(readLegacy(f, name))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := trainingdb.DecodeCompiled(data, trainingdb.DecodeOptions{VerifyCRC: true})
@@ -49,14 +55,9 @@ func FuzzCompiledDecode(f *testing.F) {
 				_ = got
 			}
 		}
-		if q := c.Quant; q != nil {
-			if len(q.MeanQ) != cells || len(q.MeanScale) != nAP {
-				t.Fatal("inconsistent quantized dimensions")
-			}
-			checkPostingInvariants(t, q, nE, nAP)
-		}
-		// Score one observation over the view: the posting scans (or
-		// the float64 scans) must index only what decode validated.
+		checkPostingInvariants(t, c)
+		// Score one observation over the view: the posting scans must
+		// index only what decode validated.
 		if nAP > 0 {
 			ml := localize.NewMaxLikelihood(nil)
 			ml.Precompiled = c
@@ -79,17 +80,18 @@ func FuzzCompiledDecode(f *testing.F) {
 	})
 }
 
-// checkPostingInvariants asserts what the int16 scan relies on: the
+// checkPostingInvariants asserts what the posting scans rely on: the
 // starts rise from 0 to len(Post), and each column's entries strictly
-// increase and stay below nE.
-func checkPostingInvariants(t *testing.T, q *trainingdb.Quant, nE, nAP int) {
+// increase and stay below the entry count.
+func checkPostingInvariants(t *testing.T, c *trainingdb.Compiled) {
 	t.Helper()
-	if len(q.PostStart) != nAP+1 || q.PostStart[0] != 0 || int(q.PostStart[nAP]) != len(q.Post) {
-		t.Fatalf("posting starts %v over %d postings", q.PostStart, len(q.Post))
+	nE, nAP := c.NumEntries(), c.NumAPs()
+	if len(c.PostStart) != nAP+1 || c.PostStart[0] != 0 || int(c.PostStart[nAP]) != len(c.Post) {
+		t.Fatalf("posting starts %v over %d postings", c.PostStart, len(c.Post))
 	}
 	for j := 0; j < nAP; j++ {
 		prev := int32(-1)
-		for _, p := range q.Post[q.PostStart[j]:q.PostStart[j+1]] {
+		for _, p := range c.Post[c.PostStart[j]:c.PostStart[j+1]] {
 			if p.Entry <= prev || int(p.Entry) >= nE {
 				t.Fatalf("column %d: entry %d after %d (entries %d)", j, p.Entry, prev, nE)
 			}
@@ -98,73 +100,69 @@ func checkPostingInvariants(t *testing.T, q *trainingdb.Quant, nE, nAP int) {
 	}
 }
 
-// TestStrippedArtifactAnswersIdentically pins the decode fallback: an
-// artifact without the posting sections, or with only the retired
-// 12-byte post section, rebuilds the same lists, and the int16
-// locators over it answer exactly as over the full artifact and over
-// the in-memory view it was written from.
+// legacyArtifacts are the house artifacts of the retired formats in
+// testdata/legacy (see postings_test.go for their provenance).
+var legacyArtifacts = []string{"house-float64.ilr", "house-int16.ilr", "house-int16-postings.ilr"}
+
+func readLegacy(tb testing.TB, name string) []byte {
+	tb.Helper()
+	buf, err := os.ReadFile(filepath.Join("testdata", "legacy", name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return buf
+}
+
+// TestStrippedArtifactAnswersIdentically pins the int16 decode
+// fallback: an int16 artifact without posting lists, or with only the
+// retired 12-byte post section, rebuilds the lists the encoder stored
+// beside the codes, and the locators over all three answer
+// identically.
 func TestStrippedArtifactAnswersIdentically(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		c := trainingdb.RandomCompiled(t, seed, 60, 12, true, true)
-		buf, err := trainingdb.EncodeCompiled(c)
+	stripped := readLegacy(t, "house-int16.ilr")
+	var views []*trainingdb.Compiled
+	for _, buf := range [][]byte{
+		readLegacy(t, "house-int16-postings.ilr"), stripped, trainingdb.LegacyPostings(stripped),
+	} {
+		c, err := trainingdb.DecodeCompiled(buf, trainingdb.DecodeOptions{VerifyCRC: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		stripped := trainingdb.StripPostings(buf)
-		info, err := trainingdb.ReadFileInfo(stripped)
-		if err != nil {
-			t.Fatal(err)
+		views = append(views, c)
+	}
+	for i, view := range views[1:] {
+		if !reflect.DeepEqual(view.PostStart, views[0].PostStart) || !reflect.DeepEqual(view.Post, views[0].Post) {
+			t.Fatalf("view %d: rebuilt postings differ from the stored ones", i+1)
 		}
-		for _, s := range info.Sections {
-			if s.Name == "post-start" || s.Name == "postings" {
-				t.Fatalf("seed %d: stripped artifact still lists %s", seed, s.Name)
+	}
+	rng := rand.New(rand.NewSource(1))
+	c := views[0]
+	for trial := 0; trial < 20; trial++ {
+		obs := localize.Observation{}
+		for _, b := range c.BSSIDs {
+			if rng.Float64() < 0.7 {
+				obs[b] = -30 - 60*rng.Float64()
 			}
 		}
-		full, err := trainingdb.DecodeCompiled(buf, trainingdb.DecodeOptions{VerifyCRC: true})
-		if err != nil {
-			t.Fatal(err)
+		if len(obs) == 0 {
+			continue
 		}
-		old, err := trainingdb.DecodeCompiled(stripped, trainingdb.DecodeOptions{VerifyCRC: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := trainingdb.DecodeCompiled(trainingdb.LegacyPostings(buf), trainingdb.DecodeOptions{VerifyCRC: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, view := range []*trainingdb.Compiled{old, legacy} {
-			if !reflect.DeepEqual(view.Quant.PostStart, c.Quant.PostStart) || !reflect.DeepEqual(view.Quant.Post, c.Quant.Post) {
-				t.Fatalf("seed %d: rebuilt postings differ from Quantize's", seed)
-			}
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for trial := 0; trial < 10; trial++ {
-			obs := localize.Observation{}
-			for _, b := range c.BSSIDs {
-				if rng.Float64() < 0.6 {
-					obs[b] = -30 - 60*rng.Float64()
+		var want [2]localize.Estimate
+		for i, view := range views {
+			ml := localize.NewMaxLikelihood(nil)
+			ml.Precompiled = view
+			knn := localize.NewKNN(nil, 3)
+			knn.Precompiled = view
+			for l, loc := range []localize.Locator{ml, knn} {
+				est, err := loc.Locate(obs)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if len(obs) == 0 {
-				continue
-			}
-			var want [2]localize.Estimate
-			for i, view := range []*trainingdb.Compiled{c, full, old, legacy} {
-				ml := localize.NewMaxLikelihood(nil)
-				ml.Precompiled = view
-				knn := localize.NewKNN(nil, 3)
-				knn.Precompiled = view
-				for l, loc := range []localize.Locator{ml, knn} {
-					est, err := loc.Locate(obs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if i == 0 {
-						want[l] = est
-					} else if !reflect.DeepEqual(est, want[l]) {
-						t.Fatalf("seed %d trial %d %s: decoded view %d answers %q (%v), in-memory view %q (%v)",
-							seed, trial, loc.Name(), i, est.Name, est.Score, want[l].Name, want[l].Score)
-					}
+				if i == 0 {
+					want[l] = est
+				} else if !reflect.DeepEqual(est, want[l]) {
+					t.Fatalf("trial %d %s: view %d answers %q (%v), stored lists %q (%v)",
+						trial, loc.Name(), i, est.Name, est.Score, want[l].Name, want[l].Score)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package trainingdb
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -11,8 +12,7 @@ import (
 	"indoorloc/internal/geom"
 )
 
-// fuzzFixture builds a small two-entry view, quantized with both
-// matrix families present so every section id appears in the artifact.
+// fuzzFixture builds a small two-entry view.
 func fuzzFixture() *Compiled {
 	db := &DB{
 		Entries: map[string]*Entry{
@@ -26,9 +26,7 @@ func fuzzFixture() *Compiled {
 		},
 		BSSIDs: []string{"apA", "apB"},
 	}
-	c := db.Compile(-95, 4)
-	c.Quantize()
-	return c
+	return db.Compile(-95, 4)
 }
 
 // resealHeader recomputes the header+table CRC after a test edits
@@ -58,9 +56,7 @@ func patchSection(b []byte, id uint32, f func(payload []byte) []byte) []byte {
 }
 
 // stripSections copies an artifact and drops the given sections from
-// its table; their payload bytes stay behind unreferenced. Stripping
-// post-start and post gives the shape of an artifact written before
-// posting lists existed.
+// its table; their payload bytes stay behind unreferenced.
 func stripSections(buf []byte, ids ...uint32) []byte {
 	b := append([]byte(nil), buf...)
 	count, kept := int(le32(b[48:])), 0
@@ -79,8 +75,9 @@ func stripSections(buf []byte, ids ...uint32) []byte {
 
 // fuzzSeeds returns the named seed corpus: a pristine artifact plus
 // the corruption classes decode must reject (truncations, corrupt
-// CRCs, overlapping sections, hostile dimensions, and posting lists
-// that are CRC-clean but break the list invariants).
+// CRCs, overlapping sections, hostile dimensions, posting lists that
+// are CRC-clean but break the list invariants, and CRC-clean records
+// that only VerifyCRC's record check catches).
 func fuzzSeeds() map[string][]byte {
 	buf, err := EncodeCompiled(fuzzFixture())
 	if err != nil {
@@ -131,49 +128,52 @@ func fuzzSeeds() map[string][]byte {
 		return p[:len(p)-postingSize]
 	})
 	seeds["post-without-start"] = stripSections(buf, secPostStart)
+	// apA's list names porch, which never heard apA: the list shape is
+	// valid, only the trained-cell check objects.
+	seeds["record-untrained-cell"] = posts(func(ps []Posting) { ps[0].Entry = 1 })
+	seeds["record-nan-halfprec"] = posts(func(ps []Posting) { ps[1].HalfPrec = float32(math.NaN()) })
 
 	// A well-formed view with APs but no entries: every section is
 	// CRC-clean and exactly sized, so only the entry check rejects it.
 	empty := &DB{Entries: map[string]*Entry{}, BSSIDs: []string{"apA", "apB"}}
-	ec := empty.Compile(-95, 4)
-	ec.Quantize()
-	if seeds["zero-entries"], err = EncodeCompiled(ec); err != nil {
+	if seeds["zero-entries"], err = EncodeCompiled(empty.Compile(-95, 4)); err != nil {
 		panic(err)
 	}
 	return seeds
 }
 
-// legacyPostings returns a copy of the artifact as the encoder of
-// 12-byte posting records wrote it: the postings section gives way to
-// a post section of {Entry int32; MeanQ, SigmaQ, LogNormQ, FloorLLQ
-// int16} records in host order.
+// legacyPostings returns a copy of an int16 artifact without posting
+// lists as the encoder of 12-byte posting records wrote it: a post
+// section of {Entry int32; MeanQ, SigmaQ, LogNormQ, FloorLLQ int16}
+// records in host order, AP-major, beside the codes they copy.
 func legacyPostings(buf []byte) []byte {
-	c, err := DecodeCompiled(buf, DecodeOptions{})
+	gen, floorRSSI, floorSigma, nE, nAP, parsed, err := parseHeader(buf)
 	if err != nil {
 		panic(err)
+	}
+	payload := func(id uint32) []byte { s := parsed[id]; return buf[s.off : s.off+s.length] }
+	cells := nE * nAP
+	trained := castSlice[bool](payload(secTrained), cells)
+	var codes [4][]int16
+	for k, id := range []uint32{secMeanQ, secSigmaQ, secLogNormQ, secFloorLLQ} {
+		codes[k] = castSlice[int16](payload(id), cells)
 	}
 	type legacyPosting struct {
 		Entry                             int32
 		MeanQ, SigmaQ, LogNormQ, FloorLLQ int16
 	}
-	q, nAP := c.Quant, c.NumAPs()
-	recs := make([]legacyPosting, 0, len(q.Post))
+	var recs []legacyPosting
 	for j := 0; j < nAP; j++ {
-		for _, p := range q.Post[q.PostStart[j]:q.PostStart[j+1]] {
-			cell := int(p.Entry)*nAP + j
-			recs = append(recs, legacyPosting{p.Entry,
-				q.MeanQ[cell], q.SigmaQ[cell], q.LogNormQ[cell], q.FloorLLQ[cell]})
+		for i := 0; i < nE; i++ {
+			if cell := i*nAP + j; trained[cell] {
+				recs = append(recs, legacyPosting{int32(i),
+					codes[0][cell], codes[1][cell], codes[2][cell], codes[3][cell]})
+			}
 		}
-	}
-	gen, floorRSSI, floorSigma, nE, _, parsed, err := parseHeader(buf)
-	if err != nil {
-		panic(err)
 	}
 	var secs []section
 	for id, s := range parsed {
-		if id != secPostings {
-			secs = append(secs, section{id, buf[s.off : s.off+s.length], 8})
-		}
+		secs = append(secs, section{id, buf[s.off : s.off+s.length], 8})
 	}
 	slices.SortFunc(secs, func(a, b section) int { return int(a.id) - int(b.id) })
 	secs = append(secs, section{secPost, byteView(recs), 8})
@@ -182,8 +182,10 @@ func legacyPostings(buf []byte) []byte {
 
 // TestFuzzSeedsBehave pins the seed corpus semantics outside the fuzz
 // engine: the pristine seed decodes, every corruption seed errors.
-// The posting and zero-entry seeds are CRC-clean: only the list and
-// entry checks may reject them, and those run on the serving path too.
+// The posting, record and zero-entry seeds are CRC-clean: only the
+// list, record and entry checks may reject them. The list and entry
+// checks run on the serving path too; the record check is VerifyCRC's,
+// so a lazy load accepts those seeds.
 func TestFuzzSeedsBehave(t *testing.T) {
 	for name, seed := range fuzzSeeds() {
 		_, err := DecodeCompiled(seed, DecodeOptions{VerifyCRC: true})
@@ -194,6 +196,13 @@ func TestFuzzSeedsBehave(t *testing.T) {
 			}
 		case err == nil:
 			t.Errorf("seed %s decoded without error", name)
+		case strings.HasPrefix(name, "record-"):
+			if !strings.Contains(err.Error(), "posting records") {
+				t.Errorf("seed %s rejected for another reason: %v", name, err)
+			}
+			if _, err := DecodeCompiled(seed, DecodeOptions{}); err != nil {
+				t.Errorf("seed %s rejected without VerifyCRC: %v", name, err)
+			}
 		case strings.HasPrefix(name, "post-") || name == "zero-entries":
 			want := "post"
 			if name == "zero-entries" {

@@ -92,8 +92,8 @@ type Config struct {
 	// means core.AlgoProbabilistic. Artifact-backed venues are limited
 	// to the compiled-servable algorithms.
 	Algorithm string
-	// Build carries the locator knobs (quantize, top-k)
-	// applied to every venue.
+	// Build carries the locator knobs (top-k, k) applied to every
+	// venue.
 	Build core.BuildConfig
 	// MaxBytes is the LRU memory budget over resident venues,
 	// accounted at artifact/database file size. Zero means unbounded.
