@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"indoorloc/internal/ingest"
 	"indoorloc/internal/trainingdb"
 )
 
@@ -38,12 +40,12 @@ func TestCompileInspectVerify(t *testing.T) {
 	if err := run([]string{"inspect", artifact}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"ILRMAPv2", "locations: 30", "post-start", "postings"} {
+	for _, want := range []string{"ILRMAPv2", "locations: 30", "post-start", "postings", "post-n"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("inspect output missing %q:\n%s", want, out.String())
 		}
 	}
-	for _, retired := range []string{"mean-q", "quant-factors", "floor-ll"} {
+	for _, retired := range []string{"mean-q", "quant-factors", "floor-ll", "trained"} {
 		if strings.Contains(out.String(), retired) {
 			t.Errorf("inspect output lists retired section %q:\n%s", retired, out.String())
 		}
@@ -74,6 +76,46 @@ func TestCompileInspectVerify(t *testing.T) {
 	}
 	if err := run([]string{"verify", bad}, &out); err == nil {
 		t.Error("verify accepted a corrupt artifact")
+	}
+}
+
+// TestInspectStaleManifest pins that inspect prints a manifest
+// sidecar's WAL watermark only when the sidecar describes the
+// artifact's generation: a sidecar left behind by an older generation
+// is named stale instead.
+func TestInspectStaleManifest(t *testing.T) {
+	db, err := trainingdb.LoadFile(makeDB(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := db.Compile(-95, 4)
+	c.Generation = 5
+	artifact := filepath.Join(t.TempDir(), "map.ilr")
+	if err := trainingdb.WriteCompiledFile(artifact, c); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		gen  uint64
+		want string
+		not  string
+	}{
+		{4, "wal watermark: stale (manifest is generation 4, artifact generation 5)", "wal watermark: 77"},
+		{5, "wal watermark: 77 (epoch", "stale"},
+	} {
+		raw, err := json.Marshal(ingest.ArtifactManifest{Generation: tc.gen, Watermark: 77, Epoch: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(artifact+".manifest", raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"inspect", artifact}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), tc.want) || strings.Contains(out.String(), tc.not) {
+			t.Errorf("manifest generation %d: inspect output\n%s\nwant %q, not %q", tc.gen, out.String(), tc.want, tc.not)
+		}
 	}
 }
 

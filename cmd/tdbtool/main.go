@@ -224,8 +224,8 @@ func runCompile(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "compiled %s → %s: %d locations × %d APs, %d postings, %d matrix bytes, %d on disk\n",
-		*dbPath, *outPath, c.NumEntries(), c.NumAPs(), len(c.Post), c.MatrixBytes(), st.Size())
+	fmt.Fprintf(out, "compiled %s → %s: %d locations × %d APs, %d postings, %d posting bytes, %d on disk\n",
+		*dbPath, *outPath, c.NumEntries(), c.NumAPs(), len(c.Post), c.PostingBytes(), st.Size())
 	return nil
 }
 
@@ -296,8 +296,12 @@ func runInspect(args []string, out io.Writer) error {
 		info.Generation, info.NumEntries, info.NumAPs, info.FloorRSSI, info.FloorSigma)
 	// A live trainer writes a "<FILE>.manifest" sidecar tying the
 	// artifact to its WAL position; surface it when present so an
-	// operator can line a follower's snapshot up with the journal.
-	if am, err := ingest.ReadArtifactManifest(fs.Arg(0)); err == nil {
+	// operator can line a follower's snapshot up with the journal. It
+	// lands after the artifact, so an older generation's may be left.
+	if am, err := ingest.ReadArtifactManifest(fs.Arg(0)); err == nil && am.Generation != info.Generation {
+		fmt.Fprintf(out, "wal watermark: stale (manifest is generation %d, artifact generation %d)\n",
+			am.Generation, info.Generation)
+	} else if err == nil {
 		fmt.Fprintf(out, "wal watermark: %d (epoch %016x, built %s)\n",
 			am.Watermark, am.Epoch, am.BuiltAt.Format("2006-01-02T15:04:05Z07:00"))
 	}

@@ -441,6 +441,13 @@ func TestCompiledMatchesMapBased(t *testing.T) {
 			want, wantErr = refSector(secLoose, obs)
 			compareEstimates(t, tag("sector-loose"), est, err, want, wantErr)
 		}
+		// The histogram keeps one row of bins per posting, not per cell.
+		if err := hist.Warm(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(hist.tables.logProb), len(hist.compiled.Post)*hist.Bins; got != want {
+			t.Errorf("seed %d: histogram table holds %d log-probabilities, want %d", seed, got, want)
+		}
 	}
 }
 

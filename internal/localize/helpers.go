@@ -103,8 +103,8 @@ type histTables struct {
 	// after Laplace smoothing — the "heard an AP this entry never
 	// trained" term.
 	uniform float64
-	// logProb[cell*bins+k] is the smoothed log probability of bin k at
-	// the cell; rows of untrained cells stay zero and are never read.
+	// logProb[k*bins+b] is the smoothed log probability of bin b at the
+	// trained cell of posting k.
 	logProb []float64
 	// base[i] sums the floor-bin log probabilities over entry i's
 	// trained cells.
@@ -123,8 +123,8 @@ func (t *histTables) bin(x float64) int {
 	return i
 }
 
-// buildTables compiles the radio map and the per-⟨entry, AP⟩
-// log-probability tables from the raw training samples.
+// buildTables compiles the radio map and one log-probability row per
+// posting from the raw training samples.
 func (h *Histogram) buildTables() error {
 	bins := h.Bins
 	lo, hi := h.RangeLo, h.RangeHi
@@ -136,34 +136,31 @@ func (h *Histogram) buildTables() error {
 		lo, hi = -100, -30
 	}
 	c := h.DB.Compile(h.FloorRSSI, stats.MinSigma)
-	nAP := len(c.BSSIDs)
 	t := &histTables{
 		bins:    bins,
 		lo:      lo,
 		width:   (hi - lo) / float64(bins),
 		uniform: logf(1 / float64(bins)),
-		logProb: make([]float64, len(c.Names)*nAP*bins),
+		logProb: make([]float64, len(c.Post)*bins),
 		base:    make([]float64, len(c.Names)),
 	}
 	t.floorBin = t.bin(h.FloorRSSI)
-	for i, name := range c.Names {
-		e := h.DB.Entries[name]
-		for j, b := range c.BSSIDs {
-			s, ok := e.PerAP[b]
-			if !ok {
-				continue
-			}
+	// Column by column, so each entry's base sums its terms in
+	// ascending column order.
+	for j, b := range c.BSSIDs {
+		for k := c.PostStart[j]; k < c.PostStart[j+1]; k++ {
+			i := c.Post[k].Entry
 			hist, err := stats.NewHistogram(lo, hi, bins)
 			if err != nil {
 				return err
 			}
-			for _, v := range s.Samples {
+			for _, v := range h.DB.Entries[c.Names[i]].PerAP[b].Samples {
 				hist.Add(v)
 			}
-			row := (i*nAP + j) * bins
+			row := int(k) * bins
 			total := float64(hist.Total()) + float64(bins)
-			for k, count := range hist.Counts {
-				t.logProb[row+k] = logf((float64(count) + 1) / total)
+			for bi, count := range hist.Counts {
+				t.logProb[row+bi] = logf((float64(count) + 1) / total)
 			}
 			t.base[i] += t.logProb[row+t.floorBin]
 		}

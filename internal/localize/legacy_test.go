@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"indoorloc/internal/sim"
@@ -81,8 +82,9 @@ func int16ScoreBound(db *trainingdb.DB, c *trainingdb.Compiled, factors []float6
 // with and without VerifyCRC, answers 30 house observations with every
 // candidate within the derived bound of the uncompiled oracle over the
 // database it was compiled from, and with the oracle's argmax. The
-// float64 artifact's records round exact cells, so float32ScoreBound
-// covers it; the int16 artifacts add their codes' int16ScoreBound.
+// float64 artifact's records and those stored beside the dense trained
+// and n matrices round exact cells, so float32ScoreBound covers them;
+// the int16 artifacts add their codes' int16ScoreBound.
 func TestLegacyArtifactsServe(t *testing.T) {
 	db, err := trainingdb.LoadFile(filepath.Join(legacyDir, "house.tdb"))
 	if err != nil {
@@ -107,13 +109,13 @@ func TestLegacyArtifactsServe(t *testing.T) {
 	if len(observations) != 30 {
 		t.Fatalf("%d house observations, want 30", len(observations))
 	}
-	for _, name := range []string{"house-float64.ilr", "house-int16.ilr", "house-int16-postings.ilr"} {
+	for _, name := range []string{"house-float64.ilr", "house-int16.ilr", "house-int16-postings.ilr", "house-postings.ilr"} {
 		buf, err := os.ReadFile(filepath.Join(legacyDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var factors []float64
-		if name != "house-float64.ilr" {
+		if strings.HasPrefix(name, "house-int16") {
 			factors = int16Factors(t, buf)
 		}
 		for _, verify := range []bool{false, true} {

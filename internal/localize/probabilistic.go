@@ -266,24 +266,23 @@ func (h *Histogram) Locate(obs Observation) (Estimate, error) {
 
 // scoreAll scores every entry. Baseline: every trained AP scored at
 // the floor level; heard columns swap in the observed bin (trained) or
-// the uniform smoothed mass of an empty histogram (untrained).
+// the uniform smoothed mass of an empty histogram (untrained). Each
+// heard column walks every entry with a cursor over its posting list,
+// so every entry's terms are added in ascending column order.
 //
 //loclint:hotpath
 func (h *Histogram) scoreAll(c *trainingdb.Compiled, t *histTables, cols []int32, binIdx []int32, scores []float64) {
-	nAP := len(c.BSSIDs)
-	bins := t.bins
-	for i := range scores {
-		ll := t.base[i]
-		base := i * nAP
-		for h2, j := range cols {
-			cell := base + int(j)
-			if c.Trained[cell] {
-				row := cell * bins
-				ll += t.logProb[row+int(binIdx[h2])] - t.logProb[row+t.floorBin]
+	copy(scores, t.base)
+	for h2, j := range cols {
+		k, end := c.PostStart[j], c.PostStart[j+1]
+		for i := range scores {
+			if k < end && int(c.Post[k].Entry) == i {
+				row := int(k) * t.bins
+				scores[i] += t.logProb[row+int(binIdx[h2])] - t.logProb[row+t.floorBin]
+				k++
 			} else {
-				ll += t.uniform
+				scores[i] += t.uniform
 			}
 		}
-		scores[i] = ll
 	}
 }

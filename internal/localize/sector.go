@@ -36,8 +36,8 @@ type Sector struct {
 	// members only.
 	TopK int
 	// Precompiled, when set, is served directly instead of compiling
-	// DB (codes derive from the view's Trained/N matrices); DB may be
-	// nil.
+	// DB (codes derive from the view's posting lists and their sample
+	// counts); DB may be nil.
 	Precompiled *trainingdb.Compiled
 
 	warmOnce sync.Once
@@ -89,31 +89,19 @@ func (s *Sector) buildCodes() {
 		frac = 0.5
 	}
 	c := s.compiled
-	nAP := len(c.BSSIDs)
+	maxN := make([]int32, len(c.Names))
+	for k, p := range c.Post {
+		maxN[p.Entry] = max(maxN[p.Entry], c.PostN[k])
+	}
 	s.codes = make([]uint64, len(c.Names))
-	for i := range c.Names {
-		base := i * nAP
-		maxN := int32(0)
-		for j := 0; j < nAP; j++ {
-			if n := c.N[base+j]; n > maxN {
-				maxN = n
+	// Identifying codes beyond 64 APs are out of scope.
+	for j := 0; j < min(len(c.BSSIDs), 64); j++ {
+		for k := c.PostStart[j]; k < c.PostStart[j+1]; k++ {
+			i := c.Post[k].Entry
+			if maxN[i] == 0 || float64(c.PostN[k]) >= frac*float64(maxN[i]) {
+				s.codes[i] |= 1 << uint(j)
 			}
 		}
-		lim := nAP
-		if lim > 64 {
-			lim = 64 // identifying codes beyond 64 APs are out of scope
-		}
-		var code uint64
-		for j := 0; j < lim; j++ {
-			cell := base + j
-			if !c.Trained[cell] {
-				continue
-			}
-			if maxN == 0 || float64(c.N[cell]) >= frac*float64(maxN) {
-				code |= 1 << uint(j)
-			}
-		}
-		s.codes[i] = code
 	}
 }
 

@@ -21,25 +21,27 @@ import (
 //
 // Layout (all little endian):
 //
-//	8  bytes  magic "ILRCELL2"
+//	8  bytes  magic "ILRCELL3"
 //	u32       entry count (must match the artifact)
 //	u32       AP count (must match the artifact)
-//	u64       trained-cell count (must match the artifact)
-//	f64 × 2n  raw {Mean, StdDev} per trained cell, entry-major artifact order
+//	u64       trained-cell count (must match the artifact's postings)
+//	f64 × 2n  raw {Mean, StdDev} per trained cell, in posting order
 //
-// The first format, "ILRSIGM1", carried σ alone and took the means from
-// the artifact's retired float64 matrices; it is rejected.
+// Retired and rejected: "ILRSIGM1" carried σ alone, taking the means
+// from the retired float64 matrices; "ILRCELL2" listed the cells in the
+// entry-major order of the retired dense trained matrix.
 const (
-	resumeMagic       = "ILRCELL2"
-	resumeMagicSigma1 = "ILRSIGM1"
+	resumeMagic        = "ILRCELL3"
+	resumeMagicSigma1  = "ILRSIGM1"
+	resumeMagicEntryV2 = "ILRCELL2"
 )
 
 const resumeHeaderSize = 8 + 4 + 4 + 8
 
 // Named DecodeResume failures.
 var (
-	// ErrResumeRetired rejects a blob in the σ-only first format.
-	ErrResumeRetired = errors.New("repl: resume blob is the retired σ-only format " + resumeMagicSigma1 + "; upgrade the trainer")
+	// ErrResumeRetired rejects a blob in a retired format.
+	ErrResumeRetired = errors.New("repl: resume blob is in a retired format; upgrade the trainer")
 	// ErrResumeMagic rejects a blob that is no resume blob at all.
 	ErrResumeMagic = errors.New("repl: resume blob has bad magic")
 	// ErrResumeShape rejects a blob whose dimensions, cell count or
@@ -52,37 +54,21 @@ type CellStats struct {
 	Mean, StdDev float64
 }
 
-// trainedCells counts the artifact's trained cells.
-func trainedCells(c *trainingdb.Compiled) int {
-	n := 0
-	for _, t := range c.Trained {
-		if t {
-			n++
-		}
-	}
-	return n
-}
-
 // EncodeResume captures the exact ⟨Mean, StdDev⟩ of every trained cell
-// of c from the frozen database it was compiled from, in the artifact's
-// entry-major cell order.
+// of c from the frozen database it was compiled from, in the
+// artifact's posting order.
 func EncodeResume(c *trainingdb.Compiled, db *trainingdb.DB) ([]byte, error) {
-	nE, nAP := c.NumEntries(), c.NumAPs()
-	trained := trainedCells(c)
-	out := make([]byte, resumeHeaderSize, resumeHeaderSize+16*trained)
+	out := make([]byte, resumeHeaderSize, resumeHeaderSize+16*len(c.Post))
 	copy(out, resumeMagic)
-	binary.LittleEndian.PutUint32(out[8:12], uint32(nE))
-	binary.LittleEndian.PutUint32(out[12:16], uint32(nAP))
-	binary.LittleEndian.PutUint64(out[16:24], uint64(trained))
-	for i, name := range c.Names {
-		e := db.Entries[name]
-		if e == nil {
-			return nil, fmt.Errorf("repl: resume: entry %q in artifact but not in database", name)
-		}
-		base := i * nAP
-		for j, b := range c.BSSIDs {
-			if !c.Trained[base+j] {
-				continue
+	binary.LittleEndian.PutUint32(out[8:12], uint32(c.NumEntries()))
+	binary.LittleEndian.PutUint32(out[12:16], uint32(c.NumAPs()))
+	binary.LittleEndian.PutUint64(out[16:24], uint64(len(c.Post)))
+	for j, b := range c.BSSIDs {
+		for _, p := range c.Post[c.PostStart[j]:c.PostStart[j+1]] {
+			name := c.Names[p.Entry]
+			e := db.Entries[name]
+			if e == nil {
+				return nil, fmt.Errorf("repl: resume: entry %q in artifact but not in database", name)
 			}
 			s := e.PerAP[b]
 			if s == nil {
@@ -96,9 +82,9 @@ func EncodeResume(c *trainingdb.Compiled, db *trainingdb.DB) ([]byte, error) {
 }
 
 // DecodeResume validates the blob against the artifact's dimensions
-// and returns the exact cell statistics in trained-cell order.
+// and returns the exact cell statistics in posting order.
 func DecodeResume(data []byte, c *trainingdb.Compiled) ([]CellStats, error) {
-	if len(data) >= 8 && string(data[:8]) == resumeMagicSigma1 {
+	if len(data) >= 8 && (string(data[:8]) == resumeMagicSigma1 || string(data[:8]) == resumeMagicEntryV2) {
 		return nil, ErrResumeRetired
 	}
 	if len(data) < resumeHeaderSize || string(data[:8]) != resumeMagic {
@@ -110,8 +96,8 @@ func DecodeResume(data []byte, c *trainingdb.Compiled) ([]CellStats, error) {
 	if nE != c.NumEntries() || nAP != c.NumAPs() {
 		return nil, fmt.Errorf("%w: blob is %d×%d, artifact is %d×%d", ErrResumeShape, nE, nAP, c.NumEntries(), c.NumAPs())
 	}
-	if trained := trainedCells(c); count != uint64(trained) {
-		return nil, fmt.Errorf("%w: blob has %d cells, artifact has %d trained", ErrResumeShape, count, trained)
+	if count != uint64(len(c.Post)) {
+		return nil, fmt.Errorf("%w: blob has %d cells, artifact has %d trained", ErrResumeShape, count, len(c.Post))
 	}
 	if uint64(len(data)-resumeHeaderSize) != count*16 {
 		return nil, fmt.Errorf("%w: length %d does not frame %d cells", ErrResumeShape, len(data), count)
@@ -138,38 +124,30 @@ func DecodeResume(data []byte, c *trainingdb.Compiled) ([]CellStats, error) {
 // aligned to the artifact's, so trainer and follower folding the same
 // WAL suffix produce the same generation numbers.
 func BuildReplica(c *trainingdb.Compiled, cells []CellStats) (*trainingdb.DB, error) {
-	nAP := c.NumAPs()
+	if len(cells) != len(c.Post) {
+		return nil, fmt.Errorf("repl: resume blob has %d cells for %d postings", len(cells), len(c.Post))
+	}
 	db := &trainingdb.DB{
 		Entries: make(map[string]*trainingdb.Entry, len(c.Names)),
 		BSSIDs:  append([]string(nil), c.BSSIDs...),
 	}
-	k := 0
+	entries := make([]*trainingdb.Entry, len(c.Names))
 	for i, name := range c.Names {
-		e := &trainingdb.Entry{Name: name, Pos: c.Pos[i], PerAP: make(map[string]*trainingdb.APStats)}
-		base := i * nAP
-		for j, b := range c.BSSIDs {
-			cell := base + j
-			if !c.Trained[cell] {
-				continue
-			}
-			if k >= len(cells) {
-				return nil, fmt.Errorf("repl: resume blob exhausted at cell ⟨%s, %s⟩", name, b)
-			}
+		entries[i] = &trainingdb.Entry{Name: name, Pos: c.Pos[i], PerAP: make(map[string]*trainingdb.APStats)}
+		db.Entries[name] = entries[i]
+	}
+	for j, b := range c.BSSIDs {
+		for k := c.PostStart[j]; k < c.PostStart[j+1]; k++ {
 			st := cells[k]
-			e.PerAP[b] = &trainingdb.APStats{
+			entries[c.Post[k].Entry].PerAP[b] = &trainingdb.APStats{
 				BSSID:  b,
-				N:      int(c.N[cell]),
+				N:      int(c.PostN[k]),
 				Mean:   st.Mean,
 				StdDev: st.StdDev,
 				Min:    st.Mean,
 				Max:    st.Mean,
 			}
-			k++
 		}
-		db.Entries[name] = e
-	}
-	if k != len(cells) {
-		return nil, fmt.Errorf("repl: resume blob has %d extra cells", len(cells)-k)
 	}
 	db.SetGeneration(c.Generation)
 	return db, nil

@@ -87,10 +87,8 @@ func compiledEqual(t *testing.T, label string, a, b *trainingdb.Compiled) {
 			}
 		}
 	}
-	for i := range a.Trained {
-		if a.Trained[i] != b.Trained[i] || a.N[i] != b.N[i] {
-			t.Fatalf("%s: cell %d trained/N (%v,%d) != (%v,%d)", label, i, a.Trained[i], a.N[i], b.Trained[i], b.N[i])
-		}
+	if !slices.Equal(a.PostN, b.PostN) {
+		t.Fatalf("%s: posting counts %v != %v", label, a.PostN, b.PostN)
 	}
 	if !slices.Equal(a.PostStart, b.PostStart) || len(a.Post) != len(b.Post) {
 		t.Fatalf("%s: posting starts %v != %v", label, a.PostStart, b.PostStart)
@@ -148,6 +146,7 @@ func TestDecodeResumeValidation(t *testing.T) {
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }, ErrResumeMagic},
 		{"short header", func(b []byte) []byte { return b[:12] }, ErrResumeMagic},
 		{"retired σ-only format", func(b []byte) []byte { copy(b, "ILRSIGM1"); return b }, ErrResumeRetired},
+		{"retired entry-major format", func(b []byte) []byte { copy(b, "ILRCELL2"); return b }, ErrResumeRetired},
 		{"truncated", func(b []byte) []byte { return b[:len(b)-4] }, ErrResumeShape},
 		{"one cell short", func(b []byte) []byte { return b[:len(b)-16] }, ErrResumeShape},
 		{"extra bytes", func(b []byte) []byte { return append(b, 0, 0, 0, 0, 0, 0, 0, 0) }, ErrResumeShape},

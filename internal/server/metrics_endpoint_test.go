@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"indoorloc/internal/geom"
+	"indoorloc/internal/ingest"
 )
 
 func scrape(t *testing.T, url string) string {
@@ -122,5 +125,39 @@ func TestMetricsConcurrentScrapeUnderLoad(t *testing.T) {
 	want := fmt.Sprintf(`indoorloc_http_requests_total{route="locate",class="2xx"} %d`, workers*each)
 	if !strings.Contains(out, want) {
 		t.Errorf("final scrape missing %q", want)
+	}
+}
+
+// TestMetricsIngestCounters pins the ingest failure counters in the
+// exposition: an artifact path in a missing directory fails the
+// initial build's artifact write and every swap's, and /metrics
+// reports exactly what Stats counts.
+func TestMetricsIngestCounters(t *testing.T) {
+	f := newLiveFixture(t, ingest.Config{FlushReports: 1, FlushInterval: time.Hour,
+		ArtifactPath: filepath.Join(t.TempDir(), "missing", "map.ilr")})
+	resp, _ := postJSON(t, f.ts.URL+"/train/report", []byte(`{"name":"p_0_0","observation":{"ap0":-44.5}}`))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("report status %d", resp.StatusCode)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	st := f.mgr.Stats()
+	for (st.Swaps == 0 || st.ArtifactErrors != st.Swaps+1) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = f.mgr.Stats()
+	}
+	if st.Swaps != 1 || st.ArtifactErrors != 2 || st.Artifacts != 0 {
+		t.Fatalf("want one swap and two failed artifact writes, stats %+v", st)
+	}
+	out := scrape(t, f.ts.URL)
+	for _, want := range []string{
+		"# TYPE indoorloc_ingest_artifact_errors_total counter",
+		fmt.Sprintf("indoorloc_ingest_artifact_errors_total %d", st.ArtifactErrors),
+		fmt.Sprintf("indoorloc_ingest_artifacts_total %d", st.Artifacts),
+		fmt.Sprintf("indoorloc_ingest_dropped_total %d", st.Dropped),
+		fmt.Sprintf("indoorloc_ingest_swap_errors_total %d", st.SwapErrors),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }

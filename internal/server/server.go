@@ -1284,6 +1284,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				Help: "Accepted-but-unfolded backlog.", Value: float64(st.Queued)},
 			metrics.Gauge{Name: "indoorloc_ingest_swaps_total", Counter: true,
 				Help: "Published radio-map snapshots.", Value: float64(st.Swaps)},
+			metrics.Gauge{Name: "indoorloc_ingest_dropped_total", Counter: true,
+				Help: "Reports that could not be folded.", Value: float64(st.Dropped)},
+			metrics.Gauge{Name: "indoorloc_ingest_swap_errors_total", Counter: true,
+				Help: "Snapshot rebuilds that failed.", Value: float64(st.SwapErrors)},
+			metrics.Gauge{Name: "indoorloc_ingest_artifacts_total", Counter: true,
+				Help: "Radio-map artifacts written.", Value: float64(st.Artifacts)},
+			metrics.Gauge{Name: "indoorloc_ingest_artifact_errors_total", Counter: true,
+				Help: "Radio-map artifact writes that failed.", Value: float64(st.ArtifactErrors)},
 		)
 	}
 	if s.follower != nil {

@@ -34,8 +34,7 @@ import (
 //	48     4   section count
 //	52     4   reserved (zero)
 //	56     …   section table: count × {id u32, crc u32, offset u64, length u64}
-//	…      …   section payloads, 8-byte aligned; per-cell matrices
-//	           page-aligned (4096) so a mapping shares whole pages
+//	…      …   section payloads, 8-byte aligned
 //
 // Sections may not overlap, must lie inside the file, and must have
 // exactly the length their id and the header dimensions dictate —
@@ -50,23 +49,23 @@ const (
 	mapHeaderSize    = 56
 	mapSectionSize   = 24
 	mapFlagLittle    = 1 << 0
-	mapPageAlign     = 4096
 	mapMaxSections   = 64
 	mapSectionsStart = mapHeaderSize
 )
 
-// Section ids. Ids are never reused. The encoder writes names through
-// signal-base plus post-start and postings. The dense float64 matrices
-// (mean … floor-ll), the int16 codes with their factors and baselines
-// (mean-q … quant-signal-base) and the 12-byte post records are
-// retired: decode still reads the dense sections of older artifacts
-// and builds their posting lists from them, and ignores post.
+// Section ids. Ids are never reused. The encoder writes names, bssids,
+// pos, unheard-ll, signal-base, post-start, postings and post-n. The
+// dense trained and n matrices, the dense float64 matrices (mean …
+// floor-ll), the int16 codes with their factors and baselines (mean-q
+// … quant-signal-base) and the 12-byte post records are retired: an
+// artifact without post-n is legacy, and decode builds its posting
+// lists and counts from its dense sections and ignores post.
 const (
 	secNames           uint32 = iota + 1 // [nE+1]u32 offsets + name blob
 	secBSSIDs                            // [nAP+1]u32 offsets + BSSID blob
 	secPos                               // [nE]{x, y float64}
-	secTrained                           // [nE*nAP]bool
-	secN                                 // [nE*nAP]int32
+	secTrained                           // retired: [nE*nAP]bool
+	secN                                 // retired: [nE*nAP]int32
 	secUnheardLL                         // [nE]float64
 	secSignalBase                        // [nE]float64
 	secMean                              // retired: [nE*nAP]float64
@@ -83,6 +82,7 @@ const (
 	secPostStart                         // [nAP+1]int32 posting-list starts
 	secPost                              // retired 12-byte records; decode ignores it
 	secPostings                          // [n]Posting, AP-major trained cells
+	secPostN                             // [n]int32 sample counts, parallel to postings
 	secEnd                               // one past the last valid id
 )
 
@@ -94,7 +94,7 @@ var sectionNames = map[uint32]string{
 	secMeanQ: "mean-q", secSigmaQ: "sigma-q", secLogNormQ: "lognorm-q", secFloorLLQ: "floorll-q",
 	secQuantFactors: "quant-factors", secQuantUnheardLL: "quant-unheard-ll",
 	secQuantSignalBase: "quant-signal-base", secPostStart: "post-start", secPost: "post",
-	secPostings: "postings",
+	secPostings: "postings", secPostN: "post-n",
 }
 
 // hostLittle reports the running machine's byte order.
@@ -129,7 +129,7 @@ func byteView[T any](s []T) []byte {
 // castSlice reinterprets a byte payload as n elements of T. The caller
 // has already validated length and 8-byte base alignment.
 //
-//loclint:mmapdecode caller-checked: take/takeVar validate exact section length and alignment via parseHeader
+//loclint:mmapdecode caller-checked: take validates exact section length and alignment via parseHeader
 func castSlice[T any](b []byte, n int) []T {
 	if n == 0 {
 		// Non-nil, so "section present but dimension zero" stays
@@ -191,24 +191,21 @@ type section struct {
 // EncodeCompiled serializes the view into a v2 artifact.
 func EncodeCompiled(c *Compiled) ([]byte, error) {
 	nE, nAP := len(c.Names), len(c.BSSIDs)
-	cells := nE * nAP
-	if len(c.Pos) != nE || len(c.Trained) != cells || len(c.N) != cells ||
-		len(c.UnheardLL) != nE || len(c.SignalBase) != nE {
+	if len(c.Pos) != nE || len(c.UnheardLL) != nE || len(c.SignalBase) != nE {
 		return nil, fmt.Errorf("trainingdb: encode: inconsistent view dimensions")
 	}
-	if len(c.PostStart) != nAP+1 || int(c.PostStart[nAP]) != len(c.Post) {
+	if len(c.PostStart) != nAP+1 || int(c.PostStart[nAP]) != len(c.Post) || len(c.PostN) != len(c.Post) {
 		return nil, fmt.Errorf("trainingdb: encode: view has no consistent posting lists")
 	}
 	secs := []section{
 		{secNames, stringTable(c.Names), 8},
 		{secBSSIDs, stringTable(c.BSSIDs), 8},
 		{secPos, byteView(c.Pos), 8},
-		{secTrained, byteView(c.Trained), mapPageAlign},
-		{secN, byteView(c.N), mapPageAlign},
 		{secUnheardLL, byteView(c.UnheardLL), 8},
 		{secSignalBase, byteView(c.SignalBase), 8},
 		{secPostStart, byteView(c.PostStart), 8},
 		{secPostings, byteView(c.Post), 8},
+		{secPostN, byteView(c.PostN), 8},
 	}
 	return layoutArtifact(c.Generation, c.FloorRSSI, c.FloorSigma, nE, nAP, secs), nil
 }
@@ -254,13 +251,13 @@ func layoutArtifact(gen uint64, floorRSSI, floorSigma float64, nE, nAP int, secs
 
 // DecodeOptions controls DecodeCompiled's validation depth.
 type DecodeOptions struct {
-	// VerifyCRC checks every section's CRC-32, the Trained bytes, and
-	// that the posting records list exactly the Trained cells with
-	// finite fields and a positive HalfPrec, touching all payload
-	// pages. The serve path leaves it off so an mmap load stays lazy
-	// (the header+table CRC and the posting-list structure are always
-	// checked); tdbtool verify, replication and the fuzz harness turn
-	// it on.
+	// VerifyCRC checks every section's CRC-32 and that every posting
+	// record is finite with a positive HalfPrec, touching all payload
+	// pages; on a legacy artifact it also checks the trained bytes and
+	// that the lists hold exactly the trained cells. The serve path
+	// leaves it off so an mmap load stays lazy (the header+table CRC
+	// and the posting-list structure are always checked); tdbtool
+	// verify, replication and the fuzz harness turn it on.
 	VerifyCRC bool
 }
 
@@ -305,10 +302,10 @@ func parseHeader(data []byte) (gen uint64, floorRSSI, floorSigma float64, nE, nA
 	}
 	nE = int(le32(data[40:]))
 	nAP = int(le32(data[44:]))
-	// A valid file stores ≥1 byte per Trained cell, so the dimensions
-	// are bounded by the file size — checked via section lengths below;
-	// this guard only blocks multiplication overflow.
-	if nE < 0 || nAP < 0 || (nAP != 0 && nE > (1<<31)/max(nAP, 1)) {
+	// Posting entries and starts are int32. A valid file stores ≥4
+	// bytes per entry and per AP (string-table offsets), so section
+	// lengths bound the dimensions by the file size on decode.
+	if nE < 0 || nAP < 0 || nE > math.MaxInt32 || nAP >= math.MaxInt32 {
 		return fail("dimensions %d×%d out of range", nE, nAP)
 	}
 	secs = make(map[uint32]parsedSection, count)
@@ -393,37 +390,18 @@ func DecodeCompiled(data []byte, opts DecodeOptions) (*Compiled, error) {
 	if nE == 0 {
 		return nil, fmt.Errorf("trainingdb: decode: artifact has no entries")
 	}
-	cells := nE * nAP
 
 	// take fetches a required section after validating its exact
 	// length; the expected sizes derive from the header dimensions, so
 	// nothing downstream allocates more than the file can justify.
-	missing := func(id uint32) error {
-		return fmt.Errorf("trainingdb: decode: missing section %s", sectionNames[id])
-	}
 	take := func(id uint32, wantLen int) ([]byte, error) {
 		s, ok := secs[id]
 		if !ok {
-			return nil, missing(id)
+			return nil, fmt.Errorf("trainingdb: decode: missing section %s", sectionNames[id])
 		}
-		if s.length != wantLen {
+		if wantLen != anyLength && s.length != wantLen {
 			return nil, fmt.Errorf("trainingdb: decode: section %s is %d bytes, want %d",
 				sectionNames[id], s.length, wantLen)
-		}
-		p := data[s.off : s.off+s.length]
-		if opts.VerifyCRC {
-			if got := crc32.ChecksumIEEE(p); got != s.crc {
-				return nil, fmt.Errorf("trainingdb: decode: section %s CRC mismatch (%08x != %08x)",
-					sectionNames[id], got, s.crc)
-			}
-		}
-		return p, nil
-	}
-	// Variable-length string sections validate bounds internally.
-	takeVar := func(id uint32) ([]byte, error) {
-		s, ok := secs[id]
-		if !ok {
-			return nil, missing(id)
 		}
 		p := data[s.off : s.off+s.length]
 		if opts.VerifyCRC {
@@ -441,14 +419,14 @@ func DecodeCompiled(data []byte, opts DecodeOptions) (*Compiled, error) {
 		FloorSigma: floorSigma,
 		backing:    data,
 	}
-	namesPayload, err := takeVar(secNames)
+	namesPayload, err := take(secNames, anyLength)
 	if err != nil {
 		return nil, err
 	}
 	if c.Names, err = decodeStrings(namesPayload, nE, "names"); err != nil {
 		return nil, err
 	}
-	bssidPayload, err := takeVar(secBSSIDs)
+	bssidPayload, err := take(secBSSIDs, anyLength)
 	if err != nil {
 		return nil, err
 	}
@@ -460,21 +438,6 @@ func DecodeCompiled(data []byte, opts DecodeOptions) (*Compiled, error) {
 		return nil, err
 	}
 	c.Pos = castSlice[geom.Point](p, nE)
-	if p, err = take(secTrained, cells); err != nil {
-		return nil, err
-	}
-	if opts.VerifyCRC {
-		for i, b := range p {
-			if b > 1 {
-				return nil, fmt.Errorf("trainingdb: decode: trained byte %d is %d", i, b)
-			}
-		}
-	}
-	c.Trained = castSlice[bool](p, cells)
-	if p, err = take(secN, cells*4); err != nil {
-		return nil, err
-	}
-	c.N = castSlice[int32](p, cells)
 	if p, err = take(secUnheardLL, nE*8); err != nil {
 		return nil, err
 	}
@@ -484,39 +447,21 @@ func DecodeCompiled(data []byte, opts DecodeOptions) (*Compiled, error) {
 	}
 	c.SignalBase = castSlice[float64](p, nE)
 
-	// Posting lists: cast zero-copy when the artifact carries them,
-	// otherwise built from an older artifact's dense sections. An int16
-	// artifact's records and baselines come from its dequantized codes,
-	// whether or not it also carries the lists or float64 matrices.
-	_, hasPostings := secs[secPostings]
-	_, hasInt16 := secs[secMeanQ]
-	_, hasFloat := secs[secMean]
-	if hasInt16 {
-		err = decodeInt16(c, take, nE, nAP, !hasPostings)
-	} else if hasFloat && !hasPostings {
-		err = decodeFloat64(c, take, nE, nAP)
+	// The lists and counts cast zero-copy from an artifact that carries
+	// post-n; anything else is a legacy artifact.
+	if _, ok := secs[secPostN]; ok {
+		if err = takePostings(c, take, nAP); err != nil {
+			return nil, err
+		}
+		if p, err = take(secPostN, len(c.Post)*4); err != nil {
+			return nil, err
+		}
+		c.PostN = castSlice[int32](p, len(c.Post))
+		err = checkPostings(c.PostStart, c.Post, nE)
+	} else {
+		err = decodeLegacy(c, secs, take, nE, nAP, opts.VerifyCRC)
 	}
 	if err != nil {
-		return nil, err
-	}
-	if hasPostings {
-		if p, err = take(secPostStart, (nAP+1)*4); err != nil {
-			return nil, err
-		}
-		c.PostStart = castSlice[int32](p, nAP+1)
-		if p, err = takeVar(secPostings); err != nil {
-			return nil, err
-		}
-		if len(p)%postingSize != 0 {
-			return nil, fmt.Errorf("trainingdb: decode: section postings is %d bytes, not a multiple of %d",
-				len(p), postingSize)
-		}
-		c.Post = castSlice[Posting](p, len(p)/postingSize)
-	}
-	if c.PostStart == nil {
-		return nil, fmt.Errorf("trainingdb: decode: artifact carries no posting lists")
-	}
-	if err = checkPostings(c.PostStart, c.Post, nE); err != nil {
 		return nil, err
 	}
 	if opts.VerifyCRC {
@@ -562,46 +507,115 @@ func checkPostings(start []int32, post []Posting, nE int) error {
 }
 
 // checkRecords is VerifyCRC's semantic pass over lists that already
-// passed checkPostings: they hold exactly the Trained cells (every
-// listed cell is trained and the counts agree, so with strictly rising
-// entries none is missing), and every record is finite with a positive
+// passed checkPostings: every record is finite with a positive
 // HalfPrec.
 func checkRecords(c *Compiled) error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("trainingdb: decode: posting records: "+format, args...)
-	}
-	nAP, trained := len(c.BSSIDs), 0
-	for _, t := range c.Trained {
-		if t {
-			trained++
-		}
-	}
-	if trained != len(c.Post) {
-		return fail("%d postings for %d trained cells", len(c.Post), trained)
-	}
 	finite := func(f float32) bool { return !math.IsNaN(float64(f)) && !math.IsInf(float64(f), 0) }
-	for j := 0; j < nAP; j++ {
-		for _, p := range c.Post[c.PostStart[j]:c.PostStart[j+1]] {
-			if !c.Trained[int(p.Entry)*nAP+j] {
-				return fail("column %d lists untrained entry %d", j, p.Entry)
-			}
-			if !finite(p.Center) || !finite(p.Const) || !finite(p.HalfPrec) || !(p.HalfPrec > 0) {
-				return fail("column %d entry %d holds %+v", j, p.Entry, p)
-			}
+	for k, p := range c.Post {
+		if !finite(p.Center) || !finite(p.Const) || !finite(p.HalfPrec) || !(p.HalfPrec > 0) {
+			return fmt.Errorf("trainingdb: decode: posting records: posting %d holds %+v", k, p)
 		}
 	}
 	return nil
 }
 
-// takeFunc fetches a fixed-length section, as DecodeCompiled's take.
+// takePostings casts the posting lists an artifact carries.
+func takePostings(c *Compiled, take takeFunc, nAP int) error {
+	p, err := take(secPostStart, (nAP+1)*4)
+	if err != nil {
+		return err
+	}
+	c.PostStart = castSlice[int32](p, nAP+1)
+	if p, err = take(secPostings, anyLength); err != nil {
+		return err
+	}
+	if len(p)%postingSize != 0 {
+		return fmt.Errorf("trainingdb: decode: section postings is %d bytes, not a multiple of %d",
+			len(p), postingSize)
+	}
+	c.Post = castSlice[Posting](p, len(p)/postingSize)
+	return nil
+}
+
+// decodeLegacy reads an artifact written before post-n, whose dense
+// trained and n matrices give the listed cells and their counts. It
+// casts or builds the lists (an int16 artifact's baselines come from
+// its codes) and, with verify, checks they hold exactly the trained cells.
+func decodeLegacy(c *Compiled, secs map[uint32]parsedSection, take takeFunc, nE, nAP int, verify bool) error {
+	if nAP != 0 && nE > (1<<31)/nAP {
+		return fmt.Errorf("trainingdb: decode: legacy dimensions %d×%d out of range", nE, nAP)
+	}
+	cells := nE * nAP
+	p, err := take(secTrained, cells)
+	if err != nil {
+		return err
+	}
+	count := 0
+	if verify {
+		for i, b := range p {
+			if b > 1 {
+				return fmt.Errorf("trainingdb: decode: trained byte %d is %d", i, b)
+			}
+			count += int(b)
+		}
+	}
+	trained := castSlice[bool](p, cells)
+	if p, err = take(secN, cells*4); err != nil {
+		return err
+	}
+	n := castSlice[int32](p, cells)
+
+	_, hasPostings := secs[secPostings]
+	_, hasInt16 := secs[secMeanQ]
+	_, hasFloat := secs[secMean]
+	if hasInt16 {
+		err = decodeInt16(c, take, trained, nE, nAP, !hasPostings)
+	} else if hasFloat && !hasPostings {
+		err = decodeFloat64(c, take, trained, nE, nAP)
+	}
+	if err == nil && hasPostings {
+		err = takePostings(c, take, nAP)
+	}
+	if err != nil {
+		return err
+	}
+	if c.PostStart == nil {
+		return fmt.Errorf("trainingdb: decode: artifact carries no posting lists")
+	}
+	if err = checkPostings(c.PostStart, c.Post, nE); err != nil {
+		return err
+	}
+	c.PostN = make([]int32, len(c.Post))
+	for j := 0; j < nAP; j++ {
+		for k := c.PostStart[j]; k < c.PostStart[j+1]; k++ {
+			cell := int(c.Post[k].Entry)*nAP + j
+			if verify && !trained[cell] {
+				return fmt.Errorf("trainingdb: decode: posting records: column %d lists untrained entry %d", j, c.Post[k].Entry)
+			}
+			c.PostN[k] = n[cell]
+		}
+	}
+	// Every listed cell is trained and entries strictly rise, so equal
+	// counts mean no trained cell is missing.
+	if verify && count != len(c.Post) {
+		return fmt.Errorf("trainingdb: decode: posting records: %d postings for %d trained cells", len(c.Post), count)
+	}
+	return nil
+}
+
+// takeFunc fetches a section, as DecodeCompiled's take.
 type takeFunc func(id uint32, wantLen int) ([]byte, error)
+
+// anyLength asks takeFunc for a variable-length section, which
+// validates its own bounds.
+const anyLength = -1
 
 // decodeInt16 reads a legacy int16 artifact's codes, factors and
 // baselines. The baselines replace the float64 ones: they were summed
 // from the dequantized cells the records derive from. With buildLists
 // set (the artifact does not carry the lists) the posting lists are
 // built from the codes.
-func decodeInt16(c *Compiled, take takeFunc, nE, nAP int, buildLists bool) error {
+func decodeInt16(c *Compiled, take takeFunc, trained []bool, nE, nAP int, buildLists bool) error {
 	cells := nE * nAP
 	var codes [4][]int16
 	for k, id := range []uint32{secMeanQ, secSigmaQ, secLogNormQ, secFloorLLQ} {
@@ -629,7 +643,7 @@ func decodeInt16(c *Compiled, take takeFunc, nE, nAP int, buildLists bool) error
 	if !buildLists {
 		return nil
 	}
-	c.PostStart, c.Post = buildPostings(c.Trained, nE, nAP, func(i, j, cell int) Posting {
+	c.PostStart, c.Post = buildPostings(trained, nE, nAP, func(i, j, cell int) Posting {
 		var v [4]float64
 		for k := range v {
 			scale, off := factor(k, j)
@@ -644,7 +658,7 @@ func decodeInt16(c *Compiled, take takeFunc, nE, nAP int, buildLists bool) error
 // from its dense matrices. Its baselines were summed from the same
 // float64 cells, so the records match what Compile builds from the
 // database the artifact was compiled from.
-func decodeFloat64(c *Compiled, take takeFunc, nE, nAP int) error {
+func decodeFloat64(c *Compiled, take takeFunc, trained []bool, nE, nAP int) error {
 	cells := nE * nAP
 	var m [4][]float64
 	for k, id := range []uint32{secMean, secSigma, secLogNorm, secFloorLL} {
@@ -654,7 +668,7 @@ func decodeFloat64(c *Compiled, take takeFunc, nE, nAP int) error {
 		}
 		m[k] = castSlice[float64](p, cells)
 	}
-	c.PostStart, c.Post = buildPostings(c.Trained, nE, nAP, func(i, _, cell int) Posting {
+	c.PostStart, c.Post = buildPostings(trained, nE, nAP, func(i, _, cell int) Posting {
 		return newPosting(i, m[0][cell], m[1][cell], m[2][cell], m[3][cell])
 	})
 	return nil

@@ -82,15 +82,11 @@ func checkRoundTrip(t *testing.T, c, d *Compiled) {
 			t.Fatalf("APIndex(%q) = %d %v", b, got, ok)
 		}
 	}
-	for i := range c.Trained {
-		if d.Trained[i] != c.Trained[i] || d.N[i] != c.N[i] {
-			t.Fatalf("cell %d: trained/N mismatch", i)
-		}
-	}
 	sameF64(t, "UnheardLL", d.UnheardLL, c.UnheardLL)
 	sameF64(t, "SignalBase", d.SignalBase, c.SignalBase)
 	if !bytes.Equal(byteView(d.PostStart), byteView(c.PostStart)) ||
-		!bytes.Equal(byteView(d.Post), byteView(c.Post)) {
+		!bytes.Equal(byteView(d.Post), byteView(c.Post)) ||
+		!bytes.Equal(byteView(d.PostN), byteView(c.PostN)) || len(d.PostN) != len(d.Post) {
 		t.Fatal("posting lists differ")
 	}
 }
@@ -101,13 +97,15 @@ func checkRoundTrip(t *testing.T, c, d *Compiled) {
 // re-encoded in the current format, decodes to the same view — the
 // upgrade path for artifacts written before postings were the only
 // form. "quant-only" carries int16 codes alone, "both" int16 codes
-// and their posting records.
+// and their posting records, "dense-counts" the posting records beside
+// the dense trained and n matrices.
 func TestCodecRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ name, fixture string }{
 		{"postings", ""},
 		{"float64-only", "house-float64.ilr"},
 		{"quant-only", "house-int16.ilr"},
 		{"both", "house-int16-postings.ilr"},
+		{"dense-counts", "house-postings.ilr"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var c *Compiled
@@ -192,7 +190,7 @@ func TestReadFileInfo(t *testing.T) {
 	if info.NumEntries != 12 || info.NumAPs != len(c.BSSIDs) || info.Generation != 7 {
 		t.Fatalf("info = %+v", info)
 	}
-	if len(info.Sections) != 7+2 {
+	if len(info.Sections) != 8 {
 		t.Fatalf("%d sections", len(info.Sections))
 	}
 	for i := 1; i < len(info.Sections); i++ {

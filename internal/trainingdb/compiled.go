@@ -2,6 +2,7 @@ package trainingdb
 
 import (
 	"math"
+	"slices"
 
 	"indoorloc/internal/geom"
 	"indoorloc/internal/stats"
@@ -41,19 +42,9 @@ type Compiled struct {
 	// Names holds the entry names, sorted; Pos is parallel to it.
 	Names []string
 	Pos   []geom.Point
-	// BSSIDs is the sorted AP universe; column j of every matrix row is
-	// BSSIDs[j].
+	// BSSIDs is the sorted AP universe; column j's posting list holds
+	// the cells of AP BSSIDs[j].
 	BSSIDs []string
-
-	// The matrices below are flat and entry-major: the cell for entry i
-	// and AP column j is at index i*len(BSSIDs)+j.
-
-	// Trained reports whether the entry heard the AP during training.
-	Trained []bool
-	// N is the per-cell training sample count (0 when untrained).
-	// int32 keeps the matrix mmap-able and halves its footprint; a
-	// single ⟨entry, AP⟩ cell never approaches 2³¹ samples.
-	N []int32
 
 	// UnheardLL is the per-entry log-likelihood of hearing nothing at
 	// all: the sum over the entry's trained cells of the floor-model
@@ -75,6 +66,10 @@ type Compiled struct {
 	// consumes.
 	PostStart []int32
 	Post      []Posting
+	// PostN is parallel to Post: each trained cell's sample count, for
+	// the sector codes, the histogram tables and replication. int32
+	// keeps it mmap-able; a cell never approaches 2³¹ samples.
+	PostN []int32
 
 	apIndex map[string]int
 	// backing pins the byte region a decoded view's slices and strings
@@ -86,7 +81,7 @@ type Compiled struct {
 // Compile builds the view of the database under the given floor-model
 // parameters, straight from the DB's float64 statistics. floorSigma
 // below stats.MinSigma is raised to it. The view snapshots the DB:
-// later DB mutations are not reflected.
+// later DB mutations are not reflected. Nothing is sized entries × APs.
 func (db *DB) Compile(floorRSSI, floorSigma float64) *Compiled {
 	if floorSigma < stats.MinSigma {
 		floorSigma = stats.MinSigma
@@ -100,8 +95,6 @@ func (db *DB) Compile(floorRSSI, floorSigma float64) *Compiled {
 		Names:      append([]string(nil), names...),
 		Pos:        make([]geom.Point, nE),
 		BSSIDs:     append([]string(nil), db.BSSIDs...),
-		Trained:    make([]bool, nE*nAP),
-		N:          make([]int32, nE*nAP),
 		UnheardLL:  make([]float64, nE),
 		SignalBase: make([]float64, nE),
 		apIndex:    make(map[string]int, nAP),
@@ -109,30 +102,53 @@ func (db *DB) Compile(floorRSSI, floorSigma float64) *Compiled {
 	for j, b := range c.BSSIDs {
 		c.apIndex[b] = j
 	}
-	entries := make([]*Entry, nE)
+	c.PostStart = make([]int32, nAP+1)
 	for i, name := range c.Names {
 		e := db.Entries[name]
-		entries[i] = e
 		c.Pos[i] = e.Pos
-		for b, s := range e.PerAP {
+		for b := range e.PerAP {
 			if j, ok := c.apIndex[b]; ok {
-				c.Trained[i*nAP+j] = true
-				c.N[i*nAP+j] = int32(s.N)
+				c.PostStart[j+1]++
 			}
 		}
 	}
-	halfLog2Pi := 0.5 * math.Log(2*math.Pi)
-	c.PostStart, c.Post = buildPostings(c.Trained, nE, nAP, func(i, j, _ int) Posting {
-		s := entries[i].PerAP[c.BSSIDs[j]]
-		sigma := max(s.StdDev, stats.MinSigma)
-		floorLL := stats.LogGaussianPDF(floorRSSI, s.Mean, s.StdDev)
-		c.UnheardLL[i] += floorLL
-		d := floorRSSI - s.Mean
-		// Rounding the square before the add blocks a fused
-		// multiply-add, so the baseline has the same bits on every CPU.
-		c.SignalBase[i] += float64(d * d)
-		return newPosting(i, s.Mean, sigma, -math.Log(sigma)-halfLog2Pi, floorLL)
-	})
+	for j := 0; j < nAP; j++ {
+		c.PostStart[j+1] += c.PostStart[j]
+	}
+	c.Post, c.PostN = make([]Posting, c.PostStart[nAP]), make([]int32, c.PostStart[nAP])
+	next := append([]int32(nil), c.PostStart[:nAP]...)
+	// float64() rounds the product, so no fused multiply-subtract.
+	halfLog2Pi := float64(0.5 * math.Log(2*math.Pi))
+	type cell struct {
+		col int32
+		s   *APStats
+	}
+	var cells []cell
+	// Walking entries in order leaves every list sorted by entry; each
+	// entry's cells go in ascending column order, the order its
+	// baseline terms are summed in.
+	for i, name := range c.Names {
+		cells = cells[:0]
+		for b, s := range db.Entries[name].PerAP {
+			if j, ok := c.apIndex[b]; ok {
+				cells = append(cells, cell{int32(j), s})
+			}
+		}
+		slices.SortFunc(cells, func(a, b cell) int { return int(a.col - b.col) })
+		for _, cl := range cells {
+			s, k := cl.s, next[cl.col]
+			next[cl.col]++
+			sigma := max(s.StdDev, stats.MinSigma)
+			floorLL := stats.LogGaussianPDF(floorRSSI, s.Mean, s.StdDev)
+			c.UnheardLL[i] += floorLL
+			d := floorRSSI - s.Mean
+			// Rounding the square before the add blocks a fused
+			// multiply-add, so the baseline has the same bits on every CPU.
+			c.SignalBase[i] += float64(d * d)
+			c.Post[k] = newPosting(i, s.Mean, sigma, -math.Log(sigma)-halfLog2Pi, floorLL)
+			c.PostN[k] = int32(s.N)
+		}
+	}
 	return c
 }
 
@@ -147,7 +163,7 @@ func (c *Compiled) Stale(db *DB) bool { return c.Generation != db.Generation() }
 // NumEntries returns the number of training entries in the view.
 func (c *Compiled) NumEntries() int { return len(c.Names) }
 
-// NumAPs returns the width of the matrices (the AP universe size).
+// NumAPs returns the AP universe size: the number of posting lists.
 func (c *Compiled) NumAPs() int { return len(c.BSSIDs) }
 
 // APIndex returns the dense column for a BSSID, false when the AP was

@@ -51,24 +51,16 @@ func TestCompileLayout(t *testing.T) {
 		t.Fatal("APIndex accepted unknown BSSID")
 	}
 
-	// hall row: both cells trained.
-	if !c.Trained[0] || !c.Trained[1] {
-		t.Fatalf("hall Trained = %v", c.Trained[:2])
-	}
-	// kitchen row: apX untrained, apY trained.
-	if c.Trained[2] || !c.Trained[3] {
-		t.Fatalf("kitchen Trained = %v", c.Trained[2:])
-	}
-	if c.N[0] != 9 || c.N[2] != 0 {
-		t.Errorf("N = %v", c.N)
-	}
-
-	// Postings: apX lists hall; apY lists hall then kitchen.
+	// Postings: apX lists hall; apY lists hall then kitchen (kitchen
+	// never heard apX), each with its sample count.
 	if !slices.Equal(c.PostStart, []int32{0, 1, 3}) {
 		t.Fatalf("PostStart = %v", c.PostStart)
 	}
 	if c.Post[0].Entry != 0 || c.Post[1].Entry != 0 || c.Post[2].Entry != 1 {
 		t.Fatalf("posting entries = %d %d %d", c.Post[0].Entry, c.Post[1].Entry, c.Post[2].Entry)
+	}
+	if !slices.Equal(c.PostN, []int32{9, 4, 7}) {
+		t.Errorf("PostN = %v", c.PostN)
 	}
 	// Constant-sample σ clamps to MinSigma in the record; the constant
 	// folds the log-norm and floor terms of the stats primitives.

@@ -32,17 +32,16 @@ func FuzzCompiledDecode(f *testing.F) {
 			}
 			return
 		}
-		// A valid artifact stores at least one byte per Trained cell, so
-		// a decode that "succeeded" with matrices larger than the input
-		// over-allocated.
+		// A valid artifact stores at least four bytes per entry, per AP
+		// and per posting, so a decode that "succeeded" with more of any
+		// than the input has bytes over-allocated.
 		nE, nAP := c.NumEntries(), c.NumAPs()
-		cells := nE * nAP
-		if cells > len(data) {
-			t.Fatalf("decoded %d cells from %d input bytes", cells, len(data))
+		if nE > len(data) || nAP > len(data) || len(c.Post) > len(data) {
+			t.Fatalf("decoded %d entries, %d APs, %d postings from %d input bytes", nE, nAP, len(c.Post), len(data))
 		}
 		// Touch every decoded surface; corrupt views crash here.
 		if len(c.Pos) != nE || len(c.UnheardLL) != nE || len(c.SignalBase) != nE ||
-			len(c.Trained) != cells || len(c.N) != cells {
+			len(c.PostN) != len(c.Post) {
 			t.Fatal("inconsistent decoded dimensions")
 		}
 		for _, name := range c.Names {
@@ -102,7 +101,7 @@ func checkPostingInvariants(t *testing.T, c *trainingdb.Compiled) {
 
 // legacyArtifacts are the house artifacts of the retired formats in
 // testdata/legacy (see postings_test.go for their provenance).
-var legacyArtifacts = []string{"house-float64.ilr", "house-int16.ilr", "house-int16-postings.ilr"}
+var legacyArtifacts = []string{"house-float64.ilr", "house-int16.ilr", "house-int16-postings.ilr", "house-postings.ilr"}
 
 func readLegacy(tb testing.TB, name string) []byte {
 	tb.Helper()

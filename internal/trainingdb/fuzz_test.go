@@ -128,9 +128,20 @@ func fuzzSeeds() map[string][]byte {
 		return p[:len(p)-postingSize]
 	})
 	seeds["post-without-start"] = stripSections(buf, secPostStart)
-	// apA's list names porch, which never heard apA: the list shape is
-	// valid, only the trained-cell check objects.
-	seeds["record-untrained-cell"] = posts(func(ps []Posting) { ps[0].Entry = 1 })
+	seeds["post-n-count-mismatch"] = patchSection(cp(), secPostN, func(p []byte) []byte {
+		return p[:len(p)-4]
+	})
+	// Only legacy artifacts say which cells are trained: clearing one
+	// trained byte of the house artifact written beside the dense
+	// matrices leaves the lists naming a cell that was never trained.
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy", "house-postings.ilr"))
+	if err != nil {
+		panic(err)
+	}
+	seeds["record-untrained-cell"] = patchSection(legacy, secTrained, func(p []byte) []byte {
+		p[1] = 0
+		return p
+	})
 	seeds["record-nan-halfprec"] = posts(func(ps []Posting) { ps[1].HalfPrec = float32(math.NaN()) })
 
 	// A well-formed view with APs but no entries: every section is

@@ -21,7 +21,7 @@ type Posting struct {
 }
 
 // newPosting rounds one trained cell's float64 statistics into its
-// record. Compile and every legacy decode path build records here.
+// record. Compile and the legacy decode paths build records here.
 func newPosting(entry int, mean, sigma, logNorm, floorLL float64) Posting {
 	return Posting{
 		Entry:    int32(entry),
@@ -31,10 +31,10 @@ func newPosting(entry int, mean, sigma, logNorm, floorLL float64) Posting {
 	}
 }
 
-// buildPostings lists the trained cells column by column from the
-// entry-major Trained matrix, calling rec(i, j, cell) for each trained
-// cell in entry-then-column order. Walking entries in order leaves
-// every list sorted by entry.
+// buildPostings lists the trained cells column by column from a legacy
+// artifact's entry-major trained matrix, calling rec(i, j, cell) for
+// each trained cell in entry-then-column order. Walking entries in
+// order leaves every list sorted by entry.
 func buildPostings(trained []bool, nE, nAP int, rec func(i, j, cell int) Posting) ([]int32, []Posting) {
 	start := make([]int32, nAP+1)
 	for i := 0; i < nE; i++ {
@@ -81,14 +81,10 @@ func (c *Compiled) Quantize() {}
 // call this.
 func (c *Compiled) ReleaseFloat64() {}
 
-// MatrixBytes reports the resident footprint of the per-cell matrices
-// and posting lists the view holds. Per-entry vectors and the
-// name/BSSID tables are excluded (they are O(entries+APs), not
-// O(entries×APs)).
-func (c *Compiled) MatrixBytes() int {
-	return len(c.Trained)*(1+4) + c.PostingBytes() // Trained []bool + N []int32
+// PostingBytes reports the resident footprint of the per-cell state the
+// view holds: one int32 start per column plus, per trained cell, its
+// 16-byte record and its int32 sample count. Per-entry vectors and the
+// name/BSSID tables are excluded (they are O(entries+APs)).
+func (c *Compiled) PostingBytes() int {
+	return len(c.PostStart)*4 + len(c.Post)*postingSize + len(c.PostN)*4
 }
-
-// PostingBytes reports the footprint of the posting lists: one int32
-// start per column plus 16 bytes per trained cell.
-func (c *Compiled) PostingBytes() int { return len(c.PostStart)*4 + len(c.Post)*postingSize }

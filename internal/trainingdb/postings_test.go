@@ -20,6 +20,11 @@ import (
 //	house-float64.ilr         float64 matrices only: locserved -train-artifact
 //	house-int16.ilr           int16 codes, no posting lists: tdbtool compile before posting lists
 //	house-int16-postings.ilr  int16 codes plus 16-byte posting records: tdbtool compile
+//
+// house-postings.ilr was written by the encoder of commit b668f5c, the
+// last to emit the dense trained and n matrices, from the same
+// house.tdb at floor −95 dBm, σ 4 dB: the 16-byte posting records
+// beside trained and n, with no post-n section.
 
 func legacyFixture(t *testing.T, name string) []byte {
 	t.Helper()
@@ -138,7 +143,8 @@ func TestCompiledQuantize(t *testing.T) {
 	for i := 0; i < nE; i++ {
 		var unheard, base float64
 		for j := 0; j < nAP; j++ {
-			if cell := i*nAP + j; c.Trained[cell] {
+			if _, ok := db.Entries[c.Names[i]].PerAP[c.BSSIDs[j]]; ok {
+				cell := i*nAP + j
 				unheard += dense[3][cell]
 				d := -95 - dense[0][cell]
 				base += d * d
@@ -156,7 +162,7 @@ func TestCompiledQuantize(t *testing.T) {
 // TestReleaseFloat64 pins the legacy float64 decode: the artifact's
 // dense matrices are read once into posting records identical to a
 // fresh Compile of the database it came from, and the view keeps no
-// float64 per-cell matrix — only Trained, N and the lists.
+// per-cell matrix — only the lists and their counts.
 func TestReleaseFloat64(t *testing.T) {
 	c, err := DecodeCompiled(legacyFixture(t, "house-float64.ilr"), DecodeOptions{VerifyCRC: true})
 	if err != nil {
@@ -169,9 +175,8 @@ func TestReleaseFloat64(t *testing.T) {
 	}
 	sameF64(t, "UnheardLL", c.UnheardLL, fresh.UnheardLL)
 	sameF64(t, "SignalBase", c.SignalBase, fresh.SignalBase)
-	cells := c.NumEntries() * c.NumAPs()
-	if want := cells*(1+4) + (c.NumAPs()+1)*4 + len(c.Post)*16; c.MatrixBytes() != want {
-		t.Errorf("MatrixBytes = %d, want %d", c.MatrixBytes(), want)
+	if want := (c.NumAPs()+1)*4 + len(c.Post)*(16+4); c.PostingBytes() != want {
+		t.Errorf("PostingBytes = %d, want %d", c.PostingBytes(), want)
 	}
 }
 
@@ -212,5 +217,51 @@ func TestPostingBytesPinned(t *testing.T) {
 	const want = "d31d8b86a2532451db1911a89b7ba99c117312a86307346b5446febbe4c80388"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("posting bytes sha256 %s, want %s", got, want)
+	}
+}
+
+// TestBaselinesPinned pins the per-entry baselines and the per-posting
+// sample counts Compile builds from the same seeded database as
+// TestPostingBytesPinned. The digest was taken from the Compile that
+// still built the dense N matrix, with each posting's count read from
+// N at its ⟨entry, column⟩ cell, so it moves if building the lists
+// straight from the entries changes a count, or the order a baseline's
+// terms are summed in.
+func TestBaselinesPinned(t *testing.T) {
+	if !hostLittle {
+		t.Skip("digest pinned for little-endian payloads")
+	}
+	c := randomCompiled(t, 17, 64, 9)
+	h := sha256.New()
+	h.Write(byteView(c.UnheardLL))
+	h.Write(byteView(c.SignalBase))
+	h.Write(byteView(c.PostN))
+	const want = "55baaca1c2f639f4d5aabaa436040e07cb301c7b5d5842577f8be67d55be3d79"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("baselines and counts sha256 %s, want %s", got, want)
+	}
+}
+
+// TestLegacyPostN pins the counts a legacy artifact's dense n matrix
+// yields: every posting of every legacy house artifact carries the
+// sample count house.tdb holds for its cell.
+func TestLegacyPostN(t *testing.T) {
+	db := legacyHouseDB(t)
+	for _, name := range []string{"house-float64.ilr", "house-int16.ilr", "house-int16-postings.ilr", "house-postings.ilr"} {
+		c, err := DecodeCompiled(legacyFixture(t, name), DecodeOptions{VerifyCRC: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(c.PostN) != len(c.Post) || len(c.Post) == 0 {
+			t.Fatalf("%s: %d counts for %d postings", name, len(c.PostN), len(c.Post))
+		}
+		for j, b := range c.BSSIDs {
+			for k := c.PostStart[j]; k < c.PostStart[j+1]; k++ {
+				entry := c.Names[c.Post[k].Entry]
+				if want := db.Entries[entry].PerAP[b].N; int(c.PostN[k]) != want {
+					t.Fatalf("%s: ⟨%s, %s⟩ count %d, want %d", name, entry, b, c.PostN[k], want)
+				}
+			}
+		}
 	}
 }
