@@ -173,7 +173,7 @@ func BenchmarkFig4RegressionFit(b *testing.B) {
 // maximum-likelihood localization over the 30-point training grid.
 func BenchmarkProbabilisticLocalize(b *testing.B) {
 	f := fixture(b)
-	ml := localize.NewMaxLikelihood(f.db)
+	ml := localize.NewMaxLikelihood(f.db.Compile(-95, 4))
 	obs := observations(f, 64, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -188,9 +188,9 @@ func BenchmarkProbabilisticLocalize(b *testing.B) {
 // (future work §6.2) on the same workload as R5.1.
 func BenchmarkHistogramLocalize(b *testing.B) {
 	f := fixture(b)
-	h := localize.NewHistogram(f.db)
+	h := localize.NewHistogram(f.db, f.db.Compile(-95, 4))
 	obs := observations(f, 64, 3)
-	if _, err := h.Locate(obs[0]); err != nil { // build caches
+	if _, err := h.Locate(obs[0]); err != nil { // warm the scratch pool
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -226,9 +226,10 @@ func BenchmarkGeometricLocalize(b *testing.B) {
 func BenchmarkKNNSweep(b *testing.B) {
 	f := fixture(b)
 	obs := observations(f, 64, 5)
+	view := f.db.Compile(-95, 4)
 	for _, k := range []int{1, 2, 3, 4, 5, 6} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			knn := localize.NewKNN(f.db, k)
+			knn := localize.NewKNN(view, k)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := knn.Locate(obs[i%len(obs)]); err != nil {
@@ -398,7 +399,7 @@ func BenchmarkPlanGIFRoundTrip(b *testing.B) {
 // localize.BatchInto, on 256 observations.
 func BenchmarkBatchLocalize(b *testing.B) {
 	f := fixture(b)
-	ml := localize.NewMaxLikelihood(f.db)
+	ml := localize.NewMaxLikelihood(f.db.Compile(-95, 4))
 	obs := observations(f, 256, 10)
 	res := make([]localize.BatchResult, len(obs))
 	b.ReportAllocs()
@@ -415,7 +416,7 @@ func BenchmarkBatchLocalize(b *testing.B) {
 // BenchmarkSectorLocalize measures the identifying-code baseline.
 func BenchmarkSectorLocalize(b *testing.B) {
 	f := fixture(b)
-	sec := localize.NewSector(f.db)
+	sec := localize.NewSector(f.db.Compile(-95, 4))
 	obs := observations(f, 64, 11)
 	if _, err := sec.Locate(obs[0]); err != nil {
 		b.Fatal(err)
@@ -459,7 +460,7 @@ func BenchmarkHeatmapRender(b *testing.B) {
 // full HTTP stack (httptest, loopback only).
 func BenchmarkServerLocate(b *testing.B) {
 	f := fixture(b)
-	loc := localize.NewMaxLikelihood(f.db)
+	loc := localize.NewMaxLikelihood(f.db.Compile(-95, 4))
 	svc := &core.Service{DB: f.db, Locator: loc, Names: f.lm}
 	srv, err := server.New(svc, nil)
 	if err != nil {
@@ -505,7 +506,7 @@ func BenchmarkProbabilisticLargeMap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ml := localize.NewMaxLikelihood(db)
+	ml := localize.NewMaxLikelihood(db.Compile(-95, 4))
 	sc := sim.NewScanner(env, 3)
 	obs := make([]localize.Observation, 32)
 	for i := range obs {
@@ -579,7 +580,7 @@ func syntheticObservations(db *trainingdb.DB, n int, seed int64) []localize.Obse
 // and allocs/op by 64 to compare per observation.
 func BenchmarkServerLocateBatch(b *testing.B) {
 	f := fixture(b)
-	loc := localize.NewMaxLikelihood(f.db)
+	loc := localize.NewMaxLikelihood(f.db.Compile(-95, 4))
 	svc := &core.Service{DB: f.db, Locator: loc, Names: f.lm}
 	srv, err := server.New(svc, nil)
 	if err != nil {
@@ -672,8 +673,7 @@ func BenchmarkMapV2Campus100k(b *testing.B) {
 		{"topk8", 8},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			ml := localize.NewMaxLikelihood(nil)
-			ml.Precompiled = f.view
+			ml := localize.NewMaxLikelihood(f.view)
 			ml.TopK = c.topk
 			if _, err := ml.Locate(f.obs[0]); err != nil {
 				b.Fatal(err)
@@ -695,8 +695,7 @@ func BenchmarkMapV2Campus100k(b *testing.B) {
 func BenchmarkMapV2KNN(b *testing.B) {
 	f := campusBench(b)
 	b.Run("topk8", func(b *testing.B) {
-		knn := localize.NewKNN(nil, 3)
-		knn.Precompiled = f.view
+		knn := localize.NewKNN(f.view, 3)
 		knn.TopK = 8
 		if _, err := knn.Locate(f.obs[0]); err != nil {
 			b.Fatal(err)

@@ -27,10 +27,11 @@ func runA1(w io.Writer, _ string) error {
 		return err
 	}
 	printReport(w, "probabilistic ML", evaluate(d, ml, 30, 2))
+	view := d.db.Compile(-95, 4)
 	for k := 1; k <= 6; k++ {
-		knn := localize.NewKNN(d.db, k)
+		knn := localize.NewKNN(view, k)
 		printReport(w, fmt.Sprintf("knn k=%d", k), evaluate(d, knn, 30, 2))
-		wk := localize.NewKNN(d.db, k)
+		wk := localize.NewKNN(view, k)
 		wk.Weighted = true
 		printReport(w, fmt.Sprintf("wknn k=%d", k), evaluate(d, wk, 30, 2))
 	}

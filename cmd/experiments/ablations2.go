@@ -149,9 +149,10 @@ func runA12(w io.Writer, _ string) error {
 	if err != nil {
 		return err
 	}
-	argmax := localize.NewMaxLikelihood(d.db)
+	view := d.db.Compile(-95, 4)
+	argmax := localize.NewMaxLikelihood(view)
 	printReport(w, "argmax (paper)", evaluate(d, argmax, 30, 2))
-	expected := localize.NewMaxLikelihood(d.db)
+	expected := localize.NewMaxLikelihood(view)
 	expected.ExpectedPosition = true
 	printReport(w, "posterior mean", evaluate(d, expected, 30, 2))
 	fmt.Fprintln(w, "the posterior mean interpolates between grid points, trimming the")

@@ -284,7 +284,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		if err != nil {
 			return err
 		}
-		// rebuild turns a frozen database into a warmed serving state: the
+		// rebuild turns a frozen database into a complete serving state: the
 		// locator compiled from exactly that entry set, plus name
 		// resolution covering it (the plan's names when given, else the
 		// training locations themselves — including any entries live

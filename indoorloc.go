@@ -70,7 +70,7 @@ func Algorithms() []string { return core.Algorithms() }
 
 // BuildLocator constructs a registered algorithm over a training
 // database. It is core.New with WithDB, WithAlgorithm and WithConfig,
-// returning just the warmed locator.
+// returning just the built locator.
 func BuildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (Locator, error) {
 	in, err := core.New(core.WithDB(db), core.WithAlgorithm(name), core.WithConfig(cfg))
 	if err != nil {

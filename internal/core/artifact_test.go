@@ -40,7 +40,7 @@ func TestServiceFromCompiledFile(t *testing.T) {
 			if svc.DB.Len() != f.db.Len() || svc.Names == nil || svc.Names.Len() != f.db.Len() {
 				t.Fatalf("artifact source should carry every entry and default to entry names")
 			}
-			ref, err := buildLocator(algo, f.db, BuildConfig{})
+			ref, err := buildLocator(algo, f.db, nil, BuildConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,6 +67,22 @@ func TestServiceFromCompiledFile(t *testing.T) {
 	}
 }
 
+// TestArtifactSnapshotGeneration pins that a service served from an
+// artifact reports the artifact's generation, not zero: /healthz, the
+// generation gauge and venue status all read it from the snapshot.
+func TestArtifactSnapshotGeneration(t *testing.T) {
+	f := newFixture(t)
+	f.db.SetGeneration(57)
+	in, err := New(WithCompiledFile(writeArtifact(t, f)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	if got := in.Registry.Current().Generation; got != 57 {
+		t.Errorf("artifact-served snapshot is generation %d, want 57", got)
+	}
+}
+
 // TestArtifactLocateAllocParity is the acceptance bar for the mmap
 // path: serving from a memory-mapped artifact must not add a
 // single hot-path allocation over the conventional in-memory locator.
@@ -79,7 +95,7 @@ func TestArtifactLocateAllocParity(t *testing.T) {
 	}
 	defer in.Close()
 
-	ref, err := buildLocator(AlgoProbabilistic, f.db, BuildConfig{TopK: 4})
+	ref, err := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{TopK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +132,7 @@ func TestNewCompiledErrors(t *testing.T) {
 // locator and that the warmed locator serves the posting-list view.
 func TestBuildConfigQuantizeTopK(t *testing.T) {
 	f := newFixture(t)
-	loc, err := buildLocator(AlgoProbabilistic, f.db, BuildConfig{TopK: 3})
+	loc, err := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

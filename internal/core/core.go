@@ -76,57 +76,57 @@ type BuildConfig struct {
 	TopK int
 }
 
-// buildLocator constructs a registered algorithm over a training
-// database. The returned locator is warmed: compiled radio maps,
-// histogram tables and identifying codes are built here, once, so
-// every consumer — the HTTP server, localize.BatchInto fan-outs, the
-// CLI tools and the experiment harness — serves its first query at full
-// speed.
-func buildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (localize.Locator, error) {
-	if db == nil {
-		return nil, errors.New("core: nil training database")
-	}
-	floor := cfg.FloorRSSI
-	if floor == 0 {
-		floor = -95
+// buildLocator constructs a registered algorithm over one compiled
+// radio-map view. A database source (c nil) is compiled here, once, at
+// cfg's floor level; a compiled source (db nil — the serving shape of
+// a v2 artifact, where the raw training database never existed in this
+// process) is taken as given, its own floor parameters governing
+// scoring. The returned locator is complete — compiled view, histogram
+// tables and identifying codes are all built — so every consumer
+// serves its first query at full speed.
+func buildLocator(name string, db *trainingdb.DB, c *trainingdb.Compiled, cfg BuildConfig) (localize.Locator, error) {
+	if c == nil {
+		if db == nil || db.Len() == 0 {
+			return nil, errors.New("core: empty training database")
+		}
+		floor := cfg.FloorRSSI
+		if floor == 0 {
+			floor = -95
+		}
+		c = db.Compile(floor, 4)
 	}
 	k := cfg.K
 	if k <= 0 {
 		k = 3
 	}
-	var loc localize.Locator
 	switch name {
 	case AlgoProbabilistic:
-		ml := localize.NewMaxLikelihood(db)
-		ml.FloorRSSI = floor
+		ml := localize.NewMaxLikelihood(c)
 		ml.TopK = cfg.TopK
-		loc = ml
-	case AlgoHistogram:
-		h := localize.NewHistogram(db)
-		h.FloorRSSI = floor
-		h.TopK = cfg.TopK
-		loc = h
+		return ml, nil
 	case AlgoSector:
-		s := localize.NewSector(db)
+		s := localize.NewSector(c)
 		s.TopK = cfg.TopK
-		loc = s
-	case AlgoNNSS:
-		nn := localize.NewKNN(db, 1)
-		nn.FloorRSSI = floor
-		nn.TopK = cfg.TopK
-		loc = nn
-	case AlgoKNN:
-		knn := localize.NewKNN(db, k)
-		knn.FloorRSSI = floor
+		return s, nil
+	case AlgoNNSS, AlgoKNN, AlgoWKNN:
+		if name == AlgoNNSS {
+			k = 1
+		}
+		knn := localize.NewKNN(c, k)
+		knn.Weighted = name == AlgoWKNN
 		knn.TopK = cfg.TopK
-		loc = knn
-	case AlgoWKNN:
-		w := localize.NewKNN(db, k)
-		w.Weighted = true
-		w.FloorRSSI = floor
-		w.TopK = cfg.TopK
-		loc = w
-	case AlgoGeometric, AlgoGeometricLS, AlgoHybrid:
+		return knn, nil
+	case AlgoHistogram, AlgoGeometric, AlgoGeometricLS, AlgoHybrid:
+		if db == nil {
+			return nil, fmt.Errorf("core: algorithm %q cannot serve from a compiled artifact "+
+				"(supported: %s, %s, %s, %s, %s)", name,
+				AlgoProbabilistic, AlgoNNSS, AlgoKNN, AlgoWKNN, AlgoSector)
+		}
+		if name == AlgoHistogram {
+			h := localize.NewHistogram(db, c)
+			h.TopK = cfg.TopK
+			return h, nil
+		}
 		if len(cfg.APPositions) == 0 {
 			return nil, fmt.Errorf("core: algorithm %q needs AP positions", name)
 		}
@@ -138,27 +138,18 @@ func buildLocator(name string, db *trainingdb.DB, cfg BuildConfig) (localize.Loc
 		if name == AlgoGeometricLS {
 			g.Combine = localize.CombineLeastSquares
 		}
-		if name == AlgoHybrid {
-			ml := localize.NewMaxLikelihood(db)
-			ml.FloorRSSI = floor
-			ml.TopK = cfg.TopK
-			h, err := localize.NewHybrid(ml, g)
-			if err != nil {
-				return nil, err
-			}
-			loc = h
-		} else {
-			loc = g
+		if name != AlgoHybrid {
+			return g, nil
 		}
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %q (have %v)", name, Algorithms())
-	}
-	if w, ok := loc.(localize.Warmer); ok {
-		if err := w.Warm(); err != nil {
-			return nil, fmt.Errorf("core: warming %s: %w", name, err)
+		ml := localize.NewMaxLikelihood(c)
+		ml.TopK = cfg.TopK
+		h, err := localize.NewHybrid(ml, g)
+		if err != nil {
+			return nil, err
 		}
+		return h, nil
 	}
-	return loc, nil
+	return nil, fmt.Errorf("core: unknown algorithm %q (have %v)", name, Algorithms())
 }
 
 // Service is a trained, ready-to-answer location service — the output
@@ -299,7 +290,7 @@ func (p *Pipeline) Train() (*Service, []string, error) {
 		msg += fmt.Sprintf("; skipped unmapped %v", skipped)
 	}
 	trace = append(trace, msg)
-	loc, err := buildLocator(algo, db, BuildConfig{APPositions: apPos})
+	loc, err := buildLocator(algo, db, nil, BuildConfig{APPositions: apPos})
 	if err != nil {
 		return nil, trace, fmt.Errorf("core: step 4: %w", err)
 	}

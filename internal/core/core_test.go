@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -45,7 +46,7 @@ func newFixture(t *testing.T) *fixture {
 func TestAlgorithmsListMatchesRegistry(t *testing.T) {
 	f := newFixture(t)
 	for _, name := range Algorithms() {
-		loc, err := buildLocator(name, f.db, BuildConfig{APPositions: f.scen.APPositions()})
+		loc, err := buildLocator(name, f.db, nil, BuildConfig{APPositions: f.scen.APPositions()})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -58,38 +59,81 @@ func TestAlgorithmsListMatchesRegistry(t *testing.T) {
 
 func TestBuildLocatorErrors(t *testing.T) {
 	f := newFixture(t)
-	if _, err := buildLocator("nope", f.db, BuildConfig{}); err == nil {
+	if _, err := buildLocator("nope", f.db, nil, BuildConfig{}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, err := buildLocator(AlgoProbabilistic, nil, BuildConfig{}); err == nil {
+	if _, err := buildLocator(AlgoProbabilistic, nil, nil, BuildConfig{}); err == nil {
 		t.Error("nil DB accepted")
 	}
-	if _, err := buildLocator(AlgoGeometric, f.db, BuildConfig{}); err == nil {
+	if _, err := buildLocator(AlgoGeometric, f.db, nil, BuildConfig{}); err == nil {
 		t.Error("geometric without AP positions accepted")
 	}
 }
 
 func TestBuildLocatorKindsAndOptions(t *testing.T) {
 	f := newFixture(t)
-	nn, _ := buildLocator(AlgoNNSS, f.db, BuildConfig{})
+	nn, _ := buildLocator(AlgoNNSS, f.db, nil, BuildConfig{})
 	if nn.Name() != "nnss" {
 		t.Errorf("nnss built %q", nn.Name())
 	}
-	knn, _ := buildLocator(AlgoKNN, f.db, BuildConfig{K: 5})
+	knn, _ := buildLocator(AlgoKNN, f.db, nil, BuildConfig{K: 5})
 	if k, ok := knn.(*localize.KNN); !ok || k.K != 5 {
 		t.Errorf("knn K option lost: %#v", knn)
 	}
-	w, _ := buildLocator(AlgoWKNN, f.db, BuildConfig{})
+	w, _ := buildLocator(AlgoWKNN, f.db, nil, BuildConfig{})
 	if k, ok := w.(*localize.KNN); !ok || !k.Weighted {
 		t.Error("wknn not weighted")
 	}
-	ls, _ := buildLocator(AlgoGeometricLS, f.db, BuildConfig{APPositions: f.scen.APPositions()})
+	ls, _ := buildLocator(AlgoGeometricLS, f.db, nil, BuildConfig{APPositions: f.scen.APPositions()})
 	if g, ok := ls.(*localize.Geometric); !ok || g.Combine != localize.CombineLeastSquares {
 		t.Error("geometric-ls combiner wrong")
 	}
-	ml, _ := buildLocator(AlgoProbabilistic, f.db, BuildConfig{FloorRSSI: -90})
-	if m, ok := ml.(*localize.MaxLikelihood); !ok || m.FloorRSSI != -90 {
+	ml, _ := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{FloorRSSI: -90})
+	if m, ok := ml.(*localize.MaxLikelihood); !ok || m.CompiledView().FloorRSSI != -90 {
 		t.Error("floor option lost")
+	}
+}
+
+// TestBuildCompilesOneView pins that a build's view does not depend on
+// the algorithm: every view-serving algorithm built with a floor level
+// serves exactly db.Compile(floor, 4), so a trainer's artifact and its
+// replication stream are the same whichever algorithm it runs.
+func TestBuildCompilesOneView(t *testing.T) {
+	f := newFixture(t)
+	want, err := trainingdb.EncodeCompiled(f.db.Compile(-90, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := BuildConfig{FloorRSSI: -90, APPositions: f.scen.APPositions()}
+	for _, name := range []string{AlgoProbabilistic, AlgoNNSS, AlgoKNN, AlgoWKNN, AlgoSector, AlgoHistogram, AlgoHybrid} {
+		loc, err := buildLocator(name, f.db, nil, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		src, ok := loc.(localize.CompiledSource)
+		if !ok {
+			t.Fatalf("%s exposes no compiled view", name)
+		}
+		got, err := trainingdb.EncodeCompiled(src.CompiledView())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s serves a view that differs from Compile(-90, 4)", name)
+		}
+	}
+}
+
+// TestEveryAlgorithmRejectsEmptyDB pins the one empty-database check:
+// no algorithm builds over a database without entries.
+func TestEveryAlgorithmRejectsEmptyDB(t *testing.T) {
+	f := newFixture(t)
+	empty := &trainingdb.DB{Entries: map[string]*trainingdb.Entry{}}
+	for _, name := range Algorithms() {
+		if _, err := New(WithDB(empty), WithAlgorithm(name),
+			WithConfig(BuildConfig{APPositions: f.scen.APPositions()})); err == nil {
+			t.Errorf("%s built over an empty database", name)
+		}
 	}
 }
 

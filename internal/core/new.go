@@ -20,7 +20,7 @@ import (
 // Exactly one source option is required: WithDB (train from a raw
 // database), WithCompiled (serve a compiled view), WithCompiledFile
 // (open and memory-map a v2 artifact), or WithService (adopt a
-// prebuilt Service). The returned Instance carries the warmed Service,
+// prebuilt Service). The returned Instance carries the built Service,
 // a static SnapshotRegistry over it, and an idempotent Close that
 // releases whatever the source pinned (the artifact mapping, for
 // WithCompiledFile).
@@ -47,13 +47,13 @@ func New(opts ...Option) (*Instance, error) {
 	case o.service != nil:
 		svc = o.service
 	case o.db != nil:
-		loc, err := buildLocator(o.algo, o.db, o.cfg)
+		loc, err := buildLocator(o.algo, o.db, nil, o.cfg)
 		if err != nil {
 			return nil, err
 		}
 		svc = &Service{DB: o.db, Locator: loc}
 	case o.compiled != nil:
-		loc, err := buildLocatorFromCompiled(o.algo, o.compiled, o.cfg)
+		loc, err := buildLocator(o.algo, nil, o.compiled, o.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +63,7 @@ func New(opts ...Option) (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		loc, err := buildLocatorFromCompiled(o.algo, c, o.cfg)
+		loc, err := buildLocator(o.algo, nil, c, o.cfg)
 		if err != nil {
 			return nil, errors.Join(err, closeMap())
 		}
@@ -103,10 +103,10 @@ func New(opts ...Option) (*Instance, error) {
 	return &Instance{Service: svc, Registry: reg, closeFn: closeFn}, nil
 }
 
-// Instance is New's product: the warmed serving state plus the
+// Instance is New's product: the built serving state plus the
 // lifecycle handle for whatever the source pinned.
 type Instance struct {
-	// Service is the warmed, ready-to-answer serving state.
+	// Service is the built, ready-to-answer serving state.
 	Service *Service
 	// Registry wraps Service as a forever-current static snapshot. Live
 	// deployments (ingest.Manager) publish through their own registry

@@ -85,7 +85,7 @@ func TestNewCompiledFileParity(t *testing.T) {
 	if in.Service.Names == nil || in.Service.Names.Len() != f.db.Len() {
 		t.Fatal("artifact source should default to entry names")
 	}
-	ref, err := buildLocator(AlgoProbabilistic, f.db, BuildConfig{})
+	ref, err := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestNewCompiledFileErrors(t *testing.T) {
 
 func TestNewWithService(t *testing.T) {
 	f := newFixture(t)
-	loc, err := buildLocator(AlgoProbabilistic, f.db, BuildConfig{})
+	loc, err := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Snapshot is one immutable, fully consistent serving state: a
-// training database frozen at a generation, the warmed locator
+// training database frozen at a generation, the complete locator
 // compiled from exactly that database, and the name/room resolution
 // built from the same entry set. Handlers that load a snapshot once
 // and answer entirely from it can never mix worlds — the estimate, its

@@ -112,7 +112,7 @@ type PublishEvent struct {
 	// they are never mutated after the freeze, so the callback may read
 	// them at any later time.
 	DB *trainingdb.DB
-	// Compiled is the locator's dense radio-map view, nil when the
+	// Compiled is the locator's posting-list radio-map view, nil when the
 	// snapshot's locator does not expose one (then the snapshot cannot
 	// be replicated from).
 	Compiled *trainingdb.Compiled
@@ -153,7 +153,7 @@ var ErrQueueFull = errors.New("ingest: report queue full")
 // HTTP layer can answer 400 for bad reports and 500 for I/O trouble.
 var ErrInvalidReport = errors.New("invalid report")
 
-// Rebuilder turns a frozen database snapshot into a warmed serving
+// Rebuilder turns a frozen database snapshot into a complete serving
 // state: it builds the locator (compiling the radio map) and the
 // name/room resolution for exactly that entry set. It runs on the
 // compactor goroutine — off the serving path — and must not retain or
@@ -532,7 +532,7 @@ func (m *Manager) finishPublish(snap *core.Snapshot, frozen *trainingdb.DB) {
 	}
 }
 
-// compiledView extracts the snapshot locator's dense radio-map view,
+// compiledView extracts the snapshot locator's posting-list radio-map view,
 // nil when the locator does not expose one.
 func compiledView(snap *core.Snapshot) *trainingdb.Compiled {
 	src, ok := snap.Service.Locator.(localize.CompiledSource)

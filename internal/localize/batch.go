@@ -40,8 +40,8 @@ func (r *batchRun) locateRange(lo, hi int) {
 // preserve input order; out[i] is valid when BatchInto returns.
 //
 // The locator must be safe for concurrent Locate calls; every
-// localizer in this package is — lazy caches (compiled radio maps,
-// histogram tables, codes) build under sync.Once.
+// localizer in this package is — its compiled view and tables are
+// built in the constructor and only read by Locate.
 //
 //loclint:hotpath
 func BatchInto(loc Locator, observations []Observation, out []BatchResult) {

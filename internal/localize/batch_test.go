@@ -17,7 +17,7 @@ func batchFixture(t *testing.T) (Locator, []Observation) {
 		p := observe(env, randomHousePoint(rng), 5, rng)
 		obs = append(obs, p)
 	}
-	return NewMaxLikelihood(db), obs
+	return NewMaxLikelihood(view(db)), obs
 }
 
 func randomHousePoint(rng *rand.Rand) geom.Point {
@@ -44,10 +44,10 @@ func TestBatchIntoMatchesSequential(t *testing.T) {
 				obs = append(obs, o)
 			}
 		}
-		checkBatchInto(t, NewMaxLikelihood(db), obs)
+		checkBatchInto(t, NewMaxLikelihood(view(db)), obs)
 		// The posting scan and the index selector share the pooled
 		// score and index buffers across the pool's workers.
-		ml := NewMaxLikelihood(db)
+		ml := NewMaxLikelihood(view(db))
 		ml.TopK = 8
 		checkBatchInto(t, ml, obs)
 	})
@@ -85,7 +85,7 @@ func TestBatchHistogramConcurrent(t *testing.T) {
 	// -race in CI).
 	env := quietEnv(t)
 	db := buildDB(t, env, 10, 1)
-	h := NewHistogram(db)
+	h := NewHistogram(db, view(db))
 	rng := rand.New(rand.NewSource(4))
 	var obs []Observation
 	for i := 0; i < 30; i++ {

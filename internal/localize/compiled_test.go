@@ -86,47 +86,47 @@ func randomObs(rng *rand.Rand, db *trainingdb.DB, hearProb float64) Observation 
 	return obs
 }
 
-// --- reference implementations: the original map-walking scorers ---
+// view compiles db at the standard floor parameters.
+func view(db *trainingdb.DB) *trainingdb.Compiled { return db.Compile(-95, 4) }
 
-func refMaxLikelihood(m *MaxLikelihood, obs Observation) (Estimate, error) {
+// overlaps reports whether obs hears any AP of db's universe.
+func overlaps(db *trainingdb.DB, obs Observation) bool {
+	for _, b := range db.BSSIDs {
+		if _, ok := obs[b]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// --- reference implementations: the original map-walking scorers ---
+//
+// Each walks db, the database the locator's view was compiled from,
+// taking the floor parameters from that view.
+
+func refMaxLikelihood(db *trainingdb.DB, m *MaxLikelihood, obs Observation) (Estimate, error) {
 	if err := validateObservation(obs); err != nil {
 		return Estimate{}, err
 	}
-	minOverlap := m.MinOverlap
-	if minOverlap <= 0 {
-		minOverlap = 1
-	}
-	overlap := 0
-	known := make(map[string]bool, len(m.DB.BSSIDs))
-	for _, b := range m.DB.BSSIDs {
-		known[b] = true
-	}
-	for b := range obs {
-		if known[b] {
-			overlap++
-		}
-	}
-	if overlap < minOverlap {
+	if !overlaps(db, obs) {
 		return Estimate{}, ErrNoOverlap
 	}
-	floorSigma := m.FloorSigma
-	if floorSigma < stats.MinSigma {
-		floorSigma = stats.MinSigma
-	}
-	candidates := make([]Candidate, 0, m.DB.Len())
-	for _, name := range m.DB.Names() {
-		e := m.DB.Entries[name]
+	floorRSSI := m.CompiledView().FloorRSSI
+	floorSigma := max(m.CompiledView().FloorSigma, stats.MinSigma)
+	candidates := make([]Candidate, 0, db.Len())
+	for _, name := range db.Names() {
+		e := db.Entries[name]
 		ll := 0.0
-		for _, b := range m.DB.BSSIDs {
+		for _, b := range db.BSSIDs {
 			s, trained := e.PerAP[b]
 			o, heard := obs[b]
 			switch {
 			case trained && heard:
 				ll += stats.LogGaussianPDF(o, s.Mean, s.StdDev)
 			case trained && !heard:
-				ll += stats.LogGaussianPDF(m.FloorRSSI, s.Mean, s.StdDev)
+				ll += stats.LogGaussianPDF(floorRSSI, s.Mean, s.StdDev)
 			case !trained && heard:
-				ll += stats.LogGaussianPDF(o, m.FloorRSSI, floorSigma)
+				ll += stats.LogGaussianPDF(o, floorRSSI, floorSigma)
 			}
 		}
 		candidates = append(candidates, Candidate{Name: name, Pos: e.Pos, Score: ll})
@@ -140,34 +140,20 @@ func refMaxLikelihood(m *MaxLikelihood, obs Observation) (Estimate, error) {
 	return est, nil
 }
 
-func refHistogram(h *Histogram, obs Observation) (Estimate, error) {
+func refHistogram(db *trainingdb.DB, h *Histogram, obs Observation) (Estimate, error) {
 	if err := validateObservation(obs); err != nil {
 		return Estimate{}, err
 	}
-	bins := h.Bins
-	lo, hi := h.RangeLo, h.RangeHi
-	if bins <= 0 {
-		bins = 70
-		lo, hi = -100, -30
-	}
-	if hi <= lo {
-		lo, hi = -100, -30
-	}
-	overlap := false
-	for _, b := range h.DB.BSSIDs {
-		if _, ok := obs[b]; ok {
-			overlap = true
-			break
-		}
-	}
-	if !overlap {
+	if !overlaps(db, obs) {
 		return Estimate{}, ErrNoOverlap
 	}
-	hists := make(map[string]map[string]*stats.Histogram, h.DB.Len())
-	for name, e := range h.DB.Entries {
+	const bins = 70
+	floorRSSI := h.CompiledView().FloorRSSI
+	hists := make(map[string]map[string]*stats.Histogram, db.Len())
+	for name, e := range db.Entries {
 		m := make(map[string]*stats.Histogram, len(e.PerAP))
 		for bssid, s := range e.PerAP {
-			hist, err := stats.NewHistogram(lo, hi, bins)
+			hist, err := stats.NewHistogram(-100, -30, bins)
 			if err != nil {
 				return Estimate{}, err
 			}
@@ -179,22 +165,22 @@ func refHistogram(h *Histogram, obs Observation) (Estimate, error) {
 		hists[name] = m
 	}
 	uniform := logf(1 / float64(bins))
-	candidates := make([]Candidate, 0, h.DB.Len())
-	for _, name := range h.DB.Names() {
+	candidates := make([]Candidate, 0, db.Len())
+	for _, name := range db.Names() {
 		ll := 0.0
-		for _, b := range h.DB.BSSIDs {
+		for _, b := range db.BSSIDs {
 			hist, trained := hists[name][b]
 			o, heard := obs[b]
 			switch {
 			case trained && heard:
 				ll += logf(hist.Prob(o))
 			case trained && !heard:
-				ll += logf(hist.Prob(h.FloorRSSI))
+				ll += logf(hist.Prob(floorRSSI))
 			case !trained && heard:
 				ll += uniform
 			}
 		}
-		candidates = append(candidates, Candidate{Name: name, Pos: h.DB.Entries[name].Pos, Score: ll})
+		candidates = append(candidates, Candidate{Name: name, Pos: db.Entries[name].Pos, Score: ll})
 	}
 	rankCandidates(candidates)
 	normalizePosterior(candidates)
@@ -202,24 +188,41 @@ func refHistogram(h *Histogram, obs Observation) (Estimate, error) {
 	return Estimate{Pos: best.Pos, Name: best.Name, Score: best.Score, Candidates: candidates}, nil
 }
 
-func refKNN(k *KNN, obs Observation) (Estimate, error) {
+// signalDistance returns the Euclidean distance in dB between an
+// observation and a training entry over db's AP universe, substituting
+// floor for missing readings — the map-walking definition the kNN
+// scan computes against the compiled radio map.
+func signalDistance(db *trainingdb.DB, floor float64, obs Observation, e *trainingdb.Entry) float64 {
+	sum := 0.0
+	for _, b := range db.BSSIDs {
+		var trainVal, obsVal float64
+		if s, ok := e.PerAP[b]; ok {
+			trainVal = s.Mean
+		} else {
+			trainVal = floor
+		}
+		if v, ok := obs[b]; ok {
+			obsVal = v
+		} else {
+			obsVal = floor
+		}
+		d := obsVal - trainVal
+		sum += d * d
+	}
+	return math.Sqrt(sum)
+}
+
+func refKNN(db *trainingdb.DB, k *KNN, obs Observation) (Estimate, error) {
 	if err := validateObservation(obs); err != nil {
 		return Estimate{}, err
 	}
-	overlap := false
-	for _, b := range k.DB.BSSIDs {
-		if _, ok := obs[b]; ok {
-			overlap = true
-			break
-		}
-	}
-	if !overlap {
+	if !overlaps(db, obs) {
 		return Estimate{}, ErrNoOverlap
 	}
-	candidates := make([]Candidate, 0, k.DB.Len())
-	for _, name := range k.DB.Names() {
-		e := k.DB.Entries[name]
-		d := k.SignalDistance(obs, e)
+	candidates := make([]Candidate, 0, db.Len())
+	for _, name := range db.Names() {
+		e := db.Entries[name]
+		d := signalDistance(db, k.CompiledView().FloorRSSI, obs, e)
 		candidates = append(candidates, Candidate{Name: name, Pos: e.Pos, Score: -d})
 	}
 	rankCandidates(candidates)
@@ -251,26 +254,16 @@ func refKNN(k *KNN, obs Observation) (Estimate, error) {
 	return Estimate{Pos: pos, Name: name, Score: top[0].Score, Candidates: candidates}, nil
 }
 
-func refSector(s *Sector, obs Observation) (Estimate, error) {
+func refSector(db *trainingdb.DB, obs Observation) (Estimate, error) {
 	if err := validateObservation(obs); err != nil {
 		return Estimate{}, err
 	}
-	overlap := false
-	for _, b := range s.DB.BSSIDs {
-		if _, ok := obs[b]; ok {
-			overlap = true
-			break
-		}
-	}
-	if !overlap {
+	if !overlaps(db, obs) {
 		return Estimate{}, ErrNoOverlap
 	}
-	frac := s.AudibleFraction
-	if frac <= 0 {
-		frac = 0.5
-	}
-	codes := make(map[string]uint64, s.DB.Len())
-	for name, e := range s.DB.Entries {
+	const frac = 0.5
+	codes := make(map[string]uint64, db.Len())
+	for name, e := range db.Entries {
 		maxN := 0
 		for _, st := range e.PerAP {
 			if st.N > maxN {
@@ -278,7 +271,7 @@ func refSector(s *Sector, obs Observation) (Estimate, error) {
 			}
 		}
 		var code uint64
-		for i, b := range s.DB.BSSIDs {
+		for i, b := range db.BSSIDs {
 			if i >= 64 {
 				break
 			}
@@ -293,7 +286,7 @@ func refSector(s *Sector, obs Observation) (Estimate, error) {
 		codes[name] = code
 	}
 	var observed uint64
-	for i, b := range s.DB.BSSIDs {
+	for i, b := range db.BSSIDs {
 		if i >= 64 {
 			break
 		}
@@ -301,15 +294,15 @@ func refSector(s *Sector, obs Observation) (Estimate, error) {
 			observed |= 1 << uint(i)
 		}
 	}
-	candidates := make([]Candidate, 0, s.DB.Len())
+	candidates := make([]Candidate, 0, db.Len())
 	best := 1 << 30
-	for _, name := range s.DB.Names() {
+	for _, name := range db.Names() {
 		d := hamming(observed, codes[name])
 		if d < best {
 			best = d
 		}
 		candidates = append(candidates, Candidate{
-			Name: name, Pos: s.DB.Entries[name].Pos, Score: -float64(d),
+			Name: name, Pos: db.Entries[name].Pos, Score: -float64(d),
 		})
 	}
 	rankCandidates(candidates)
@@ -395,18 +388,18 @@ func TestCompiledMatchesMapBased(t *testing.T) {
 			continue
 		}
 
-		ml := NewMaxLikelihood(db)
-		mlExp := NewMaxLikelihood(db)
+		c := view(db)
+		ml := NewMaxLikelihood(c)
+		mlExp := NewMaxLikelihood(c)
 		mlExp.ExpectedPosition = true
-		mlStrict := NewMaxLikelihood(db)
-		mlStrict.MinOverlap = 2
-		hist := NewHistogram(db)
-		histCoarse := &Histogram{DB: db, Bins: 10, RangeLo: -110, RangeHi: -20, FloorRSSI: -92}
-		nnss := NewKNN(db, 1)
-		knn := NewKNN(db, 4)
-		wknn := &KNN{DB: db, K: 3, Weighted: true, FloorRSSI: -95}
-		sec := NewSector(db)
-		secLoose := &Sector{DB: db, AudibleFraction: 0.1}
+		hist := NewHistogram(db, c)
+		// The floor bin comes from the view's floor level.
+		histFloor := NewHistogram(db, db.Compile(-92, 4))
+		nnss := NewKNN(c, 1)
+		knn := NewKNN(c, 4)
+		wknn := NewKNN(c, 3)
+		wknn.Weighted = true
+		sec := NewSector(c)
 
 		for trial := 0; trial < 12; trial++ {
 			obs := randomObs(rng, db, 0.1+rng.Float64()*0.8)
@@ -417,35 +410,27 @@ func TestCompiledMatchesMapBased(t *testing.T) {
 				return fmt.Sprintf("seed %d trial %d %s", seed, trial, algo)
 			}
 
-			checkML(t, tag("ml"), ml, obs)
-			checkML(t, tag("ml-expected"), mlExp, obs)
-			checkML(t, tag("ml-minoverlap"), mlStrict, obs)
+			checkML(t, tag("ml"), db, ml, obs)
+			checkML(t, tag("ml-expected"), db, mlExp, obs)
 
 			est, err := hist.Locate(obs)
-			want, wantErr := refHistogram(hist, obs)
+			want, wantErr := refHistogram(db, hist, obs)
 			compareEstimates(t, tag("histogram"), est, err, want, wantErr)
 
-			est, err = histCoarse.Locate(obs)
-			want, wantErr = refHistogram(histCoarse, obs)
-			compareEstimates(t, tag("histogram-coarse"), est, err, want, wantErr)
+			est, err = histFloor.Locate(obs)
+			want, wantErr = refHistogram(db, histFloor, obs)
+			compareEstimates(t, tag("histogram-floor"), est, err, want, wantErr)
 
-			checkKNN(t, tag("nnss"), nnss, obs)
-			checkKNN(t, tag("knn"), knn, obs)
-			checkKNN(t, tag("wknn"), wknn, obs)
+			checkKNN(t, tag("nnss"), db, nnss, obs)
+			checkKNN(t, tag("knn"), db, knn, obs)
+			checkKNN(t, tag("wknn"), db, wknn, obs)
 
 			est, err = sec.Locate(obs)
-			want, wantErr = refSector(sec, obs)
+			want, wantErr = refSector(db, obs)
 			compareEstimates(t, tag("sector"), est, err, want, wantErr)
-
-			est, err = secLoose.Locate(obs)
-			want, wantErr = refSector(secLoose, obs)
-			compareEstimates(t, tag("sector-loose"), est, err, want, wantErr)
 		}
 		// The histogram keeps one row of bins per posting, not per cell.
-		if err := hist.Warm(); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := len(hist.tables.logProb), len(hist.compiled.Post)*hist.Bins; got != want {
+		if got, want := len(hist.tables.logProb), len(c.Post)*histBins; got != want {
 			t.Errorf("seed %d: histogram table holds %d log-probabilities, want %d", seed, got, want)
 		}
 	}
@@ -458,8 +443,8 @@ func TestCompiledMatchesMapBased(t *testing.T) {
 func TestConcurrentLocates(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	db := randomTrainDB(rng, 120, 10, 0.6)
-	ml := NewMaxLikelihood(db)
-	serial := NewMaxLikelihood(db)
+	ml := NewMaxLikelihood(view(db))
+	serial := NewMaxLikelihood(view(db))
 
 	type job struct {
 		obs  Observation
@@ -533,9 +518,10 @@ func TestLocateAllocsIndependentOfMapSize(t *testing.T) {
 		for len(obs) == 0 {
 			obs = randomObs(rng, db, 0.7)
 		}
-		m := NewMaxLikelihood(db)
+		c := view(db)
+		m := NewMaxLikelihood(c)
 		m.TopK = 5
-		k := NewKNN(db, 3)
+		k := NewKNN(c, 3)
 		k.TopK = 5
 		return allocs(m, obs), allocs(k, obs)
 	}
@@ -547,6 +533,11 @@ func TestLocateAllocsIndependentOfMapSize(t *testing.T) {
 	if largeKNN != smallKNN {
 		t.Errorf("KNN: %d allocs per locate at 320 entries, %d at 30", largeKNN, smallKNN)
 	}
+	// The centroid is summed in place: kNN allocates nothing beyond the
+	// candidate slice ML also returns.
+	if largeKNN > largeML {
+		t.Errorf("KNN: %d allocs per locate, MaxLikelihood %d at the same TopK", largeKNN, largeML)
+	}
 }
 
 // TestCompiledNoOverlapParity pins the error paths: observations with
@@ -555,30 +546,35 @@ func TestCompiledNoOverlapParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	db := randomTrainDB(rng, 8, 6, 0.8)
 	obs := Observation{"gh:os:t1": -50, "gh:os:t2": -60}
-	for _, loc := range []Locator{NewMaxLikelihood(db), NewHistogram(db), NewKNN(db, 3), NewSector(db)} {
+	c := view(db)
+	for _, loc := range []Locator{NewMaxLikelihood(c), NewHistogram(db, c), NewKNN(c, 3), NewSector(c)} {
 		if _, err := loc.Locate(obs); err != ErrNoOverlap {
 			t.Errorf("%s: err = %v, want ErrNoOverlap", loc.Name(), err)
 		}
 	}
 }
 
-// TestWarmIsIdempotentAndConcurrent drives Warm and Locate from many
-// goroutines at once; under -race this proves the sync.Once caches
-// replaced the old "prime single-threaded first" contract.
-func TestWarmIsIdempotentAndConcurrent(t *testing.T) {
+// TestAllLocatorsConcurrentLocates drives Locate on each of the four
+// compiled locators from many goroutines at once; under -race this
+// proves a constructed locator is safe to share with no further setup.
+func TestAllLocatorsConcurrentLocates(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := randomTrainDB(rng, 12, 8, 0.7)
 	obs := randomObs(rng, db, 0.9)
-	for _, loc := range []Locator{NewMaxLikelihood(db), NewHistogram(db), NewKNN(db, 3), NewSector(db)} {
-		w := loc.(Warmer)
+	c := view(db)
+	for _, loc := range []Locator{NewMaxLikelihood(c), NewHistogram(db, c), NewKNN(c, 3), NewSector(c)} {
+		want, err := loc.Locate(obs)
+		if err != nil {
+			t.Fatalf("%s: %v", loc.Name(), err)
+		}
 		done := make(chan error, 16)
 		for g := 0; g < 16; g++ {
 			go func() {
-				if err := w.Warm(); err != nil {
-					done <- err
-					return
+				got, err := loc.Locate(obs)
+				if err == nil && (got.Name != want.Name || got.Score != want.Score || got.Pos != want.Pos) {
+					err = fmt.Errorf("answered (%q, %v, %v), serially (%q, %v, %v)",
+						got.Name, got.Score, got.Pos, want.Name, want.Score, want.Pos)
 				}
-				_, err := loc.Locate(obs)
 				done <- err
 			}()
 		}

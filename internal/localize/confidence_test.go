@@ -149,7 +149,7 @@ func BenchmarkObservationBSSIDs(b *testing.B) {
 func TestConfidenceRadiusMonotoneInFraction(t *testing.T) {
 	env := quietEnv(t)
 	db := buildDB(t, env, 10, 1)
-	ml := NewMaxLikelihood(db)
+	ml := NewMaxLikelihood(view(db))
 	rng := rand.New(rand.NewSource(6))
 	est, err := ml.Locate(observe(env, geom.Pt(22, 18), 10, rng))
 	if err != nil {

@@ -6,7 +6,7 @@ import (
 
 	"indoorloc/internal/feq"
 	"indoorloc/internal/geom"
-	"indoorloc/internal/stats"
+	"indoorloc/internal/trainingdb"
 )
 
 // logf is a guarded log: probabilities at or below zero (which Laplace
@@ -90,81 +90,70 @@ func (s *scratch) scores(n int) []float64 {
 	return s.score[:n]
 }
 
-// histTables is the Histogram localizer's compiled scoring state: per
-// ⟨entry, AP⟩ log bin probabilities in one flat cell-major slice
-// (entry-major cells, bins within a cell), plus the per-entry
-// all-at-floor baseline.
+// Histogram table shape: 1-dB bins over the practical RSSI range.
+const (
+	histBins       = 70
+	histLo, histHi = -100.0, -30.0
+	histWidth      = (histHi - histLo) / histBins
+)
+
+// histTables is the Histogram localizer's compiled scoring state: one
+// row of log bin probabilities per posting in one flat slice, plus the
+// per-entry all-at-floor baseline.
 type histTables struct {
-	bins      int
-	lo, width float64
 	// floorBin is the bin index of the floor substitution level.
 	floorBin int
 	// uniform is the log probability an empty histogram assigns any bin
 	// after Laplace smoothing — the "heard an AP this entry never
 	// trained" term.
 	uniform float64
-	// logProb[k*bins+b] is the smoothed log probability of bin b at the
-	// trained cell of posting k.
+	// logProb[k*histBins+b] is the smoothed log probability of bin b at
+	// the trained cell of posting k.
 	logProb []float64
 	// base[i] sums the floor-bin log probabilities over entry i's
 	// trained cells.
 	base []float64
 }
 
-// bin replicates stats.Histogram.Bin over the table bounds.
-func (t *histTables) bin(x float64) int {
-	i := int(math.Floor((x - t.lo) / t.width))
+// histBin replicates stats.Histogram.Bin over the table bounds.
+func histBin(x float64) int {
+	i := int(math.Floor((x - histLo) / histWidth))
 	if i < 0 {
 		i = 0
 	}
-	if i >= t.bins {
-		i = t.bins - 1
+	if i >= histBins {
+		i = histBins - 1
 	}
 	return i
 }
 
-// buildTables compiles the radio map and one log-probability row per
-// posting from the raw training samples.
-func (h *Histogram) buildTables() error {
-	bins := h.Bins
-	lo, hi := h.RangeLo, h.RangeHi
-	if bins <= 0 {
-		bins = 70
-		lo, hi = -100, -30
-	}
-	if hi <= lo {
-		lo, hi = -100, -30
-	}
-	c := h.DB.Compile(h.FloorRSSI, stats.MinSigma)
+// buildTables builds one log-probability row per posting of c from
+// db's raw training samples.
+func buildTables(db *trainingdb.DB, c *trainingdb.Compiled) *histTables {
 	t := &histTables{
-		bins:    bins,
-		lo:      lo,
-		width:   (hi - lo) / float64(bins),
-		uniform: logf(1 / float64(bins)),
-		logProb: make([]float64, len(c.Post)*bins),
-		base:    make([]float64, len(c.Names)),
+		floorBin: histBin(c.FloorRSSI),
+		uniform:  logf(1 / float64(histBins)),
+		logProb:  make([]float64, len(c.Post)*histBins),
+		base:     make([]float64, len(c.Names)),
 	}
-	t.floorBin = t.bin(h.FloorRSSI)
+	counts := make([]int, histBins)
 	// Column by column, so each entry's base sums its terms in
 	// ascending column order.
 	for j, b := range c.BSSIDs {
 		for k := c.PostStart[j]; k < c.PostStart[j+1]; k++ {
 			i := c.Post[k].Entry
-			hist, err := stats.NewHistogram(lo, hi, bins)
-			if err != nil {
-				return err
+			clear(counts)
+			samples := db.Entries[c.Names[i]].PerAP[b].Samples
+			for _, v := range samples {
+				counts[histBin(v)]++
 			}
-			for _, v := range h.DB.Entries[c.Names[i]].PerAP[b].Samples {
-				hist.Add(v)
-			}
-			row := int(k) * bins
-			total := float64(hist.Total()) + float64(bins)
-			for bi, count := range hist.Counts {
+			row := int(k) * histBins
+			total := float64(len(samples)) + float64(histBins)
+			for bi, count := range counts {
 				t.logProb[row+bi] = logf((float64(count) + 1) / total)
 			}
 			t.base[i] += t.logProb[row+t.floorBin]
 		}
 	}
-	h.compiled, h.tables = c, t
-	return nil
+	return t
 }

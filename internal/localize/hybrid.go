@@ -21,11 +21,11 @@ import (
 type Hybrid struct {
 	Prob *MaxLikelihood
 	Geo  *Geometric
-	// MinWeight floors the probabilistic share so a confident-looking
-	// geometric fix cannot swamp the fingerprint entirely. Zero means
-	// 0.3.
-	MinWeight float64
 }
+
+// hybridMinWeight floors the probabilistic share so a confident-looking
+// geometric fix cannot swamp the fingerprint entirely.
+const hybridMinWeight = 0.3
 
 // NewHybrid wires a hybrid over an already-fitted pair.
 func NewHybrid(prob *MaxLikelihood, geo *Geometric) (*Hybrid, error) {
@@ -37,10 +37,6 @@ func NewHybrid(prob *MaxLikelihood, geo *Geometric) (*Hybrid, error) {
 
 // Name implements Locator.
 func (h *Hybrid) Name() string { return "hybrid" }
-
-// Warm implements Warmer: it compiles the probabilistic side's radio
-// map eagerly (the geometric side has no lazy caches).
-func (h *Hybrid) Warm() error { return h.Prob.Warm() }
 
 // CompiledView implements CompiledSource via the probabilistic side.
 func (h *Hybrid) CompiledView() *trainingdb.Compiled { return h.Prob.CompiledView() }
@@ -60,14 +56,7 @@ func (h *Hybrid) Locate(obs Observation) (Estimate, error) {
 	}
 	// Posterior concentration: the top candidate's share of the
 	// posterior mass (1/n for a flat posterior, →1 when certain).
-	w := topShare(pEst.Candidates)
-	minW := h.MinWeight
-	if minW <= 0 {
-		minW = 0.3
-	}
-	if w < minW {
-		w = minW
-	}
+	w := max(topShare(pEst.Candidates), hybridMinWeight)
 	blended := posteriorMean(pEst.Candidates).Scale(w).Add(gEst.Pos.Scale(1 - w))
 	out := pEst
 	out.Pos = blended

@@ -15,7 +15,7 @@ func hybridFixture(t *testing.T) (*Hybrid, func(geom.Point, int) Observation) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHybrid(NewMaxLikelihood(db), geo)
+	h, err := NewHybrid(NewMaxLikelihood(view(db)), geo)
 	if err != nil {
 		t.Fatal(err)
 	}

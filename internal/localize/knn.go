@@ -1,9 +1,7 @@
 package localize
 
 import (
-	"errors"
 	"math"
-	"sync"
 
 	"indoorloc/internal/geom"
 	"indoorloc/internal/trainingdb"
@@ -15,36 +13,27 @@ import (
 // the K closest training points (K=1 is classic NNSS). Weighted mode
 // scales each neighbour by the inverse of its signal distance.
 //
-// Distances are computed against a compiled radio map built on first
-// use: each entry's squared distance starts from the precomputed
-// all-at-floor baseline and only the heard columns' postings are
-// corrected. The
-// database and the K/Floor configuration must not change after the
-// first Locate or Warm call.
+// Distances are computed against the compiled radio map the locator
+// is built over: each entry's squared distance starts from the
+// precomputed all-at-floor baseline and only the heard columns'
+// postings are corrected. The view's FloorRSSI substitutes for APs
+// missing on either side.
 type KNN struct {
-	DB *trainingdb.DB
 	// K is the neighbour count; zero means 1.
 	K int
 	// Weighted selects inverse-distance weighting of the K neighbours.
 	Weighted bool
-	// FloorRSSI substitutes for APs missing on either side. Typical -95.
-	FloorRSSI float64
 	// TopK bounds the ranked candidate list, as in MaxLikelihood. The
 	// effective bound never drops below K — the centroid always sees
 	// its neighbours.
 	TopK int
-	// Precompiled, when set, is served directly instead of compiling
-	// DB, as in MaxLikelihood. SignalDistance still walks DB and is
-	// unavailable without one.
-	Precompiled *trainingdb.Compiled
 
-	compileOnce sync.Once
-	compiled    *trainingdb.Compiled
+	compiled *trainingdb.Compiled
 }
 
-// NewKNN returns a K-nearest-neighbour localizer.
-func NewKNN(db *trainingdb.DB, k int) *KNN {
-	return &KNN{DB: db, K: k, FloorRSSI: -95}
+// NewKNN returns a K-nearest-neighbour localizer scoring against c.
+func NewKNN(c *trainingdb.Compiled, k int) *KNN {
+	return &KNN{K: k, compiled: c}
 }
 
 // Name implements Locator.
@@ -65,63 +54,14 @@ func (k *KNN) kVal() int {
 	return k.K
 }
 
-// Warm implements Warmer: it compiles the radio map eagerly (or adopts
-// Precompiled).
-func (k *KNN) Warm() error {
-	if k.Precompiled == nil && (k.DB == nil || k.DB.Len() == 0) {
-		return errors.New("localize: KNN has no training database")
-	}
-	k.compileOnce.Do(func() {
-		if k.Precompiled != nil {
-			k.compiled = k.Precompiled
-		} else {
-			// The spread parameter is irrelevant to signal distances; only
-			// the floor level matters here.
-			k.compiled = k.DB.Compile(k.FloorRSSI, 4)
-		}
-	})
-	return nil
-}
-
 // CompiledView implements CompiledSource.
-func (k *KNN) CompiledView() *trainingdb.Compiled {
-	if err := k.Warm(); err != nil {
-		return nil
-	}
-	return k.compiled
-}
-
-// SignalDistance returns the Euclidean distance in dB between an
-// observation and a training entry over the database's AP universe,
-// substituting floor for missing readings. This is the map-walking
-// reference definition; Locate computes the same distances against the
-// compiled radio map.
-func (k *KNN) SignalDistance(obs Observation, e *trainingdb.Entry) float64 {
-	sum := 0.0
-	for _, b := range k.DB.BSSIDs {
-		var trainVal, obsVal float64
-		if s, ok := e.PerAP[b]; ok {
-			trainVal = s.Mean
-		} else {
-			trainVal = k.FloorRSSI
-		}
-		if v, ok := obs[b]; ok {
-			obsVal = v
-		} else {
-			obsVal = k.FloorRSSI
-		}
-		d := obsVal - trainVal
-		sum += d * d
-	}
-	return math.Sqrt(sum)
-}
+func (k *KNN) CompiledView() *trainingdb.Compiled { return k.compiled }
 
 // Locate implements Locator.
+//
+//loclint:hotpath
 func (k *KNN) Locate(obs Observation) (Estimate, error) {
 	if err := validateObservation(obs); err != nil {
-		return Estimate{}, err
-	}
-	if err := k.Warm(); err != nil {
 		return Estimate{}, err
 	}
 	c := k.compiled
@@ -154,11 +94,12 @@ func (k *KNN) Locate(obs Observation) (Estimate, error) {
 		}
 		pos = pos.Scale(1 / wsum)
 	} else {
-		pts := make([]geom.Point, len(top))
-		for i, c := range top {
-			pts[i] = c.Pos
+		// geom.Centroid's sums, without its slice of points.
+		for _, c := range top {
+			pos.X += c.Pos.X
+			pos.Y += c.Pos.Y
 		}
-		pos = geom.Centroid(pts)
+		pos = pos.Scale(1 / float64(len(top)))
 	}
 	name := ""
 	if kk == 1 {

@@ -90,7 +90,7 @@ func TestLegacyArtifactsServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewMaxLikelihood(db)
+	ref := NewMaxLikelihood(view(db))
 	scen := sim.PaperHouse()
 	env, err := scen.Environment()
 	if err != nil {
@@ -123,8 +123,7 @@ func TestLegacyArtifactsServe(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s (verify=%v): %v", name, verify, err)
 			}
-			ml := NewMaxLikelihood(nil)
-			ml.Precompiled = c
+			ml := NewMaxLikelihood(c)
 			entry := make(map[string]int, len(c.Names))
 			for i, n := range c.Names {
 				entry[n] = i
@@ -135,7 +134,7 @@ func TestLegacyArtifactsServe(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
-				want, err := refMaxLikelihood(ref, obs)
+				want, err := refMaxLikelihood(db, ref, obs)
 				if err != nil {
 					t.Fatalf("%s: reference: %v", tag, err)
 				}

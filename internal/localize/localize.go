@@ -104,23 +104,10 @@ type Locator interface {
 	Name() string
 }
 
-// Warmer is implemented by locators with lazily-built internal caches
-// — compiled radio maps, histogram tables, identifying codes. Warm
-// builds them eagerly so their cost lands at a chosen time (service
-// startup) instead of on the first query; it is safe to call
-// concurrently and more than once. Every cache is also built lazily on
-// first Locate under sync.Once, so calling Warm is never required for
-// correctness. A locator's database and configuration must not change
-// after the first Warm or Locate call.
-type Warmer interface {
-	Warm() error
-}
-
 // CompiledSource is implemented by locators whose scoring runs against
-// a compiled radio map. CompiledView warms the locator and returns the
-// view it scores against — the artifact writers (ingest compactor,
-// tdbtool) serialize exactly what serving reads, and nil when warming
-// fails.
+// a compiled radio map. CompiledView returns the view the locator was
+// built over — the artifact writers (ingest compactor, tdbtool)
+// serialize exactly what serving reads.
 type CompiledSource interface {
 	CompiledView() *trainingdb.Compiled
 }

@@ -126,7 +126,7 @@ func TestObservationFromRecords(t *testing.T) {
 func TestMaxLikelihoodRecoverTrainingPoints(t *testing.T) {
 	env := quietEnv(t)
 	db := buildDB(t, env, 20, 1)
-	ml := NewMaxLikelihood(db)
+	ml := NewMaxLikelihood(view(db))
 	rng := rand.New(rand.NewSource(42))
 	// Observing fresh samples at each training point must return that
 	// point in a quiet environment.
@@ -152,7 +152,7 @@ func TestMaxLikelihoodRecoverTrainingPoints(t *testing.T) {
 func TestMaxLikelihoodCandidatesRanked(t *testing.T) {
 	env := quietEnv(t)
 	db := buildDB(t, env, 10, 1)
-	ml := NewMaxLikelihood(db)
+	ml := NewMaxLikelihood(view(db))
 	rng := rand.New(rand.NewSource(7))
 	est, err := ml.Locate(observe(env, geom.Pt(22, 18), 5, rng))
 	if err != nil {
@@ -174,7 +174,7 @@ func TestMaxLikelihoodCandidatesRanked(t *testing.T) {
 func TestMaxLikelihoodErrors(t *testing.T) {
 	env := quietEnv(t)
 	db := buildDB(t, env, 5, 1)
-	ml := NewMaxLikelihood(db)
+	ml := NewMaxLikelihood(view(db))
 	if _, err := ml.Locate(Observation{}); err != ErrEmptyObservation {
 		t.Errorf("empty: %v", err)
 	}
@@ -184,16 +184,9 @@ func TestMaxLikelihoodErrors(t *testing.T) {
 	if _, err := ml.Locate(Observation{"00:02:2d:00:00:0a": 30}); err == nil {
 		t.Error("positive RSSI accepted")
 	}
-	empty := &MaxLikelihood{DB: &trainingdb.DB{Entries: map[string]*trainingdb.Entry{}}}
+	empty := NewMaxLikelihood(view(&trainingdb.DB{Entries: map[string]*trainingdb.Entry{}}))
 	if _, err := empty.Locate(Observation{"a": -60}); err == nil {
 		t.Error("empty DB accepted")
-	}
-	// MinOverlap enforcement.
-	strict := NewMaxLikelihood(db)
-	strict.MinOverlap = 3
-	obs := Observation{"00:02:2d:00:00:0a": -60, "zz": -70}
-	if _, err := strict.Locate(obs); err != ErrNoOverlap {
-		t.Errorf("MinOverlap: %v", err)
 	}
 }
 
@@ -204,7 +197,7 @@ func TestKNNVariants(t *testing.T) {
 	target := geom.Pt(20, 20) // exactly training point t2-2
 	obs := observe(env, target, 10, rng)
 
-	nn := NewKNN(db, 1)
+	nn := NewKNN(view(db), 1)
 	if nn.Name() != "nnss" {
 		t.Errorf("Name = %q", nn.Name())
 	}
@@ -219,7 +212,7 @@ func TestKNNVariants(t *testing.T) {
 		t.Errorf("NN pos = %v", est.Pos)
 	}
 
-	k3 := NewKNN(db, 3)
+	k3 := NewKNN(view(db), 3)
 	if k3.Name() != "knn" {
 		t.Errorf("Name = %q", k3.Name())
 	}
@@ -234,7 +227,8 @@ func TestKNNVariants(t *testing.T) {
 		t.Errorf("k=3 pos = %v, too far from %v", est3.Pos, target)
 	}
 
-	wk := &KNN{DB: db, K: 3, Weighted: true, FloorRSSI: -95}
+	wk := NewKNN(view(db), 3)
+	wk.Weighted = true
 	if wk.Name() != "wknn" {
 		t.Errorf("Name = %q", wk.Name())
 	}
@@ -256,7 +250,7 @@ func TestKNNVariants(t *testing.T) {
 func TestKNNKLargerThanDB(t *testing.T) {
 	env := quietEnv(t)
 	db := buildDB(t, env, 5, 1)
-	k := NewKNN(db, 10000)
+	k := NewKNN(view(db), 10000)
 	rng := rand.New(rand.NewSource(5))
 	est, err := k.Locate(observe(env, geom.Pt(25, 20), 5, rng))
 	if err != nil {
@@ -271,7 +265,7 @@ func TestKNNKLargerThanDB(t *testing.T) {
 func TestKNNErrors(t *testing.T) {
 	env := quietEnv(t)
 	db := buildDB(t, env, 5, 1)
-	k := NewKNN(db, 1)
+	k := NewKNN(view(db), 1)
 	if _, err := k.Locate(Observation{}); err != ErrEmptyObservation {
 		t.Errorf("empty: %v", err)
 	}
@@ -283,7 +277,7 @@ func TestKNNErrors(t *testing.T) {
 func TestHistogramLocalizer(t *testing.T) {
 	env := quietEnv(t)
 	db := buildDB(t, env, 30, 1)
-	h := NewHistogram(db)
+	h := NewHistogram(db, view(db))
 	if h.Name() != "probabilistic-histogram" {
 		t.Errorf("Name = %q", h.Name())
 	}
@@ -309,7 +303,7 @@ func TestHistogramLocalizer(t *testing.T) {
 func TestHistogramPosteriorSumsToOne(t *testing.T) {
 	env := quietEnv(t)
 	db := buildDB(t, env, 10, 1)
-	h := NewHistogram(db)
+	h := NewHistogram(db, view(db))
 	rng := rand.New(rand.NewSource(10))
 	est, err := h.Locate(observe(env, geom.Pt(15, 25), 5, rng))
 	if err != nil {
@@ -330,7 +324,7 @@ func TestHistogramPosteriorSumsToOne(t *testing.T) {
 func TestHistogramErrors(t *testing.T) {
 	env := quietEnv(t)
 	db := buildDB(t, env, 5, 1)
-	h := NewHistogram(db)
+	h := NewHistogram(db, view(db))
 	if _, err := h.Locate(Observation{}); err != ErrEmptyObservation {
 		t.Errorf("empty: %v", err)
 	}

@@ -10,7 +10,7 @@ import (
 func TestExpectedPositionBetweenGridPoints(t *testing.T) {
 	env := quietEnv(t)
 	db := buildDB(t, env, 20, 1)
-	ml := NewMaxLikelihood(db)
+	ml := NewMaxLikelihood(view(db))
 	ml.ExpectedPosition = true
 	rng := rand.New(rand.NewSource(12))
 	// Observe midway between two training points: the expected position
@@ -36,8 +36,8 @@ func TestExpectedPositionBetweenGridPoints(t *testing.T) {
 func TestExpectedPositionAveragesBetterMidCell(t *testing.T) {
 	env := quietEnv(t)
 	db := buildDB(t, env, 20, 1)
-	argmax := NewMaxLikelihood(db)
-	expected := NewMaxLikelihood(db)
+	argmax := NewMaxLikelihood(view(db))
+	expected := NewMaxLikelihood(view(db))
 	expected.ExpectedPosition = true
 	rng := rand.New(rand.NewSource(13))
 	// Mid-cell targets: argmax is forced to a corner ≥ 7.07 ft away;

@@ -1,9 +1,6 @@
 package localize
 
 import (
-	"errors"
-	"sync"
-
 	"indoorloc/internal/stats"
 	"indoorloc/internal/trainingdb"
 )
@@ -20,25 +17,13 @@ import (
 // values of the observed location, but returns the most approximate
 // training location instead".
 //
-// Scoring runs against a compiled radio map (trainingdb.Compiled)
-// built on first use: each entry starts from its precomputed
+// Scoring runs against the compiled radio map (trainingdb.Compiled)
+// the locator is built over: each entry starts from its precomputed
 // "heard nothing" baseline and only the heard columns' posting lists
 // are walked, so one Locate is O(entries + heard postings) with no map
-// lookups. The database and the Floor/MinOverlap
-// configuration must not change after the first Locate or Warm call.
+// lookups. The view's FloorRSSI and FloorSigma model APs present on
+// one side (observation or training entry) but not the other.
 type MaxLikelihood struct {
-	DB *trainingdb.DB
-	// FloorRSSI substitutes for APs present on one side (observation or
-	// training entry) but not the other, modelling "heard nothing" as a
-	// level at the receiver floor. Typical: -95.
-	FloorRSSI float64
-	// FloorSigma is the spread assumed for substituted readings.
-	// Typical: 4 dB. Values below stats.MinSigma are raised to it.
-	FloorSigma float64
-	// MinOverlap is the minimum number of APs the observation must
-	// share with the database; below it ErrNoOverlap is returned.
-	// Zero means 1.
-	MinOverlap int
 	// ExpectedPosition switches the returned coordinates from the
 	// maximum-likelihood training point (the paper's rule) to the
 	// posterior-weighted mean over all training points. Name still
@@ -50,73 +35,41 @@ type MaxLikelihood struct {
 	// retained candidates only — on radio maps large enough for TopK to
 	// matter the posterior mass beyond the leaders is negligible.
 	TopK int
-	// Precompiled, when set, is served directly instead of compiling
-	// DB — the mmap-loaded artifact path. DB may then be nil. The view's
-	// own floor parameters govern scoring.
-	Precompiled *trainingdb.Compiled
 
-	compileOnce sync.Once
-	compiled    *trainingdb.Compiled
+	compiled *trainingdb.Compiled
 }
 
-// NewMaxLikelihood returns a MaxLikelihood with the standard floor
-// parameters.
-func NewMaxLikelihood(db *trainingdb.DB) *MaxLikelihood {
-	return &MaxLikelihood{DB: db, FloorRSSI: -95, FloorSigma: 4}
+// NewMaxLikelihood returns a MaxLikelihood scoring against c.
+func NewMaxLikelihood(c *trainingdb.Compiled) *MaxLikelihood {
+	return &MaxLikelihood{compiled: c}
 }
 
 // Name implements Locator.
 func (m *MaxLikelihood) Name() string { return "probabilistic-ml" }
 
-// Warm implements Warmer: it compiles the radio map eagerly (or adopts
-// Precompiled).
-func (m *MaxLikelihood) Warm() error {
-	if m.Precompiled == nil && (m.DB == nil || m.DB.Len() == 0) {
-		return errors.New("localize: MaxLikelihood has no training database")
-	}
-	m.compileOnce.Do(func() {
-		if m.Precompiled != nil {
-			m.compiled = m.Precompiled
-		} else {
-			m.compiled = m.DB.Compile(m.FloorRSSI, m.FloorSigma)
-		}
-	})
-	return nil
-}
-
 // CompiledView implements CompiledSource.
-func (m *MaxLikelihood) CompiledView() *trainingdb.Compiled {
-	if err := m.Warm(); err != nil {
-		return nil
-	}
-	return m.compiled
-}
+func (m *MaxLikelihood) CompiledView() *trainingdb.Compiled { return m.compiled }
 
 // Locate implements Locator.
+//
+//loclint:hotpath
 func (m *MaxLikelihood) Locate(obs Observation) (Estimate, error) {
 	if err := validateObservation(obs); err != nil {
 		return Estimate{}, err
 	}
-	if err := m.Warm(); err != nil {
-		return Estimate{}, err
-	}
 	c := m.compiled
-	minOverlap := m.MinOverlap
-	if minOverlap <= 0 {
-		minOverlap = 1
-	}
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.cols, sc.vals = c.Intern(obs, sc.cols[:0], sc.vals[:0])
 	cols, vals := sc.cols, sc.vals
-	if len(cols) < minOverlap {
+	if len(cols) == 0 {
 		return Estimate{}, ErrNoOverlap
 	}
 	// The "heard an AP this entry never trained" term depends only on
 	// the observation — precompute it once per heard column.
 	aux := sc.aux[:0]
 	for _, v := range vals {
-		aux = append(aux, stats.LogGaussianPDF(v, c.FloorRSSI, c.FloorSigma))
+		aux = append(aux, stats.LogGaussianPDF(v, c.FloorRSSI, c.FloorSigma)) //loclint:allow hotpathalloc
 	}
 	sc.aux = aux
 	// Score every entry into the pooled buffer; only the returned
@@ -172,65 +125,40 @@ func scorePostings(c *trainingdb.Compiled, cols []int32, vals, aux, scores []flo
 // points. The posterior over training points is exposed through the
 // candidate scores.
 //
-// Scoring runs against flat per-⟨entry, AP⟩ log-probability tables
-// compiled from the raw samples on first use (Warm builds them
-// eagerly). The database and the Bins/Range/Floor configuration must
-// not change after the first Locate or Warm call.
+// Scoring runs against flat per-posting log-probability tables built
+// from the raw samples when the locator is constructed.
 type Histogram struct {
-	DB *trainingdb.DB
-	// Bins is the histogram resolution in whole-dB bins over
-	// [RangeLo, RangeHi). Zero means 70 bins over [-100, -30).
-	Bins             int
-	RangeLo, RangeHi float64
-	// FloorRSSI substitutes for unheard APs, as in MaxLikelihood.
-	FloorRSSI float64
 	// TopK bounds the ranked candidate list, as in MaxLikelihood. The
 	// posterior is renormalized over the retained candidates, so the
 	// scores still sum to 1 — a documented approximation that slightly
 	// inflates each retained probability by the dropped tail's mass.
 	TopK int
 
-	warmOnce sync.Once
-	warmErr  error
 	compiled *trainingdb.Compiled
 	tables   *histTables
 }
 
-// NewHistogram returns a Histogram localizer with 1-dB bins over the
-// practical RSSI range.
-func NewHistogram(db *trainingdb.DB) *Histogram {
-	return &Histogram{DB: db, Bins: 70, RangeLo: -100, RangeHi: -30, FloorRSSI: -95}
+// NewHistogram returns a Histogram localizer over c's posting lists,
+// with tables binned from db's raw samples in 1-dB bins over the
+// practical RSSI range. c must be compiled from db; its FloorRSSI is
+// the level unheard APs are scored at.
+func NewHistogram(db *trainingdb.DB, c *trainingdb.Compiled) *Histogram {
+	return &Histogram{compiled: c, tables: buildTables(db, c)}
 }
 
 // Name implements Locator.
 func (h *Histogram) Name() string { return "probabilistic-histogram" }
 
-// Warm implements Warmer: it compiles the radio map and the
-// log-probability tables eagerly.
-func (h *Histogram) Warm() error {
-	if h.DB == nil || h.DB.Len() == 0 {
-		return errors.New("localize: Histogram has no training database")
-	}
-	h.warmOnce.Do(func() { h.warmErr = h.buildTables() })
-	return h.warmErr
-}
-
 // CompiledView implements CompiledSource. Note the histogram's scoring
 // tables are built from raw samples the view does not carry, so a
 // Histogram cannot be rebuilt from a serialized view alone.
-func (h *Histogram) CompiledView() *trainingdb.Compiled {
-	if err := h.Warm(); err != nil {
-		return nil
-	}
-	return h.compiled
-}
+func (h *Histogram) CompiledView() *trainingdb.Compiled { return h.compiled }
 
 // Locate implements Locator.
+//
+//loclint:hotpath
 func (h *Histogram) Locate(obs Observation) (Estimate, error) {
 	if err := validateObservation(obs); err != nil {
-		return Estimate{}, err
-	}
-	if err := h.Warm(); err != nil {
 		return Estimate{}, err
 	}
 	c, t := h.compiled, h.tables
@@ -245,7 +173,7 @@ func (h *Histogram) Locate(obs Observation) (Estimate, error) {
 	// observation, not the entry.
 	binIdx := sc.bins[:0]
 	for _, v := range vals {
-		binIdx = append(binIdx, int32(t.bin(v)))
+		binIdx = append(binIdx, int32(histBin(v))) //loclint:allow hotpathalloc
 	}
 	sc.bins = binIdx
 	scores := sc.scores(len(c.Names))
@@ -277,7 +205,7 @@ func (h *Histogram) scoreAll(c *trainingdb.Compiled, t *histTables, cols []int32
 		k, end := c.PostStart[j], c.PostStart[j+1]
 		for i := range scores {
 			if k < end && int(c.Post[k].Entry) == i {
-				row := int(k) * t.bins
+				row := int(k) * histBins
 				scores[i] += t.logProb[row+int(binIdx[h2])] - t.logProb[row+t.floorBin]
 				k++
 			} else {

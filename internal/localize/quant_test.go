@@ -17,7 +17,7 @@ import (
 // field once from the database's float64 statistics to float32; the
 // baselines and every accumulator stay float64. So a compiled score
 // differs from the uncompiled map-walking reference (refMaxLikelihood,
-// KNN.SignalDistance) by the records' float32 rounding, derived per
+// signalDistance) by the records' float32 rounding, derived per
 // entry below, plus float64 rounding of the sums. The bounds are
 // computed from the records themselves, so they hold for any view
 // whose records round float64 cells: a fresh Compile, or a legacy
@@ -86,7 +86,7 @@ func float32ScoreBound(c *trainingdb.Compiled, heard map[int32]float64, i int) f
 }
 
 // float32DistBound is the guaranteed error of entry i's compiled kNN
-// distance against KNN.SignalDistance, given the compiled distance
+// distance against signalDistance, given the compiled distance
 // dist. Each heard trained cell adds 2(v−F)(F−Center) where the exact
 // sum adds 2(v−F)(F−mean), so the squared distance moves by at most
 // Σ 2|v−F|·δ with δ the Center rounding of float32ScoreBound, plus
@@ -161,10 +161,10 @@ func reweightedPosBound(cands []Candidate, mean geom.Point, eps float64) float64
 
 // checkML compares a MaxLikelihood Locate against refMaxLikelihood
 // under float32ScoreBound.
-func checkML(t *testing.T, tag string, m *MaxLikelihood, obs Observation) {
+func checkML(t *testing.T, tag string, db *trainingdb.DB, m *MaxLikelihood, obs Observation) {
 	t.Helper()
 	got, gotErr := m.Locate(obs)
-	want, wantErr := refMaxLikelihood(m, obs)
+	want, wantErr := refMaxLikelihood(db, m, obs)
 	if (gotErr == nil) != (wantErr == nil) || (wantErr != nil && gotErr != wantErr) {
 		t.Fatalf("%s: error mismatch: compiled %v, reference %v", tag, gotErr, wantErr)
 	}
@@ -189,12 +189,12 @@ func checkML(t *testing.T, tag string, m *MaxLikelihood, obs Observation) {
 	}
 }
 
-// checkKNN compares a KNN Locate against refKNN (KNN.SignalDistance)
+// checkKNN compares a KNN Locate against refKNN (signalDistance)
 // under float32DistBound.
-func checkKNN(t *testing.T, tag string, k *KNN, obs Observation) {
+func checkKNN(t *testing.T, tag string, db *trainingdb.DB, k *KNN, obs Observation) {
 	t.Helper()
 	got, gotErr := k.Locate(obs)
-	want, wantErr := refKNN(k, obs)
+	want, wantErr := refKNN(db, k, obs)
 	if (gotErr == nil) != (wantErr == nil) || (wantErr != nil && gotErr != wantErr) {
 		t.Fatalf("%s: error mismatch: compiled %v, reference %v", tag, gotErr, wantErr)
 	}
@@ -253,16 +253,16 @@ func TestQuantizedScoringParity(t *testing.T) {
 		if len(db.BSSIDs) == 0 {
 			continue
 		}
-		ml := NewMaxLikelihood(db)
-		knn := NewKNN(db, 3)
+		ml := NewMaxLikelihood(view(db))
+		knn := NewKNN(view(db), 3)
 		for trial := 0; trial < 10; trial++ {
 			obs := randomObs(rng, db, 0.2+rng.Float64()*0.7)
 			if len(obs) == 0 {
 				continue
 			}
 			tag := fmt.Sprintf("seed %d trial %d", seed, trial)
-			checkML(t, tag+" ml", ml, obs)
-			checkKNN(t, tag+" knn", knn, obs)
+			checkML(t, tag+" ml", db, ml, obs)
+			checkKNN(t, tag+" knn", db, knn, obs)
 		}
 	}
 }
@@ -273,8 +273,8 @@ func TestQuantizedScoringParity(t *testing.T) {
 func TestQuantizedTopKConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	db := randomTrainDB(rng, 120, 10, 0.5)
-	full := NewMaxLikelihood(db)
-	top := NewMaxLikelihood(db)
+	full := NewMaxLikelihood(view(db))
+	top := NewMaxLikelihood(view(db))
 	top.TopK = 6
 	for trial := 0; trial < 8; trial++ {
 		obs := randomObs(rng, db, 0.6)
@@ -329,7 +329,7 @@ func TestQuantizedParitySimulated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ml := NewMaxLikelihood(db)
+		ml := NewMaxLikelihood(view(db))
 		sc := sim.NewScanner(env, 77)
 		for i, name := range grid.Names() {
 			if i%3 != 0 { // every third point keeps OfficeWing's runtime down
@@ -340,7 +340,7 @@ func TestQuantizedParitySimulated(t *testing.T) {
 			if len(obs) == 0 {
 				continue
 			}
-			checkML(t, scen.Name+" "+name, ml, obs)
+			checkML(t, scen.Name+" "+name, db, ml, obs)
 		}
 	}
 }
@@ -422,16 +422,16 @@ func TestQuantizedMatchesOracle(t *testing.T) {
 		if len(db.BSSIDs) == 0 {
 			continue
 		}
-		ml := NewMaxLikelihood(db)
+		ml := NewMaxLikelihood(view(db))
 		for trial := 0; trial < 10; trial++ {
-			checkML(t, fmt.Sprintf("seed %d trial %d", seed, trial), ml, randomObs(rng, db, 0.2+0.7*rng.Float64()))
+			checkML(t, fmt.Sprintf("seed %d trial %d", seed, trial), db, ml, randomObs(rng, db, 0.2+0.7*rng.Float64()))
 		}
 	}
 }
 
 // TestQuantizedKNNMatchesOracle is the kNN oracle property over random
 // sparse and dense venues: every NNSS distance lies within
-// float32DistBound of KNN.SignalDistance, and the nearest neighbour is
+// float32DistBound of signalDistance, and the nearest neighbour is
 // the reference's unless its top-2 is a near-tie inside those bounds.
 func TestQuantizedKNNMatchesOracle(t *testing.T) {
 	for seed := int64(80); seed < 88; seed++ {
@@ -444,9 +444,9 @@ func TestQuantizedKNNMatchesOracle(t *testing.T) {
 		if len(db.BSSIDs) == 0 {
 			continue
 		}
-		knn := NewKNN(db, 1)
+		knn := NewKNN(view(db), 1)
 		for trial := 0; trial < 10; trial++ {
-			checkKNN(t, fmt.Sprintf("seed %d trial %d knn", seed, trial), knn, randomObs(rng, db, 0.2+0.7*rng.Float64()))
+			checkKNN(t, fmt.Sprintf("seed %d trial %d knn", seed, trial), db, knn, randomObs(rng, db, 0.2+0.7*rng.Float64()))
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package localize
 
 import (
-	"errors"
-	"sync"
-
 	"indoorloc/internal/feq"
 	"indoorloc/internal/trainingdb"
 )
@@ -21,88 +18,55 @@ import (
 // the paper's four house-wide audible APs it degrades gracefully to
 // "everything matches", making it a useful lower-bound baseline.
 //
-// Codes are derived from a compiled radio map on first use; the
-// database and AudibleFraction must not change after the first Locate
-// or Warm call.
+// Codes are derived from the compiled radio map's posting lists and
+// sample counts when the locator is constructed.
 type Sector struct {
-	DB *trainingdb.DB
-	// AudibleFraction is the fraction of a location's training sweeps
-	// in which an AP must appear to count as part of the location's
-	// code. Zero means 0.5.
-	AudibleFraction float64
 	// TopK bounds the ranked candidate list, as in MaxLikelihood. The
 	// minimum-distance vote then runs over the retained candidates, so
 	// a tie run wider than TopK votes with its k lexically smallest
 	// members only.
 	TopK int
-	// Precompiled, when set, is served directly instead of compiling
-	// DB (codes derive from the view's posting lists and their sample
-	// counts); DB may be nil.
-	Precompiled *trainingdb.Compiled
 
-	warmOnce sync.Once
 	compiled *trainingdb.Compiled
 	codes    []uint64 // per-entry codes as BSSID-column bitmasks
 }
 
-// NewSector returns a Sector localizer over the database.
-func NewSector(db *trainingdb.DB) *Sector { return &Sector{DB: db} }
+// audibleFraction is the fraction of a location's training sweeps in
+// which an AP must appear to count as part of the location's code.
+const audibleFraction = 0.5
+
+// NewSector returns a Sector localizer over c.
+func NewSector(c *trainingdb.Compiled) *Sector {
+	return &Sector{compiled: c, codes: buildCodes(c)}
+}
 
 // Name implements Locator.
 func (s *Sector) Name() string { return "sector-code" }
 
-// Warm implements Warmer: it compiles the radio map and derives the
-// per-entry codes eagerly.
-func (s *Sector) Warm() error {
-	if s.Precompiled == nil && (s.DB == nil || s.DB.Len() == 0) {
-		return errors.New("localize: Sector has no training database")
-	}
-	s.warmOnce.Do(func() {
-		if s.Precompiled != nil {
-			s.compiled = s.Precompiled
-		} else {
-			// The floor parameters only matter to likelihood scorers; codes
-			// use sample counts alone.
-			s.compiled = s.DB.Compile(-95, 4)
-		}
-		s.buildCodes()
-	})
-	return nil
-}
-
 // CompiledView implements CompiledSource.
-func (s *Sector) CompiledView() *trainingdb.Compiled {
-	if err := s.Warm(); err != nil {
-		return nil
-	}
-	return s.compiled
-}
+func (s *Sector) CompiledView() *trainingdb.Compiled { return s.compiled }
 
 // buildCodes derives each training location's code: an AP is in the
-// code when it was heard in at least AudibleFraction of that
+// code when it was heard in at least audibleFraction of that
 // location's sweeps (approximated by sample count relative to the
 // location's busiest AP, since wi-scan records do not carry sweep
 // counts explicitly).
-func (s *Sector) buildCodes() {
-	frac := s.AudibleFraction
-	if frac <= 0 {
-		frac = 0.5
-	}
-	c := s.compiled
+func buildCodes(c *trainingdb.Compiled) []uint64 {
 	maxN := make([]int32, len(c.Names))
 	for k, p := range c.Post {
 		maxN[p.Entry] = max(maxN[p.Entry], c.PostN[k])
 	}
-	s.codes = make([]uint64, len(c.Names))
+	codes := make([]uint64, len(c.Names))
 	// Identifying codes beyond 64 APs are out of scope.
 	for j := 0; j < min(len(c.BSSIDs), 64); j++ {
 		for k := c.PostStart[j]; k < c.PostStart[j+1]; k++ {
 			i := c.Post[k].Entry
-			if maxN[i] == 0 || float64(c.PostN[k]) >= frac*float64(maxN[i]) {
-				s.codes[i] |= 1 << uint(j)
+			if maxN[i] == 0 || float64(c.PostN[k]) >= audibleFraction*float64(maxN[i]) {
+				codes[i] |= 1 << uint(j)
 			}
 		}
 	}
+	return codes
 }
 
 // hamming counts differing bits.
@@ -120,11 +84,10 @@ func hamming(a, b uint64) int {
 // locations whose codes are at the minimum Hamming distance from the
 // observed code; when a single location attains the minimum its name
 // is returned.
+//
+//loclint:hotpath
 func (s *Sector) Locate(obs Observation) (Estimate, error) {
 	if err := validateObservation(obs); err != nil {
-		return Estimate{}, err
-	}
-	if err := s.Warm(); err != nil {
 		return Estimate{}, err
 	}
 	c := s.compiled

@@ -32,7 +32,7 @@ func codedDB() *trainingdb.DB {
 }
 
 func TestSectorExactCode(t *testing.T) {
-	s := NewSector(codedDB())
+	s := NewSector(view(codedDB()))
 	if s.Name() != "sector-code" {
 		t.Errorf("Name = %q", s.Name())
 	}
@@ -49,7 +49,7 @@ func TestSectorExactCode(t *testing.T) {
 }
 
 func TestSectorNearMiss(t *testing.T) {
-	s := NewSector(codedDB())
+	s := NewSector(view(codedDB()))
 	// Hears ap0 only: Hamming 1 from both "sw" (ap0,ap1) and "nw"
 	// (ap0,ap3) — the estimate is their centroid, no single name.
 	est, err := s.Locate(Observation{"ap0": -60})
@@ -69,7 +69,7 @@ func TestSectorNearMiss(t *testing.T) {
 }
 
 func TestSectorCandidatesComplete(t *testing.T) {
-	s := NewSector(codedDB())
+	s := NewSector(view(codedDB()))
 	est, err := s.Locate(Observation{"ap2": -60, "ap3": -61})
 	if err != nil {
 		t.Fatal(err)
@@ -88,14 +88,14 @@ func TestSectorCandidatesComplete(t *testing.T) {
 }
 
 func TestSectorErrors(t *testing.T) {
-	s := NewSector(codedDB())
+	s := NewSector(view(codedDB()))
 	if _, err := s.Locate(Observation{}); err != ErrEmptyObservation {
 		t.Errorf("empty: %v", err)
 	}
 	if _, err := s.Locate(Observation{"unknown": -50}); err != ErrNoOverlap {
 		t.Errorf("no overlap: %v", err)
 	}
-	empty := &Sector{DB: &trainingdb.DB{Entries: map[string]*trainingdb.Entry{}}}
+	empty := NewSector(view(&trainingdb.DB{Entries: map[string]*trainingdb.Entry{}}))
 	if _, err := empty.Locate(Observation{"a": -60}); err == nil {
 		t.Error("empty DB accepted")
 	}
@@ -107,23 +107,13 @@ func TestSectorAudibleFraction(t *testing.T) {
 	db.Entries["sw"].PerAP["ap2"] = &trainingdb.APStats{
 		BSSID: "ap2", N: 1, Mean: -90, StdDev: 1, Samples: []float64{-90},
 	}
-	s := NewSector(db) // default fraction 0.5: the stray ap2 is excluded
+	s := NewSector(view(db)) // fraction 0.5: the stray ap2 is excluded
 	est, err := s.Locate(Observation{"ap0": -60, "ap1": -70})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.Name != "sw" || est.Score != 0 {
 		t.Errorf("rare AP polluted the code: %q score %v", est.Name, est.Score)
-	}
-	// With a tiny fraction the stray AP joins the code and the match is
-	// no longer exact.
-	loose := &Sector{DB: db, AudibleFraction: 0.01}
-	est, err = loose.Locate(Observation{"ap0": -60, "ap1": -70})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Score == 0 && est.Name == "sw" {
-		t.Error("fraction knob had no effect")
 	}
 }
 

@@ -112,17 +112,17 @@ func TestLocatorsTopKMatchesFullRanking(t *testing.T) {
 		}
 		const k = 5
 
-		mlFull := NewMaxLikelihood(db)
-		mlTop := NewMaxLikelihood(db)
+		mlFull := NewMaxLikelihood(view(db))
+		mlTop := NewMaxLikelihood(view(db))
 		mlTop.TopK = k
-		histFull := NewHistogram(db)
-		histTop := NewHistogram(db)
+		histFull := NewHistogram(db, view(db))
+		histTop := NewHistogram(db, view(db))
 		histTop.TopK = k
-		knnFull := NewKNN(db, 3)
-		knnTop := NewKNN(db, 3)
+		knnFull := NewKNN(view(db), 3)
+		knnTop := NewKNN(view(db), 3)
 		knnTop.TopK = k
-		secFull := NewSector(db)
-		secTop := NewSector(db)
+		secFull := NewSector(view(db))
+		secTop := NewSector(view(db))
 		secTop.TopK = k
 
 		for trial := 0; trial < 10; trial++ {
@@ -203,7 +203,7 @@ func TestLocatorsTopKMatchesFullRanking(t *testing.T) {
 func TestKNNTopKNeverBelowK(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	db := randomTrainDB(rng, 40, 8, 0.7)
-	knn := NewKNN(db, 4)
+	knn := NewKNN(view(db), 4)
 	knn.TopK = 2 // below K
 	obs := randomObs(rng, db, 0.8)
 	est, err := knn.Locate(obs)

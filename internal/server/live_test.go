@@ -169,6 +169,32 @@ func TestHealthzStaticMetadata(t *testing.T) {
 	}
 }
 
+// TestHealthzArtifactGeneration pins that a server over a compiled
+// artifact (locserved -map-file) reports the artifact's generation.
+func TestHealthzArtifactGeneration(t *testing.T) {
+	db := gridDB(4)
+	db.SetGeneration(57)
+	path := filepath.Join(t.TempDir(), "map.ilr")
+	if err := trainingdb.WriteCompiledFile(path, db.Compile(-95, 4)); err != nil {
+		t.Fatal(err)
+	}
+	in, err := core.New(core.WithCompiledFile(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	srv, err := New(in.Service, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() { ts.Close(); srv.Close() }()
+	_, body := getJSON(t, ts.URL+"/healthz")
+	if gen, _ := body["generation"].(float64); gen != 57 {
+		t.Errorf("healthz generation %v, want 57", body["generation"])
+	}
+}
+
 func TestHealthzLiveMetadata(t *testing.T) {
 	f := newLiveFixture(t, ingest.Config{FlushReports: 1, FlushInterval: time.Hour})
 	gen0 := f.srv.Snapshot().Generation

@@ -36,7 +36,7 @@ func newHouse(t *testing.T) *houseFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &houseFixture{scen: scen, sc: sc, ml: localize.NewMaxLikelihood(db)}
+	return &houseFixture{scen: scen, sc: sc, ml: localize.NewMaxLikelihood(db.Compile(-95, 4))}
 }
 
 func TestNewValidation(t *testing.T) {

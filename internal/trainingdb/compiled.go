@@ -17,10 +17,9 @@ import (
 // log/sqrt work for the terms that do not depend on the observation.
 //
 // This is the inverted index FAB-MAP serves WiFi fingerprints from:
-// one list per AP of the training points that heard it. The toolkit's
-// Locator implementations compile the DB once — lazily on first Locate
-// or eagerly via their Warm method — and score every subsequent
-// observation against the lists.
+// one list per AP of the training points that heard it. A build
+// (core.New) compiles the DB once and constructs its locator over the
+// view, which scores every observation against the lists.
 //
 // A Compiled view is immutable after construction and therefore safe
 // for unsynchronised concurrent reads. It is a snapshot: mutating the
@@ -154,9 +153,9 @@ func (db *DB) Compile(floorRSSI, floorSigma float64) *Compiled {
 
 // Stale reports whether db has mutated since the view was compiled —
 // the view still serves the old radio map, so answers drawn from it no
-// longer reflect the database. Locators bind to the generation current
-// at their first Warm/Locate; a deployment that mutates the DB
-// afterwards must rebuild them (the ingest compactor's hot-swap path)
+// longer reflect the database. Locators bind to the generation their
+// view was compiled at; a deployment that mutates the DB afterwards
+// must rebuild them (the ingest compactor's hot-swap path)
 // rather than keep serving the stale view.
 func (c *Compiled) Stale(db *DB) bool { return c.Generation != db.Generation() }
 

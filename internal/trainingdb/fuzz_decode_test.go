@@ -58,11 +58,9 @@ func FuzzCompiledDecode(f *testing.F) {
 		// Score one observation over the view: the posting scans must
 		// index only what decode validated.
 		if nAP > 0 {
-			ml := localize.NewMaxLikelihood(nil)
-			ml.Precompiled = c
+			ml := localize.NewMaxLikelihood(c)
 			ml.TopK = 1
-			knn := localize.NewKNN(nil, 1)
-			knn.Precompiled = c
+			knn := localize.NewKNN(c, 1)
 			knn.TopK = 1
 			obs := localize.Observation{c.BSSIDs[0]: -60}
 			for _, loc := range []localize.Locator{ml, knn} {
@@ -148,11 +146,7 @@ func TestStrippedArtifactAnswersIdentically(t *testing.T) {
 		}
 		var want [2]localize.Estimate
 		for i, view := range views {
-			ml := localize.NewMaxLikelihood(nil)
-			ml.Precompiled = view
-			knn := localize.NewKNN(nil, 3)
-			knn.Precompiled = view
-			for l, loc := range []localize.Locator{ml, knn} {
+			for l, loc := range []localize.Locator{localize.NewMaxLikelihood(view), localize.NewKNN(view, 3)} {
 				est, err := loc.Locate(obs)
 				if err != nil {
 					t.Fatal(err)

@@ -20,8 +20,8 @@ import (
 // is in use; the serving pattern is to close only after a replacement
 // snapshot has been published and drained.
 // Skeleton reconstructs the entry-level shape of the database the view
-// was compiled from: names, positions and the BSSID universe, with
-// empty per-AP statistics. It is what the HTTP layer's /locations and
+// was compiled from: names, positions, the BSSID universe and the
+// generation, with empty per-AP statistics. It is what the HTTP layer's /locations and
 // /healthz handlers and the name resolver need when a service is built
 // from an artifact and the raw DB never existed in this process.
 //
@@ -32,6 +32,7 @@ func (c *Compiled) Skeleton() *DB {
 	db := &DB{
 		Entries: make(map[string]*Entry, len(c.Names)),
 		BSSIDs:  append([]string(nil), c.BSSIDs...),
+		gen:     c.Generation,
 	}
 	sorted := true
 	for i, name := range c.Names {
