@@ -32,6 +32,7 @@ fuzz-smoke: ## 10s smoke run of each fuzz target
 	$(GO) test -run '^$$' -fuzz FuzzCompiledDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/trainingdb/
 	$(GO) test -run '^$$' -fuzz FuzzReplFrameDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/repl/
 	$(GO) test -run '^$$' -fuzz FuzzLocateDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzNearest -fuzztime 10s -fuzzminimizetime 1s ./internal/locmap/
 
 bench: ## hot-path localization benchmarks (see BENCH_hotpath.json)
 	$(GO) test -run '^$$' -bench 'BenchmarkProbabilisticLargeMap$$|BenchmarkProbabilisticLocalize$$|BenchmarkHistogramLocalize$$|BenchmarkKNNSweep/k=3$$|BenchmarkBatchLocalize$$|BenchmarkServerLocate$$' -benchmem -benchtime=2s .

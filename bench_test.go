@@ -461,7 +461,7 @@ func BenchmarkHeatmapRender(b *testing.B) {
 func BenchmarkServerLocate(b *testing.B) {
 	f := fixture(b)
 	loc := localize.NewMaxLikelihood(f.db.Compile(-95, 4))
-	svc := &core.Service{DB: f.db, Locator: loc, Names: f.lm}
+	svc := &core.Service{DB: f.db, Locator: loc, Names: f.lm.Index()}
 	srv, err := server.New(svc, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -581,7 +581,7 @@ func syntheticObservations(db *trainingdb.DB, n int, seed int64) []localize.Obse
 func BenchmarkServerLocateBatch(b *testing.B) {
 	f := fixture(b)
 	loc := localize.NewMaxLikelihood(f.db.Compile(-95, 4))
-	svc := &core.Service{DB: f.db, Locator: loc, Names: f.lm}
+	svc := &core.Service{DB: f.db, Locator: loc, Names: f.lm.Index()}
 	srv, err := server.New(svc, nil)
 	if err != nil {
 		b.Fatal(err)

@@ -268,14 +268,15 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	case *mapFile != "":
 		// Artifact mode: the v2 binary is memory-mapped and served
 		// directly — no raw database, no recompilation at startup.
-		in, err := core.New(core.WithCompiledFile(*mapFile), core.WithAlgorithm(*algo), core.WithConfig(cfg))
+		nopts := []core.Option{core.WithCompiledFile(*mapFile), core.WithAlgorithm(*algo), core.WithConfig(cfg)}
+		if planNames != nil {
+			nopts = append(nopts, core.WithNames(planNames))
+		}
+		in, err := core.New(nopts...)
 		if err != nil {
 			return err
 		}
 		defer in.Close()
-		if planNames != nil {
-			in.Service.Names = planNames
-		}
 		if srv, err = server.New(in.Service, nil, opts...); err != nil {
 			return err
 		}
@@ -374,7 +375,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 			mode = fmt.Sprintf("following %s at generation %d", *follow, fol.Stats().Generation)
 		}
 		fmt.Fprintf(out, "locserved: %s algorithm over %d locations (%s), listening on %s\n",
-			snap.Service.Locator.Name(), snap.Service.DB.Len(), mode, ln.Addr())
+			snap.Service.Locator.Name(), snap.Service.NumLocations(), mode, ln.Addr())
 	}
 	if ready != nil {
 		ready <- ln.Addr().String()

@@ -235,17 +235,9 @@ func runFollow(o followSoakOpts, out io.Writer) error {
 	var catchups []catchupRec
 	for i := 0; i < o.followers; i++ {
 		t0 := time.Now()
-		names := repl.NamesFromEntries
-		if o.mapEntries > 0 {
-			// The synthetic trainer serves without a name map; match it,
-			// both for response identity and because the nearest-name
-			// scan is O(entries) per locate on a 100k-entry map.
-			names = repl.NamesNone
-		}
 		fol, err := repl.NewFollower(repl.FollowerConfig{
 			TrainerURL:   trainerBase,
 			Build:        build,
-			Names:        names,
 			ReconnectMin: 50 * time.Millisecond,
 			ReconnectMax: time.Second,
 		})
@@ -614,11 +606,13 @@ func buildFollowFixture(mapEntries, mapAPs int) (*trainingdb.DB, func(*trainingd
 		}
 		db.Entries[name] = ent
 	}
+	// The trainer serves entry names, as every follower does.
 	rebuild := func(db *trainingdb.DB) (*core.Service, error) {
 		in, err := core.New(
 			core.WithDB(db),
 			core.WithAlgorithm(core.AlgoProbabilistic),
 			core.WithConfig(build),
+			core.WithEntryNames(),
 		)
 		if err != nil {
 			return nil, err

@@ -127,14 +127,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 4. Acceptance test: localize at spots the clinic cares about.
+	// 4. Acceptance test: localize at spots the clinic cares about,
+	// scored against the nearest training point's name.
+	gridIndex := grid.Index()
 	report := &eval.Report{}
 	for _, spot := range []geom.Point{
 		geom.Pt(10, 15), geom.Pt(30, 8), geom.Pt(50, 22), geom.Pt(70, 12), geom.Pt(44, 28),
 	} {
 		obs := localize.ObservationFromRecords(scanner.Capture(spot, 20, 0))
 		trial := eval.Trial{True: spot}
-		if want, _, ok := grid.Nearest(spot); ok {
+		if want, _, ok := gridIndex.Nearest(spot); ok {
 			trial.WantName = want
 		}
 		res, err := service.Locate(obs)

@@ -94,6 +94,9 @@ func main() {
 		{"erin", geom.Pt(78, 8)},   // lab 1
 		{"frank", geom.Pt(16, 47)}, // meeting room B
 	}
+	// The room index answers "which room centre is closest" — the
+	// ground truth each visitor's answer is scored against.
+	roomIndex := rooms.Index()
 	correct := 0
 	for _, v := range visitors {
 		res, err := service.LocateRecords(scanner.Capture(v.at, 15, 0))
@@ -102,7 +105,7 @@ func main() {
 		}
 		room := res.Estimate.Name
 		fmt.Printf("%-6s at %v → %q: %s\n", v.who, v.at, room, agenda[room])
-		if want, _, _ := rooms.Nearest(v.at); want == room {
+		if want, _, _ := roomIndex.Nearest(v.at); want == room {
 			correct++
 		}
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"indoorloc/internal/geom"
 	"indoorloc/internal/localize"
 	"indoorloc/internal/trainingdb"
 )
@@ -37,8 +39,8 @@ func TestServiceFromCompiledFile(t *testing.T) {
 			}
 			defer in.Close()
 			svc := in.Service
-			if svc.DB.Len() != f.db.Len() || svc.Names == nil || svc.Names.Len() != f.db.Len() {
-				t.Fatalf("artifact source should carry every entry and default to entry names")
+			if svc.DB != nil || svc.NumLocations() != f.db.Len() || svc.Names == nil || svc.Names.Len() != f.db.Len() {
+				t.Fatalf("artifact source should carry every entry, no DB, and default to entry names")
 			}
 			ref, err := buildLocator(algo, f.db, nil, BuildConfig{})
 			if err != nil {
@@ -151,5 +153,70 @@ func TestBuildConfigQuantizeTopK(t *testing.T) {
 	}
 	if len(est.Candidates) != 3 {
 		t.Errorf("TopK=3 returned %d candidates", len(est.Candidates))
+	}
+}
+
+// gridArtifact writes a synthetic cols×rows lattice venue as a v2
+// artifact: entries 5 ft apart, each hearing the 4 nearest of 16 APs.
+// The AP universe is fixed, so only the entry count varies between
+// sizes.
+func gridArtifact(t *testing.T, cols, rows int) string {
+	t.Helper()
+	const aps, heard = 16, 4
+	db := &trainingdb.DB{Entries: make(map[string]*trainingdb.Entry, cols*rows)}
+	for a := 0; a < aps; a++ {
+		db.BSSIDs = append(db.BSSIDs, fmt.Sprintf("02:00:00:00:00:%02x", a))
+	}
+	for i := 0; i < cols; i++ {
+		for j := 0; j < rows; j++ {
+			name := fmt.Sprintf("grid-%d-%d", i, j)
+			e := &trainingdb.Entry{Name: name, Pos: geom.Pt(float64(i)*5, float64(j)*5),
+				PerAP: make(map[string]*trainingdb.APStats, heard)}
+			first := (i*aps/cols + j*aps/rows) % (aps - heard + 1)
+			for a := first; a < first+heard; a++ {
+				e.PerAP[db.BSSIDs[a]] = &trainingdb.APStats{BSSID: db.BSSIDs[a], N: 10,
+					Mean: -40 - float64((i+j+a)%40), StdDev: 3}
+			}
+			db.Entries[name] = e
+		}
+	}
+	path := filepath.Join(t.TempDir(), fmt.Sprintf("grid-%dx%d.ilr", cols, rows))
+	if err := trainingdb.WriteCompiledFile(path, db.Compile(-95, 4)); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestArtifactLoadAllocsIndependentOfEntries pins the cold load of an
+// artifact venue: opening it and building the service with entry
+// names allocates the same count at 19,881 entries (the campus) as at
+// 30 (the house), up to a small constant. Names and positions are
+// served from the mapped view through one grid; nothing is built per
+// entry.
+func TestArtifactLoadAllocsIndependentOfEntries(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime inflates allocation counts")
+	}
+	// slack covers size-dependent growth that is not per entry: the
+	// grid's two arrays and the scorer's scratch stay one allocation
+	// each, but a map or slice header may differ by a few.
+	const slack = 8
+	load := func(path string) float64 {
+		return testing.AllocsPerRun(5, func() {
+			in, err := New(WithCompiledFile(path), WithEntryNames())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if in.Service.Names.Len() == 0 {
+				t.Fatal("no entry names")
+			}
+			in.Close()
+		})
+	}
+	house, campus := load(gridArtifact(t, 6, 5)), load(gridArtifact(t, 141, 141))
+	t.Logf("allocations per load: 30 entries %.0f, 19881 entries %.0f", house, campus)
+	if campus > house+slack {
+		t.Errorf("loading 19,881 entries allocates %.0f, 30 entries %.0f: more than %d apart, so the load builds per-entry state",
+			campus, house, slack)
 	}
 }

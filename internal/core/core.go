@@ -155,14 +155,82 @@ func buildLocator(name string, db *trainingdb.DB, c *trainingdb.Compiled, cfg Bu
 // Service is a trained, ready-to-answer location service — the output
 // of Phase 1.
 type Service struct {
+	// DB is the training database the locator was built from; nil for
+	// a service built from a compiled view (WithCompiled,
+	// WithCompiledFile), where the raw database never existed in this
+	// process. Read entry counts and positions through the methods
+	// below, which serve both shapes.
 	DB      *trainingdb.DB
 	Locator localize.Locator
 	// Names resolves coordinates back to application-level location
-	// names (step 6's abstraction); may be nil.
-	Names *locmap.Map
+	// names (step 6's abstraction); may be nil. Built from a compiled
+	// view's entries it aliases the view, so it shares its lifetime.
+	Names *locmap.Index
 	// Rooms resolves coordinates to room regions by containment; may
 	// be empty.
 	Rooms []floorplan.Room
+}
+
+// View returns the compiled radio-map view the locator scores
+// against, nil for the geometric family, which keeps none.
+func (s *Service) View() *trainingdb.Compiled {
+	if src, ok := s.Locator.(localize.CompiledSource); ok {
+		return src.CompiledView()
+	}
+	return nil
+}
+
+// Locations returns the training locations' names, sorted, and their
+// positions in parallel. They alias the view where there is one; a
+// service without a view copies the positions out of DB.
+func (s *Service) Locations() ([]string, []geom.Point) {
+	if c := s.View(); c != nil {
+		return c.Names, c.Pos
+	}
+	if s.DB == nil {
+		return nil, nil
+	}
+	names := s.DB.Names()
+	pos := make([]geom.Point, len(names))
+	for i, name := range names {
+		pos[i] = s.DB.Entries[name].Pos
+	}
+	return names, pos
+}
+
+// NumLocations returns the number of training locations.
+func (s *Service) NumLocations() int {
+	if c := s.View(); c != nil {
+		return c.NumEntries()
+	}
+	if s.DB == nil {
+		return 0
+	}
+	return s.DB.Len()
+}
+
+// NumAPs returns the size of the AP universe the service was trained
+// over.
+func (s *Service) NumAPs() int {
+	if c := s.View(); c != nil {
+		return c.NumAPs()
+	}
+	if s.DB == nil {
+		return 0
+	}
+	return len(s.DB.BSSIDs)
+}
+
+// Generation returns the radio-map generation the service answers
+// from: the training database's mutation counter at build time.
+func (s *Service) Generation() uint64 {
+	if c := s.View(); c != nil {
+		return c.Generation
+	}
+	if s.DB == nil {
+		return 0
+	}
+	return s.DB.Generation()
 }
 
 // Resolution is a Phase 2 answer: coordinates, the localizer's own
@@ -297,7 +365,7 @@ func (p *Pipeline) Train() (*Service, []string, error) {
 	trace = append(trace,
 		"step 5: (working phase) observe signal-strength vectors",
 		"step 6: (working phase) resolve observations to locations")
-	svc := &Service{DB: db, Locator: loc, Names: lm}
+	svc := &Service{DB: db, Locator: loc, Names: lm.Index()}
 	if p.Plan != nil {
 		svc.Rooms = p.Plan.Rooms
 	}

@@ -57,7 +57,7 @@ func New(opts ...Option) (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		svc = &Service{DB: o.compiled.Skeleton(), Locator: loc}
+		svc = &Service{Locator: loc}
 	default: // compiled artifact file
 		c, closeMap, err := trainingdb.OpenCompiledFile(o.compiledFile)
 		if err != nil {
@@ -67,7 +67,7 @@ func New(opts ...Option) (*Instance, error) {
 		if err != nil {
 			return nil, errors.Join(err, closeMap())
 		}
-		svc = &Service{DB: c.Skeleton(), Locator: loc}
+		svc = &Service{Locator: loc}
 		closeFn = closeMap
 		if o.names == nil && !o.entryNames {
 			// The training locations themselves resolve names unless
@@ -76,17 +76,17 @@ func New(opts ...Option) (*Instance, error) {
 		}
 	}
 	if o.names != nil {
-		svc.Names = o.names
-	} else if o.entryNames && svc.Names == nil && svc.DB != nil {
-		entries := svc.DB.Names()
-		names := locmap.NewSized(len(entries))
-		for _, name := range entries {
-			if err := names.Add(name, svc.DB.Entries[name].Pos); err != nil {
-				if closeFn != nil {
-					err = errors.Join(err, closeFn())
-				}
-				return nil, fmt.Errorf("core: entry names: %w", err)
+		svc.Names = o.names.Index()
+	} else if o.entryNames && svc.Names == nil {
+		// The index serves the view's own names and positions in place;
+		// only a service without a view (the geometric family) reads
+		// them from its DB.
+		names, err := locmap.NewIndex(svc.Locations())
+		if err != nil {
+			if closeFn != nil {
+				err = errors.Join(err, closeFn())
 			}
+			return nil, fmt.Errorf("core: entry names: %w", err)
 		}
 		svc.Names = names
 	}
@@ -186,14 +186,18 @@ func WithConfig(cfg BuildConfig) Option {
 	return func(o *newOptions) { o.cfg = cfg }
 }
 
-// WithNames sets the symbolic name resolver.
+// WithNames sets the symbolic name resolver: the service answers from
+// m's index (see locmap.Map.Index), so later changes to m do not reach
+// it.
 func WithNames(m *locmap.Map) Option {
 	return func(o *newOptions) { o.names = m }
 }
 
 // WithEntryNames derives the name resolver from the training entries
 // themselves (every training location becomes a resolvable name). The
-// default for WithCompiledFile; opt-in for the other sources.
+// default for WithCompiledFile; opt-in for the other sources. The
+// resolver indexes the compiled view's names and positions in place:
+// it builds one grid over them and nothing else sized by the entries.
 func WithEntryNames() Option {
 	return func(o *newOptions) { o.entryNames = true }
 }

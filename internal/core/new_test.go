@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"indoorloc/internal/geom"
 	"indoorloc/internal/localize"
 	"indoorloc/internal/locmap"
 )
@@ -61,11 +62,12 @@ func TestNewFromDB(t *testing.T) {
 		t.Fatal("WithEntryNames did not derive the resolver")
 	}
 	lm := locmap.New()
-	in3, err := New(WithDB(f.db), WithNames(lm))
+	lm.Add("the one name", geom.Pt(0, 0))
+	in3, err := New(WithDB(f.db), WithNames(lm), WithEntryNames())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in3.Service.Names != lm {
+	if name, _, _ := in3.Service.Names.Nearest(geom.Pt(40, 40)); in3.Service.Names.Len() != 1 || name != "the one name" {
 		t.Error("WithNames did not take precedence")
 	}
 }

@@ -53,11 +53,7 @@ func StaticSnapshot(svc *Service) (*SnapshotRegistry, error) {
 	if svc == nil || svc.Locator == nil {
 		return nil, errors.New("core: nil service")
 	}
-	var gen uint64
-	if svc.DB != nil {
-		gen = svc.DB.Generation()
-	}
-	return NewSnapshotRegistry(&Snapshot{Generation: gen, Service: svc, BuiltAt: time.Now()})
+	return NewSnapshotRegistry(&Snapshot{Generation: svc.Generation(), Service: svc, BuiltAt: time.Now()})
 }
 
 // Current returns the snapshot to serve this request from. Callers

@@ -11,7 +11,6 @@ import (
 
 	"indoorloc/internal/core"
 	"indoorloc/internal/geom"
-	"indoorloc/internal/localize"
 	"indoorloc/internal/trainingdb"
 )
 
@@ -518,7 +517,7 @@ func (m *Manager) swap() {
 func (m *Manager) finishPublish(snap *core.Snapshot, frozen *trainingdb.DB) {
 	watermark := m.applied.Load()
 	m.watermark.Store(watermark)
-	c := compiledView(snap)
+	c := snap.Service.View()
 	m.writeArtifact(c, snap, watermark)
 	if m.cfg.OnPublish != nil {
 		m.cfg.OnPublish(PublishEvent{
@@ -530,16 +529,6 @@ func (m *Manager) finishPublish(snap *core.Snapshot, frozen *trainingdb.DB) {
 			SnapRadius: m.cfg.SnapRadius,
 		})
 	}
-}
-
-// compiledView extracts the snapshot locator's posting-list radio-map view,
-// nil when the locator does not expose one.
-func compiledView(snap *core.Snapshot) *trainingdb.Compiled {
-	src, ok := snap.Service.Locator.(localize.CompiledSource)
-	if !ok {
-		return nil
-	}
-	return src.CompiledView()
 }
 
 // ArtifactManifest is the "<ArtifactPath>.manifest" sidecar written

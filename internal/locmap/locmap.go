@@ -17,6 +17,11 @@
 // Columns are tab-separated: name, x, y (feet in the plan frame).
 // Names may contain spaces. '#' lines and blank lines are ignored.
 // Space-separated files are accepted when the name has no spaces.
+//
+// A Map is the mutable builder and the file format. Step 6 of the
+// working phase — the nearest name to an estimate — is answered by an
+// Index: (*Map).Index converts a map, and NewIndex serves a compiled
+// radio-map view's own names and positions without copying them.
 package locmap
 
 import (
@@ -24,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -33,7 +37,8 @@ import (
 	"indoorloc/internal/geom"
 )
 
-// Map associates location names with coordinates.
+// Map associates location names with coordinates. Query it for the
+// nearest name through Index.
 type Map struct {
 	index  map[string]int // name → its position in order and points
 	order  []string       // insertion order for stable writes
@@ -96,27 +101,6 @@ func (m *Map) SortedNames() []string {
 	out := append([]string(nil), m.order...)
 	sort.Strings(out)
 	return out
-}
-
-// Nearest returns the named location closest to p, or "" for an empty
-// map. Ties break toward the lexically smaller name so the result is
-// deterministic.
-func (m *Map) Nearest(p geom.Point) (string, geom.Point, bool) {
-	// Scans the point slice in insertion order with an explicit lexical
-	// tie-break: this sits on the per-observation serving path, so it
-	// neither sorts nor hashes a name per entry.
-	best := -1
-	bestD := math.Inf(1)
-	for i, q := range m.points {
-		d := p.DistSq(q)
-		if d < bestD || (d == bestD && (best < 0 || m.order[i] < m.order[best])) {
-			best, bestD = i, d
-		}
-	}
-	if best < 0 {
-		return "", geom.Point{}, false
-	}
-	return m.order[best], m.points[best], true
 }
 
 // Read parses a location map stream.

@@ -64,29 +64,34 @@ func TestNamesOrder(t *testing.T) {
 
 func TestNearest(t *testing.T) {
 	m := New()
-	if _, _, ok := m.Nearest(geom.Pt(0, 0)); ok {
+	if _, _, ok := m.Index().Nearest(geom.Pt(0, 0)); ok {
 		t.Error("empty map returned a nearest")
 	}
 	m.Add("a", geom.Pt(0, 0))
 	m.Add("b", geom.Pt(10, 0))
-	name, p, ok := m.Nearest(geom.Pt(2, 1))
+	name, p, ok := m.Index().Nearest(geom.Pt(2, 1))
 	if !ok || name != "a" || p != geom.Pt(0, 0) {
 		t.Errorf("Nearest = %q %v %v", name, p, ok)
 	}
 	// Tie: equidistant → lexically smaller name.
-	name, _, _ = m.Nearest(geom.Pt(5, 0))
+	name, _, _ = m.Index().Nearest(geom.Pt(5, 0))
 	if name != "a" {
 		t.Errorf("tie break = %q, want a", name)
 	}
 	// The tie-break is lexical, not insertion order.
 	m.Add("0-late", geom.Pt(10, 0))
-	if name, _, _ = m.Nearest(geom.Pt(5, 0)); name != "0-late" {
+	if name, _, _ = m.Index().Nearest(geom.Pt(5, 0)); name != "0-late" {
 		t.Errorf("tie break = %q, want 0-late", name)
 	}
-	// Replacing a point moves the entry it names.
+	// Replacing a point moves the entry it names; an index taken before
+	// the change keeps the old point.
+	before := m.Index()
 	m.Add("b", geom.Pt(3, 0))
-	if name, p, _ = m.Nearest(geom.Pt(4, 0)); name != "b" || p != geom.Pt(3, 0) {
+	if name, p, _ = m.Index().Nearest(geom.Pt(4, 0)); name != "b" || p != geom.Pt(3, 0) {
 		t.Errorf("after replace: Nearest = %q %v", name, p)
+	}
+	if p, _ := before.Lookup("b"); p != geom.Pt(10, 0) {
+		t.Errorf("index taken before the replace sees b at %v", p)
 	}
 }
 

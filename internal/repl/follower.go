@@ -46,17 +46,6 @@ const (
 
 var stateNames = [...]string{StateBootstrapping, StateCatchingUp, StateStreaming, StateDisconnected}
 
-// NamesMode selects how a follower's published services resolve
-// symbolic location names; see FollowerConfig.Names.
-type NamesMode int
-
-const (
-	// NamesFromEntries derives the name map from the replica's entries.
-	NamesFromEntries NamesMode = iota
-	// NamesNone publishes position-only services (no name map).
-	NamesNone
-)
-
 // FollowerConfig configures a follower.
 type FollowerConfig struct {
 	// TrainerURL is the trainer's base URL (scheme://host:port);
@@ -70,15 +59,6 @@ type FollowerConfig struct {
 	// Build carries the locator build knobs (top-k, k);
 	// mirror the trainer's.
 	Build core.BuildConfig
-	// Names controls the symbolic-name layer of published services.
-	// The zero value, NamesFromEntries, derives the name map from the
-	// replica's entries — right when the trainer serves its training
-	// grid's names. NamesNone publishes position-only services for a
-	// trainer that runs without a name map; a mismatch on this knob
-	// breaks trainer/follower response identity (and on big maps the
-	// per-locate nearest-name scan is O(entries), so a follower must
-	// not pay it when its trainer doesn't).
-	Names NamesMode
 	// Client overrides the HTTP client. The default has no timeout —
 	// the WAL stream is deliberately unbounded; cancellation comes from
 	// Close.
@@ -390,15 +370,12 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 // The build runs on the follow goroutine; readers only ever see the
 // finished atomic swap.
 func (f *Follower) publish(c *trainingdb.Compiled, gen uint64) error {
-	opts := []core.Option{
+	in, err := core.New(
 		core.WithCompiled(c),
 		core.WithAlgorithm(f.cfg.Algorithm),
 		core.WithConfig(f.cfg.Build),
-	}
-	if f.cfg.Names == NamesFromEntries {
-		opts = append(opts, core.WithEntryNames())
-	}
-	in, err := core.New(opts...)
+		core.WithEntryNames(),
+	)
 	if err != nil {
 		return fmt.Errorf("repl: build follower service: %w", err)
 	}

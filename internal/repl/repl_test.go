@@ -14,7 +14,6 @@ import (
 
 	"indoorloc/internal/core"
 	"indoorloc/internal/ingest"
-	"indoorloc/internal/localize"
 	"indoorloc/internal/trainingdb"
 )
 
@@ -194,11 +193,11 @@ func startFollower(t *testing.T, url string) *Follower {
 // serves from.
 func compiledOf(t *testing.T, snap *core.Snapshot) *trainingdb.Compiled {
 	t.Helper()
-	src, ok := snap.Service.Locator.(localize.CompiledSource)
-	if !ok || src.CompiledView() == nil {
+	c := snap.Service.View()
+	if c == nil {
 		t.Fatalf("snapshot locator %T exposes no compiled view", snap.Service.Locator)
 	}
-	return src.CompiledView()
+	return c
 }
 
 // converged waits until the follower serves the trainer's current
@@ -275,45 +274,35 @@ func TestFollowerConvergesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFollowerNamesMode checks the Names knob: the default derives a
-// symbolic name map from the replica's entries, NamesNone publishes
-// position-only services — matching a trainer that serves without a
-// name map (and skipping the O(entries) nearest-name scan per locate).
-func TestFollowerNamesMode(t *testing.T) {
+// TestFollowerEntryNames checks that a follower always resolves entry
+// names: its published services index every replica entry at the
+// trainer's position, before and after streamed folds.
+func TestFollowerEntryNames(t *testing.T) {
 	h := newTrainerHarness(t, filepath.Join(t.TempDir(), "t.wal"),
 		ingest.Config{FlushReports: 5, FlushInterval: 20 * time.Millisecond, SnapRadius: 5})
-
-	def := startFollower(t, h.ts.URL)
-	converged(t, h.mgr(), def)
-	if def.Registry().Current().Service.Names == nil {
-		t.Error("default follower published no name map; want entry-derived names")
+	f := startFollower(t, h.ts.URL)
+	check := func() {
+		t.Helper()
+		converged(t, h.mgr(), f)
+		want := h.mgr().Registry().Current().Service
+		got := f.Registry().Current().Service
+		if got.Names == nil || got.DB != nil {
+			t.Fatal("follower service should serve entry names from its view, with no DB")
+		}
+		names, pos := want.Locations()
+		if got.Names.Len() != len(names) {
+			t.Fatalf("follower indexes %d names, trainer has %d entries", got.Names.Len(), len(names))
+		}
+		for i, name := range names {
+			if p, ok := got.Names.Lookup(name); !ok || p != pos[i] {
+				t.Fatalf("follower resolves %q to %v (%v), trainer holds it at %v", name, p, ok, pos[i])
+			}
+		}
 	}
-
-	bare, err := NewFollower(FollowerConfig{
-		TrainerURL:   h.ts.URL,
-		Names:        NamesNone,
-		ReconnectMin: 10 * time.Millisecond,
-		ReconnectMax: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := bare.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bare.Close() })
-	converged(t, h.mgr(), bare)
-	if bare.Registry().Current().Service.Names != nil {
-		t.Error("NamesNone follower published a name map; want position-only services")
-	}
-
-	// The knob changes only the name layer, never the radio map.
+	check()
 	submitReports(t, h.mgr(), 20, 0)
 	waitFor(t, "trainer folds", func() bool { return h.mgr().Stats().Folded >= 20 })
-	converged(t, h.mgr(), def)
-	converged(t, h.mgr(), bare)
+	check()
 }
 
 // TestFollowerSurvivesTornStreams cuts the WAL stream at hostile byte

@@ -529,8 +529,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{
 		"status":     "ok",
 		"algorithm":  svc.Locator.Name(),
-		"locations":  svc.DB.Len(),
-		"aps":        len(svc.DB.BSSIDs),
+		"locations":  svc.NumLocations(),
+		"aps":        svc.NumAPs(),
 		"generation": snap.Generation,
 		"built_at":   snap.BuiltAt.UTC().Format(time.RFC3339Nano),
 	}
@@ -565,11 +565,10 @@ func (s *Server) locations(w http.ResponseWriter, svc *core.Service) {
 		X    float64 `json:"x"`
 		Y    float64 `json:"y"`
 	}
-	db := svc.DB
-	out := make([]loc, 0, db.Len())
-	for _, name := range db.Names() {
-		e := db.Entries[name]
-		out = append(out, loc{Name: name, X: e.Pos.X, Y: e.Pos.Y})
+	names, pos := svc.Locations()
+	out := make([]loc, len(names))
+	for i, name := range names {
+		out[i] = loc{Name: name, X: pos[i].X, Y: pos[i].Y}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -1254,7 +1253,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			metrics.Gauge{Name: "indoorloc_snapshot_generation",
 				Help: "Radio-map generation of the serving snapshot.", Value: float64(snap.Generation)},
 			metrics.Gauge{Name: "indoorloc_snapshot_locations",
-				Help: "Training locations in the serving snapshot.", Value: float64(snap.Service.DB.Len())},
+				Help: "Training locations in the serving snapshot.", Value: float64(snap.Service.NumLocations())},
 		)
 	}
 	gauges = append(gauges,

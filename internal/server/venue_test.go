@@ -7,13 +7,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"indoorloc/internal/core"
 	"indoorloc/internal/geom"
 	"indoorloc/internal/localize"
 	"indoorloc/internal/sim"
+	"indoorloc/internal/trainingdb"
 	"indoorloc/internal/venue"
 )
 
@@ -362,5 +365,109 @@ func TestVenueLocateAllocParity(t *testing.T) {
 	t.Logf("venue locate: direct=%.1f full=%.1f", direct, full)
 	if delta := full - direct; delta > 0.5 {
 		t.Errorf("venue resolution + front end adds %.2f allocs/request, want 0", delta)
+	}
+}
+
+// TestArtifactVenueReadsView checks that an artifact venue reads its
+// locations, AP count and generation from the compiled view exactly as
+// the database they were compiled from reports them: /locations byte
+// for byte, /healthz locations/aps/generation, and venue status
+// Locations.
+func TestArtifactVenueReadsView(t *testing.T) {
+	scen := sim.PaperHouse()
+	env, err := scen.Environment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := scen.TrainingPoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, _, err := trainingdb.Generate(sim.NewScanner(env, 41).CaptureCollection(grid, 20), grid, trainingdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tdbDir, ilrDir := t.TempDir(), t.TempDir()
+	tdbPath, ilrPath := filepath.Join(tdbDir, "house.tdb"), filepath.Join(ilrDir, "house.ilr")
+	if err := trainingdb.SaveFile(tdbPath, built); err != nil {
+		t.Fatal(err)
+	}
+	db, err := trainingdb.LoadFile(tdbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A nonzero generation, so /healthz must carry the view's own.
+	db.SetGeneration(5)
+	if err := trainingdb.WriteCompiledFile(ilrPath, db.Compile(-95, 4)); err != nil {
+		t.Fatal(err)
+	}
+
+	get := func(srv *Server, path string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+
+	// Multi-venue: the same venue id served from each source.
+	var locs [2][]byte
+	var status [2]venue.Status
+	for i, dir := range []string{tdbDir, ilrDir} {
+		vr, err := venue.NewRegistry(venue.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewMultiVenue(vr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		locs[i] = get(srv, "/v1/venues/house/locations")
+		if status[i], err = vr.Status("house"); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		vr.Close()
+	}
+	if !bytes.Equal(locs[0], locs[1]) {
+		t.Errorf("/locations differ:\n.tdb %s\n.ilr %s", locs[0], locs[1])
+	}
+	if status[0].Locations != db.Len() || status[1].Locations != db.Len() {
+		t.Errorf("status locations: .tdb %d, .ilr %d, want %d", status[0].Locations, status[1].Locations, db.Len())
+	}
+
+	// Single service: /healthz and /locations over each source.
+	fromDB, err := core.New(core.WithDB(db), core.WithEntryNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromArtifact, err := core.New(core.WithCompiledFile(ilrPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fromArtifact.Close()
+	type health struct {
+		Locations  int    `json:"locations"`
+		APs        int    `json:"aps"`
+		Generation uint64 `json:"generation"`
+	}
+	var h [2]health
+	for i, in := range []*core.Instance{fromDB, fromArtifact} {
+		srv, err := New(in.Service, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(get(srv, "/healthz"), &h[i]); err != nil {
+			t.Fatal(err)
+		}
+		if l := get(srv, "/locations"); !bytes.Equal(l, locs[0]) {
+			t.Errorf("source %d: /locations %s, want %s", i, l, locs[0])
+		}
+		srv.Close()
+	}
+	if want := (health{db.Len(), len(db.BSSIDs), db.Generation()}); h[0] != want || h[1] != want {
+		t.Errorf("/healthz: .tdb %+v, .ilr %+v, want %+v", h[0], h[1], want)
 	}
 }

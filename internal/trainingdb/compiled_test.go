@@ -3,7 +3,6 @@ package trainingdb
 import (
 	"math"
 	"slices"
-	"sort"
 	"testing"
 
 	"indoorloc/internal/geom"
@@ -155,27 +154,5 @@ func TestNamesCachedAndInvalidated(t *testing.T) {
 	}
 	if got := db.Names(); len(got) != 2 || got[0] != "hall" {
 		t.Errorf("Names after RemoveEntry = %v", got)
-	}
-}
-
-// TestSkeletonNames pins the skeleton's sorted-name cache: seeded from
-// the view's own slice when its names are strictly increasing, sorted
-// from the keys otherwise — the same answer either way.
-func TestSkeletonNames(t *testing.T) {
-	sortedView := compiledFixture().Compile(-95, 4)
-	unsortedView := &Compiled{
-		Names: []string{"porch", "attic", "hall"},
-		Pos:   []geom.Point{geom.Pt(1, 1), geom.Pt(2, 2), geom.Pt(3, 3)},
-	}
-	for _, c := range []*Compiled{sortedView, unsortedView} {
-		want := append([]string(nil), c.Names...)
-		sort.Strings(want)
-		got := c.Skeleton().Names()
-		if !slices.Equal(got, want) {
-			t.Errorf("Skeleton().Names() = %v, want %v", got, want)
-		}
-		if seeded := &got[0] == &c.Names[0]; seeded != (c == sortedView) {
-			t.Errorf("names %v: cache shares the view's slice = %v", c.Names, seeded)
-		}
 	}
 }

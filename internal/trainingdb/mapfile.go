@@ -19,35 +19,6 @@ import (
 // or any locator, snapshot or estimate still referencing its strings —
 // is in use; the serving pattern is to close only after a replacement
 // snapshot has been published and drained.
-// Skeleton reconstructs the entry-level shape of the database the view
-// was compiled from: names, positions, the BSSID universe and the
-// generation, with empty per-AP statistics. It is what the HTTP layer's /locations and
-// /healthz handlers and the name resolver need when a service is built
-// from an artifact and the raw DB never existed in this process.
-//
-// The skeleton's strings alias the view's backing (for a decoded view,
-// the memory mapping) — it shares the view's lifetime and must not
-// outlive its close.
-func (c *Compiled) Skeleton() *DB {
-	db := &DB{
-		Entries: make(map[string]*Entry, len(c.Names)),
-		BSSIDs:  append([]string(nil), c.BSSIDs...),
-		gen:     c.Generation,
-	}
-	sorted := true
-	for i, name := range c.Names {
-		db.Entries[name] = &Entry{Name: name, Pos: c.Pos[i], PerAP: map[string]*APStats{}}
-		sorted = sorted && (i == 0 || c.Names[i-1] < name)
-	}
-	if sorted {
-		// Compile and the codec keep names sorted and unique, so the
-		// sorted-name cache is the view's own slice; anything else
-		// leaves DB.Names to sort the keys.
-		db.names = c.Names[:len(c.Names):len(c.Names)]
-	}
-	return db
-}
-
 func OpenCompiledFile(path string) (c *Compiled, close func() error, err error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -453,8 +453,8 @@ func (r *Registry) Status(id string) (Status, error) {
 			st.Live = lv.mgr != nil
 			if snap := lv.Snapshot(); snap != nil {
 				st.Generation = snap.Generation
-				if snap.Service != nil && snap.Service.DB != nil {
-					st.Locations = snap.Service.DB.Len()
+				if snap.Service != nil {
+					st.Locations = snap.Service.NumLocations()
 				}
 			}
 			lv.unref()
@@ -512,8 +512,8 @@ func (r *Registry) List() ([]Status, error) {
 				// same registry, which this is not.
 				if snap := lv.Snapshot(); snap != nil { //loclint:allow snapshotonce
 					st.Generation = snap.Generation
-					if snap.Service != nil && snap.Service.DB != nil {
-						st.Locations = snap.Service.DB.Len()
+					if snap.Service != nil {
+						st.Locations = snap.Service.NumLocations()
 					}
 				}
 				lv.unref()
