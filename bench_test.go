@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -773,8 +774,12 @@ func BenchmarkIngestReport(b *testing.B) {
 // the master database, rebuild the locator and name map, publish
 // through the registry — at the paper-house scale and at campus scale.
 // This is the cost the compactor pays off the serving path; readers
-// pay one atomic pointer load regardless.
+// pay one atomic pointer load regardless. The floor case prices one
+// publish through the ingest.Manager after 400 folded reports on a
+// 3,000-cell floor, patched from the served view against rebuilt in
+// full (see benchManagerPublish).
 func BenchmarkSnapshotSwap(b *testing.B) {
+	b.Run("floor-3000pt-400rep", benchManagerPublish)
 	cases := []struct {
 		name string
 		db   *trainingdb.DB
@@ -806,6 +811,72 @@ func BenchmarkSnapshotSwap(b *testing.B) {
 					BuiltAt:    time.Now(),
 				})
 			}
+		})
+	}
+}
+
+// benchManagerPublish times one publish through the ingest.Manager on
+// a floor of 3,000 cells over 25 APs, each hearing 12: submit 400
+// reports naming random cells, each hearing the cell's trained APs, and
+// wait for the swap they trigger. "patch" rebuilds through a service
+// that records its recipe, so each publish patches the folded entries;
+// "full" hides the recipe, so each publish recompiles the whole map.
+// ms/publish and KiB/publish include the 400 folds and journal appends.
+func benchManagerPublish(b *testing.B) {
+	const reportsPerPublish = 400
+	floor := syntheticLargeDB(3000, 25, 12, 23)
+	rng := rand.New(rand.NewSource(29))
+	names := floor.Names()
+	reports := make([]ingest.Report, reportsPerPublish)
+	for i := range reports {
+		e := floor.Entries[names[rng.Intn(len(names))]]
+		obs := make(map[string]float64, len(e.PerAP))
+		for bssid, st := range e.PerAP {
+			obs[bssid] = math.Round((st.Mean+rng.NormFloat64()*st.StdDev)*10) / 10
+		}
+		reports[i] = ingest.Report{Name: e.Name, Observation: obs}
+	}
+	recipeless := func(db *trainingdb.DB) (*core.Service, error) {
+		svc, err := liveRebuilder(db)
+		if err != nil {
+			return nil, err
+		}
+		return &core.Service{DB: svc.DB, Locator: svc.Locator, Names: svc.Names}, nil
+	}
+	for _, kind := range []struct {
+		name    string
+		rebuild ingest.Rebuilder
+	}{{"patch", liveRebuilder}, {"full", recipeless}} {
+		b.Run(kind.name, func(b *testing.B) {
+			mgr, err := ingest.NewManager(floor.Snapshot(), kind.rebuild, ingest.Config{
+				WALPath:       filepath.Join(b.TempDir(), "bench.wal"),
+				FlushReports:  reportsPerPublish,
+				FlushInterval: time.Hour,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer mgr.Close()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := mgr.Submit(reports...); err != nil {
+					b.Fatal(err)
+				}
+				for mgr.Stats().Swaps < uint64(i+1) {
+					runtime.Gosched()
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			st := mgr.Stats()
+			if n := map[string]uint64{"patch": st.PatchedSwaps, "full": st.FullSwaps}[kind.name]; n != st.Swaps {
+				b.Fatalf("%s: %d patched and %d full of %d swaps", kind.name, st.PatchedSwaps, st.FullSwaps, st.Swaps)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/publish")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1024/float64(b.N), "KiB/publish")
 		})
 	}
 }

@@ -76,6 +76,17 @@ type BuildConfig struct {
 	TopK int
 }
 
+// floorSigma is the floor-model spread a database source compiles at.
+const floorSigma = 4
+
+// floorRSSI is the floor level a database source compiles at.
+func (cfg BuildConfig) floorRSSI() float64 {
+	if cfg.FloorRSSI == 0 {
+		return -95
+	}
+	return cfg.FloorRSSI
+}
+
 // buildLocator constructs a registered algorithm over one compiled
 // radio-map view. A database source (c nil) is compiled here, once, at
 // cfg's floor level; a compiled source (db nil — the serving shape of
@@ -89,11 +100,7 @@ func buildLocator(name string, db *trainingdb.DB, c *trainingdb.Compiled, cfg Bu
 		if db == nil || db.Len() == 0 {
 			return nil, errors.New("core: empty training database")
 		}
-		floor := cfg.FloorRSSI
-		if floor == 0 {
-			floor = -95
-		}
-		c = db.Compile(floor, 4)
+		c = db.Compile(cfg.floorRSSI(), floorSigma)
 	}
 	k := cfg.K
 	if k <= 0 {
@@ -169,6 +176,37 @@ type Service struct {
 	// Rooms resolves coordinates to room regions by containment; may
 	// be empty.
 	Rooms []floorplan.Room
+
+	// algo and cfg are the recipe New built the locator from DB with;
+	// algo is empty for a service built any other way, which Patch
+	// declines.
+	algo string
+	cfg  BuildConfig
+}
+
+// Patch returns the service for db, a later state of the database s
+// was built from in which the only changes are folds into the entries
+// named in touched. It patches s's view (trainingdb.DB.Patch) and
+// rebuilds the locator over the result with s's recorded algorithm
+// and build knobs, carrying Names and Rooms over: the patched view
+// shares s's entry names and positions, so an entry-name index over
+// them stays valid. Patch returns nil when s records no recipe (New
+// did not build it from a database), has no view, or the patch
+// declines a structural change; the caller then builds from scratch.
+func (s *Service) Patch(db *trainingdb.DB, touched map[string]struct{}) (*Service, error) {
+	prev := s.View()
+	if s.algo == "" || prev == nil {
+		return nil, nil
+	}
+	c := db.Patch(prev, touched, s.cfg.floorRSSI(), floorSigma)
+	if c == nil {
+		return nil, nil
+	}
+	loc, err := buildLocator(s.algo, db, c, s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Service{DB: db, Locator: loc, Names: s.Names, Rooms: s.Rooms, algo: s.algo, cfg: s.cfg}, nil
 }
 
 // View returns the compiled radio-map view the locator scores

@@ -51,7 +51,7 @@ func New(opts ...Option) (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		svc = &Service{DB: o.db, Locator: loc}
+		svc = &Service{DB: o.db, Locator: loc, algo: o.algo, cfg: o.cfg}
 	case o.compiled != nil:
 		loc, err := buildLocator(o.algo, nil, o.compiled, o.cfg)
 		if err != nil {

@@ -165,3 +165,73 @@ func TestNewWithService(t *testing.T) {
 		t.Errorf("close: %v", err)
 	}
 }
+
+// TestServicePatch checks Service.Patch for every algorithm: after a
+// fold into one entry, the patched service answers exactly as a fresh
+// New over the folded database, carries the name index over, and
+// declines services with no recipe or view and structural changes.
+func TestServicePatch(t *testing.T) {
+	f := newFixture(t)
+	cfg := BuildConfig{APPositions: f.scen.APPositions(), TopK: 3}
+	var obs []localize.Observation
+	for _, p := range []geom.Point{geom.Pt(5, 5), geom.Pt(22, 14), geom.Pt(40, 30)} {
+		obs = append(obs, localize.ObservationFromRecords(f.sc.Capture(p, 3, 0)))
+	}
+	name := f.db.Names()[0]
+	var bssid string
+	for b := range f.db.Entries[name].PerAP {
+		bssid = b
+		break
+	}
+	for _, algo := range Algorithms() {
+		base := f.db.Snapshot()
+		in, err := New(WithDB(base), WithAlgorithm(algo), WithConfig(cfg), WithEntryNames())
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := base.Snapshot()
+		db.Entries[name] = db.Entries[name].Clone()
+		db.Fold(name, geom.Point{}, map[string]float64{bssid: -41.5})
+		touched := map[string]struct{}{name: {}}
+		got, err := in.Service.Patch(db, touched)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if in.Service.View() == nil {
+			if got != nil {
+				t.Errorf("%s: patched a service with no view", algo)
+			}
+			continue
+		}
+		if got == nil {
+			t.Fatalf("%s: patch declined a fold-only change", algo)
+		}
+		if got.Names != in.Service.Names || got.DB != db || got.Generation() != db.Generation() {
+			t.Errorf("%s: patched service not wired to the folded database and the old names", algo)
+		}
+		want, err := New(WithDB(db), WithAlgorithm(algo), WithConfig(cfg), WithEntryNames())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range obs {
+			a, errA := got.Locate(o)
+			b, errB := want.Service.Locate(o)
+			if !reflect.DeepEqual(a, b) || (errA == nil) != (errB == nil) {
+				t.Errorf("%s obs %d: patched %+v (%v), full %+v (%v)", algo, i, a, errA, b, errB)
+			}
+		}
+		// A structural change (a new AP) falls back.
+		db.Fold(name, geom.Point{}, map[string]float64{"fe:ed:00:00:00:01": -70})
+		if again, _ := got.Patch(db, touched); again != nil {
+			t.Errorf("%s: patched over a new BSSID", algo)
+		}
+	}
+	// A compiled-source service records no recipe.
+	in, err := New(WithCompiled(f.db.Compile(-95, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := in.Service.Patch(f.db, nil); got != nil {
+		t.Error("patched a service New did not build from a database")
+	}
+}

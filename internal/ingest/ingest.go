@@ -157,6 +157,12 @@ var ErrInvalidReport = errors.New("invalid report")
 // name/room resolution for exactly that entry set. It runs on the
 // compactor goroutine — off the serving path — and must not retain or
 // mutate db beyond building the service.
+//
+// The manager calls it for the initial snapshot and for every publish
+// it cannot patch. A service that core.New built from db records its
+// recipe, and the next publish patches it (core.Service.Patch) when
+// the folds since changed no structure; any other service is rebuilt
+// through the Rebuilder every time.
 type Rebuilder func(db *trainingdb.DB) (*core.Service, error)
 
 // Stats is a point-in-time counter snapshot for telemetry (/healthz).
@@ -174,6 +180,12 @@ type Stats struct {
 	Queued int `json:"queued"`
 	// Swaps counts published snapshots (the initial build excluded).
 	Swaps uint64 `json:"swaps"`
+	// PatchedSwaps and FullSwaps split Swaps by how the snapshot was
+	// built: by patching the previous view's folded entries, or in
+	// full through the Rebuilder (a structural change, or a service
+	// with no recorded recipe).
+	PatchedSwaps uint64 `json:"patched_swaps"`
+	FullSwaps    uint64 `json:"full_swaps"`
 	// SwapErrors counts rebuilds that failed; the previous snapshot
 	// keeps serving.
 	SwapErrors uint64 `json:"swap_errors"`
@@ -207,10 +219,16 @@ type Manager struct {
 	reg     *core.SnapshotRegistry
 
 	// master is the compactor's private, always-current database.
-	// published marks entries shared with the latest snapshot; the
-	// compactor clones them before folding into them.
-	master    *trainingdb.DB
-	published map[string]bool
+	// touched names the entries folded since the latest publish: the
+	// first fold into each cloned it (or founded it), so master owns
+	// it alone. Every other entry is shared with the published
+	// snapshot and is cloned before a fold touches it.
+	master  *trainingdb.DB
+	touched map[string]struct{}
+	// served is the latest published service when it was built from
+	// the frozen view it serves, the base the next publish patches;
+	// nil before the first publish.
+	served *core.Service
 
 	// slots is the admission semaphore and queue the report buffer:
 	// Submit acquires a slot (non-blocking; failure is backpressure),
@@ -241,6 +259,8 @@ type Manager struct {
 	folded         atomic.Uint64
 	dropped        atomic.Uint64
 	swaps          atomic.Uint64
+	patchedSwaps   atomic.Uint64
+	fullSwaps      atomic.Uint64
 	swapErrors     atomic.Uint64
 	artifacts      atomic.Uint64
 	artifactErrors atomic.Uint64
@@ -265,14 +285,14 @@ func NewManager(db *trainingdb.DB, rebuild Rebuilder, cfg Config) (*Manager, err
 	}
 	cfg.fillDefaults()
 	m := &Manager{
-		cfg:       cfg,
-		rebuild:   rebuild,
-		master:    db,
-		published: make(map[string]bool, db.Len()),
-		slots:     make(chan struct{}, cfg.QueueDepth),
-		queue:     make(chan queuedReport, cfg.QueueDepth),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		cfg:     cfg,
+		rebuild: rebuild,
+		master:  db,
+		touched: make(map[string]struct{}),
+		slots:   make(chan struct{}, cfg.QueueDepth),
+		queue:   make(chan queuedReport, cfg.QueueDepth),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	wal, recovered, dropped, err := OpenWAL(cfg.WALPath, cfg.SyncEveryAppend)
 	if err != nil {
@@ -285,7 +305,7 @@ func NewManager(db *trainingdb.DB, rebuild Rebuilder, cfg Config) (*Manager, err
 		m.fold(recovered[i])
 		m.applied.Store(uint64(i + 1))
 	}
-	snap, frozen, err := m.buildSnapshot()
+	snap, frozen, _, err := m.buildSnapshot()
 	if err != nil {
 		return nil, errors.Join(fmt.Errorf("ingest: initial snapshot: %w", err), wal.Close())
 	}
@@ -383,7 +403,7 @@ func (m *Manager) SnapRadius() float64 { return m.cfg.SnapRadius }
 
 // compact is the background loop: fold queued reports into the master
 // database and, on the count or interval cadence, recompile and
-// publish a fresh snapshot. All master/published access happens here
+// publish a fresh snapshot. All master/touched access happens here
 // (plus NewManager before the goroutine starts), so the mutable state
 // needs no locks.
 func (m *Manager) compact() {
@@ -466,31 +486,48 @@ func (m *Manager) fold(r Report) {
 		m.dropped.Add(1)
 		return
 	}
-	if m.published[name] {
-		if e := m.master.Entries[name]; e != nil {
+	if _, ok := m.touched[name]; !ok {
+		// Before the first publish (the registry's) nothing is shared,
+		// so nothing needs cloning.
+		if e := m.master.Entries[name]; e != nil && m.reg != nil {
 			m.master.Entries[name] = e.Clone()
 		}
-		delete(m.published, name)
+		m.touched[name] = struct{}{}
 	}
 	m.master.Fold(name, pos, r.Observation)
 	m.folded.Add(1)
 }
 
-// buildSnapshot freezes the master database and rebuilds the serving
-// state from it. Every entry in the frozen view is marked published,
-// so the next fold into it clones first. The frozen view is returned
-// alongside so the publish hook can hand replication the exact state
-// the snapshot was built from.
-func (m *Manager) buildSnapshot() (*core.Snapshot, *trainingdb.DB, error) {
-	frozen := m.master.Snapshot()
-	svc, err := m.rebuild(frozen)
-	if err != nil {
-		return nil, nil, err
+// buildSnapshot freezes the master database and builds the serving
+// state from it: by patching the latest published service's view with
+// the touched entries when it can, else through the Rebuilder. Every
+// entry in the frozen view is then shared with the snapshot, so the
+// touched set empties and the next fold into any entry clones first.
+// The frozen view is returned alongside so the publish hook can hand
+// replication the exact state the snapshot was built from.
+func (m *Manager) buildSnapshot() (snap *core.Snapshot, frozen *trainingdb.DB, patched bool, err error) {
+	frozen = m.master.Snapshot()
+	var svc *core.Service
+	if m.served != nil {
+		if svc, err = m.served.Patch(frozen, m.touched); err != nil {
+			return nil, nil, false, err
+		}
 	}
-	for name := range frozen.Entries {
-		m.published[name] = true
+	patched = svc != nil
+	if !patched {
+		if svc, err = m.rebuild(frozen); err != nil {
+			return nil, nil, false, err
+		}
 	}
-	return &core.Snapshot{Generation: frozen.Generation(), Service: svc, BuiltAt: time.Now()}, frozen, nil
+	clear(m.touched)
+	// Only a service built over the frozen view itself is a sound
+	// patch base: a Rebuilder that serves some other database would
+	// be patched with the wrong entries.
+	m.served = nil
+	if svc.DB == frozen {
+		m.served = svc
+	}
+	return &core.Snapshot{Generation: frozen.Generation(), Service: svc, BuiltAt: time.Now()}, frozen, patched, nil
 }
 
 // swap recompiles and publishes. A failed rebuild (e.g. a geometric
@@ -498,13 +535,18 @@ func (m *Manager) buildSnapshot() (*core.Snapshot, *trainingdb.DB, error) {
 // and is only counted — live training must never take the service
 // down.
 func (m *Manager) swap() {
-	snap, frozen, err := m.buildSnapshot()
+	snap, frozen, patched, err := m.buildSnapshot()
 	if err != nil {
 		m.swapErrors.Add(1)
 		return
 	}
 	m.reg.Publish(snap)
 	m.swaps.Add(1)
+	if patched {
+		m.patchedSwaps.Add(1)
+	} else {
+		m.fullSwaps.Add(1)
+	}
 	m.lastSwap.Store(snap.BuiltAt.UnixNano())
 	m.finishPublish(snap, frozen)
 }
@@ -599,6 +641,8 @@ func (m *Manager) Stats() Stats {
 		Dropped:        m.dropped.Load(),
 		Queued:         len(m.queue),
 		Swaps:          m.swaps.Load(),
+		PatchedSwaps:   m.patchedSwaps.Load(),
+		FullSwaps:      m.fullSwaps.Load(),
 		SwapErrors:     m.swapErrors.Load(),
 		Artifacts:      m.artifacts.Load(),
 		ArtifactErrors: m.artifactErrors.Load(),

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -289,5 +290,88 @@ func TestSnapshotIsolation(t *testing.T) {
 	// The current snapshot did move on.
 	if cur := m.Registry().Current().Service.DB.Entries["g0"].PerAP["ap0"]; cur.N != before.N+5 {
 		t.Errorf("current snapshot N=%d want %d", cur.N, before.N+5)
+	}
+}
+
+// TestPublishPatchesFoldedEntries checks the patched publish path end
+// to end: fold-only publishes patch the previous view, structural ones
+// (a new AP, a new entry) rebuild in full, and every published view
+// encodes to the bytes a fresh compile of its frozen database gives.
+// A service with no recorded recipe is always rebuilt in full.
+func TestPublishPatchesFoldedEntries(t *testing.T) {
+	opaque := func(db *trainingdb.DB) (*core.Service, error) {
+		svc, err := testRebuilder(db)
+		if err != nil {
+			return nil, err
+		}
+		return &core.Service{DB: svc.DB, Locator: svc.Locator, Names: svc.Names}, nil
+	}
+	// A service over a copy of the frozen database is never a patch
+	// base, and the entries it shares must still be cloned before folds.
+	copied := func(db *trainingdb.DB) (*core.Service, error) { return testRebuilder(db.Snapshot()) }
+	reports := []Report{
+		{Name: "g0", Observation: map[string]float64{"ap0": -49}},                                   // patch
+		{Name: "g4", Observation: map[string]float64{"ap0": -61, "ap1": -58}},                       // patch
+		{Name: "g4", Observation: map[string]float64{"apNEW": -77}},                                 // new AP: full
+		{Name: "annex", Pos: &ReportPos{X: 90, Y: 90}, Observation: map[string]float64{"ap1": -80}}, // new entry: full
+		{Name: "g0", Observation: map[string]float64{"ap0": -52, "ap1": -60}},                       // patch
+	}
+	for _, tc := range []struct {
+		name          string
+		rebuild       Rebuilder
+		patched, full uint64
+	}{
+		{"recipe", testRebuilder, 3, 2},
+		{"no-recipe", opaque, 0, 5},
+		{"other-db", copied, 0, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				events []PublishEvent
+				g0N    []int // g0/ap0's sample count in each frozen database, at publish
+			)
+			m, err := NewManager(testDB(), tc.rebuild, Config{
+				WALPath: filepath.Join(t.TempDir(), "w.wal"), FlushReports: 1, FlushInterval: time.Hour,
+				OnPublish: func(ev PublishEvent) {
+					events = append(events, ev)
+					g0N = append(g0N, ev.DB.Entries["g0"].PerAP["ap0"].N)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range reports {
+				if err := m.Submit(r); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, "swap", func() bool { return m.Stats().Swaps == uint64(i+1) })
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := m.Stats()
+			if st.PatchedSwaps != tc.patched || st.FullSwaps != tc.full {
+				t.Errorf("patched/full swaps %d/%d, want %d/%d", st.PatchedSwaps, st.FullSwaps, tc.patched, tc.full)
+			}
+			if len(events) != len(reports)+1 {
+				t.Fatalf("%d publish events, want %d", len(events), len(reports)+1)
+			}
+			for i, ev := range events {
+				got, err := trainingdb.EncodeCompiled(ev.Compiled)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := trainingdb.EncodeCompiled(ev.DB.Compile(-95, 4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("publish %d: view differs from a fresh compile of its frozen database", i)
+				}
+				if n := ev.DB.Entries["g0"].PerAP["ap0"].N; n != g0N[i] {
+					t.Errorf("publish %d: frozen g0/ap0 mutated after publish: N %d -> %d", i, g0N[i], n)
+				}
+			}
+		})
 	}
 }

@@ -488,6 +488,35 @@ func TestConcurrentLocates(t *testing.T) {
 	}
 }
 
+// TestLocateScratchSurvivesGC pins that the locate scratch outlives
+// garbage collection: with two collections before every locate (a
+// sync.Pool is emptied by the second), a warm ML locate on a large map
+// still allocates at most its returned candidate slice.
+func TestLocateScratchSurvivesGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-runtime allocations make per-call counts nondeterministic")
+	}
+	rng := rand.New(rand.NewSource(3))
+	db := randomTrainDB(rng, 4000, 16, 0.5)
+	obs := randomObs(rng, db, 0.6)
+	for len(obs) == 0 {
+		obs = randomObs(rng, db, 0.6)
+	}
+	m := NewMaxLikelihood(view(db))
+	m.TopK = 5
+	var err error
+	if n := testing.AllocsPerRun(20, func() {
+		runtime.GC()
+		runtime.GC()
+		_, err = m.Locate(obs)
+	}); n > 1 {
+		t.Errorf("%v allocs per locate after two GCs, want at most 1", n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLocateAllocsIndependentOfMapSize pins one scan per locate: with
 // TopK set, a locate on a 320-entry map allocates exactly as much as
 // one on a 30-entry map. testing.AllocsPerRun pins GOMAXPROCS to 1,

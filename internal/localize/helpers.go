@@ -2,7 +2,8 @@ package localize
 
 import (
 	"math"
-	"sync"
+	"runtime"
+	"sync/atomic"
 
 	"indoorloc/internal/feq"
 	"indoorloc/internal/geom"
@@ -63,7 +64,7 @@ func posteriorMean(cs []Candidate) geom.Point {
 
 // scratch holds the per-Locate working buffers — interned observation
 // columns and values, per-column precomputed terms, the per-entry
-// score buffer and the top-k index heap — pooled so the hot path
+// score buffer and the top-k index heap — reused so the hot path
 // allocates nothing beyond the returned candidate slice.
 type scratch struct {
 	cols  []int32
@@ -75,10 +76,32 @@ type scratch struct {
 	mass  []massAt
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// scratchFree is a bounded free list of scratches, one slot per P: as
+// many as can run a locate at once. Unlike a sync.Pool, which the
+// garbage collector empties every other cycle, it keeps the O(entries)
+// score buffers alive across GC, so a locate after a collection does
+// not reallocate them. A locate that finds every slot empty allocates;
+// one that finds every slot full drops its scratch.
+var scratchFree = make([]atomic.Pointer[scratch], runtime.GOMAXPROCS(0))
 
-func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
-func putScratch(s *scratch) { scratchPool.Put(s) }
+func getScratch() *scratch {
+	for i := range scratchFree {
+		if scratchFree[i].Load() != nil {
+			if s := scratchFree[i].Swap(nil); s != nil {
+				return s
+			}
+		}
+	}
+	return new(scratch)
+}
+
+func putScratch(s *scratch) {
+	for i := range scratchFree {
+		if scratchFree[i].Load() == nil && scratchFree[i].CompareAndSwap(nil, s) {
+			return
+		}
+	}
+}
 
 // scores returns a length-n score buffer backed by the scratch, grown
 // as needed. Scorers overwrite every slot; rankScores copies what it

@@ -194,7 +194,11 @@ type Gauge struct {
 	Help string
 	// Counter marks the metric TYPE counter instead of gauge.
 	Counter bool
-	Value   float64
+	// Labels, when set, is the series' label set without braces, e.g.
+	// `kind="patch"`. Series of one metric go next to each other; the
+	// HELP and TYPE lines come once, before the first.
+	Labels string
+	Value  float64
 }
 
 // WritePrometheus renders the registry and the given gauges in
@@ -254,7 +258,11 @@ func (r *Registry) WritePrometheus(buf *bytes.Buffer, gauges []Gauge) {
 		buf.Write(strconv.AppendUint(scratch[:0], cum, 10))
 		buf.WriteByte('\n')
 	}
-	for _, g := range gauges {
+	for i, g := range gauges {
+		if i > 0 && gauges[i-1].Name == g.Name {
+			writeSample(buf, g, &scratch)
+			continue
+		}
 		if g.Help != "" {
 			buf.WriteString("# HELP ")
 			buf.WriteString(g.Name)
@@ -269,9 +277,19 @@ func (r *Registry) WritePrometheus(buf *bytes.Buffer, gauges []Gauge) {
 		} else {
 			buf.WriteString(" gauge\n")
 		}
-		buf.WriteString(g.Name)
-		buf.WriteByte(' ')
-		buf.Write(strconv.AppendFloat(scratch[:0], g.Value, 'g', -1, 64))
-		buf.WriteByte('\n')
+		writeSample(buf, g, &scratch)
 	}
+}
+
+// writeSample writes g's sample line.
+func writeSample(buf *bytes.Buffer, g Gauge, scratch *[32]byte) {
+	buf.WriteString(g.Name)
+	if g.Labels != "" {
+		buf.WriteByte('{')
+		buf.WriteString(g.Labels)
+		buf.WriteByte('}')
+	}
+	buf.WriteByte(' ')
+	buf.Write(strconv.AppendFloat(scratch[:0], g.Value, 'g', -1, 64))
+	buf.WriteByte('\n')
 }

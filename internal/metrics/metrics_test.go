@@ -97,6 +97,8 @@ func TestWritePrometheusShape(t *testing.T) {
 	r.WritePrometheus(&buf, []Gauge{
 		{Name: "indoorloc_snapshot_generation", Help: "Radio-map generation.", Value: 7},
 		{Name: "indoorloc_ingest_accepted_total", Counter: true, Value: 12},
+		{Name: "indoorloc_ingest_publishes_total", Counter: true, Labels: `kind="patch"`, Help: "Publishes.", Value: 3},
+		{Name: "indoorloc_ingest_publishes_total", Counter: true, Labels: `kind="full"`, Value: 1},
 	})
 	out := buf.String()
 	for _, want := range []string{
@@ -109,6 +111,8 @@ func TestWritePrometheusShape(t *testing.T) {
 		"indoorloc_snapshot_generation 7",
 		"# TYPE indoorloc_ingest_accepted_total counter",
 		"indoorloc_ingest_accepted_total 12",
+		"# HELP indoorloc_ingest_publishes_total Publishes.\n# TYPE indoorloc_ingest_publishes_total counter\n" +
+			"indoorloc_ingest_publishes_total{kind=\"patch\"} 3\nindoorloc_ingest_publishes_total{kind=\"full\"} 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)

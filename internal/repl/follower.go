@@ -89,8 +89,13 @@ type Follower struct {
 	cancel context.CancelFunc
 	once   sync.Once
 
-	// Run-goroutine-owned world state (no locks needed).
+	// Run-goroutine-owned world state (no locks needed). view is the
+	// replica's latest published view and touched names the entries
+	// folded since: the next publish patches view with them, as the
+	// trainer's compactor does.
 	replica    *trainingdb.DB
+	view       *trainingdb.Compiled
+	touched    map[string]struct{}
 	floorRSSI  float64
 	floorSigma float64
 	snapRadius float64
@@ -351,7 +356,8 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if err := f.publish(c, m.Generation); err != nil {
 		return err
 	}
-	f.replica = replica
+	f.replica, f.view = replica, c
+	f.touched = make(map[string]struct{})
 	f.floorRSSI, f.floorSigma = c.FloorRSSI, c.FloorSigma
 	f.snapRadius = m.SnapRadius
 	f.epoch.Store(m.Epoch)
@@ -483,10 +489,18 @@ func (f *Follower) stream(ctx context.Context) (reset bool, err error) {
 			}
 			f.floorRSSI, f.floorSigma = m.FloorRSSI, m.FloorSigma
 			f.snapRadius = m.SnapRadius
-			c := f.replica.Compile(f.floorRSSI, f.floorSigma)
+			// Patch the last view with the entries folded since, as the
+			// trainer does; a structural change or new floor parameters
+			// compile in full.
+			c := f.replica.Patch(f.view, f.touched, f.floorRSSI, f.floorSigma)
+			if c == nil {
+				c = f.replica.Compile(f.floorRSSI, f.floorSigma)
+			}
 			if err := f.publish(c, f.replica.Generation()); err != nil {
 				return false, err
 			}
+			f.view = c
+			clear(f.touched)
 			f.recompiles.Add(1)
 		case FrameHeartbeat:
 			hb, err := ParseHello(frame.Payload)
@@ -516,7 +530,7 @@ const FrameRecordOverhead = 8
 // fold applies one WAL record to the replica exactly as the trainer's
 // compactor does — same resolution rules, same Welford update — minus
 // the copy-on-write clone: the replica's entries are never shared
-// with published snapshots (Compile deep-copies into its view).
+// with published snapshots (Compile and Patch copy into their views).
 func (f *Follower) fold(r ingest.Report) {
 	name, pos, ok := ingest.ResolveReport(f.replica, r, f.snapRadius)
 	if !ok {
@@ -524,6 +538,7 @@ func (f *Follower) fold(r ingest.Report) {
 		return
 	}
 	f.replica.Fold(name, pos, r.Observation)
+	f.touched[name] = struct{}{}
 	f.folded.Add(1)
 }
 

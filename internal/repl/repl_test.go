@@ -550,3 +550,37 @@ func TestFollowerStatsUnderChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestFollowerPatchesBitIdentical checks the follower's patched
+// publishes: once the structure has settled, fold-only publishes patch
+// the previous view on both ends (the follower's shares its names with
+// the view before), and the follower's view still equals a fresh
+// compile of the trainer's frozen database.
+func TestFollowerPatchesBitIdentical(t *testing.T) {
+	h := newTrainerHarness(t, filepath.Join(t.TempDir(), "t.wal"),
+		ingest.Config{FlushReports: 5, FlushInterval: 20 * time.Millisecond, SnapRadius: 5})
+	f := startFollower(t, h.ts.URL)
+	submitReports(t, h.mgr(), 40, 0) // founds every new entry and AP the script uses
+	waitFor(t, "trainer folds", func() bool { return h.mgr().Stats().Folded >= 40 })
+	converged(t, h.mgr(), f)
+	before := compiledOf(t, f.Registry().Current())
+	patched := h.mgr().Stats().PatchedSwaps
+
+	for i := 0; i < 30; i++ {
+		r := ingest.Report{Name: fmt.Sprintf("g%d", i%9), Observation: map[string]float64{"ap0": -44 - float64(i%11)}}
+		if err := h.mgr().Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "trainer folds", func() bool { return h.mgr().Stats().Folded >= 70 })
+	converged(t, h.mgr(), f)
+	if st := h.mgr().Stats(); st.PatchedSwaps == patched {
+		t.Errorf("trainer patched no fold-only publish: %+v", st)
+	}
+	snap := h.mgr().Registry().Current()
+	got := compiledOf(t, f.Registry().Current())
+	if got == before || &got.Names[0] != &before.Names[0] {
+		t.Error("follower did not patch its previous view")
+	}
+	compiledEqual(t, "follower vs full compile", snap.Service.DB.Compile(-95, 4), got)
+}

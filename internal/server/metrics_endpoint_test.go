@@ -161,3 +161,37 @@ func TestMetricsIngestCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsIngestPublishesByKind pins the publish split on /metrics:
+// a fold into an existing cell patches the served view, a report that
+// brings a new AP rebuilds it in full, and the two series share one
+// HELP/TYPE header.
+func TestMetricsIngestPublishesByKind(t *testing.T) {
+	f := newLiveFixture(t, ingest.Config{FlushReports: 1, FlushInterval: time.Hour})
+	for i, body := range []string{
+		`{"name":"p_0_0","observation":{"ap0":-44.5}}`,
+		`{"name":"p_10_0","observation":{"apNEW":-70}}`,
+	} {
+		resp, _ := postJSON(t, f.ts.URL+"/train/report", []byte(body))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("report %d status %d", i, resp.StatusCode)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for f.mgr.Stats().Swaps < uint64(i+1) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if st := f.mgr.Stats(); st.PatchedSwaps != 1 || st.FullSwaps != 1 {
+		t.Fatalf("want one patched and one full swap, stats %+v", st)
+	}
+	out := scrape(t, f.ts.URL)
+	want := "# TYPE indoorloc_ingest_publishes_total counter\n" +
+		`indoorloc_ingest_publishes_total{kind="patch"} 1` + "\n" +
+		`indoorloc_ingest_publishes_total{kind="full"} 1` + "\n"
+	if !strings.Contains(out, want) {
+		t.Errorf("exposition missing %q\n%s", want, out)
+	}
+	if n := strings.Count(out, "# TYPE indoorloc_ingest_publishes_total"); n != 1 {
+		t.Errorf("%d TYPE lines for the publish counter, want 1", n)
+	}
+}

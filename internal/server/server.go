@@ -1283,6 +1283,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				Help: "Accepted-but-unfolded backlog.", Value: float64(st.Queued)},
 			metrics.Gauge{Name: "indoorloc_ingest_swaps_total", Counter: true,
 				Help: "Published radio-map snapshots.", Value: float64(st.Swaps)},
+			metrics.Gauge{Name: "indoorloc_ingest_publishes_total", Counter: true, Labels: `kind="patch"`,
+				Help:  "Published snapshots by build: patched from the previous view, or rebuilt in full.",
+				Value: float64(st.PatchedSwaps)},
+			metrics.Gauge{Name: "indoorloc_ingest_publishes_total", Counter: true, Labels: `kind="full"`,
+				Value: float64(st.FullSwaps)},
 			metrics.Gauge{Name: "indoorloc_ingest_dropped_total", Counter: true,
 				Help: "Reports that could not be folded.", Value: float64(st.Dropped)},
 			metrics.Gauge{Name: "indoorloc_ingest_swap_errors_total", Counter: true,

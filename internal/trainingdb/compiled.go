@@ -1,6 +1,7 @@
 package trainingdb
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -25,8 +26,8 @@ import (
 // for unsynchronised concurrent reads. It is a snapshot: mutating the
 // source DB (Merge, PruneAPs, RemoveEntry, Fold) does not update it.
 // The view records the DB generation it was compiled from; Stale
-// detects mutation-after-build, and the ingest compactor recompiles
-// and hot-swaps a fresh view whenever the generation moves.
+// detects mutation-after-build, and the ingest compactor patches (or
+// recompiles) and hot-swaps a fresh view whenever the generation moves.
 type Compiled struct {
 	// Generation is the source DB's mutation counter at compile time.
 	Generation uint64
@@ -116,36 +117,129 @@ func (db *DB) Compile(floorRSSI, floorSigma float64) *Compiled {
 	}
 	c.Post, c.PostN = make([]Posting, c.PostStart[nAP]), make([]int32, c.PostStart[nAP])
 	next := append([]int32(nil), c.PostStart[:nAP]...)
-	// float64() rounds the product, so no fused multiply-subtract.
-	halfLog2Pi := float64(0.5 * math.Log(2*math.Pi))
-	type cell struct {
-		col int32
-		s   *APStats
-	}
-	var cells []cell
-	// Walking entries in order leaves every list sorted by entry; each
-	// entry's cells go in ascending column order, the order its
-	// baseline terms are summed in.
+	var (
+		cells []cell
+		recs  []Posting
+	)
+	// Walking entries in order leaves every list sorted by entry.
 	for i, name := range c.Names {
-		cells = cells[:0]
-		for b, s := range db.Entries[name].PerAP {
-			if j, ok := c.apIndex[b]; ok {
-				cells = append(cells, cell{int32(j), s})
-			}
-		}
-		slices.SortFunc(cells, func(a, b cell) int { return int(a.col - b.col) })
-		for _, cl := range cells {
-			s, k := cl.s, next[cl.col]
+		cells = c.entryCells(db.Entries[name], cells[:0])
+		recs = slices.Grow(recs[:0], len(cells))[:len(cells)]
+		c.UnheardLL[i], c.SignalBase[i] = entryRecords(i, cells, floorRSSI, recs)
+		for k, cl := range cells {
+			p := next[cl.col]
 			next[cl.col]++
-			sigma := max(s.StdDev, stats.MinSigma)
-			floorLL := stats.LogGaussianPDF(floorRSSI, s.Mean, s.StdDev)
-			c.UnheardLL[i] += floorLL
-			d := floorRSSI - s.Mean
-			// Rounding the square before the add blocks a fused
-			// multiply-add, so the baseline has the same bits on every CPU.
-			c.SignalBase[i] += float64(d * d)
-			c.Post[k] = newPosting(i, s.Mean, sigma, -math.Log(sigma)-halfLog2Pi, floorLL)
-			c.PostN[k] = int32(s.N)
+			c.Post[p], c.PostN[p] = recs[k], int32(cl.s.N)
+		}
+	}
+	return c
+}
+
+// cell is one trained ⟨entry, AP⟩ pair: its column in the view and its
+// statistics.
+type cell struct {
+	col int32
+	s   *APStats
+}
+
+// entryCells appends e's cells whose AP is in the view's universe to
+// cells, in ascending column order: the order entryRecords sums the
+// entry's baselines in.
+func (c *Compiled) entryCells(e *Entry, cells []cell) []cell {
+	for b, s := range e.PerAP {
+		if j, ok := c.apIndex[b]; ok {
+			cells = append(cells, cell{int32(j), s})
+		}
+	}
+	slices.SortFunc(cells, func(a, b cell) int { return int(a.col - b.col) })
+	return cells
+}
+
+// halfLog2Pi is ½·log 2π, the Gaussian normaliser's constant term.
+// float64() rounds the product, so no fused multiply-subtract.
+var halfLog2Pi = float64(0.5 * math.Log(2*math.Pi))
+
+// entryRecords is the per-entry record arithmetic: it fills recs[k]
+// with entry i's posting record for cells[k] and returns the entry's
+// baselines, UnheardLL and SignalBase, summed over its cells in the
+// given (ascending column) order. Compile and Patch both build records
+// here, so a patched entry has the bits a full compile gives it.
+func entryRecords(i int, cells []cell, floorRSSI float64, recs []Posting) (unheardLL, signalBase float64) {
+	for k, cl := range cells {
+		s := cl.s
+		sigma := max(s.StdDev, stats.MinSigma)
+		floorLL := stats.LogGaussianPDF(floorRSSI, s.Mean, s.StdDev)
+		unheardLL += floorLL
+		d := floorRSSI - s.Mean
+		// Rounding the square before the add blocks a fused
+		// multiply-add, so the baseline has the same bits on every CPU.
+		signalBase += float64(d * d)
+		recs[k] = newPosting(i, s.Mean, sigma, -math.Log(sigma)-halfLog2Pi, floorLL)
+	}
+	return unheardLL, signalBase
+}
+
+// Patch builds the view of db from prev, a view compiled from an
+// earlier state of db, when every change since is a fold into one of
+// the entries named in touched. It copies prev's records, sample
+// counts and baselines, rewrites the touched entries' records in their
+// column order through the arithmetic Compile uses, and shares prev's
+// names, positions, BSSIDs, list starts and AP index, so its
+// EncodeCompiled bytes equal those of db.Compile(floorRSSI, floorSigma).
+// The work is O(postings) of copying plus O(touched cells) of
+// arithmetic, against Compile's map walk over every entry and cell.
+//
+// Patch returns nil when the structure changed, which renumbers the
+// lists: a new entry, a new BSSID, a new trained cell on a touched
+// entry, or floor parameters other than prev's. The caller compiles
+// instead. An untouched entry is taken to be unchanged; removals are
+// not folds and must not be patched over.
+func (db *DB) Patch(prev *Compiled, touched map[string]struct{}, floorRSSI, floorSigma float64) *Compiled {
+	if floorSigma < stats.MinSigma {
+		floorSigma = stats.MinSigma
+	}
+	if prev == nil || math.Float64bits(prev.FloorRSSI) != math.Float64bits(floorRSSI) ||
+		math.Float64bits(prev.FloorSigma) != math.Float64bits(floorSigma) ||
+		len(db.Entries) != len(prev.Names) || !slices.Equal(db.BSSIDs, prev.BSSIDs) {
+		return nil
+	}
+	c := &Compiled{
+		Generation: db.gen,
+		FloorRSSI:  prev.FloorRSSI,
+		FloorSigma: prev.FloorSigma,
+		Names:      prev.Names,
+		Pos:        prev.Pos,
+		BSSIDs:     prev.BSSIDs,
+		UnheardLL:  slices.Clone(prev.UnheardLL),
+		SignalBase: slices.Clone(prev.SignalBase),
+		PostStart:  prev.PostStart,
+		Post:       slices.Clone(prev.Post),
+		PostN:      slices.Clone(prev.PostN),
+		apIndex:    prev.apIndex,
+		backing:    prev.backing,
+	}
+	var (
+		cells []cell
+		recs  []Posting
+	)
+	for name := range touched {
+		i, found := slices.BinarySearch(c.Names, name)
+		e := db.Entries[name]
+		if !found || e == nil {
+			return nil
+		}
+		cells = c.entryCells(e, cells[:0])
+		recs = slices.Grow(recs[:0], len(cells))[:len(cells)]
+		c.UnheardLL[i], c.SignalBase[i] = entryRecords(i, cells, floorRSSI, recs)
+		for k, cl := range cells {
+			lo, hi := c.PostStart[cl.col], c.PostStart[cl.col+1]
+			p, ok := slices.BinarySearchFunc(c.Post[lo:hi], int32(i), func(p Posting, e int32) int {
+				return cmp.Compare(p.Entry, e)
+			})
+			if !ok {
+				return nil // a new trained cell
+			}
+			c.Post[lo+int32(p)], c.PostN[lo+int32(p)] = recs[k], int32(cl.s.N)
 		}
 	}
 	return c
