@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -149,6 +150,58 @@ func TestCompileVariants(t *testing.T) {
 		if q := tuned.Post[i]; p.Center != q.Center || p.HalfPrec != q.HalfPrec || p.Const == q.Const {
 			t.Fatalf("posting %d: %+v and %+v — the floor must move only the constant", i, p, q)
 		}
+	}
+}
+
+// retiredDir holds house artifacts in the layouts written before the
+// posting lists carried their counts, and the house.tdb they were
+// compiled from.
+var retiredDir = filepath.Join("..", "..", "internal", "trainingdb", "testdata", "legacy")
+
+// TestRetiredArtifactUpgrade pins the upgrade path for an artifact in
+// a retired layout: verify refuses it by name and points at compile,
+// inspect still prints its table, and compiling its house.tdb writes
+// an artifact that verifies with the posting lists and counts of
+// Compile(-95, 4).
+func TestRetiredArtifactUpgrade(t *testing.T) {
+	var out bytes.Buffer
+	retired, _ := filepath.Glob(filepath.Join(retiredDir, "*.ilr"))
+	if len(retired) != 4 {
+		t.Fatalf("%d retired artifacts, want 4", len(retired))
+	}
+	for _, path := range retired {
+		err := run([]string{"verify", path}, &out)
+		if !errors.Is(err, trainingdb.ErrRetiredArtifact) || !strings.Contains(err.Error(), "tdbtool compile") {
+			t.Errorf("verify %s: %v, want ErrRetiredArtifact naming tdbtool compile", path, err)
+		}
+		out.Reset()
+		if err := run([]string{"inspect", path}, &out); err != nil || !strings.Contains(out.String(), "trained") {
+			t.Errorf("inspect %s: %v\n%s", path, err, out.String())
+		}
+	}
+
+	dbPath := filepath.Join(retiredDir, "house.tdb")
+	artifact := filepath.Join(t.TempDir(), "house.ilr")
+	if err := run([]string{"compile", "-db", dbPath, "-out", artifact}, &out); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"verify", artifact}, &out); err != nil {
+		t.Fatal(err)
+	}
+	c, closeMap, err := trainingdb.OpenCompiledFile(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeMap()
+	db, err := trainingdb.LoadFile(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := db.Compile(-95, 4)
+	if len(c.Post) == 0 || !slices.Equal(c.PostStart, want.PostStart) ||
+		!slices.Equal(c.Post, want.Post) || !slices.Equal(c.PostN, want.PostN) {
+		t.Fatal("recompiled artifact's posting lists differ from Compile(-95, 4)")
 	}
 }
 

@@ -290,18 +290,23 @@ func (s *Service) Locate(obs localize.Observation) (Resolution, error) {
 		return Resolution{}, err
 	}
 	res := Resolution{Estimate: est}
-	if s.Names != nil {
-		if name, _, ok := s.Names.Nearest(est.Pos); ok {
-			res.NearestName = name
-		}
-	}
-	for _, room := range s.Rooms {
-		if room.Poly.Contains(est.Pos) {
-			res.Room = room.Name
-			break
-		}
-	}
+	res.NearestName, res.Room = s.Annotate(est.Pos)
 	return res, nil
+}
+
+// Annotate resolves a position to application terms (step 6): the
+// nearest name in the service's location map and the first room
+// region containing it, each empty when there is none.
+func (s *Service) Annotate(pos geom.Point) (nearest, room string) {
+	if s.Names != nil {
+		nearest, _, _ = s.Names.Nearest(pos)
+	}
+	for _, r := range s.Rooms {
+		if r.Poly.Contains(pos) {
+			return nearest, r.Name
+		}
+	}
+	return nearest, ""
 }
 
 // LocateRecords averages a capture window (the paper averages 1.5

@@ -289,4 +289,23 @@ func TestServiceRoomResolution(t *testing.T) {
 			t.Errorf("room %q does not contain estimate %v", res.Room, res.Estimate.Pos)
 		}
 	}
+	// Annotate resolves positions directly, without allocating.
+	for _, c := range []struct {
+		p          geom.Point
+		name, room string
+	}{
+		{target, sim.TrainingName(1, 2), "west wing"},
+		{geom.Pt(40, 10), "", "se room"},
+		{geom.Pt(40, 35), "", ""},
+	} {
+		name, room := svc.Annotate(c.p)
+		if room != c.room || name == "" || (c.name != "" && name != c.name) {
+			t.Errorf("Annotate(%v) = (%q, %q), want room %q", c.p, name, room, c.room)
+		}
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { svc.Annotate(target) }); n != 0 {
+			t.Errorf("Annotate allocates %v per call", n)
+		}
+	}
 }

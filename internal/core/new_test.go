@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"indoorloc/internal/geom"
 	"indoorloc/internal/localize"
 	"indoorloc/internal/locmap"
+	"indoorloc/internal/trainingdb"
 )
 
 func TestNewSourceExclusivity(t *testing.T) {
@@ -141,6 +144,16 @@ func TestNewCompiledFileErrors(t *testing.T) {
 	}
 	if _, err := New(WithCompiledFile(path), WithAlgorithm(AlgoGeometric)); err == nil {
 		t.Error("non-compilable algorithm over an artifact accepted")
+	}
+	// Artifacts in a retired layout are refused by name.
+	retired, _ := filepath.Glob(filepath.Join("..", "trainingdb", "testdata", "legacy", "*.ilr"))
+	if len(retired) != 4 {
+		t.Fatalf("%d retired artifacts, want 4", len(retired))
+	}
+	for _, path := range retired {
+		if _, err := New(WithCompiledFile(path)); !errors.Is(err, trainingdb.ErrRetiredArtifact) {
+			t.Errorf("%s: %v, want ErrRetiredArtifact", path, err)
+		}
 	}
 }
 

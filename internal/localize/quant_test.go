@@ -20,8 +20,8 @@ import (
 // signalDistance) by the records' float32 rounding, derived per
 // entry below, plus float64 rounding of the sums. The bounds are
 // computed from the records themselves, so they hold for any view
-// whose records round float64 cells: a fresh Compile, or a legacy
-// float64 artifact.
+// whose records round float64 cells: a fresh Compile, a patched view
+// or a decoded artifact.
 
 // f32Rel bounds the relative error of rounding a float64 to float32:
 // half a float32 ulp, 2⁻²⁴ of the value (normal range).

@@ -1092,17 +1092,7 @@ func (s *Server) locateBatch(w http.ResponseWriter, r *http.Request, svc *core.S
 			item.X, item.Y = est.Pos.X, est.Pos.Y
 			item.Location = est.Name
 			item.ConfidenceRadius = localize.ConfidenceRadius(est, 0.9)
-			if svc.Names != nil {
-				if name, _, ok := svc.Names.Nearest(est.Pos); ok {
-					item.NearestName = name
-				}
-			}
-			for _, room := range svc.Rooms {
-				if room.Poly.Contains(est.Pos) {
-					item.Room = room.Name
-					break
-				}
-			}
+			item.NearestName, item.Room = svc.Annotate(est.Pos)
 		}
 		items = append(items, item)
 	}
@@ -1201,17 +1191,7 @@ func (s *Server) trackPost(w http.ResponseWriter, r *http.Request, svc *core.Ser
 		ConfidenceRadius: localize.ConfidenceRadius(est, 0.9),
 		Algorithm:        svc.Locator.Name(),
 	}
-	if svc.Names != nil {
-		if name, _, ok := svc.Names.Nearest(pos); ok {
-			a.resp.NearestName = name
-		}
-	}
-	for _, room := range svc.Rooms {
-		if room.Poly.Contains(pos) {
-			a.resp.Room = room.Name
-			break
-		}
-	}
+	a.resp.NearestName, a.resp.Room = svc.Annotate(pos)
 	a.writeOK(w, &a.resp)
 }
 

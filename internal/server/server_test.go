@@ -15,6 +15,7 @@ import (
 
 	"indoorloc/internal/core"
 	"indoorloc/internal/filter"
+	"indoorloc/internal/floorplan"
 	"indoorloc/internal/geom"
 	"indoorloc/internal/sim"
 	"indoorloc/internal/trainingdb"
@@ -28,6 +29,13 @@ type fixture struct {
 }
 
 func newFixture(t *testing.T, opts ...Option) *fixture {
+	t.Helper()
+	return newRoomsFixture(t, nil, opts...)
+}
+
+// newRoomsFixture is newFixture over a service that also resolves
+// estimates to the given room regions.
+func newRoomsFixture(t *testing.T, rooms []floorplan.Room, opts ...Option) *fixture {
 	t.Helper()
 	scen := sim.PaperHouse()
 	env, err := scen.Environment()
@@ -48,6 +56,7 @@ func newFixture(t *testing.T, opts ...Option) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in.Service.Rooms = rooms
 	srv, err := New(in.Service, nil, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -158,6 +167,44 @@ func TestLocateWithRecords(t *testing.T) {
 	}
 	if _, ok := body["confidence_radius_ft"]; !ok {
 		t.Error("no confidence radius")
+	}
+}
+
+// TestAnnotationSameOnEveryRoute pins that /locate, a one-observation
+// /locate/batch and a client's first /track POST (whose filter starts
+// at the estimate) annotate one observation with the same nearest name
+// and room.
+func TestAnnotationSameOnEveryRoute(t *testing.T) {
+	quad := func(name string, x0, y0 float64) floorplan.Room {
+		return floorplan.Room{Name: name, Poly: geom.Polygon{
+			geom.Pt(x0, y0), geom.Pt(x0+25, y0), geom.Pt(x0+25, y0+20), geom.Pt(x0, y0+20)}}
+	}
+	f := newRoomsFixture(t, []floorplan.Room{
+		quad("sw", 0, 0), quad("se", 25, 0), quad("nw", 0, 20), quad("ne", 25, 20),
+	})
+	rooms := map[any]bool{}
+	for i, p := range []geom.Point{geom.Pt(8, 6), geom.Pt(42, 7), geom.Pt(10, 33), geom.Pt(40, 34), geom.Pt(25, 20)} {
+		obs := f.averagedObservation(t, p)
+		single, err := json.Marshal(map[string]any{"observation": obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, loc := postJSON(t, f.ts.URL+"/locate", single)
+		_, batch := postJSON(t, f.ts.URL+"/locate/batch", batchBody(t, []map[string]float64{obs}))
+		_, track := postJSON(t, f.ts.URL+fmt.Sprintf("/track/annotate-%d", i), single)
+		if loc["nearest_name"] == nil || loc["nearest_name"] == "" {
+			t.Fatalf("point %d: /locate has no nearest name: %v", i, loc)
+		}
+		item := batch["results"].([]any)[0].(map[string]any)
+		for _, field := range []string{"nearest_name", "room"} {
+			if item[field] != loc[field] || track[field] != loc[field] {
+				t.Errorf("point %d %s: /locate %v, batch %v, track %v", i, field, loc[field], item[field], track[field])
+			}
+		}
+		rooms[loc["room"]] = true
+	}
+	if len(rooms) < 3 {
+		t.Errorf("estimates fell in rooms %v: the points exercise too few", rooms)
 	}
 }
 

@@ -471,3 +471,42 @@ func TestArtifactVenueReadsView(t *testing.T) {
 		t.Errorf("/healthz: .tdb %+v, .ilr %+v, want %+v", h[0], h[1], want)
 	}
 }
+
+// TestRetiredArtifactVenue pins how the venue tier answers a venue
+// whose .ilr is in a retired layout: 500 venue_load_failed carrying
+// the recompile hint, while a sibling venue in the same registry keeps
+// serving.
+func TestRetiredArtifactVenue(t *testing.T) {
+	f := newVenueFixture(t, 1, 1, venue.Config{})
+	retired, _ := filepath.Glob(filepath.Join("..", "trainingdb", "testdata", "legacy", "*.ilr"))
+	if len(retired) != 4 {
+		t.Fatalf("%d retired artifacts, want 4", len(retired))
+	}
+	sibling := "/v1/venues/" + sim.VenueID(0, 0) + "/locate"
+	obs := venueObservation(t, 0, 0)
+	for _, path := range retired {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := "retired-" + strings.TrimSuffix(filepath.Base(path), ".ilr")
+		if err := os.WriteFile(filepath.Join(f.dir, id+".ilr"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec := f.do(t, "POST", "/v1/venues/"+id+"/locate", obs)
+		var e errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: body %q: %v", id, rec.Body, err)
+		}
+		if rec.Code != http.StatusInternalServerError || e.Error.Code != codeVenueLoadFailed ||
+			!strings.Contains(e.Error.Message, "tdbtool compile") {
+			t.Errorf("%s: %d %+v, want 500 %s naming tdbtool compile", id, rec.Code, e.Error, codeVenueLoadFailed)
+		}
+		if rec := f.do(t, "POST", sibling, obs); rec.Code != 200 {
+			t.Fatalf("sibling after %s: status %d body %s", id, rec.Code, rec.Body)
+		}
+	}
+	if st := f.srv.Venues().Stats(); st.LoadErrors != 4 || st.Loaded != 1 {
+		t.Errorf("registry stats %+v, want 4 load errors and the sibling loaded", st)
+	}
+}

@@ -1,6 +1,7 @@
 package trainingdb
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -57,9 +58,9 @@ const (
 // pos, unheard-ll, signal-base, post-start, postings and post-n. The
 // dense trained and n matrices, the dense float64 matrices (mean …
 // floor-ll), the int16 codes with their factors and baselines (mean-q
-// … quant-signal-base) and the 12-byte post records are retired: an
-// artifact without post-n is legacy, and decode builds its posting
-// lists and counts from its dense sections and ignores post.
+// … quant-signal-base) and the 12-byte post records are retired: their
+// ids stay reserved and named so inspection can print an old table,
+// and decode refuses an artifact without post-n (ErrRetiredArtifact).
 const (
 	secNames           uint32 = iota + 1 // [nE+1]u32 offsets + name blob
 	secBSSIDs                            // [nAP+1]u32 offsets + BSSID blob
@@ -80,7 +81,7 @@ const (
 	secQuantUnheardLL                    // retired: [nE]float64
 	secQuantSignalBase                   // retired: [nE]float64
 	secPostStart                         // [nAP+1]int32 posting-list starts
-	secPost                              // retired 12-byte records; decode ignores it
+	secPost                              // retired: 12-byte records
 	secPostings                          // [n]Posting, AP-major trained cells
 	secPostN                             // [n]int32 sample counts, parallel to postings
 	secEnd                               // one past the last valid id
@@ -96,6 +97,12 @@ var sectionNames = map[uint32]string{
 	secQuantSignalBase: "quant-signal-base", secPostStart: "post-start", secPost: "post",
 	secPostings: "postings", secPostN: "post-n",
 }
+
+// ErrRetiredArtifact refuses an artifact in a layout written before
+// the posting lists and their counts (post-n) were its only form.
+// Such a file is derived data: recompile it from its training
+// database.
+var ErrRetiredArtifact = errors.New("trainingdb: artifact predates the posting-list layout; recompile it from its .tdb with tdbtool compile")
 
 // hostLittle reports the running machine's byte order.
 //
@@ -181,14 +188,14 @@ func stringTable(ss []string) []byte {
 	return out
 }
 
-// section is one encode-side payload with its required alignment.
+// section is one encode-side payload.
 type section struct {
-	id    uint32
-	data  []byte
-	align int
+	id   uint32
+	data []byte
 }
 
-// EncodeCompiled serializes the view into a v2 artifact.
+// EncodeCompiled serializes the view into a v2 artifact: the header,
+// the section table, then each payload at the next 8-byte boundary.
 func EncodeCompiled(c *Compiled) ([]byte, error) {
 	nE, nAP := len(c.Names), len(c.BSSIDs)
 	if len(c.Pos) != nE || len(c.UnheardLL) != nE || len(c.SignalBase) != nE {
@@ -198,27 +205,20 @@ func EncodeCompiled(c *Compiled) ([]byte, error) {
 		return nil, fmt.Errorf("trainingdb: encode: view has no consistent posting lists")
 	}
 	secs := []section{
-		{secNames, stringTable(c.Names), 8},
-		{secBSSIDs, stringTable(c.BSSIDs), 8},
-		{secPos, byteView(c.Pos), 8},
-		{secUnheardLL, byteView(c.UnheardLL), 8},
-		{secSignalBase, byteView(c.SignalBase), 8},
-		{secPostStart, byteView(c.PostStart), 8},
-		{secPostings, byteView(c.Post), 8},
-		{secPostN, byteView(c.PostN), 8},
+		{secNames, stringTable(c.Names)},
+		{secBSSIDs, stringTable(c.BSSIDs)},
+		{secPos, byteView(c.Pos)},
+		{secUnheardLL, byteView(c.UnheardLL)},
+		{secSignalBase, byteView(c.SignalBase)},
+		{secPostStart, byteView(c.PostStart)},
+		{secPostings, byteView(c.Post)},
+		{secPostN, byteView(c.PostN)},
 	}
-	return layoutArtifact(c.Generation, c.FloorRSSI, c.FloorSigma, nE, nAP, secs), nil
-}
-
-// layoutArtifact writes the header, the section table and the payloads
-// after it, honouring each section's alignment.
-func layoutArtifact(gen uint64, floorRSSI, floorSigma float64, nE, nAP int, secs []section) []byte {
 	tableEnd := mapSectionsStart + len(secs)*mapSectionSize
 	offsets := make([]int, len(secs))
 	end := tableEnd
 	for i, s := range secs {
-		a := s.align
-		end = (end + a - 1) / a * a
+		end = (end + 7) / 8 * 8
 		offsets[i] = end
 		end += len(s.data)
 	}
@@ -230,9 +230,9 @@ func layoutArtifact(gen uint64, floorRSSI, floorSigma float64, nE, nAP int, secs
 		flags |= mapFlagLittle
 	}
 	putLE32(buf[12:], flags)
-	putLE64(buf[16:], gen)
-	putLE64(buf[24:], f64bits(floorRSSI))
-	putLE64(buf[32:], f64bits(floorSigma))
+	putLE64(buf[16:], c.Generation)
+	putLE64(buf[24:], f64bits(c.FloorRSSI))
+	putLE64(buf[32:], f64bits(c.FloorSigma))
 	putLE32(buf[40:], uint32(nE))
 	putLE32(buf[44:], uint32(nAP))
 	putLE32(buf[48:], uint32(len(secs)))
@@ -246,18 +246,17 @@ func layoutArtifact(gen uint64, floorRSSI, floorSigma float64, nE, nAP int, secs
 	}
 	// Header CRC covers header+table with its own field zeroed (it is).
 	putLE32(buf[8:], crc32.ChecksumIEEE(buf[:tableEnd]))
-	return buf
+	return buf, nil
 }
 
 // DecodeOptions controls DecodeCompiled's validation depth.
 type DecodeOptions struct {
 	// VerifyCRC checks every section's CRC-32 and that every posting
 	// record is finite with a positive HalfPrec, touching all payload
-	// pages; on a legacy artifact it also checks the trained bytes and
-	// that the lists hold exactly the trained cells. The serve path
-	// leaves it off so an mmap load stays lazy (the header+table CRC
-	// and the posting-list structure are always checked); tdbtool
-	// verify, replication and the fuzz harness turn it on.
+	// pages. The serve path leaves it off so an mmap load stays lazy
+	// (the header+table CRC and the posting-list structure are always
+	// checked); tdbtool verify, replication and the fuzz harness turn
+	// it on.
 	VerifyCRC bool
 }
 
@@ -385,6 +384,9 @@ func DecodeCompiled(data []byte, opts DecodeOptions) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
+	if _, ok := secs[secPostN]; !ok {
+		return nil, ErrRetiredArtifact
+	}
 	// A view with no entries cannot rank anything: a locate that heard
 	// one of its APs would index an empty candidate list.
 	if nE == 0 {
@@ -447,21 +449,23 @@ func DecodeCompiled(data []byte, opts DecodeOptions) (*Compiled, error) {
 	}
 	c.SignalBase = castSlice[float64](p, nE)
 
-	// The lists and counts cast zero-copy from an artifact that carries
-	// post-n; anything else is a legacy artifact.
-	if _, ok := secs[secPostN]; ok {
-		if err = takePostings(c, take, nAP); err != nil {
-			return nil, err
-		}
-		if p, err = take(secPostN, len(c.Post)*4); err != nil {
-			return nil, err
-		}
-		c.PostN = castSlice[int32](p, len(c.Post))
-		err = checkPostings(c.PostStart, c.Post, nE)
-	} else {
-		err = decodeLegacy(c, secs, take, nE, nAP, opts.VerifyCRC)
+	if p, err = take(secPostStart, (nAP+1)*4); err != nil {
+		return nil, err
 	}
-	if err != nil {
+	c.PostStart = castSlice[int32](p, nAP+1)
+	if p, err = take(secPostings, anyLength); err != nil {
+		return nil, err
+	}
+	if len(p)%postingSize != 0 {
+		return nil, fmt.Errorf("trainingdb: decode: section postings is %d bytes, not a multiple of %d",
+			len(p), postingSize)
+	}
+	c.Post = castSlice[Posting](p, len(p)/postingSize)
+	if p, err = take(secPostN, len(c.Post)*4); err != nil {
+		return nil, err
+	}
+	c.PostN = castSlice[int32](p, len(c.Post))
+	if err = checkPostings(c.PostStart, c.Post, nE); err != nil {
 		return nil, err
 	}
 	if opts.VerifyCRC {
@@ -519,160 +523,9 @@ func checkRecords(c *Compiled) error {
 	return nil
 }
 
-// takePostings casts the posting lists an artifact carries.
-func takePostings(c *Compiled, take takeFunc, nAP int) error {
-	p, err := take(secPostStart, (nAP+1)*4)
-	if err != nil {
-		return err
-	}
-	c.PostStart = castSlice[int32](p, nAP+1)
-	if p, err = take(secPostings, anyLength); err != nil {
-		return err
-	}
-	if len(p)%postingSize != 0 {
-		return fmt.Errorf("trainingdb: decode: section postings is %d bytes, not a multiple of %d",
-			len(p), postingSize)
-	}
-	c.Post = castSlice[Posting](p, len(p)/postingSize)
-	return nil
-}
-
-// decodeLegacy reads an artifact written before post-n, whose dense
-// trained and n matrices give the listed cells and their counts. It
-// casts or builds the lists (an int16 artifact's baselines come from
-// its codes) and, with verify, checks they hold exactly the trained cells.
-func decodeLegacy(c *Compiled, secs map[uint32]parsedSection, take takeFunc, nE, nAP int, verify bool) error {
-	if nAP != 0 && nE > (1<<31)/nAP {
-		return fmt.Errorf("trainingdb: decode: legacy dimensions %d×%d out of range", nE, nAP)
-	}
-	cells := nE * nAP
-	p, err := take(secTrained, cells)
-	if err != nil {
-		return err
-	}
-	count := 0
-	if verify {
-		for i, b := range p {
-			if b > 1 {
-				return fmt.Errorf("trainingdb: decode: trained byte %d is %d", i, b)
-			}
-			count += int(b)
-		}
-	}
-	trained := castSlice[bool](p, cells)
-	if p, err = take(secN, cells*4); err != nil {
-		return err
-	}
-	n := castSlice[int32](p, cells)
-
-	_, hasPostings := secs[secPostings]
-	_, hasInt16 := secs[secMeanQ]
-	_, hasFloat := secs[secMean]
-	if hasInt16 {
-		err = decodeInt16(c, take, trained, nE, nAP, !hasPostings)
-	} else if hasFloat && !hasPostings {
-		err = decodeFloat64(c, take, trained, nE, nAP)
-	}
-	if err == nil && hasPostings {
-		err = takePostings(c, take, nAP)
-	}
-	if err != nil {
-		return err
-	}
-	if c.PostStart == nil {
-		return fmt.Errorf("trainingdb: decode: artifact carries no posting lists")
-	}
-	if err = checkPostings(c.PostStart, c.Post, nE); err != nil {
-		return err
-	}
-	c.PostN = make([]int32, len(c.Post))
-	for j := 0; j < nAP; j++ {
-		for k := c.PostStart[j]; k < c.PostStart[j+1]; k++ {
-			cell := int(c.Post[k].Entry)*nAP + j
-			if verify && !trained[cell] {
-				return fmt.Errorf("trainingdb: decode: posting records: column %d lists untrained entry %d", j, c.Post[k].Entry)
-			}
-			c.PostN[k] = n[cell]
-		}
-	}
-	// Every listed cell is trained and entries strictly rise, so equal
-	// counts mean no trained cell is missing.
-	if verify && count != len(c.Post) {
-		return fmt.Errorf("trainingdb: decode: posting records: %d postings for %d trained cells", len(c.Post), count)
-	}
-	return nil
-}
-
-// takeFunc fetches a section, as DecodeCompiled's take.
-type takeFunc func(id uint32, wantLen int) ([]byte, error)
-
-// anyLength asks takeFunc for a variable-length section, which
-// validates its own bounds.
+// anyLength asks take for a variable-length section, which validates
+// its own bounds.
 const anyLength = -1
-
-// decodeInt16 reads a legacy int16 artifact's codes, factors and
-// baselines. The baselines replace the float64 ones: they were summed
-// from the dequantized cells the records derive from. With buildLists
-// set (the artifact does not carry the lists) the posting lists are
-// built from the codes.
-func decodeInt16(c *Compiled, take takeFunc, trained []bool, nE, nAP int, buildLists bool) error {
-	cells := nE * nAP
-	var codes [4][]int16
-	for k, id := range []uint32{secMeanQ, secSigmaQ, secLogNormQ, secFloorLLQ} {
-		p, err := take(id, cells*2)
-		if err != nil {
-			return err
-		}
-		codes[k] = castSlice[int16](p, cells)
-	}
-	p, err := take(secQuantFactors, 8*nAP*8)
-	if err != nil {
-		return err
-	}
-	// {scale, off} for mean, sigma, lognorm and floorll, each nAP long.
-	f := castSlice[float64](p, 8*nAP)
-	factor := func(k, j int) (scale, off float64) { return f[2*k*nAP+j], f[(2*k+1)*nAP+j] }
-	if p, err = take(secQuantUnheardLL, nE*8); err != nil {
-		return err
-	}
-	c.UnheardLL = castSlice[float64](p, nE)
-	if p, err = take(secQuantSignalBase, nE*8); err != nil {
-		return err
-	}
-	c.SignalBase = castSlice[float64](p, nE)
-	if !buildLists {
-		return nil
-	}
-	c.PostStart, c.Post = buildPostings(trained, nE, nAP, func(i, j, cell int) Posting {
-		var v [4]float64
-		for k := range v {
-			scale, off := factor(k, j)
-			v[k] = dequant(codes[k][cell], scale, off)
-		}
-		return newPosting(i, v[0], v[1], v[2], v[3])
-	})
-	return nil
-}
-
-// decodeFloat64 builds the posting lists of a legacy float64 artifact
-// from its dense matrices. Its baselines were summed from the same
-// float64 cells, so the records match what Compile builds from the
-// database the artifact was compiled from.
-func decodeFloat64(c *Compiled, take takeFunc, trained []bool, nE, nAP int) error {
-	cells := nE * nAP
-	var m [4][]float64
-	for k, id := range []uint32{secMean, secSigma, secLogNorm, secFloorLL} {
-		p, err := take(id, cells*8)
-		if err != nil {
-			return err
-		}
-		m[k] = castSlice[float64](p, cells)
-	}
-	c.PostStart, c.Post = buildPostings(trained, nE, nAP, func(i, _, cell int) Posting {
-		return newPosting(i, m[0][cell], m[1][cell], m[2][cell], m[3][cell])
-	})
-	return nil
-}
 
 // SectionInfo describes one artifact section for inspection tools.
 type SectionInfo struct {

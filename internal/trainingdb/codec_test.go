@@ -2,11 +2,13 @@ package trainingdb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"indoorloc/internal/geom"
@@ -92,13 +94,14 @@ func checkRoundTrip(t *testing.T, c, d *Compiled) {
 }
 
 // TestCodecRoundTrip pins that a view survives encode → decode
-// unchanged. "postings" is a fresh Compile. The other cases start from
-// the legacy house artifacts (testdata/legacy): the decoded view,
-// re-encoded in the current format, decodes to the same view — the
-// upgrade path for artifacts written before postings were the only
-// form. "quant-only" carries int16 codes alone, "both" int16 codes
-// and their posting records, "dense-counts" the posting records beside
-// the dense trained and n matrices.
+// unchanged. "postings" is a fresh Compile. The other cases are the
+// upgrade path for each retired house artifact (testdata/legacy,
+// refused by TestRetiredArtifactRefused): the view tdbtool compile
+// rebuilds from its house.tdb at the retired file's floor model has
+// that file's dimensions and round-trips. "quant-only" carries int16
+// codes alone, "both" int16 codes and their posting records,
+// "dense-counts" the posting records beside the dense trained and n
+// matrices.
 func TestCodecRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ name, fixture string }{
 		{"postings", ""},
@@ -113,9 +116,14 @@ func TestCodecRoundTrip(t *testing.T) {
 				c = randomCompiled(t, 11, 23, 7)
 				c.Generation = 42
 			} else {
-				var err error
-				if c, err = DecodeCompiled(legacyFixture(t, tc.fixture), DecodeOptions{VerifyCRC: true}); err != nil {
+				info, err := ReadFileInfo(legacyFixture(t, tc.fixture))
+				if err != nil {
 					t.Fatal(err)
+				}
+				c = legacyHouseDB(t).Compile(info.FloorRSSI, info.FloorSigma)
+				if c.NumEntries() != info.NumEntries || c.NumAPs() != info.NumAPs {
+					t.Fatalf("recompiled %d×%d, retired artifact %d×%d",
+						c.NumEntries(), c.NumAPs(), info.NumEntries, info.NumAPs)
 				}
 			}
 			buf, err := EncodeCompiled(c)
@@ -128,6 +136,37 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 			checkRoundTrip(t, c, d)
 		})
+	}
+}
+
+// TestRetiredArtifactRefused pins that every retired layout is refused
+// by name on the serve path and the verify path alike, while its
+// header and section table still parse for inspection.
+func TestRetiredArtifactRefused(t *testing.T) {
+	for _, name := range retiredArtifacts {
+		buf := legacyFixture(t, name)
+		for _, verify := range []bool{false, true} {
+			c, err := DecodeCompiled(buf, DecodeOptions{VerifyCRC: verify})
+			if !errors.Is(err, ErrRetiredArtifact) || c != nil {
+				t.Errorf("%s (verify=%v): decode = (%v, %v), want ErrRetiredArtifact", name, verify, c, err)
+			}
+		}
+		c, closeMap, err := OpenCompiledFile(filepath.Join("testdata", "legacy", name))
+		if !errors.Is(err, ErrRetiredArtifact) || c != nil || closeMap != nil {
+			t.Errorf("%s: OpenCompiledFile error %v, want ErrRetiredArtifact", name, err)
+		}
+		info, err := ReadFileInfo(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, s := range info.Sections {
+			if s.Name == "" {
+				t.Errorf("%s: section id %d has no name", name, s.ID)
+			}
+		}
+	}
+	if !strings.Contains(ErrRetiredArtifact.Error(), "tdbtool compile") {
+		t.Errorf("ErrRetiredArtifact %q names no upgrade", ErrRetiredArtifact)
 	}
 }
 

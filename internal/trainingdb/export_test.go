@@ -4,7 +4,7 @@ package trainingdb
 // tests score decoded views through internal/localize (which imports
 // this package, so they cannot live inside it).
 var (
-	FuzzSeeds      = fuzzSeeds
-	RandomCompiled = randomCompiled
-	LegacyPostings = legacyPostings
+	FuzzSeeds        = fuzzSeeds
+	RandomCompiled   = randomCompiled
+	RetiredArtifacts = retiredArtifacts
 )

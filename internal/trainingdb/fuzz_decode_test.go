@@ -1,10 +1,8 @@
 package trainingdb_test
 
 import (
-	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"indoorloc/internal/localize"
@@ -16,12 +14,12 @@ import (
 // never panic, and never allocate matrices beyond what the input's own
 // size can justify. Every accepted view must also hold valid posting
 // lists and survive scoring one observation through both posting scans.
-// The legacy house artifacts seed the dense-section decode paths.
+// The retired house artifacts seed the refusal path.
 func FuzzCompiledDecode(f *testing.F) {
 	for _, seed := range trainingdb.FuzzSeeds() {
 		f.Add(seed)
 	}
-	for _, name := range legacyArtifacts {
+	for _, name := range trainingdb.RetiredArtifacts {
 		f.Add(readLegacy(f, name))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -97,10 +95,8 @@ func checkPostingInvariants(t *testing.T, c *trainingdb.Compiled) {
 	}
 }
 
-// legacyArtifacts are the house artifacts of the retired formats in
+// readLegacy reads one of the retired house artifacts in
 // testdata/legacy (see postings_test.go for their provenance).
-var legacyArtifacts = []string{"house-float64.ilr", "house-int16.ilr", "house-int16-postings.ilr", "house-postings.ilr"}
-
 func readLegacy(tb testing.TB, name string) []byte {
 	tb.Helper()
 	buf, err := os.ReadFile(filepath.Join("testdata", "legacy", name))
@@ -108,56 +104,4 @@ func readLegacy(tb testing.TB, name string) []byte {
 		tb.Fatal(err)
 	}
 	return buf
-}
-
-// TestStrippedArtifactAnswersIdentically pins the int16 decode
-// fallback: an int16 artifact without posting lists, or with only the
-// retired 12-byte post section, rebuilds the lists the encoder stored
-// beside the codes, and the locators over all three answer
-// identically.
-func TestStrippedArtifactAnswersIdentically(t *testing.T) {
-	stripped := readLegacy(t, "house-int16.ilr")
-	var views []*trainingdb.Compiled
-	for _, buf := range [][]byte{
-		readLegacy(t, "house-int16-postings.ilr"), stripped, trainingdb.LegacyPostings(stripped),
-	} {
-		c, err := trainingdb.DecodeCompiled(buf, trainingdb.DecodeOptions{VerifyCRC: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		views = append(views, c)
-	}
-	for i, view := range views[1:] {
-		if !reflect.DeepEqual(view.PostStart, views[0].PostStart) || !reflect.DeepEqual(view.Post, views[0].Post) {
-			t.Fatalf("view %d: rebuilt postings differ from the stored ones", i+1)
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	c := views[0]
-	for trial := 0; trial < 20; trial++ {
-		obs := localize.Observation{}
-		for _, b := range c.BSSIDs {
-			if rng.Float64() < 0.7 {
-				obs[b] = -30 - 60*rng.Float64()
-			}
-		}
-		if len(obs) == 0 {
-			continue
-		}
-		var want [2]localize.Estimate
-		for i, view := range views {
-			for l, loc := range []localize.Locator{localize.NewMaxLikelihood(view), localize.NewKNN(view, 3)} {
-				est, err := loc.Locate(obs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i == 0 {
-					want[l] = est
-				} else if !reflect.DeepEqual(est, want[l]) {
-					t.Fatalf("trial %d %s: view %d answers %q (%v), stored lists %q (%v)",
-						trial, loc.Name(), i, est.Name, est.Score, want[l].Name, want[l].Score)
-				}
-			}
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package trainingdb
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -131,17 +132,8 @@ func fuzzSeeds() map[string][]byte {
 	seeds["post-n-count-mismatch"] = patchSection(cp(), secPostN, func(p []byte) []byte {
 		return p[:len(p)-4]
 	})
-	// Only legacy artifacts say which cells are trained: clearing one
-	// trained byte of the house artifact written beside the dense
-	// matrices leaves the lists naming a cell that was never trained.
-	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy", "house-postings.ilr"))
-	if err != nil {
-		panic(err)
-	}
-	seeds["record-untrained-cell"] = patchSection(legacy, secTrained, func(p []byte) []byte {
-		p[1] = 0
-		return p
-	})
+	// A pristine artifact without post-n is in a retired layout.
+	seeds["retired-no-post-n"] = stripSections(buf, secPostN)
 	seeds["record-nan-halfprec"] = posts(func(ps []Posting) { ps[1].HalfPrec = float32(math.NaN()) })
 
 	// A well-formed view with APs but no entries: every section is
@@ -153,50 +145,13 @@ func fuzzSeeds() map[string][]byte {
 	return seeds
 }
 
-// legacyPostings returns a copy of an int16 artifact without posting
-// lists as the encoder of 12-byte posting records wrote it: a post
-// section of {Entry int32; MeanQ, SigmaQ, LogNormQ, FloorLLQ int16}
-// records in host order, AP-major, beside the codes they copy.
-func legacyPostings(buf []byte) []byte {
-	gen, floorRSSI, floorSigma, nE, nAP, parsed, err := parseHeader(buf)
-	if err != nil {
-		panic(err)
-	}
-	payload := func(id uint32) []byte { s := parsed[id]; return buf[s.off : s.off+s.length] }
-	cells := nE * nAP
-	trained := castSlice[bool](payload(secTrained), cells)
-	var codes [4][]int16
-	for k, id := range []uint32{secMeanQ, secSigmaQ, secLogNormQ, secFloorLLQ} {
-		codes[k] = castSlice[int16](payload(id), cells)
-	}
-	type legacyPosting struct {
-		Entry                             int32
-		MeanQ, SigmaQ, LogNormQ, FloorLLQ int16
-	}
-	var recs []legacyPosting
-	for j := 0; j < nAP; j++ {
-		for i := 0; i < nE; i++ {
-			if cell := i*nAP + j; trained[cell] {
-				recs = append(recs, legacyPosting{int32(i),
-					codes[0][cell], codes[1][cell], codes[2][cell], codes[3][cell]})
-			}
-		}
-	}
-	var secs []section
-	for id, s := range parsed {
-		secs = append(secs, section{id, buf[s.off : s.off+s.length], 8})
-	}
-	slices.SortFunc(secs, func(a, b section) int { return int(a.id) - int(b.id) })
-	secs = append(secs, section{secPost, byteView(recs), 8})
-	return layoutArtifact(gen, floorRSSI, floorSigma, nE, nAP, secs)
-}
-
 // TestFuzzSeedsBehave pins the seed corpus semantics outside the fuzz
 // engine: the pristine seed decodes, every corruption seed errors.
 // The posting, record and zero-entry seeds are CRC-clean: only the
 // list, record and entry checks may reject them. The list and entry
 // checks run on the serving path too; the record check is VerifyCRC's,
-// so a lazy load accepts those seeds.
+// so a lazy load accepts those seeds. The retired seed is refused by
+// name on both paths.
 func TestFuzzSeedsBehave(t *testing.T) {
 	for name, seed := range fuzzSeeds() {
 		_, err := DecodeCompiled(seed, DecodeOptions{VerifyCRC: true})
@@ -207,6 +162,13 @@ func TestFuzzSeedsBehave(t *testing.T) {
 			}
 		case err == nil:
 			t.Errorf("seed %s decoded without error", name)
+		case name == "retired-no-post-n":
+			if !errors.Is(err, ErrRetiredArtifact) {
+				t.Errorf("seed %s rejected for another reason: %v", name, err)
+			}
+			if _, err := DecodeCompiled(seed, DecodeOptions{}); !errors.Is(err, ErrRetiredArtifact) {
+				t.Errorf("seed %s without VerifyCRC: %v, want ErrRetiredArtifact", name, err)
+			}
 		case strings.HasPrefix(name, "record-"):
 			if !strings.Contains(err.Error(), "posting records") {
 				t.Errorf("seed %s rejected for another reason: %v", name, err)

@@ -21,7 +21,7 @@ type Posting struct {
 }
 
 // newPosting rounds one trained cell's float64 statistics into its
-// record. Compile and the legacy decode paths build records here.
+// record. Compile and Patch build records here.
 func newPosting(entry int, mean, sigma, logNorm, floorLL float64) Posting {
 	return Posting{
 		Entry:    int32(entry),
@@ -29,45 +29,6 @@ func newPosting(entry int, mean, sigma, logNorm, floorLL float64) Posting {
 		HalfPrec: float32(1 / (sigma * math.Sqrt2)),
 		Const:    float32(logNorm - floorLL),
 	}
-}
-
-// buildPostings lists the trained cells column by column from a legacy
-// artifact's entry-major trained matrix, calling rec(i, j, cell) for
-// each trained cell in entry-then-column order. Walking entries in
-// order leaves every list sorted by entry.
-func buildPostings(trained []bool, nE, nAP int, rec func(i, j, cell int) Posting) ([]int32, []Posting) {
-	start := make([]int32, nAP+1)
-	for i := 0; i < nE; i++ {
-		for j, t := range trained[i*nAP : (i+1)*nAP] {
-			if t {
-				start[j+1]++
-			}
-		}
-	}
-	for j := 0; j < nAP; j++ {
-		start[j+1] += start[j]
-	}
-	post := make([]Posting, start[nAP])
-	next := append([]int32(nil), start[:nAP]...)
-	for i := 0; i < nE; i++ {
-		base := i * nAP
-		for j, t := range trained[base : base+nAP] {
-			if t {
-				post[next[j]] = rec(i, j, base+j)
-				next[j]++
-			}
-		}
-	}
-	return start, post
-}
-
-// dequant returns Off + Scale·code for a cell of a legacy int16
-// artifact. The explicit conversion rounds the product before the add,
-// which the Go spec guarantees blocks fusing the two into one
-// multiply-add (arm64's FMADD would otherwise round once and change the
-// last bit).
-func dequant(code int16, scale, off float64) float64 {
-	return off + float64(scale*float64(code))
 }
 
 // Quantize is a no-op: Compile builds the posting records directly.

@@ -1,18 +1,19 @@
 package trainingdb
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"indoorloc/internal/stats"
 )
 
-// The legacy house artifacts in testdata/legacy were written by the
+// The house artifacts in testdata/legacy are in the retired layouts
+// decode refuses with ErrRetiredArtifact. They were written by the
 // encoder of commit e16e6a5, the last to emit dense matrices, from the
 // paper's simulated house (sim.PaperHouse, scanner seed 3, 20 sweeps
 // per training point, generation 5), saved beside them as house.tdb:
@@ -24,7 +25,9 @@ import (
 // house-postings.ilr was written by the encoder of commit b668f5c, the
 // last to emit the dense trained and n matrices, from the same
 // house.tdb at floor −95 dBm, σ 4 dB: the 16-byte posting records
-// beside trained and n, with no post-n section.
+// beside trained and n, with no post-n section. house.tdb also seeds
+// the record tests below; recompiling it is the upgrade for all four.
+var retiredArtifacts = []string{"house-float64.ilr", "house-int16.ilr", "house-int16-postings.ilr", "house-postings.ilr"}
 
 func legacyFixture(t *testing.T, name string) []byte {
 	t.Helper()
@@ -42,20 +45,6 @@ func legacyHouseDB(t *testing.T) *DB {
 		t.Fatal(err)
 	}
 	return db
-}
-
-// legacySection returns the payload of a section of a legacy artifact.
-func legacySection(t *testing.T, buf []byte, id uint32) []byte {
-	t.Helper()
-	_, _, _, _, _, secs, err := parseHeader(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := secs[id]
-	if !ok {
-		t.Fatalf("artifact has no %s section", sectionNames[id])
-	}
-	return buf[s.off : s.off+s.length]
 }
 
 // denseCells returns the four dense per-cell matrices an encoder of
@@ -83,31 +72,6 @@ func denseCells(db *DB, floorRSSI, floorSigma float64) (names []string, m [4][]f
 		}
 	}
 	return names, m
-}
-
-// TestQuantizeRoundTripBound pins what the int16 oracle bound relies
-// on: every dequantized cell of the legacy int16 artifact lies within
-// half its column's code step of the float64 value it was quantized
-// from.
-func TestQuantizeRoundTripBound(t *testing.T) {
-	buf := legacyFixture(t, "house-int16.ilr")
-	db := legacyHouseDB(t)
-	_, exact := denseCells(db, -95, 4)
-	nAP := len(db.BSSIDs)
-	factors := castSlice[float64](legacySection(t, buf, secQuantFactors), 8*nAP)
-	for k, id := range []uint32{secMeanQ, secSigmaQ, secLogNormQ, secFloorLLQ} {
-		p := legacySection(t, buf, id)
-		codes := castSlice[int16](p, len(p)/2)
-		for cell, code := range codes {
-			j := cell % nAP
-			scale, off := factors[2*k*nAP+j], factors[(2*k+1)*nAP+j]
-			got, want := dequant(code, scale, off), exact[k][cell]
-			if d := math.Abs(got - want); d > math.Abs(scale)/2*(1+1e-9)+1e-12*math.Abs(want) {
-				t.Fatalf("%s cell %d: |%v − %v| = %v over half the step %v",
-					sectionNames[id], cell, got, want, d, scale)
-			}
-		}
-	}
 }
 
 // TestCompiledQuantize pins the one rounding Compile does: each record
@@ -159,44 +123,19 @@ func TestCompiledQuantize(t *testing.T) {
 	}
 }
 
-// TestReleaseFloat64 pins the legacy float64 decode: the artifact's
-// dense matrices are read once into posting records identical to a
-// fresh Compile of the database it came from, and the view keeps no
-// per-cell matrix — only the lists and their counts.
+// TestReleaseFloat64 pins that the deprecated ReleaseFloat64 and
+// Quantize shims leave a compiled view alone, and that the view keeps
+// no per-cell matrix — only the lists and their counts.
 func TestReleaseFloat64(t *testing.T) {
-	c, err := DecodeCompiled(legacyFixture(t, "house-float64.ilr"), DecodeOptions{VerifyCRC: true})
-	if err != nil {
-		t.Fatal(err)
+	c := legacyHouseDB(t).Compile(-95, 4)
+	post := append([]Posting(nil), c.Post...)
+	c.Quantize()
+	c.ReleaseFloat64()
+	if !slices.Equal(c.Post, post) {
+		t.Fatal("shims changed the posting records")
 	}
-	fresh := legacyHouseDB(t).Compile(-95, 4)
-	if !bytes.Equal(byteView(c.PostStart), byteView(fresh.PostStart)) ||
-		!bytes.Equal(byteView(c.Post), byteView(fresh.Post)) {
-		t.Fatal("legacy float64 postings differ from a fresh Compile's")
-	}
-	sameF64(t, "UnheardLL", c.UnheardLL, fresh.UnheardLL)
-	sameF64(t, "SignalBase", c.SignalBase, fresh.SignalBase)
 	if want := (c.NumAPs()+1)*4 + len(c.Post)*(16+4); c.PostingBytes() != want {
 		t.Errorf("PostingBytes = %d, want %d", c.PostingBytes(), want)
-	}
-}
-
-// TestQuantizePostings pins the legacy int16 decode: the lists built
-// from an int16 artifact's codes are byte for byte the postings the
-// encoder that wrote the codes stored beside them, and the baselines
-// are the int16 family's.
-func TestQuantizePostings(t *testing.T) {
-	withLists := legacyFixture(t, "house-int16-postings.ilr")
-	built, err := DecodeCompiled(legacyFixture(t, "house-int16.ilr"), DecodeOptions{VerifyCRC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(byteView(built.PostStart), legacySection(t, withLists, secPostStart)) ||
-		!bytes.Equal(byteView(built.Post), legacySection(t, withLists, secPostings)) {
-		t.Fatal("postings built from the int16 codes differ from the stored ones")
-	}
-	if !bytes.Equal(byteView(built.UnheardLL), legacySection(t, withLists, secQuantUnheardLL)) ||
-		!bytes.Equal(byteView(built.SignalBase), legacySection(t, withLists, secQuantSignalBase)) {
-		t.Fatal("int16 artifact baselines are not the quantized family's")
 	}
 }
 
@@ -239,29 +178,5 @@ func TestBaselinesPinned(t *testing.T) {
 	const want = "55baaca1c2f639f4d5aabaa436040e07cb301c7b5d5842577f8be67d55be3d79"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("baselines and counts sha256 %s, want %s", got, want)
-	}
-}
-
-// TestLegacyPostN pins the counts a legacy artifact's dense n matrix
-// yields: every posting of every legacy house artifact carries the
-// sample count house.tdb holds for its cell.
-func TestLegacyPostN(t *testing.T) {
-	db := legacyHouseDB(t)
-	for _, name := range []string{"house-float64.ilr", "house-int16.ilr", "house-int16-postings.ilr", "house-postings.ilr"} {
-		c, err := DecodeCompiled(legacyFixture(t, name), DecodeOptions{VerifyCRC: true})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(c.PostN) != len(c.Post) || len(c.Post) == 0 {
-			t.Fatalf("%s: %d counts for %d postings", name, len(c.PostN), len(c.Post))
-		}
-		for j, b := range c.BSSIDs {
-			for k := c.PostStart[j]; k < c.PostStart[j+1]; k++ {
-				entry := c.Names[c.Post[k].Entry]
-				if want := db.Entries[entry].PerAP[b].N; int(c.PostN[k]) != want {
-					t.Fatalf("%s: ⟨%s, %s⟩ count %d, want %d", name, entry, b, c.PostN[k], want)
-				}
-			}
-		}
 	}
 }
