@@ -58,9 +58,6 @@ type BuildConfig struct {
 	// APPositions (BSSID → world position) is required by the
 	// geometric algorithms and ignored by the rest.
 	APPositions map[string]geom.Point
-	// FloorRSSI is the substitution level for unheard APs; zero means
-	// -95 dBm.
-	FloorRSSI float64
 	// K overrides the neighbour count for knn/wknn; zero means 3.
 	K int
 	// Quantize is ignored: every build serves the posting-list radio
@@ -76,20 +73,18 @@ type BuildConfig struct {
 	TopK int
 }
 
-// floorSigma is the floor-model spread a database source compiles at.
-const floorSigma = 4
-
-// floorRSSI is the floor level a database source compiles at.
-func (cfg BuildConfig) floorRSSI() float64 {
-	if cfg.FloorRSSI == 0 {
-		return -95
-	}
-	return cfg.FloorRSSI
-}
+// FloorRSSI and FloorSigma are the floor model every database source
+// compiles at: an AP an entry never heard scores as a −95 dBm reading
+// with a 4 dB spread. A replication follower refuses a trainer that
+// compiles at any other floor.
+const (
+	FloorRSSI  = -95
+	FloorSigma = 4
+)
 
 // buildLocator constructs a registered algorithm over one compiled
 // radio-map view. A database source (c nil) is compiled here, once, at
-// cfg's floor level; a compiled source (db nil — the serving shape of
+// FloorRSSI and FloorSigma; a compiled source (db nil — the serving shape of
 // a v2 artifact, where the raw training database never existed in this
 // process) is taken as given, its own floor parameters governing
 // scoring. The returned locator is complete — compiled view, histogram
@@ -100,7 +95,7 @@ func buildLocator(name string, db *trainingdb.DB, c *trainingdb.Compiled, cfg Bu
 		if db == nil || db.Len() == 0 {
 			return nil, errors.New("core: empty training database")
 		}
-		c = db.Compile(cfg.floorRSSI(), floorSigma)
+		c = db.Compile(FloorRSSI, FloorSigma)
 	}
 	k := cfg.K
 	if k <= 0 {
@@ -177,28 +172,29 @@ type Service struct {
 	// be empty.
 	Rooms []floorplan.Room
 
-	// algo and cfg are the recipe New built the locator from DB with;
-	// algo is empty for a service built any other way, which Patch
-	// declines.
+	// algo and cfg are the recipe New built the locator with, from any
+	// source; algo is empty for a service built outside New, which
+	// Patch declines.
 	algo string
 	cfg  BuildConfig
 }
 
-// Patch returns the service for db, a later state of the database s
-// was built from in which the only changes are folds into the entries
-// named in touched. It patches s's view (trainingdb.DB.Patch) and
-// rebuilds the locator over the result with s's recorded algorithm
-// and build knobs, carrying Names and Rooms over: the patched view
-// shares s's entry names and positions, so an entry-name index over
-// them stays valid. Patch returns nil when s records no recipe (New
-// did not build it from a database), has no view, or the patch
+// Patch returns the service for db, a later state of the database s's
+// view was compiled from in which the only changes are folds into the
+// entries named in touched. It patches s's view at the view's own
+// floor (trainingdb.DB.Patch) and rebuilds the locator over the result
+// with s's recorded algorithm and build knobs, carrying Names and
+// Rooms over: the patched view shares s's entry names and positions,
+// so an entry-name index over them stays valid. The result keeps s's
+// shape: it carries db as its DB only when s carries one. Patch
+// returns nil when s records no recipe, has no view, or the patch
 // declines a structural change; the caller then builds from scratch.
 func (s *Service) Patch(db *trainingdb.DB, touched map[string]struct{}) (*Service, error) {
 	prev := s.View()
 	if s.algo == "" || prev == nil {
 		return nil, nil
 	}
-	c := db.Patch(prev, touched, s.cfg.floorRSSI(), floorSigma)
+	c := db.Patch(prev, touched, prev.FloorRSSI, prev.FloorSigma)
 	if c == nil {
 		return nil, nil
 	}
@@ -206,7 +202,11 @@ func (s *Service) Patch(db *trainingdb.DB, touched map[string]struct{}) (*Servic
 	if err != nil {
 		return nil, err
 	}
-	return &Service{DB: db, Locator: loc, Names: s.Names, Rooms: s.Rooms, algo: s.algo, cfg: s.cfg}, nil
+	out := &Service{Locator: loc, Names: s.Names, Rooms: s.Rooms, algo: s.algo, cfg: s.cfg}
+	if s.DB != nil {
+		out.DB = db
+	}
+	return out, nil
 }
 
 // View returns the compiled radio-map view the locator scores

@@ -88,23 +88,23 @@ func TestBuildLocatorKindsAndOptions(t *testing.T) {
 	if g, ok := ls.(*localize.Geometric); !ok || g.Combine != localize.CombineLeastSquares {
 		t.Error("geometric-ls combiner wrong")
 	}
-	ml, _ := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{FloorRSSI: -90})
-	if m, ok := ml.(*localize.MaxLikelihood); !ok || m.CompiledView().FloorRSSI != -90 {
-		t.Error("floor option lost")
+	ml, _ := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{})
+	if m, ok := ml.(*localize.MaxLikelihood); !ok || m.CompiledView().FloorRSSI != FloorRSSI || m.CompiledView().FloorSigma != FloorSigma {
+		t.Error("database build not compiled at the floor constants")
 	}
 }
 
 // TestBuildCompilesOneView pins that a build's view does not depend on
-// the algorithm: every view-serving algorithm built with a floor level
-// serves exactly db.Compile(floor, 4), so a trainer's artifact and its
+// the algorithm: every view-serving algorithm serves exactly
+// db.Compile(FloorRSSI, FloorSigma), so a trainer's artifact and its
 // replication stream are the same whichever algorithm it runs.
 func TestBuildCompilesOneView(t *testing.T) {
 	f := newFixture(t)
-	want, err := trainingdb.EncodeCompiled(f.db.Compile(-90, 4))
+	want, err := trainingdb.EncodeCompiled(f.db.Compile(FloorRSSI, FloorSigma))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := BuildConfig{FloorRSSI: -90, APPositions: f.scen.APPositions()}
+	cfg := BuildConfig{APPositions: f.scen.APPositions()}
 	for _, name := range []string{AlgoProbabilistic, AlgoNNSS, AlgoKNN, AlgoWKNN, AlgoSector, AlgoHistogram, AlgoHybrid} {
 		loc, err := buildLocator(name, f.db, nil, cfg)
 		if err != nil {
@@ -119,7 +119,7 @@ func TestBuildCompilesOneView(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s serves a view that differs from Compile(-90, 4)", name)
+			t.Errorf("%s serves a view that differs from Compile(FloorRSSI, FloorSigma)", name)
 		}
 	}
 }

@@ -43,37 +43,34 @@ func New(opts ...Option) (*Instance, error) {
 		svc     *Service
 		closeFn func() error
 	)
-	switch {
-	case o.service != nil:
+	fail := func(err error) (*Instance, error) {
+		if closeFn != nil {
+			err = errors.Join(err, closeFn())
+		}
+		return nil, err
+	}
+	if o.service != nil {
 		svc = o.service
-	case o.db != nil:
-		loc, err := buildLocator(o.algo, o.db, nil, o.cfg)
-		if err != nil {
-			return nil, err
+	} else {
+		c := o.compiled
+		if o.compiledFile != "" {
+			var err error
+			if c, closeFn, err = trainingdb.OpenCompiledFile(o.compiledFile); err != nil {
+				return nil, err
+			}
+			if o.names == nil {
+				// The training locations themselves resolve names unless
+				// the caller overrides.
+				o.entryNames = true
+			}
 		}
+		loc, err := buildLocator(o.algo, o.db, c, o.cfg)
+		if err != nil {
+			return fail(err)
+		}
+		// Every source records its recipe, so Patch can carry any
+		// service New built — an artifact's included — across folds.
 		svc = &Service{DB: o.db, Locator: loc, algo: o.algo, cfg: o.cfg}
-	case o.compiled != nil:
-		loc, err := buildLocator(o.algo, nil, o.compiled, o.cfg)
-		if err != nil {
-			return nil, err
-		}
-		svc = &Service{Locator: loc}
-	default: // compiled artifact file
-		c, closeMap, err := trainingdb.OpenCompiledFile(o.compiledFile)
-		if err != nil {
-			return nil, err
-		}
-		loc, err := buildLocator(o.algo, nil, c, o.cfg)
-		if err != nil {
-			return nil, errors.Join(err, closeMap())
-		}
-		svc = &Service{Locator: loc}
-		closeFn = closeMap
-		if o.names == nil && !o.entryNames {
-			// The training locations themselves resolve names unless
-			// the caller overrides.
-			o.entryNames = true
-		}
 	}
 	if o.names != nil {
 		svc.Names = o.names.Index()
@@ -83,10 +80,7 @@ func New(opts ...Option) (*Instance, error) {
 		// them from its DB.
 		names, err := locmap.NewIndex(svc.Locations())
 		if err != nil {
-			if closeFn != nil {
-				err = errors.Join(err, closeFn())
-			}
-			return nil, fmt.Errorf("core: entry names: %w", err)
+			return fail(fmt.Errorf("core: entry names: %w", err))
 		}
 		svc.Names = names
 	}
@@ -95,10 +89,7 @@ func New(opts ...Option) (*Instance, error) {
 	}
 	reg, err := StaticSnapshot(svc)
 	if err != nil {
-		if closeFn != nil {
-			err = errors.Join(err, closeFn())
-		}
-		return nil, err
+		return fail(err)
 	}
 	return &Instance{Service: svc, Registry: reg, closeFn: closeFn}, nil
 }
@@ -181,7 +172,7 @@ func WithAlgorithm(name string) Option {
 }
 
 // WithConfig applies the locator build knobs (top-k, AP positions,
-// floor level, neighbour count).
+// neighbour count).
 func WithConfig(cfg BuildConfig) Option {
 	return func(o *newOptions) { o.cfg = cfg }
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -239,12 +240,35 @@ func TestServicePatch(t *testing.T) {
 			t.Errorf("%s: patched over a new BSSID", algo)
 		}
 	}
-	// A compiled-source service records no recipe.
-	in, err := New(WithCompiled(f.db.Compile(-95, 4)))
+	// A compiled-source service records its recipe too and patches into
+	// a service that, like it, serves no database.
+	in, err := New(WithCompiled(f.db.Compile(FloorRSSI, FloorSigma)), WithEntryNames())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := in.Service.Patch(f.db, nil); got != nil {
-		t.Error("patched a service New did not build from a database")
+	db := f.db.Snapshot()
+	db.Entries[name] = db.Entries[name].Clone()
+	db.Fold(name, geom.Point{}, map[string]float64{bssid: -41.5})
+	got, err := in.Service.Patch(db, map[string]struct{}{name: {}})
+	if err != nil || got == nil {
+		t.Fatalf("compiled-source service not patched: %v", err)
+	}
+	if got.DB != nil || got.Names != in.Service.Names {
+		t.Error("patched compiled-source service gained a database or lost its names")
+	}
+	gotBytes, err := trainingdb.EncodeCompiled(got.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := trainingdb.EncodeCompiled(db.Compile(FloorRSSI, FloorSigma))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Error("patched compiled-source view differs from a fresh compile")
+	}
+	// A service built outside New records no recipe.
+	if got, _ := (&Service{Locator: in.Service.Locator}).Patch(db, nil); got != nil {
+		t.Error("patched a service New did not build")
 	}
 }

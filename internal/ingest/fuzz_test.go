@@ -1,10 +1,15 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -23,10 +28,13 @@ func walBytes(payloads ...string) []byte {
 }
 
 // FuzzWALReplay feeds arbitrary bytes to the WAL recovery path. The
-// invariants: OpenWAL never panics on any file content, and whenever it
-// succeeds the file has been repaired — a second open replays the same
-// records with nothing further to drop, and an append survives a
-// close/reopen cycle.
+// invariants: OpenWAL never panics on any file content; replay keeps
+// exactly the records a TailReader over the same bytes yields before
+// its first io.EOF or ErrTailCorrupt, up to the first CRC-valid record
+// whose JSON fails to decode; and whenever OpenWAL succeeds the file
+// has been repaired — a second open replays the same records with
+// nothing further to drop, and an append survives a close/reopen
+// cycle.
 func FuzzWALReplay(f *testing.F) {
 	rep := `{"name":"kitchen","observation":{"00:02:2d:0a:0b:0c":-61}}`
 	f.Add([]byte{})
@@ -41,13 +49,29 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		tailed := tailAll(t, path)
 		w, reports, _, err := OpenWAL(path, false)
 		if err != nil {
 			return
 		}
-		n := w.Records()
-		if n != len(reports) {
-			t.Fatalf("Records()=%d but %d reports replayed", n, len(reports))
+		if len(reports) > len(tailed) {
+			t.Fatalf("replay kept %d records, the tail reader yields %d", len(reports), len(tailed))
+		}
+		for i, r := range reports {
+			var want Report
+			if err := json.Unmarshal(tailed[i], &want); err != nil || !reflect.DeepEqual(r, want) {
+				t.Fatalf("record %d: replay kept %#v, the tail reader yields %q", i+1, r, tailed[i])
+			}
+		}
+		if k := len(reports); k < len(tailed) {
+			var r Report
+			if json.Unmarshal(tailed[k], &r) == nil {
+				t.Fatalf("replay stopped at record %d, which the tail reader yields and decodes", k+1)
+			}
+		}
+		n := len(reports)
+		if w.Seq() != uint64(n) {
+			t.Fatalf("Seq()=%d but %d reports replayed", w.Seq(), n)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatalf("close after replay: %v", err)
@@ -85,4 +109,27 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("appended report corrupted across reopen: %#v", got)
 		}
 	})
+}
+
+// tailAll reads the WAL at path with a TailReader until its first
+// io.EOF or ErrTailCorrupt, returning copies of the payloads; none when
+// the file is no WAL the tail reader can open.
+func tailAll(t *testing.T, path string) [][]byte {
+	t.Helper()
+	tr, err := OpenTail(path, 0)
+	if err != nil {
+		return nil
+	}
+	defer tr.Close()
+	var out [][]byte
+	for {
+		rec, err := tr.Next()
+		if errors.Is(err, io.EOF) || errors.Is(err, ErrTailCorrupt) {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("tail record %d: %v", len(out)+1, err)
+		}
+		out = append(out, bytes.Clone(rec.Payload))
+	}
 }

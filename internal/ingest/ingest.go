@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"indoorloc/internal/core"
-	"indoorloc/internal/geom"
 	"indoorloc/internal/trainingdb"
 )
 
@@ -83,14 +82,11 @@ type Config struct {
 	// means 1s.
 	RetryAfter time.Duration
 	// ArtifactPath, when set, makes every published snapshot also emit
-	// a compiled radio-map artifact (the mmap-able v2 binary) at this
-	// path, written atomically on the compactor goroutine — off the
-	// serving path. The locator must expose its compiled view
-	// (localize.CompiledSource); a rebuild whose locator does not is
-	// counted as an artifact error and the snapshot still serves.
-	// A "<ArtifactPath>.manifest" sidecar records the generation, WAL
-	// watermark and epoch of each write, so operators (tdbtool inspect)
-	// can correlate the artifact with trainer state.
+	// its compiled radio map as a v2 artifact at this path, and a
+	// "<ArtifactPath>.manifest" sidecar with its generation, WAL
+	// watermark and epoch (tdbtool inspect reads it). Both are written
+	// atomically on the compactor goroutine; a locator with no compiled
+	// view counts an artifact error, and the snapshot still serves.
 	ArtifactPath string
 	// OnPublish, when set, is called on the compactor goroutine after
 	// every snapshot publish (including the initial build) with the
@@ -152,17 +148,14 @@ var ErrQueueFull = errors.New("ingest: report queue full")
 // HTTP layer can answer 400 for bad reports and 500 for I/O trouble.
 var ErrInvalidReport = errors.New("invalid report")
 
-// Rebuilder turns a frozen database snapshot into a complete serving
-// state: it builds the locator (compiling the radio map) and the
-// name/room resolution for exactly that entry set. It runs on the
-// compactor goroutine — off the serving path — and must not retain or
-// mutate db beyond building the service.
-//
+// Rebuilder turns the master database into a complete serving state:
+// it builds the locator (compiling the radio map) and the name/room
+// resolution for exactly that entry set. It runs on the compactor
+// goroutine — off the serving path — and must not mutate db or retain
+// it other than as the service's DB (the folder then freezes that
+// state, and later folds copy-on-write).
 // The manager calls it for the initial snapshot and for every publish
-// it cannot patch. A service that core.New built from db records its
-// recipe, and the next publish patches it (core.Service.Patch) when
-// the folds since changed no structure; any other service is rebuilt
-// through the Rebuilder every time.
+// it cannot patch (see Folder.Snapshot).
 type Rebuilder func(db *trainingdb.DB) (*core.Service, error)
 
 // Stats is a point-in-time counter snapshot for telemetry (/healthz).
@@ -209,26 +202,14 @@ type Stats struct {
 }
 
 // Manager owns the live pipeline: the WAL, the bounded queue, the
-// master database (exclusively owned by the compactor goroutine after
-// Start), the copy-on-write bookkeeping, and the snapshot registry the
-// server reads from.
+// folder over the master database (exclusively owned by the compactor
+// goroutine after Start), and the snapshot registry the server reads
+// from.
 type Manager struct {
-	cfg     Config
-	wal     *WAL
-	rebuild Rebuilder
-	reg     *core.SnapshotRegistry
-
-	// master is the compactor's private, always-current database.
-	// touched names the entries folded since the latest publish: the
-	// first fold into each cloned it (or founded it), so master owns
-	// it alone. Every other entry is shared with the published
-	// snapshot and is cloned before a fold touches it.
-	master  *trainingdb.DB
-	touched map[string]struct{}
-	// served is the latest published service when it was built from
-	// the frozen view it serves, the base the next publish patches;
-	// nil before the first publish.
-	served *core.Service
+	cfg    Config
+	wal    *WAL
+	reg    *core.SnapshotRegistry
+	folder *Folder
 
 	// slots is the admission semaphore and queue the report buffer:
 	// Submit acquires a slot (non-blocking; failure is backpressure),
@@ -285,14 +266,12 @@ func NewManager(db *trainingdb.DB, rebuild Rebuilder, cfg Config) (*Manager, err
 	}
 	cfg.fillDefaults()
 	m := &Manager{
-		cfg:     cfg,
-		rebuild: rebuild,
-		master:  db,
-		touched: make(map[string]struct{}),
-		slots:   make(chan struct{}, cfg.QueueDepth),
-		queue:   make(chan queuedReport, cfg.QueueDepth),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		cfg:    cfg,
+		folder: NewFolder(db, cfg.SnapRadius, rebuild, nil),
+		slots:  make(chan struct{}, cfg.QueueDepth),
+		queue:  make(chan queuedReport, cfg.QueueDepth),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	wal, recovered, dropped, err := OpenWAL(cfg.WALPath, cfg.SyncEveryAppend)
 	if err != nil {
@@ -301,11 +280,10 @@ func NewManager(db *trainingdb.DB, rebuild Rebuilder, cfg Config) (*Manager, err
 	m.wal = wal
 	m.replayed = len(recovered)
 	_ = dropped // torn-tail records were never acknowledged; nothing to recover
-	for i := range recovered {
-		m.fold(recovered[i])
-		m.applied.Store(uint64(i + 1))
+	for i, r := range recovered {
+		m.apply(r, uint64(i+1))
 	}
-	snap, frozen, _, err := m.buildSnapshot()
+	snap, _, err := m.folder.Snapshot()
 	if err != nil {
 		return nil, errors.Join(fmt.Errorf("ingest: initial snapshot: %w", err), wal.Close())
 	}
@@ -315,7 +293,7 @@ func NewManager(db *trainingdb.DB, rebuild Rebuilder, cfg Config) (*Manager, err
 	// Emit the initial artifact (and publish event) too, so a
 	// configured path — and a replication source — is valid from the
 	// first request, not only after the first live swap.
-	m.finishPublish(snap, frozen)
+	m.finishPublish(snap)
 	go m.compact()
 	return m, nil
 }
@@ -398,14 +376,11 @@ func (m *Manager) WAL() *WAL { return m.wal }
 // has resolved into the master database.
 func (m *Manager) Applied() uint64 { return m.applied.Load() }
 
-// SnapRadius returns the coordinate-snap rule the manager folds with.
-func (m *Manager) SnapRadius() float64 { return m.cfg.SnapRadius }
-
 // compact is the background loop: fold queued reports into the master
 // database and, on the count or interval cadence, recompile and
-// publish a fresh snapshot. All master/touched access happens here
-// (plus NewManager before the goroutine starts), so the mutable state
-// needs no locks.
+// publish a fresh snapshot. All folder access happens here (plus
+// NewManager before the goroutine starts), so the mutable state needs
+// no locks.
 func (m *Manager) compact() {
 	defer close(m.done)
 	ticker := time.NewTicker(m.cfg.FlushInterval)
@@ -415,10 +390,8 @@ func (m *Manager) compact() {
 		select {
 		case q := <-m.queue:
 			<-m.slots
-			m.fold(q.r)
-			m.applied.Store(q.seq)
-			pending++
-			if pending >= m.cfg.FlushReports {
+			m.apply(q.r, q.seq)
+			if pending++; pending >= m.cfg.FlushReports {
 				m.swap()
 				pending = 0
 			}
@@ -434,8 +407,7 @@ func (m *Manager) compact() {
 				select {
 				case q := <-m.queue:
 					<-m.slots
-					m.fold(q.r)
-					m.applied.Store(q.seq)
+					m.apply(q.r, q.seq)
 					pending++
 				default:
 					if pending > 0 {
@@ -448,86 +420,15 @@ func (m *Manager) compact() {
 	}
 }
 
-// ResolveReport applies the fold resolution rules against db without
-// mutating it: an existing name wins (its surveyed coordinate is
-// authoritative); a coordinate-only report snaps to the nearest entry
-// within snapRadius, else founds a new entry auto-named from its
-// coordinate; a never-seen name with no coordinate is undecidable
-// (ok=false — the caller counts it dropped). The rules live in one
-// exported function because a replication follower must re-resolve
-// WAL records against its replica database exactly the way the
-// trainer's compactor did — any divergence here forks the radio map.
-func ResolveReport(db *trainingdb.DB, r Report, snapRadius float64) (name string, pos geom.Point, ok bool) {
-	name = r.Name
-	if r.Pos != nil {
-		pos = geom.Point{X: r.Pos.X, Y: r.Pos.Y}
-	}
-	if name == "" {
-		if e, found := db.NearestEntry(pos); found && e.Pos.Dist(pos) <= snapRadius {
-			name, pos = e.Name, e.Pos
-		} else {
-			name = fmt.Sprintf("xy:%.1f,%.1f", pos.X, pos.Y)
-		}
-	} else if e, found := db.Entries[name]; found {
-		pos = e.Pos
-	} else if r.Pos == nil {
-		return "", geom.Point{}, false
-	}
-	return name, pos, true
-}
-
-// fold applies one report to the master database under the
-// copy-on-write discipline, using the shared resolution rules.
-func (m *Manager) fold(r Report) {
-	name, pos, ok := ResolveReport(m.master, r, m.cfg.SnapRadius)
-	if !ok {
-		// A name the database has never seen and no coordinate to found
-		// it at: undecidable, count and drop.
+// apply folds one report through the folder, counts the outcome and
+// advances the applied sequence to seq.
+func (m *Manager) apply(r Report, seq uint64) {
+	if m.folder.Fold(r) {
+		m.folded.Add(1)
+	} else {
 		m.dropped.Add(1)
-		return
 	}
-	if _, ok := m.touched[name]; !ok {
-		// Before the first publish (the registry's) nothing is shared,
-		// so nothing needs cloning.
-		if e := m.master.Entries[name]; e != nil && m.reg != nil {
-			m.master.Entries[name] = e.Clone()
-		}
-		m.touched[name] = struct{}{}
-	}
-	m.master.Fold(name, pos, r.Observation)
-	m.folded.Add(1)
-}
-
-// buildSnapshot freezes the master database and builds the serving
-// state from it: by patching the latest published service's view with
-// the touched entries when it can, else through the Rebuilder. Every
-// entry in the frozen view is then shared with the snapshot, so the
-// touched set empties and the next fold into any entry clones first.
-// The frozen view is returned alongside so the publish hook can hand
-// replication the exact state the snapshot was built from.
-func (m *Manager) buildSnapshot() (snap *core.Snapshot, frozen *trainingdb.DB, patched bool, err error) {
-	frozen = m.master.Snapshot()
-	var svc *core.Service
-	if m.served != nil {
-		if svc, err = m.served.Patch(frozen, m.touched); err != nil {
-			return nil, nil, false, err
-		}
-	}
-	patched = svc != nil
-	if !patched {
-		if svc, err = m.rebuild(frozen); err != nil {
-			return nil, nil, false, err
-		}
-	}
-	clear(m.touched)
-	// Only a service built over the frozen view itself is a sound
-	// patch base: a Rebuilder that serves some other database would
-	// be patched with the wrong entries.
-	m.served = nil
-	if svc.DB == frozen {
-		m.served = svc
-	}
-	return &core.Snapshot{Generation: frozen.Generation(), Service: svc, BuiltAt: time.Now()}, frozen, patched, nil
+	m.applied.Store(seq)
 }
 
 // swap recompiles and publishes. A failed rebuild (e.g. a geometric
@@ -535,7 +436,7 @@ func (m *Manager) buildSnapshot() (snap *core.Snapshot, frozen *trainingdb.DB, p
 // and is only counted — live training must never take the service
 // down.
 func (m *Manager) swap() {
-	snap, frozen, patched, err := m.buildSnapshot()
+	snap, patched, err := m.folder.Snapshot()
 	if err != nil {
 		m.swapErrors.Add(1)
 		return
@@ -548,23 +449,31 @@ func (m *Manager) swap() {
 		m.fullSwaps.Add(1)
 	}
 	m.lastSwap.Store(snap.BuiltAt.UnixNano())
-	m.finishPublish(snap, frozen)
+	m.finishPublish(snap)
 }
 
 // finishPublish runs the post-publish work on the compactor goroutine:
 // watermark bookkeeping, the artifact write, and the replication hook.
 // The watermark is the applied sequence at this instant — the
 // compactor folds and publishes on one goroutine, so nothing has been
-// applied since the freeze.
-func (m *Manager) finishPublish(snap *core.Snapshot, frozen *trainingdb.DB) {
+// applied since the snapshot was built.
+func (m *Manager) finishPublish(snap *core.Snapshot) {
 	watermark := m.applied.Load()
 	m.watermark.Store(watermark)
 	c := snap.Service.View()
-	m.writeArtifact(c, snap, watermark)
+	if m.cfg.ArtifactPath != "" {
+		// After Publish, so serving never waits on the disk.
+		am := ArtifactManifest{Generation: snap.Generation, Watermark: watermark, Epoch: m.wal.Epoch(), BuiltAt: snap.BuiltAt}
+		if err := m.writeArtifact(c, am); err != nil {
+			m.artifactErrors.Add(1)
+		} else {
+			m.artifacts.Add(1)
+		}
+	}
 	if m.cfg.OnPublish != nil {
 		m.cfg.OnPublish(PublishEvent{
 			Snapshot:   snap,
-			DB:         frozen,
+			DB:         m.folder.Freeze(),
 			Compiled:   c,
 			Watermark:  watermark,
 			Epoch:      m.wal.Epoch(),
@@ -602,34 +511,20 @@ func ReadArtifactManifest(path string) (*ArtifactManifest, error) {
 	return &am, nil
 }
 
-// writeArtifact emits the snapshot's compiled radio map as a v2 binary
-// artifact plus its manifest sidecar, after Publish so serving never
-// waits on the disk. Runs on the compactor goroutine only.
-func (m *Manager) writeArtifact(c *trainingdb.Compiled, snap *core.Snapshot, watermark uint64) {
-	if m.cfg.ArtifactPath == "" {
-		return
-	}
+// writeArtifact writes the snapshot's compiled radio map as a v2
+// binary artifact, then its manifest sidecar, each atomically.
+func (m *Manager) writeArtifact(c *trainingdb.Compiled, am ArtifactManifest) error {
 	if c == nil {
-		m.artifactErrors.Add(1)
-		return
+		return errors.New("ingest: snapshot locator exposes no compiled view")
 	}
 	if err := trainingdb.WriteCompiledFile(m.cfg.ArtifactPath, c); err != nil {
-		m.artifactErrors.Add(1)
-		return
+		return err
 	}
-	am := ArtifactManifest{
-		Generation: snap.Generation,
-		Watermark:  watermark,
-		Epoch:      m.wal.Epoch(),
-		BuiltAt:    snap.BuiltAt,
+	raw, err := json.Marshal(am)
+	if err != nil {
+		return err
 	}
-	if raw, err := json.Marshal(am); err == nil {
-		if werr := os.WriteFile(m.cfg.ArtifactPath+".manifest", append(raw, '\n'), 0o644); werr != nil {
-			m.artifactErrors.Add(1)
-			return
-		}
-	}
-	m.artifacts.Add(1)
+	return trainingdb.WriteFileAtomic(m.cfg.ArtifactPath+".manifest", append(raw, '\n'))
 }
 
 // Stats returns the current telemetry counters.

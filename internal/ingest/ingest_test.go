@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -293,6 +294,67 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestFolderFreezesOnlyKeptState checks that copy-on-write is paid
+// only for a state something keeps: a folder whose services keep no
+// database (a follower's) folds in place, while a kept state — the
+// service's DB, or Freeze's — is never mutated by later folds.
+func TestFolderFreezesOnlyKeptState(t *testing.T) {
+	viewOnly := func(db *trainingdb.DB) (*core.Service, error) {
+		in, err := core.New(core.WithCompiled(db.Compile(core.FloorRSSI, core.FloorSigma)), core.WithEntryNames())
+		if err != nil {
+			return nil, err
+		}
+		return in.Service, nil
+	}
+	report := Report{Name: "g0", Observation: map[string]float64{"ap0": -40}}
+	n0 := func(db *trainingdb.DB) int { return db.Entries["g0"].PerAP["ap0"].N }
+	snapshot := func(f *Folder, wantPatched bool) *core.Snapshot {
+		t.Helper()
+		snap, patched, err := f.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if patched != wantPatched {
+			t.Fatalf("patched = %v, want %v", patched, wantPatched)
+		}
+		return snap
+	}
+
+	f := NewFolder(testDB(), 0, viewOnly, nil)
+	snapshot(f, false)
+	e := f.db.Entries["g0"]
+	f.Fold(report)
+	if f.db.Entries["g0"] != e {
+		t.Error("folder cloned an entry no kept state shares")
+	}
+	snap := snapshot(f, true)
+	if snap.Service.DB != nil {
+		t.Fatal("view-only service keeps a database")
+	}
+	kept := f.Freeze()
+	if f.Freeze() != kept || kept.Generation() != snap.Generation {
+		t.Fatal("Freeze is not the latest snapshot's state")
+	}
+	n := n0(kept)
+	f.Fold(report)
+	if n0(kept) != n {
+		t.Errorf("frozen state mutated by a later fold: N %d -> %d", n, n0(kept))
+	}
+
+	g := NewFolder(testDB(), 0, testRebuilder, nil)
+	kept = snapshot(g, false).Service.DB
+	n = n0(kept)
+	g.Fold(report)
+	g.Fold(report)
+	snap = snapshot(g, true)
+	if n0(kept) != n || n0(snap.Service.DB) != n+2 {
+		t.Errorf("g0/ap0 N: kept %d (want %d), next snapshot %d (want %d)", n0(kept), n, n0(snap.Service.DB), n+2)
+	}
+	if g.Freeze() != snap.Service.DB {
+		t.Error("Freeze did not return the state the service keeps")
+	}
+}
+
 // TestPublishPatchesFoldedEntries checks the patched publish path end
 // to end: fold-only publishes patch the previous view, structural ones
 // (a new AP, a new entry) rebuild in full, and every published view
@@ -373,5 +435,49 @@ func TestPublishPatchesFoldedEntries(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestArtifactSidecarWriteFailure makes the manifest sidecar unwritable
+// (a directory holds its name) and checks the publish counts an
+// artifact error, not a success, and leaves no partial file behind.
+func TestArtifactSidecarWriteFailure(t *testing.T) {
+	dir := t.TempDir()
+	art := filepath.Join(dir, "map.ilr")
+	if err := os.Mkdir(art+".manifest", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, filepath.Join(t.TempDir(), "w.wal"), Config{ArtifactPath: art})
+	if st := m.Stats(); st.ArtifactErrors != 1 || st.Artifacts != 0 {
+		t.Errorf("artifacts/errors %d/%d after a failed sidecar write, want 0/1", st.Artifacts, st.ArtifactErrors)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 2 || names[0] != "map.ilr" || names[1] != "map.ilr.manifest" {
+		t.Errorf("artifact directory holds %v, want only the artifact and the blocking directory", names)
+	}
+}
+
+// TestArtifactSidecarWritten checks a publish writes both files and the
+// sidecar parses back to the published generation and watermark.
+func TestArtifactSidecarWritten(t *testing.T) {
+	art := filepath.Join(t.TempDir(), "map.ilr")
+	m := newTestManager(t, filepath.Join(t.TempDir(), "w.wal"), Config{ArtifactPath: art, FlushReports: 1})
+	if err := m.Submit(Report{Name: "g0", Observation: map[string]float64{"ap0": -52}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "swap", func() bool { return m.Stats().Artifacts == 2 })
+	am, err := ReadArtifactManifest(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := m.Registry().Current(); am.Generation != snap.Generation || am.Watermark != 1 || am.Epoch != m.WAL().Epoch() {
+		t.Errorf("sidecar %+v, want generation %d watermark 1 epoch %x", am, snap.Generation, m.WAL().Epoch())
 	}
 }

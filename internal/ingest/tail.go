@@ -1,10 +1,8 @@
 package ingest
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -24,8 +22,9 @@ type TailReader struct {
 	// seq is the last record sequence returned (records are numbered
 	// 1..n in file order).
 	seq uint64
-	// hdr is the reusable frame header buffer.
-	hdr [8]byte
+	// hdr and buf are the reusable frame header and payload buffers.
+	hdr [RecordOverhead]byte
+	buf []byte
 }
 
 // ErrTailCorrupt marks a complete-but-invalid record under the tail
@@ -74,30 +73,19 @@ func OpenTail(path string, from uint64) (*TailReader, error) {
 // complete record past the cursor yet; wait on the WAL's Changed
 // channel and call Next again.
 func (t *TailReader) Next() (Record, error) {
-	if _, err := t.f.ReadAt(t.hdr[:], t.off); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			// Header absent or torn — or present with the file ending right
-			// after it, in which case the payload is equally in flight.
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("ingest: read wal tail header: %w", err)
+	payload, err := readFrame(io.NewSectionReader(t.f, t.off, RecordOverhead+maxWALRecord), &t.hdr, t.buf)
+	switch {
+	case errors.Is(err, io.EOF), errors.Is(err, errTornFrame):
+		// Nothing past the cursor yet, or a frame whose flush is still
+		// in flight.
+		return Record{}, io.EOF
+	case errors.Is(err, errBadFrame):
+		return Record{}, fmt.Errorf("%w: record %d: %w", ErrTailCorrupt, t.seq+1, err)
+	case err != nil:
+		return Record{}, fmt.Errorf("ingest: read wal tail: %w", err)
 	}
-	length := binary.LittleEndian.Uint32(t.hdr[0:4])
-	sum := binary.LittleEndian.Uint32(t.hdr[4:8])
-	if length == 0 || length > maxWALRecord {
-		return Record{}, fmt.Errorf("%w: record %d has length %d", ErrTailCorrupt, t.seq+1, length)
-	}
-	payload := make([]byte, length)
-	if _, err := t.f.ReadAt(payload, t.off+8); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return Record{}, io.EOF // torn payload: flush in flight
-		}
-		return Record{}, fmt.Errorf("ingest: read wal tail payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return Record{}, fmt.Errorf("%w: record %d checksum mismatch", ErrTailCorrupt, t.seq+1)
-	}
-	t.off += int64(8 + length)
+	t.buf = payload
+	t.off += int64(RecordOverhead + len(payload))
 	t.seq++
 	return Record{Seq: t.seq, Payload: payload}, nil
 }

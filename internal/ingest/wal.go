@@ -34,6 +34,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,6 +43,10 @@ import (
 // walMagic starts every log file; it guards against replaying a
 // foreign file as fingerprint reports.
 const walMagic = "ILOCWAL1"
+
+// RecordOverhead is the framing each record adds to its payload on
+// disk: the length and CRC words.
+const RecordOverhead = 8
 
 // maxWALRecord bounds one record's payload. A report is a location tag
 // plus one reading per audible AP — even a pathological 10k-AP report
@@ -68,8 +73,8 @@ type WAL struct {
 	bw   *bufio.Writer
 	sync bool
 	path string
-	// frame is the reusable 8-byte length+CRC header buffer.
-	frame [8]byte
+	// frame is the reusable length+CRC header buffer.
+	frame [RecordOverhead]byte
 	// records counts appended + replayed records; the last record's
 	// sequence number is exactly this count.
 	records int
@@ -185,43 +190,63 @@ func replay(f *os.File) (reports []Report, goodOff int64, dropped int, err error
 		return nil, 0, 0, fmt.Errorf("ingest: %s is not a report WAL (bad magic %q)", f.Name(), magic)
 	}
 	goodOff = int64(len(walMagic))
-	var frame [8]byte
-	payload := make([]byte, 0, 4096)
+	var hdr [RecordOverhead]byte
+	var payload []byte
 	for {
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return reports, goodOff, dropped, nil // clean end
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return reports, goodOff, dropped + 1, nil // torn header
-			}
-			return nil, 0, 0, fmt.Errorf("ingest: read wal record header: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		sum := binary.LittleEndian.Uint32(frame[4:8])
-		if length == 0 || length > maxWALRecord {
-			return reports, goodOff, dropped + 1, nil // insane length: corrupt tail
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return reports, goodOff, dropped + 1, nil // torn payload
-			}
-			return nil, 0, 0, fmt.Errorf("ingest: read wal payload: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return reports, goodOff, dropped + 1, nil // checksum mismatch: reject
+		payload, err = readFrame(br, &hdr, payload)
+		switch {
+		case errors.Is(err, io.EOF):
+			return reports, goodOff, dropped, nil // clean end
+		case errors.Is(err, errTornFrame), errors.Is(err, errBadFrame):
+			return reports, goodOff, dropped + 1, nil // torn or corrupt tail
+		case err != nil:
+			return nil, 0, 0, fmt.Errorf("ingest: read wal record: %w", err)
 		}
 		var r Report
 		if err := json.Unmarshal(payload, &r); err != nil {
 			return reports, goodOff, dropped + 1, nil // undecodable: reject
 		}
 		reports = append(reports, r)
-		goodOff += int64(8 + int(length))
+		goodOff += int64(RecordOverhead + len(payload))
 	}
+}
+
+// readFrame's own failures: the input ends inside a frame, or a
+// complete header or payload is invalid (a length out of bounds, a
+// checksum mismatch).
+var (
+	errTornFrame = errors.New("ingest: torn wal record")
+	errBadFrame  = errors.New("ingest: corrupt wal record")
+)
+
+// readFrame decodes one record frame from r — header, length bound,
+// payload and CRC — into buf (grown as needed) and returns the payload.
+// It returns io.EOF when r ends before the frame, errTornFrame when r
+// ends inside it, errBadFrame (wrapped) for a bad length or checksum,
+// and r's other errors as is. Replay and the tail reader both decode
+// through it, each with its own policy for the outcomes.
+func readFrame(r io.Reader, hdr *[RecordOverhead]byte, buf []byte) ([]byte, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, errTornFrame
+		}
+		return nil, err
+	}
+	length := binary.LittleEndian.Uint32(hdr[0:4])
+	if length == 0 || length > maxWALRecord {
+		return nil, fmt.Errorf("%w: length %d", errBadFrame, length)
+	}
+	buf = slices.Grow(buf[:0], int(length))[:length]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, errTornFrame
+		}
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(buf) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", errBadFrame)
+	}
+	return buf, nil
 }
 
 // Append journals the reports, flushing them to the operating system
@@ -259,7 +284,7 @@ func (w *WAL) Append(reports ...Report) (last uint64, err error) {
 		if _, err := w.bw.Write(payload); err != nil {
 			return 0, fmt.Errorf("ingest: append wal: %w", err)
 		}
-		grew += int64(8 + len(payload))
+		grew += int64(RecordOverhead + len(payload))
 	}
 	if err := w.bw.Flush(); err != nil {
 		return 0, fmt.Errorf("ingest: flush wal: %w", err)
@@ -304,14 +329,6 @@ func (w *WAL) Changed() <-chan struct{} {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.notify
-}
-
-// Records returns how many records the WAL holds (replayed at open
-// plus appended since).
-func (w *WAL) Records() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records
 }
 
 // Path returns the log file's path.

@@ -39,8 +39,8 @@ func TestWALReplayRoundTrip(t *testing.T) {
 	if _, err := w.Append(reports[2]); err != nil {
 		t.Fatal(err)
 	}
-	if w.Records() != 3 {
-		t.Errorf("Records() = %d want 3", w.Records())
+	if w.Seq() != 3 {
+		t.Errorf("Seq() = %d want 3", w.Seq())
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -70,14 +70,12 @@ type FollowerConfig struct {
 }
 
 // Follower is the read-fleet side of replication: it bootstraps a
-// replica radio map from the trainer's snapshot payload, tails the
-// WAL folding every record exactly as the trainer's compactor did,
-// and republishes through a core.SnapshotRegistry on every trainer
-// publish — so a server reading the registry serves answers identical
-// to the trainer's at the same generation, with hot swaps and an
-// allocation-free locate path, while holding no authority over the
-// map (its world is discarded and re-bootstrapped whenever the
-// trainer's history changes under it).
+// replica radio map from the trainer's snapshot payload, folds the
+// tailed WAL through the trainer's own ingest.Folder, and republishes
+// through a core.SnapshotRegistry at every trainer publish, so it
+// answers as the trainer does at the same generation. It holds no
+// authority over the map: its world is discarded and re-bootstrapped
+// whenever the trainer's history changes under it.
 type Follower struct {
 	cfg    FollowerConfig
 	client *http.Client
@@ -89,16 +87,10 @@ type Follower struct {
 	cancel context.CancelFunc
 	once   sync.Once
 
-	// Run-goroutine-owned world state (no locks needed). view is the
-	// replica's latest published view and touched names the entries
-	// folded since: the next publish patches view with them, as the
-	// trainer's compactor does.
-	replica    *trainingdb.DB
-	view       *trainingdb.Compiled
-	touched    map[string]struct{}
-	floorRSSI  float64
-	floorSigma float64
-	snapRadius float64
+	// folder is the follow goroutine's world (no locks needed): the
+	// replica database, folded and snapshotted through the trainer's
+	// own code. nil before the first bootstrap and after a world reset.
+	folder *ingest.Folder
 
 	// Shared gauges and counters.
 	state        atomic.Int32
@@ -204,7 +196,7 @@ func (f *Follower) run(ctx context.Context) {
 			return
 		default:
 		}
-		if f.replica == nil {
+		if f.folder == nil {
 			f.state.Store(stateBootstrapping)
 			if err := f.bootstrap(ctx); err != nil {
 				f.setErr(err)
@@ -232,7 +224,7 @@ func (f *Follower) run(ctx context.Context) {
 			// regression, or a fold divergence): every position we hold is
 			// meaningless. Discard the world; the next loop re-bootstraps
 			// accepting whatever the trainer now serves.
-			f.replica = nil
+			f.folder = nil
 			f.epoch.Store(0)
 			f.gen.Store(0)
 			f.appliedSeq.Store(0)
@@ -285,21 +277,13 @@ func (f *Follower) markProgress() { f.lastProgress.Store(time.Now().UnixNano()) 
 // reconstructs the replica database, and publishes the first (or a
 // fresh) serving snapshot.
 func (f *Follower) bootstrap(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.TrainerURL+"/v1/replicate/snapshot", nil)
+	body, err := f.get(ctx, "snapshot fetch", "/v1/replicate/snapshot")
 	if err != nil {
 		return err
 	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("repl: snapshot fetch: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
+	defer body.Close()
 	var hdr [12]byte
-	if _, err := io.ReadFull(resp.Body, hdr[:]); err != nil {
+	if _, err := io.ReadFull(body, hdr[:]); err != nil {
 		return fmt.Errorf("repl: snapshot header: %w", err)
 	}
 	if string(hdr[:8]) != snapshotMagic {
@@ -310,11 +294,14 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		return fmt.Errorf("repl: snapshot manifest length %d out of range", mlen)
 	}
 	mj := make([]byte, mlen)
-	if _, err := io.ReadFull(resp.Body, mj); err != nil {
+	if _, err := io.ReadFull(body, mj); err != nil {
 		return fmt.Errorf("repl: snapshot manifest: %w", err)
 	}
 	m, err := ParseManifest(mj)
 	if err != nil {
+		return err
+	}
+	if err := checkFloor(m); err != nil {
 		return err
 	}
 	// Staleness: within the epoch we already follow, never step the
@@ -325,11 +312,11 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		return fmt.Errorf("repl: stale snapshot: generation %d < serving %d", m.Generation, f.gen.Load())
 	}
 	artifact := make([]byte, m.ArtifactSize)
-	if _, err := io.ReadFull(resp.Body, artifact); err != nil {
+	if _, err := io.ReadFull(body, artifact); err != nil {
 		return fmt.Errorf("repl: snapshot artifact: %w", err)
 	}
 	resume := make([]byte, m.ResumeSize)
-	if _, err := io.ReadFull(resp.Body, resume); err != nil {
+	if _, err := io.ReadFull(body, resume); err != nil {
 		return fmt.Errorf("repl: snapshot resume blob: %w", err)
 	}
 	if got := crc32.ChecksumIEEE(artifact); got != m.ArtifactCRC {
@@ -353,13 +340,14 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := f.publish(c, m.Generation); err != nil {
+	svc, err := f.service(c)
+	if err != nil {
 		return err
 	}
-	f.replica, f.view = replica, c
-	f.touched = make(map[string]struct{})
-	f.floorRSSI, f.floorSigma = c.FloorRSSI, c.FloorSigma
-	f.snapRadius = m.SnapRadius
+	if err := f.publish(&core.Snapshot{Generation: m.Generation, Service: svc, BuiltAt: time.Now()}); err != nil {
+		return err
+	}
+	f.folder = ingest.NewFolder(replica, m.SnapRadius, f.rebuild, svc)
 	f.epoch.Store(m.Epoch)
 	f.appliedSeq.Store(m.Watermark)
 	f.appliedBytes.Store(0) // anchored by the stream hello's FromBytes
@@ -371,11 +359,38 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	return nil
 }
 
-// publish builds a serving snapshot from the compiled view and swaps
-// it into the registry (creating the registry on the first call).
-// The build runs on the follow goroutine; readers only ever see the
-// finished atomic swap.
-func (f *Follower) publish(c *trainingdb.Compiled, gen uint64) error {
+// get opens a GET on a trainer endpoint, turning any answer but 200
+// into an error carrying the start of its body.
+func (f *Follower) get(ctx context.Context, what, path string) (io.ReadCloser, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.TrainerURL+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := f.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		resp.Body.Close()
+		return nil, fmt.Errorf("repl: %s: %s: %s", what, resp.Status, strings.TrimSpace(string(msg)))
+	}
+	return resp.Body, nil
+}
+
+// checkFloor refuses a manifest whose floor model is not the one this
+// follower compiles with (core.FloorRSSI, core.FloorSigma).
+func checkFloor(m *Manifest) error {
+	if m.FloorRSSI != core.FloorRSSI || m.FloorSigma != core.FloorSigma {
+		return fmt.Errorf("repl: trainer compiles at floor (%v, %v), the follower at (%v, %v)",
+			m.FloorRSSI, m.FloorSigma, core.FloorRSSI, core.FloorSigma)
+	}
+	return nil
+}
+
+// service serves a compiled view alone (the replica keeps no raw
+// samples), with entry names; the folder patches it like a trainer's.
+func (f *Follower) service(c *trainingdb.Compiled) (*core.Service, error) {
 	in, err := core.New(
 		core.WithCompiled(c),
 		core.WithAlgorithm(f.cfg.Algorithm),
@@ -383,9 +398,20 @@ func (f *Follower) publish(c *trainingdb.Compiled, gen uint64) error {
 		core.WithEntryNames(),
 	)
 	if err != nil {
-		return fmt.Errorf("repl: build follower service: %w", err)
+		return nil, fmt.Errorf("repl: build follower service: %w", err)
 	}
-	snap := &core.Snapshot{Generation: gen, Service: in.Service, BuiltAt: time.Now()}
+	return in.Service, nil
+}
+
+// rebuild is the folder's Rebuilder: a full compile of the replica.
+func (f *Follower) rebuild(db *trainingdb.DB) (*core.Service, error) {
+	return f.service(db.Compile(core.FloorRSSI, core.FloorSigma))
+}
+
+// publish swaps snap into the registry (creating the registry on the
+// first call). The build ran on the follow goroutine; readers only
+// ever see the finished atomic swap.
+func (f *Follower) publish(snap *core.Snapshot) error {
 	if f.reg == nil {
 		reg, err := core.NewSnapshotRegistry(snap)
 		if err != nil {
@@ -396,7 +422,7 @@ func (f *Follower) publish(c *trainingdb.Compiled, gen uint64) error {
 	} else {
 		f.reg.Publish(snap)
 	}
-	f.gen.Store(gen)
+	f.gen.Store(snap.Generation)
 	return nil
 }
 
@@ -407,22 +433,13 @@ func (f *Follower) publish(c *trainingdb.Compiled, gen uint64) error {
 // disconnects (the caller reconnects from the applied sequence).
 func (f *Follower) stream(ctx context.Context) (reset bool, err error) {
 	from := f.appliedSeq.Load()
-	u := f.cfg.TrainerURL + "/v1/replicate/wal?from=" + strconv.FormatUint(from, 10) +
-		"&gen=" + strconv.FormatUint(f.gen.Load(), 10)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	body, err := f.get(ctx, "wal stream", "/v1/replicate/wal?from="+strconv.FormatUint(from, 10)+
+		"&gen="+strconv.FormatUint(f.gen.Load(), 10))
 	if err != nil {
 		return false, err
 	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return false, fmt.Errorf("repl: wal stream: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	fr := NewFrameReader(resp.Body)
+	defer body.Close()
+	fr := NewFrameReader(body)
 	frame, err := fr.Next()
 	if err != nil {
 		return false, fmt.Errorf("repl: wal stream hello: %w", err)
@@ -430,23 +447,14 @@ func (f *Follower) stream(ctx context.Context) (reset bool, err error) {
 	if frame.Type != FrameHello {
 		return false, fmt.Errorf("repl: wal stream opened with frame type %d, want hello", frame.Type)
 	}
-	hello, err := ParseHello(frame.Payload)
+	reset, hello, err := f.observeHead(frame.Payload)
 	if err != nil {
-		return false, err
-	}
-	if hello.Epoch != f.epoch.Load() {
-		return true, fmt.Errorf("repl: trainer epoch changed (%x → %x); re-bootstrapping", f.epoch.Load(), hello.Epoch)
-	}
-	if hello.HeadSeq < from {
-		return true, fmt.Errorf("repl: trainer head %d behind applied %d; history regressed", hello.HeadSeq, from)
+		return reset, err
 	}
 	if hello.FromSeq != from {
 		return false, fmt.Errorf("repl: stream cursor %d, requested %d", hello.FromSeq, from)
 	}
-	f.headSeq.Store(hello.HeadSeq)
-	f.headBytes.Store(hello.HeadBytes)
 	f.appliedBytes.Store(hello.FromBytes)
-	f.observeLag()
 
 	for {
 		frame, err := fr.Next()
@@ -463,9 +471,14 @@ func (f *Follower) stream(ctx context.Context) (reset bool, err error) {
 			if err := json.Unmarshal(frame.Payload, &rep); err != nil {
 				return false, fmt.Errorf("repl: undecodable record %d: %w", frame.Seq, err)
 			}
-			f.fold(rep)
+			if f.folder.Fold(rep) {
+				f.folded.Add(1)
+			} else {
+				f.dropped.Add(1)
+			}
 			f.appliedSeq.Store(frame.Seq)
-			f.appliedBytes.Add(int64(FrameRecordOverhead + len(frame.Payload)))
+			// Byte lag tracks the trainer's WAL file offsets.
+			f.appliedBytes.Add(int64(ingest.RecordOverhead + len(frame.Payload)))
 			if frame.Seq > f.headSeq.Load() {
 				f.headSeq.Store(frame.Seq)
 			}
@@ -483,63 +496,55 @@ func (f *Follower) stream(ctx context.Context) (reset bool, err error) {
 			if m.Watermark > applied {
 				return false, fmt.Errorf("repl: publish note watermark %d ahead of stream position %d", m.Watermark, applied)
 			}
-			if m.Watermark == applied && m.Generation != f.replica.Generation() {
+			if m.Watermark == applied && m.Generation != f.folder.Generation() {
 				return true, fmt.Errorf("repl: diverged: replica generation %d != trainer %d at seq %d",
-					f.replica.Generation(), m.Generation, applied)
+					f.folder.Generation(), m.Generation, applied)
 			}
-			f.floorRSSI, f.floorSigma = m.FloorRSSI, m.FloorSigma
-			f.snapRadius = m.SnapRadius
-			// Patch the last view with the entries folded since, as the
-			// trainer does; a structural change or new floor parameters
-			// compile in full.
-			c := f.replica.Patch(f.view, f.touched, f.floorRSSI, f.floorSigma)
-			if c == nil {
-				c = f.replica.Compile(f.floorRSSI, f.floorSigma)
+			// A trainer restarted with other fold rules rewrote its
+			// history under the same epoch.
+			if err := checkFloor(m); err != nil {
+				return true, err
 			}
-			if err := f.publish(c, f.replica.Generation()); err != nil {
-				return false, err
+			if r := f.folder.SnapRadius(); m.SnapRadius != r {
+				return true, fmt.Errorf("repl: trainer snaps within %v, the replica within %v", m.SnapRadius, r)
 			}
-			f.view = c
-			clear(f.touched)
-			f.recompiles.Add(1)
-		case FrameHeartbeat:
-			hb, err := ParseHello(frame.Payload)
+			// Patch or rebuild exactly as the trainer's compactor does.
+			snap, _, err := f.folder.Snapshot()
 			if err != nil {
 				return false, err
 			}
-			if hb.Epoch != f.epoch.Load() {
-				return true, fmt.Errorf("repl: heartbeat from epoch %x, following %x", hb.Epoch, f.epoch.Load())
+			if err := f.publish(snap); err != nil {
+				return false, err
 			}
-			if hb.HeadSeq < f.appliedSeq.Load() {
-				return true, fmt.Errorf("repl: trainer head %d regressed behind applied %d", hb.HeadSeq, f.appliedSeq.Load())
+			f.recompiles.Add(1)
+		case FrameHeartbeat:
+			if reset, _, err := f.observeHead(frame.Payload); err != nil {
+				return reset, err
 			}
-			f.headSeq.Store(hb.HeadSeq)
-			f.headBytes.Store(hb.HeadBytes)
-			f.observeLag()
 		default:
 			return false, fmt.Errorf("repl: unexpected frame type %d mid-stream", frame.Type)
 		}
 	}
 }
 
-// FrameRecordOverhead is the on-disk WAL framing per record (length +
-// CRC); byte-lag accounting adds it to each payload so follower bytes
-// track the trainer's file offsets.
-const FrameRecordOverhead = 8
-
-// fold applies one WAL record to the replica exactly as the trainer's
-// compactor does — same resolution rules, same Welford update — minus
-// the copy-on-write clone: the replica's entries are never shared
-// with published snapshots (Compile and Patch copy into their views).
-func (f *Follower) fold(r ingest.Report) {
-	name, pos, ok := ingest.ResolveReport(f.replica, r, f.snapRadius)
-	if !ok {
-		f.dropped.Add(1)
-		return
+// observeHead checks a hello or heartbeat payload against the
+// follower's world and records the trainer's head. reset reports a
+// changed history: another epoch, or a head behind the applied
+// sequence.
+func (f *Follower) observeHead(payload []byte) (reset bool, h *Hello, err error) {
+	if h, err = ParseHello(payload); err != nil {
+		return false, nil, err
 	}
-	f.replica.Fold(name, pos, r.Observation)
-	f.touched[name] = struct{}{}
-	f.folded.Add(1)
+	if e := f.epoch.Load(); h.Epoch != e {
+		return true, nil, fmt.Errorf("repl: trainer epoch changed (%x → %x); re-bootstrapping", e, h.Epoch)
+	}
+	if applied := f.appliedSeq.Load(); h.HeadSeq < applied {
+		return true, nil, fmt.Errorf("repl: trainer head %d behind applied %d; history regressed", h.HeadSeq, applied)
+	}
+	f.headSeq.Store(h.HeadSeq)
+	f.headBytes.Store(h.HeadBytes)
+	f.observeLag()
+	return false, h, nil
 }
 
 // observeLag refreshes the state gauge from the head/applied pair and

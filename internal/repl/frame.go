@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Frame types on a WAL stream.
@@ -50,18 +51,6 @@ type Frame struct {
 	Type    byte
 	Seq     uint64
 	Payload []byte
-}
-
-// AppendFrame appends the encoded frame to dst and returns the
-// extended slice.
-func AppendFrame(dst []byte, typ byte, seq uint64, payload []byte) []byte {
-	var hdr [FrameHeaderSize]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint64(hdr[1:9], seq)
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[13:17], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
 }
 
 // WriteFrame encodes one frame to w.
@@ -110,17 +99,16 @@ func DecodeFrame(data []byte) (Frame, int, error) {
 	return Frame{Type: typ, Seq: seq, Payload: payload}, total, nil
 }
 
-// FrameReader decodes a stream of frames from r. The payload returned
-// by Next is valid until the following call.
+// FrameReader decodes a stream of frames from r through DecodeFrame.
+// The payload returned by Next is valid until the following call.
 type FrameReader struct {
-	br      *bufio.Reader
-	hdr     [FrameHeaderSize]byte
-	payload []byte
+	br  *bufio.Reader
+	buf []byte // the frame being decoded: header, then payload
 }
 
 // NewFrameReader wraps r for frame decoding.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{br: bufio.NewReaderSize(r, 32<<10), payload: make([]byte, 0, 4096)}
+	return &FrameReader{br: bufio.NewReaderSize(r, 32<<10), buf: make([]byte, 0, 4096)}
 }
 
 // Next reads one frame. io.EOF means the stream ended cleanly on a
@@ -128,31 +116,22 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // torn-segment case — the connection died inside a frame, nothing
 // decoded from the partial bytes).
 func (fr *FrameReader) Next() (Frame, error) {
-	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
+	fr.buf = fr.buf[:FrameHeaderSize]
+	if _, err := io.ReadFull(fr.br, fr.buf); err != nil {
 		return Frame{}, err // io.EOF on a boundary, ErrUnexpectedEOF mid-header
 	}
-	typ := fr.hdr[0]
-	seq := binary.LittleEndian.Uint64(fr.hdr[1:9])
-	length := binary.LittleEndian.Uint32(fr.hdr[9:13])
-	sum := binary.LittleEndian.Uint32(fr.hdr[13:17])
-	if typ < FrameHello || typ > FrameHeartbeat {
-		return Frame{}, fmt.Errorf("%w: unknown type %d", ErrFrameCorrupt, typ)
+	// A corrupt header or an empty payload decodes from the header alone.
+	if f, _, err := DecodeFrame(fr.buf); !errors.Is(err, io.ErrUnexpectedEOF) {
+		return f, err
 	}
-	if length > MaxFramePayload {
-		return Frame{}, fmt.Errorf("%w: payload length %d exceeds cap", ErrFrameCorrupt, length)
-	}
-	if cap(fr.payload) < int(length) {
-		fr.payload = make([]byte, length)
-	}
-	fr.payload = fr.payload[:length]
-	if _, err := io.ReadFull(fr.br, fr.payload); err != nil {
+	length := int(binary.LittleEndian.Uint32(fr.buf[9:13]))
+	fr.buf = slices.Grow(fr.buf, length)[:FrameHeaderSize+length]
+	if _, err := io.ReadFull(fr.br, fr.buf[FrameHeaderSize:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return Frame{}, err
 	}
-	if crc32.ChecksumIEEE(fr.payload) != sum {
-		return Frame{}, fmt.Errorf("%w: payload checksum mismatch", ErrFrameCorrupt)
-	}
-	return Frame{Type: typ, Seq: seq, Payload: fr.payload}, nil
+	f, _, err := DecodeFrame(fr.buf)
+	return f, err
 }

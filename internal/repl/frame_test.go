@@ -8,6 +8,15 @@ import (
 	"testing"
 )
 
+// appendFrame appends one frame to dst as WriteFrame encodes it.
+func appendFrame(dst []byte, typ byte, seq uint64, payload []byte) []byte {
+	b := bytes.NewBuffer(dst)
+	if err := WriteFrame(b, typ, seq, payload); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{
 		nil,
@@ -38,8 +47,8 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameDecodeMatchesReader(t *testing.T) {
-	data := AppendFrame(nil, FramePublish, 42, []byte(`{"epoch":1}`))
-	data = AppendFrame(data, FrameHeartbeat, 43, nil)
+	data := appendFrame(nil, FramePublish, 42, []byte(`{"epoch":1}`))
+	data = appendFrame(data, FrameHeartbeat, 43, nil)
 	f, n, err := DecodeFrame(data)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +72,7 @@ func TestFrameDecodeMatchesReader(t *testing.T) {
 // any interior byte yields io.ErrUnexpectedEOF from the reader — never
 // a decoded partial frame, never a clean EOF.
 func TestFrameTornStream(t *testing.T) {
-	full := AppendFrame(nil, FrameRecord, 7, []byte("torn-me-somewhere"))
+	full := appendFrame(nil, FrameRecord, 7, []byte("torn-me-somewhere"))
 	for cut := 1; cut < len(full); cut++ {
 		fr := NewFrameReader(bytes.NewReader(full[:cut]))
 		if _, err := fr.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -76,7 +85,7 @@ func TestFrameTornStream(t *testing.T) {
 }
 
 func TestFrameCorruption(t *testing.T) {
-	good := AppendFrame(nil, FrameRecord, 1, []byte("payload"))
+	good := appendFrame(nil, FrameRecord, 1, []byte("payload"))
 
 	flip := func(i int) []byte {
 		b := append([]byte(nil), good...)

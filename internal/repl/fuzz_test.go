@@ -14,19 +14,19 @@ import (
 // decoders agree, and a decoded frame re-encodes to the bytes it was
 // decoded from.
 func FuzzReplFrameDecode(f *testing.F) {
-	f.Add(AppendFrame(nil, FrameHello, 0, []byte(`{"epoch":1,"head_seq":3,"from_seq":3}`)))
-	f.Add(AppendFrame(nil, FrameRecord, 1, []byte(`{"name":"g0","observation":{"ap0":-50}}`)))
-	f.Add(AppendFrame(nil, FramePublish, 9,
+	f.Add(appendFrame(nil, FrameHello, 0, []byte(`{"epoch":1,"head_seq":3,"from_seq":3}`)))
+	f.Add(appendFrame(nil, FrameRecord, 1, []byte(`{"name":"g0","observation":{"ap0":-50}}`)))
+	f.Add(appendFrame(nil, FramePublish, 9,
 		[]byte(`{"epoch":2,"generation":4,"wal_watermark":9,"artifact_size":128,"resume_size":32}`)))
-	f.Add(AppendFrame(nil, FrameHeartbeat, 12, nil))
+	f.Add(appendFrame(nil, FrameHeartbeat, 12, nil))
 	// Two frames back to back, and a torn tail.
-	two := AppendFrame(AppendFrame(nil, FrameRecord, 1, []byte("a")), FrameRecord, 2, []byte("b"))
+	two := appendFrame(appendFrame(nil, FrameRecord, 1, []byte("a")), FrameRecord, 2, []byte("b"))
 	f.Add(two)
 	f.Add(two[:len(two)-3])
 	// Hostile headers: zero bytes, oversize length, bad type, bad CRC.
 	f.Add(make([]byte, FrameHeaderSize))
 	f.Add([]byte{0xFF, 1, 2, 3, 4, 5, 6, 7, 8, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
-	bad := AppendFrame(nil, FrameRecord, 5, []byte("checksummed"))
+	bad := appendFrame(nil, FrameRecord, 5, []byte("checksummed"))
 	bad[len(bad)-1] ^= 0x01
 	f.Add(bad)
 
@@ -57,7 +57,7 @@ func FuzzReplFrameDecode(f *testing.F) {
 			t.Fatalf("decoders disagree: %+v vs %+v", fr, sf)
 		}
 		// Round trip: re-encoding reproduces the consumed bytes exactly.
-		if re := AppendFrame(nil, fr.Type, fr.Seq, fr.Payload); !bytes.Equal(re, data[:n]) {
+		if re := appendFrame(nil, fr.Type, fr.Seq, fr.Payload); !bytes.Equal(re, data[:n]) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, data[:n])
 		}
 		// The JSON payload parsers must never panic on frame payloads,

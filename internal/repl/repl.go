@@ -68,11 +68,13 @@ type Manifest struct {
 	// seen.
 	Watermark uint64 `json:"wal_watermark"`
 	// FloorRSSI and FloorSigma are the floor-model parameters the
-	// trainer compiles with; a follower recompiles with the same values.
+	// trainer compiles with; a follower refuses any but core.FloorRSSI
+	// and core.FloorSigma, the floor it patches and compiles at.
 	FloorRSSI  float64 `json:"floor_rssi"`
 	FloorSigma float64 `json:"floor_sigma"`
-	// SnapRadius is the coordinate-snap fold rule (ingest.ResolveReport);
-	// mirroring it exactly keeps fold resolution identical.
+	// SnapRadius is the coordinate-snap fold rule (ingest.Folder); a
+	// follower folds with the bootstrap manifest's and resets on a note
+	// that carries another.
 	SnapRadius float64 `json:"snap_radius"`
 	// Entries and APs are the artifact's dimensions, for operators.
 	Entries int `json:"entries"`

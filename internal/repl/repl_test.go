@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -200,9 +201,9 @@ func compiledOf(t *testing.T, snap *core.Snapshot) *trainingdb.Compiled {
 	return c
 }
 
-// converged waits until the follower serves the trainer's current
-// generation with the stream fully applied, then asserts the two
-// compiled radio maps are byte-identical.
+// converged waits until the trainer has published every journaled
+// report and the follower serves that generation with the stream fully
+// applied, then asserts the two compiled radio maps are byte-identical.
 func converged(t *testing.T, mgr *ingest.Manager, f *Follower) {
 	t.Helper()
 	defer func() {
@@ -213,9 +214,11 @@ func converged(t *testing.T, mgr *ingest.Manager, f *Follower) {
 	}()
 	waitFor(t, "follower convergence", func() bool {
 		st := f.Stats()
+		head := mgr.WAL().Seq()
 		return st.State == StateStreaming &&
+			mgr.Stats().Watermark == head &&
 			st.Generation == mgr.Registry().Current().Generation &&
-			st.AppliedSeq == mgr.WAL().Seq()
+			st.AppliedSeq == head
 	})
 	want := compiledOf(t, mgr.Registry().Current())
 	got := compiledOf(t, f.Registry().Current())
@@ -554,8 +557,8 @@ func TestFollowerStatsUnderChurn(t *testing.T) {
 // TestFollowerPatchesBitIdentical checks the follower's patched
 // publishes: once the structure has settled, fold-only publishes patch
 // the previous view on both ends (the follower's shares its names with
-// the view before), and the follower's view still equals a fresh
-// compile of the trainer's frozen database.
+// the view before and keeps its name index), and the follower's view
+// still equals a fresh compile of the trainer's frozen database.
 func TestFollowerPatchesBitIdentical(t *testing.T) {
 	h := newTrainerHarness(t, filepath.Join(t.TempDir(), "t.wal"),
 		ingest.Config{FlushReports: 5, FlushInterval: 20 * time.Millisecond, SnapRadius: 5})
@@ -564,6 +567,7 @@ func TestFollowerPatchesBitIdentical(t *testing.T) {
 	waitFor(t, "trainer folds", func() bool { return h.mgr().Stats().Folded >= 40 })
 	converged(t, h.mgr(), f)
 	before := compiledOf(t, f.Registry().Current())
+	beforeNames := f.Registry().Current().Service.Names
 	patched := h.mgr().Stats().PatchedSwaps
 
 	for i := 0; i < 30; i++ {
@@ -582,5 +586,55 @@ func TestFollowerPatchesBitIdentical(t *testing.T) {
 	if got == before || &got.Names[0] != &before.Names[0] {
 		t.Error("follower did not patch its previous view")
 	}
+	if f.Registry().Current().Service.Names != beforeNames {
+		t.Error("patched follower publish rebuilt its name index")
+	}
 	compiledEqual(t, "follower vs full compile", snap.Service.DB.Compile(-95, 4), got)
+}
+
+// TestRestartAndBootstrapAgree pins that the two recovery paths land on
+// the live trainer's radio map: a trainer restarted over the base
+// database (replaying its WAL through NewManager), and a follower
+// bootstrapped mid-stream and fed the tail, both encode the same
+// compiled bytes as the live trainer at the final watermark.
+func TestRestartAndBootstrapAgree(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "t.wal")
+	cfg := ingest.Config{FlushReports: 4, FlushInterval: 15 * time.Millisecond, SnapRadius: 5}
+	h := newTrainerHarness(t, walPath, cfg)
+	submitReports(t, h.mgr(), 30, 0)
+	waitFor(t, "trainer folds", func() bool { return h.mgr().Stats().Folded >= 30 })
+	f := startFollower(t, h.ts.URL) // bootstraps mid-stream
+	submitReports(t, h.mgr(), 30, 700)
+	waitFor(t, "trainer folds", func() bool { return h.mgr().Stats().Folded >= 60 })
+	converged(t, h.mgr(), f)
+
+	encode := func(label string, snap *core.Snapshot) []byte {
+		t.Helper()
+		b, err := trainingdb.EncodeCompiled(compiledOf(t, snap))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return b
+	}
+	live := encode("live trainer", h.mgr().Registry().Current())
+	if got := encode("follower", f.Registry().Current()); !bytes.Equal(got, live) {
+		t.Error("bootstrapped follower's radio map differs from the live trainer's")
+	}
+	if st := f.Stats(); st.Bootstraps != 1 || st.Folded == 0 {
+		t.Errorf("follower %d bootstraps / %d folds, want 1 bootstrap fed by the tail", st.Bootstraps, st.Folded)
+	}
+
+	h.mgr().Close()
+	cfg.WALPath = walPath
+	restarted, err := ingest.NewManager(replTestDB(), replRebuilder, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if st := restarted.Stats(); st.Replayed != 60 || st.Watermark != 60 {
+		t.Errorf("restarted trainer replayed %d records to watermark %d, want 60 / 60", st.Replayed, st.Watermark)
+	}
+	if got := encode("restarted trainer", restarted.Registry().Current()); !bytes.Equal(got, live) {
+		t.Error("restarted trainer's radio map differs from the live trainer's")
+	}
 }

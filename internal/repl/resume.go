@@ -114,7 +114,7 @@ func DecodeResume(data []byte, c *trainingdb.Compiled) ([]CellStats, error) {
 }
 
 // BuildReplica reconstructs a training database bit-identical (in
-// every field Compile and ResolveReport read) to the trainer's frozen
+// every field Compile and the fold rules read) to the trainer's frozen
 // master at the artifact's generation: names, entry positions, the AP
 // universe, which cells are trained and their sample counts come from
 // the artifact, the exact ⟨Mean, StdDev⟩ from the resume blob. Raw

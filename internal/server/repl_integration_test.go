@@ -75,16 +75,20 @@ func newReplFixture(t *testing.T, opts ...Option) *replFixture {
 	}
 }
 
-// waitConverged blocks until the follower serves the trainer's
-// current generation with the whole WAL applied.
+// waitConverged blocks until the trainer has published every journaled
+// report and the follower serves that generation with the whole WAL
+// applied. Without the watermark clause a trainer holding folded but
+// unpublished reports could publish mid-comparison.
 func (f *replFixture) waitConverged(t *testing.T) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		st := f.fol.Stats()
+		head := f.mgr.WAL().Seq()
 		if st.State == repl.StateStreaming &&
+			f.mgr.Stats().Watermark == head &&
 			st.Generation == f.mgr.Registry().Current().Generation &&
-			st.AppliedSeq == f.mgr.WAL().Seq() {
+			st.AppliedSeq == head {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)

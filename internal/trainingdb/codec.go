@@ -575,37 +575,39 @@ func ReadFileInfo(data []byte) (*FileInfo, error) {
 	return info, nil
 }
 
-// WriteCompiledFile atomically writes the view as a v2 artifact: the
-// bytes land in a temp file in the target directory, are fsynced, and
-// replace path via rename, so readers never observe a torn artifact.
+// WriteCompiledFile atomically writes the view as a v2 artifact (see
+// WriteFileAtomic), so readers never observe a torn artifact.
 func WriteCompiledFile(path string, c *Compiled) error {
 	buf, err := EncodeCompiled(c)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ilrmap-*")
+	return WriteFileAtomic(path, buf)
+}
+
+// WriteFileAtomic writes data to path so that a reader, or a crash,
+// sees either the old file or the whole new one: the bytes land in a
+// temp file in the target directory, are fsynced, and replace path via
+// rename. On failure the temp file is removed.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
 	if err != nil {
-		return fmt.Errorf("trainingdb: write artifact: %w", err)
+		return fmt.Errorf("trainingdb: write %s: %w", path, err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("trainingdb: write artifact: %w", err)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("trainingdb: sync artifact: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("trainingdb: close artifact: %w", err)
+	if err == nil {
+		err = os.Rename(tmpName, path)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
+	if err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("trainingdb: publish artifact: %w", err)
+		return fmt.Errorf("trainingdb: write %s: %w", path, err)
 	}
 	return nil
 }

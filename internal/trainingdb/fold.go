@@ -79,16 +79,18 @@ func (db *DB) Fold(name string, pos geom.Point, obs map[string]float64) {
 	db.bumpGeneration()
 }
 
-// Clone deep-copies the entry: the statistics structs and their sample
-// slices are fresh, so mutating the clone never disturbs readers of
-// the original. This is the copy half of the ingest compactor's
-// copy-on-write: entries referenced by a published snapshot are cloned
-// before the next fold touches them.
+// Clone copies the entry for mutation: the statistics structs are
+// fresh, and each sample slice shares the original's array capped at
+// its length, so the clone's first AddSample copies that history once
+// into a new array and never writes into the original's. Folding into
+// the clone never disturbs readers of the original. This is the copy
+// half of the ingest compactor's copy-on-write: entries referenced by
+// a published snapshot are cloned before the next fold touches them.
 func (e *Entry) Clone() *Entry {
 	ne := &Entry{Name: e.Name, Pos: e.Pos, PerAP: make(map[string]*APStats, len(e.PerAP))}
 	for b, s := range e.PerAP {
 		cs := *s
-		cs.Samples = append([]float64(nil), s.Samples...)
+		cs.Samples = s.Samples[:len(s.Samples):len(s.Samples)]
 		ne.PerAP[b] = &cs
 	}
 	return ne
@@ -112,5 +114,10 @@ func (db *DB) Snapshot() *DB {
 	for n, e := range db.Entries {
 		nd.Entries[n] = e
 	}
+	// The sorted-name cache is read-only once built (invalidation
+	// drops it), so the copy shares it.
+	db.namesMu.Lock()
+	nd.names = db.names
+	db.namesMu.Unlock()
 	return nd
 }

@@ -2,6 +2,7 @@ package trainingdb
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -174,6 +175,52 @@ func TestCloneIsDeep(t *testing.T) {
 	if _, ok := orig.PerAP["apX"]; ok {
 		t.Error("clone map shared with original")
 	}
+}
+
+// TestFoldIntoCloneLeavesOriginal folds into a clone whose sample
+// slices have spare capacity and checks the original's samples — its
+// whole backing array, spare slots included — and statistics stay
+// bit-identical, so a frozen entry can share its history with the
+// clone a fold is about to extend.
+func TestFoldIntoCloneLeavesOriginal(t *testing.T) {
+	db := foldFixture()
+	for _, v := range []float64{-58.5, -62.25, -60} {
+		db.Fold("a", geom.Point{}, map[string]float64{"ap1": v})
+	}
+	orig := db.Entries["a"].PerAP["ap1"]
+	if cap(orig.Samples) == len(orig.Samples) {
+		t.Fatal("fixture has no spare sample capacity; the test would prove nothing")
+	}
+	wantStats := *orig
+	wantArray := bitsOf(orig.Samples[:cap(orig.Samples)])
+	frozen := db.Entries["a"]
+	db.Entries["a"] = frozen.Clone()
+	db.Fold("a", geom.Point{}, map[string]float64{"ap1": -70.5, "ap2": -80})
+	db.Fold("a", geom.Point{}, map[string]float64{"ap1": -55})
+
+	got := frozen.PerAP["ap1"]
+	if got.N != wantStats.N || math.Float64bits(got.Mean) != math.Float64bits(wantStats.Mean) ||
+		math.Float64bits(got.StdDev) != math.Float64bits(wantStats.StdDev) ||
+		got.Min != wantStats.Min || got.Max != wantStats.Max || len(got.Samples) != len(wantStats.Samples) {
+		t.Errorf("original statistics moved: %+v, want %+v", *got, wantStats)
+	}
+	if a := bitsOf(got.Samples[:cap(got.Samples)]); !slices.Equal(a, wantArray) {
+		t.Errorf("original sample array written: %v, want %v", a, wantArray)
+	}
+	if _, ok := frozen.PerAP["ap2"]; ok {
+		t.Error("clone's new cell reached the original")
+	}
+	if s := db.Entries["a"].PerAP["ap1"]; s.N != wantStats.N+2 || len(s.Samples) != s.N {
+		t.Errorf("clone folded to %+v", *s)
+	}
+}
+
+func bitsOf(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
 }
 
 // TestSnapshotCopyOnWrite drives the compactor discipline end to end:
