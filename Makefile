@@ -29,10 +29,12 @@ race:
 fuzz-smoke: ## 10s smoke run of each fuzz target
 	$(GO) test -run '^$$' -fuzz FuzzWiscanParse -fuzztime 10s -fuzzminimizetime 1s ./internal/wiscan/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s -fuzzminimizetime 1s ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz FuzzReportCodec -fuzztime 10s -fuzzminimizetime 1s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz FuzzCompiledDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/trainingdb/
 	$(GO) test -run '^$$' -fuzz FuzzPatchMatchesCompile -fuzztime 10s -fuzzminimizetime 1s ./internal/trainingdb/
 	$(GO) test -run '^$$' -fuzz FuzzReplFrameDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/repl/
 	$(GO) test -run '^$$' -fuzz FuzzLocateDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzTrainDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzNearest -fuzztime 10s -fuzzminimizetime 1s ./internal/locmap/
 
 bench: ## hot-path localization benchmarks (see BENCH_hotpath.json)

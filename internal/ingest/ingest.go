@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -35,7 +36,8 @@ type ReportPos struct {
 
 // Validate applies the acceptance rules a report must pass before it
 // is journaled: a non-empty observation with RSSI levels in the
-// plausible range, and at least one of name or position.
+// plausible range, at least one of name or position, and a finite
+// position. A valid report always encodes (AppendReport).
 func (r *Report) Validate() error {
 	if len(r.Observation) == 0 {
 		return errors.New("report needs a non-empty observation")
@@ -43,16 +45,21 @@ func (r *Report) Validate() error {
 	if r.Name == "" && r.Pos == nil {
 		return errors.New("report needs a location name or a position")
 	}
+	if r.Pos != nil && !(finite(r.Pos.X) && finite(r.Pos.Y)) {
+		return fmt.Errorf("report position (%v, %v) is not finite", r.Pos.X, r.Pos.Y)
+	}
 	for b, v := range r.Observation {
 		if b == "" {
 			return errors.New("observation has an empty BSSID")
 		}
-		if v > 0 || v < -120 {
+		if !(v >= -120 && v <= 0) { // NaN fails both
 			return fmt.Errorf("observation %s has RSSI %v outside [-120, 0]", b, v)
 		}
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Config tunes the pipeline. The zero value is usable: defaults are
 // filled in by NewManager.

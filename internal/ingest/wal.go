@@ -14,7 +14,12 @@
 //
 //	uint32 payload length (little endian)
 //	uint32 CRC-32 (IEEE) of the payload
-//	payload — the report as compact JSON
+//	payload — the report as compact JSON, exactly json.Marshal's bytes
+//
+// AppendReport writes the payload without reflection, and DecodeReport
+// reads it back: a scanner for the canonical shape, encoding/json for
+// anything else, so replay accepts and rejects exactly what
+// json.Unmarshal does.
 //
 // Records are append-only and individually checksummed. On open the
 // tail is scanned: a partial final record (torn write from a crash) or
@@ -28,7 +33,6 @@ import (
 	"bufio"
 	crand "crypto/rand"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -38,6 +42,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"indoorloc/internal/jsonscan"
 )
 
 // walMagic starts every log file; it guards against replaying a
@@ -73,8 +79,8 @@ type WAL struct {
 	bw   *bufio.Writer
 	sync bool
 	path string
-	// frame is the reusable length+CRC header buffer.
-	frame [RecordOverhead]byte
+	// batch is the reused buffer an append frames its records into.
+	batch []byte
 	// records counts appended + replayed records; the last record's
 	// sequence number is exactly this count.
 	records int
@@ -192,6 +198,7 @@ func replay(f *os.File) (reports []Report, goodOff int64, dropped int, err error
 	goodOff = int64(len(walMagic))
 	var hdr [RecordOverhead]byte
 	var payload []byte
+	var keys jsonscan.Keys
 	for {
 		payload, err = readFrame(br, &hdr, payload)
 		switch {
@@ -202,8 +209,8 @@ func replay(f *os.File) (reports []Report, goodOff int64, dropped int, err error
 		case err != nil:
 			return nil, 0, 0, fmt.Errorf("ingest: read wal record: %w", err)
 		}
-		var r Report
-		if err := json.Unmarshal(payload, &r); err != nil {
+		r, err := DecodeReport(payload, &keys)
+		if err != nil {
 			return reports, goodOff, dropped + 1, nil // undecodable: reject
 		}
 		reports = append(reports, r)
@@ -267,24 +274,30 @@ func (w *WAL) Append(reports ...Report) (last uint64, err error) {
 	if w.f == nil {
 		return 0, errors.New("ingest: wal closed")
 	}
-	var grew int64
+	// The whole batch is framed into one buffer before any of it is
+	// written, so a report that fails to encode leaves nothing behind
+	// for a later flush to journal without a sequence number.
+	var hdr [RecordOverhead]byte // filled in once the payload is encoded
+	buf := w.batch[:0]
 	for i := range reports {
-		payload, err := json.Marshal(&reports[i])
+		start := len(buf)
+		buf = append(buf, hdr[:]...) //loclint:allow hotpathalloc — the reused batch buffer
+		buf, err = AppendReport(buf, &reports[i])
 		if err != nil {
 			return 0, fmt.Errorf("ingest: encode report: %w", err)
 		}
+		payload := buf[start+RecordOverhead:]
 		if len(payload) > maxWALRecord {
 			return 0, fmt.Errorf("ingest: report exceeds max WAL record (%d > %d bytes)", len(payload), maxWALRecord)
 		}
-		binary.LittleEndian.PutUint32(w.frame[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(w.frame[4:8], crc32.ChecksumIEEE(payload))
-		if _, err := w.bw.Write(w.frame[:]); err != nil {
-			return 0, fmt.Errorf("ingest: append wal: %w", err)
-		}
-		if _, err := w.bw.Write(payload); err != nil {
-			return 0, fmt.Errorf("ingest: append wal: %w", err)
-		}
-		grew += int64(RecordOverhead + len(payload))
+		binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	}
+	if cap(buf) <= maxWALRecord {
+		w.batch = buf // keep a typical batch's buffer; drop a huge one
+	}
+	if _, err := w.bw.Write(buf); err != nil {
+		return 0, fmt.Errorf("ingest: append wal: %w", err)
 	}
 	if err := w.bw.Flush(); err != nil {
 		return 0, fmt.Errorf("ingest: flush wal: %w", err)
@@ -295,10 +308,10 @@ func (w *WAL) Append(reports ...Report) (last uint64, err error) {
 		}
 	}
 	w.records += len(reports)
-	w.off += grew
+	w.off += int64(len(buf))
 	// Wake every waiting tailer; the next wait gets a fresh channel.
-	// One channel header per *batch*, amortized across its records and
-	// dwarfed by the per-record JSON encoding above.
+	// One channel header per *batch*, amortized across its records; the
+	// records themselves encode into the reused batch buffer.
 	close(w.notify)
 	w.notify = make(chan struct{}) //loclint:allow hotpathalloc
 	return uint64(w.records), nil

@@ -3,7 +3,6 @@ package repl
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -19,6 +18,7 @@ import (
 
 	"indoorloc/internal/core"
 	"indoorloc/internal/ingest"
+	"indoorloc/internal/jsonscan"
 	"indoorloc/internal/trainingdb"
 )
 
@@ -91,6 +91,8 @@ type Follower struct {
 	// replica database, folded and snapshotted through the trainer's
 	// own code. nil before the first bootstrap and after a world reset.
 	folder *ingest.Folder
+	// keys interns the tailed records' BSSIDs (follow goroutine only).
+	keys jsonscan.Keys
 
 	// Shared gauges and counters.
 	state        atomic.Int32
@@ -467,8 +469,8 @@ func (f *Follower) stream(ctx context.Context) (reset bool, err error) {
 			if frame.Seq != want {
 				return false, fmt.Errorf("repl: wal stream gap: got seq %d, want %d", frame.Seq, want)
 			}
-			var rep ingest.Report
-			if err := json.Unmarshal(frame.Payload, &rep); err != nil {
+			rep, err := ingest.DecodeReport(frame.Payload, &f.keys)
+			if err != nil {
 				return false, fmt.Errorf("repl: undecodable record %d: %w", frame.Seq, err)
 			}
 			if f.folder.Fold(rep) {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"indoorloc/internal/geom"
@@ -20,13 +21,13 @@ import (
 // disagreement. It returns whether the fast path answered by itself.
 func batchParity(t *testing.T, body string, max int) bool {
 	t.Helper()
-	fast := &batchArena{keys: map[string]string{}}
+	fast := &batchArena{}
 	fast.body.WriteString(body)
 	fn, ferr, ok := fast.decodeFast(max)
 	if !ok {
 		return false
 	}
-	slow := &batchArena{keys: map[string]string{}}
+	slow := &batchArena{}
 	slow.body.WriteString(body)
 	sn, serr := slow.decodeSlow(max)
 	switch {
@@ -49,13 +50,13 @@ func batchParity(t *testing.T, body string, max int) bool {
 // singleParity is batchParity for the single /locate shape.
 func singleParity(t *testing.T, body string) bool {
 	t.Helper()
-	fast := &batchArena{keys: map[string]string{}}
+	fast := &batchArena{}
 	fast.body.WriteString(body)
 	fo, ok := fast.decodeLocateFast()
 	if !ok {
 		return false
 	}
-	slow := &batchArena{keys: map[string]string{}}
+	slow := &batchArena{}
 	slow.body.WriteString(body)
 	so, err := slow.decodeLocateSlow()
 	if err != nil {
@@ -138,6 +139,13 @@ func FuzzLocateDecode(f *testing.F) {
 // round trip of payload posted to path, after warming the pools.
 func allocsPerServe(t *testing.T, srv *Server, path string, payload []byte) float64 {
 	t.Helper()
+	return allocsPerServeStatus(t, srv, path, payload, http.StatusOK)
+}
+
+// allocsPerServeStatus is allocsPerServe for a route that answers
+// status.
+func allocsPerServeStatus(t *testing.T, srv *Server, path string, payload []byte, status int) float64 {
+	t.Helper()
 	body := &resetReader{bytes.NewReader(payload)}
 	req := httptest.NewRequest("POST", path, nil)
 	req.Body = body
@@ -151,8 +159,8 @@ func allocsPerServe(t *testing.T, srv *Server, path string, payload []byte) floa
 		serve()
 	}
 	allocs := testing.AllocsPerRun(200, serve)
-	if nw.status != http.StatusOK {
-		t.Fatalf("%s answered %d", path, nw.status)
+	if nw.status != status {
+		t.Fatalf("%s answered %d, want %d", path, nw.status, status)
 	}
 	return allocs
 }
@@ -273,4 +281,91 @@ func TestLocateOversizeBody(t *testing.T) {
 			}
 		}
 	}
+}
+
+// trainParity decodes body with both train decoders and reports any
+// disagreement. It returns whether the fast path answered by itself.
+func trainParity(t *testing.T, body string) bool {
+	t.Helper()
+	fast := &batchArena{}
+	fast.body.WriteString(body)
+	got, ok := fast.decodeTrainFast()
+	if !ok {
+		return false
+	}
+	slow := &batchArena{}
+	slow.body.WriteString(body)
+	want, err := slow.decodeTrainSlow()
+	switch {
+	case err != nil:
+		t.Errorf("%q: fast accepted what slow refuses: %v", body, err)
+	case !reflect.DeepEqual(got, want):
+		t.Errorf("%q: fast %#v, slow %#v", body, got, want)
+	}
+	for _, r := range fast.reports[:cap(fast.reports)] {
+		if r.Name != "" || r.Pos != nil || r.Observation != nil {
+			t.Errorf("%q: fast path left report %#v in the arena", body, r)
+		}
+	}
+	return true
+}
+
+// TestDecodeTrainFastSlowParity pins which /train/report bodies the
+// scanner answers by itself — the batch and the inline single report,
+// members in any order — and that every other shape, including each
+// error case, is left to encoding/json.
+func TestDecodeTrainFastSlowParity(t *testing.T) {
+	cases := []struct {
+		name     string
+		body     string
+		wantFast bool
+	}{
+		{"single", `{"name":"p_0_0","observation":{"ap0":-44.5}}`, true},
+		{"single any order", ` {"observation":{"ap0":-44.5},"pos":{"y":1,"x":3}} `, true},
+		{"single pos only", `{"pos":{"x":3,"y":1}}`, true},
+		{"batch", `{"reports":[{"name":"p_0_0","observation":{"ap0":-45}},{"pos":{"x":3,"y":1},"observation":{"ap1":-50}}]}`, true},
+		{"batch of an empty report", `{"reports":[{}]}`, true},
+		{"empty batch", `{"reports":[]}`, false},
+		{"empty single", `{}`, false},
+		{"empty observation only", `{"observation":{}}`, false},
+		{"both forms", `{"name":"p_0_0","observation":{"ap0":-44.5},"reports":[{"name":"x","observation":{"ap0":-1}}]}`, false},
+		{"batch then field", `{"reports":[{"name":"x","observation":{"ap0":-1}}],"name":"y"}`, false},
+		{"null reports", `{"reports":null}`, false},
+		{"unknown field", `{"name":"p_0_0","observation":{"ap0":-44.5},"wat":1}`, false},
+		{"unknown report field", `{"reports":[{"name":"x","wat":1}]}`, false},
+		{"field case", `{"Reports":[{"name":"x","observation":{"ap0":-1}}]}`, false},
+		{"escaped BSSID", `{"name":"x","observation":{"ap\u0030":-1}}`, false},
+		{"trailing garbage", `{"name":"x","observation":{"ap0":-1}} nope`, false},
+		{"trailing comma", `{"reports":[{"name":"x","observation":{"ap0":-1}},]}`, false},
+		{"not json", `not json`, false},
+	}
+	for _, c := range cases {
+		if ok := trainParity(t, c.body); ok != c.wantFast {
+			t.Errorf("%s: fast ok=%v, want %v", c.name, ok, c.wantFast)
+		}
+	}
+}
+
+// FuzzTrainDecode holds the /train/report scanner to encoding/json, as
+// FuzzLocateDecode does the locate scanners: on any body the fast path
+// answers by itself, the slow path must accept it with identical
+// reports.
+//
+//	go test -run '^$' -fuzz FuzzTrainDecode -fuzztime 10s ./internal/server/
+func FuzzTrainDecode(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"p_0_0","observation":{"ap0":-44.5}}`,
+		`{"observation":{"ap0":-44.5,"ap0":-3},"pos":{"y":1,"x":3e0},"name":"n"}`,
+		`{"reports":[{"name":"p_0_0","observation":{"ap0":-45}},{"pos":{"x":3,"y":1},"observation":{"ap1":-50}}]}`,
+		`{"reports":[{}]}`,
+		`{"reports":[]}`,
+		`{"name":"x","observation":{"ap0":-1},"reports":[{"name":"x","observation":{"ap0":-1}}]}`,
+		`{"pos":{"x":1,"x":2},"observation":{"a":-1}}`,
+		`{"name":"x","observation":null}`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		trainParity(t, body)
+	})
 }

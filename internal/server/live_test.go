@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"indoorloc/internal/geom"
 	"indoorloc/internal/ingest"
 	"indoorloc/internal/trainingdb"
+	"indoorloc/internal/venue"
 )
 
 // gridDB builds a synthetic database whose entry names encode their
@@ -350,5 +352,109 @@ func TestLocateBatchConsistentUnderIngest(t *testing.T) {
 	writer.Wait()
 	if f.mgr.Stats().Swaps == 0 {
 		t.Error("no snapshot swaps happened; the hammer tested nothing")
+	}
+}
+
+// TestTrainReportOversizeBody checks the 413 contract on both training
+// routes: a body over the 8 MiB cap — chunked, or declared under a
+// raised -max-body — answers 413 body_too_large instead of being cut
+// short into a 400, and journals nothing.
+func TestTrainReportOversizeBody(t *testing.T) {
+	report := `{"name":"p_0_0","observation":{"ap0":-44.5}}`
+	big := report + strings.Repeat(" ", maxTrainBody) // valid JSON, one report
+	post := func(srv *Server, path, body string, chunked bool) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("POST", path, strings.NewReader(body))
+		if chunked {
+			req.ContentLength = -1
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec
+	}
+
+	// The single-venue live server, with the default cap and a raised one.
+	live := newLiveFixture(t, ingest.Config{FlushInterval: time.Hour})
+	raised, err := NewLive(live.mgr, nil, WithMaxBody(2*maxTrainBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A multi-venue server whose one .tdb venue trains live.
+	dir, walDir := t.TempDir(), t.TempDir()
+	if err := trainingdb.SaveFile(filepath.Join(dir, "grid.tdb"), gridDB(25)); err != nil {
+		t.Fatal(err)
+	}
+	vr, err := venue.NewRegistry(venue.Config{Dir: dir, WALDir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := NewMultiVenue(vr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { multi.Close(); vr.Close() })
+	venueSeq := func() uint64 {
+		v, err := vr.Acquire("grid")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Release()
+		return v.Manager().WAL().Seq()
+	}
+
+	for _, c := range []struct {
+		name    string
+		srv     *Server
+		path    string
+		chunked bool
+		seq     func() uint64
+	}{
+		{"chunked", live.srv, "/train/report", true, live.mgr.WAL().Seq},
+		{"declared under a raised cap", raised, "/train/report", false, live.mgr.WAL().Seq},
+		{"venue chunked", multi, "/v1/venues/grid/train/report", true, venueSeq},
+	} {
+		if rec := post(c.srv, c.path, report, c.chunked); rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: small report answered %d %s", c.name, rec.Code, rec.Body)
+		}
+		before := c.seq()
+		rec := post(c.srv, c.path, big, c.chunked)
+		if rec.Code != http.StatusRequestEntityTooLarge || errCode(t, rec.Body.Bytes()) != codeBodyTooLarge {
+			t.Errorf("%s: oversize body answered %d %s, want 413 %s", c.name, rec.Code, rec.Body, codeBodyTooLarge)
+		}
+		if after := c.seq(); after != before {
+			t.Errorf("%s: WAL seq %d -> %d, want nothing journaled", c.name, before, after)
+		}
+	}
+}
+
+// TestTrainReportAllocs pins the allocations of one 16-report training
+// POST — body decode, validation, WAL append, queueing and the 202 —
+// through the full ServeHTTP chain. The reports name no training
+// location, so the compactor drops them without folding and its own
+// allocations stay out of the count; the queue holds every report the
+// runs send, so none is refused. The ceiling is the measured count: 83,
+// five per report (its name and its observation map) and three per
+// request. Through encoding/json the same POST cost 940.
+func TestTrainReportAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-runtime allocations make the count nondeterministic")
+	}
+	f := newLiveFixture(t, ingest.Config{QueueDepth: 8192, FlushReports: 1 << 30, FlushInterval: time.Hour})
+	reports := make([]ingest.Report, 16)
+	for i := range reports {
+		obs := map[string]float64{}
+		for ap := 0; ap < 12; ap++ {
+			obs[fmt.Sprintf("02:00:00:00:%02x:%02x", i%4, ap)] = -40 - float64(ap) - 0.1*float64(i)
+		}
+		reports[i] = ingest.Report{Name: fmt.Sprintf("unsurveyed-%d", i), Observation: obs}
+	}
+	body, err := json.Marshal(map[string]any{"reports": reports})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := allocsPerServeStatus(t, f.srv, "/train/report", body, http.StatusAccepted)
+	t.Logf("one 16-report POST: %.1f allocs", allocs)
+	const ceiling = 83
+	if allocs > ceiling {
+		t.Errorf("one 16-report POST allocates %.1f, over the ceiling of %d", allocs, ceiling)
 	}
 }

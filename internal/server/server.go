@@ -81,6 +81,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -89,6 +90,7 @@ import (
 	"indoorloc/internal/core"
 	"indoorloc/internal/filter"
 	"indoorloc/internal/ingest"
+	"indoorloc/internal/jsonscan"
 	"indoorloc/internal/localize"
 	"indoorloc/internal/metrics"
 	"indoorloc/internal/repl"
@@ -665,34 +667,18 @@ type batchArena struct {
 	resp    locateResponse
 	out     bytes.Buffer
 	enc     *json.Encoder
-	// keys interns BSSID strings across requests: a fleet of clients
-	// reports the same access points over and over, so after warm-up
-	// the decoder stops allocating key strings entirely. Bounded to
-	// keep a hostile client from growing it without limit.
-	keys map[string]string
+	// keys interns BSSID strings across requests (see jsonscan.Keys).
+	keys jsonscan.Keys
+	// reports is the /train/report decode scratch; the decoded batch
+	// itself is a fresh slice, since the ingest queue keeps its reports.
+	reports []ingest.Report
 }
 
-// maxInternedKeys bounds one arena's BSSID intern table.
-const maxInternedKeys = 4096
-
 var batchArenaPool = sync.Pool{New: func() any {
-	a := &batchArena{keys: make(map[string]string)}
+	a := &batchArena{}
 	a.enc = json.NewEncoder(&a.out)
 	return a
 }}
-
-// intern returns raw as a string, reusing a previously allocated copy
-// when one exists. The map lookup on a []byte key does not allocate.
-func (a *batchArena) intern(raw []byte) string {
-	if s, ok := a.keys[string(raw)]; ok {
-		return s
-	}
-	s := string(raw)
-	if len(a.keys) < maxInternedKeys {
-		a.keys[s] = s
-	}
-	return s
-}
 
 // obsAt returns the arena's n-th observation map, cleared. n is at
 // most len(a.obs), so the maps grow one at a time and are kept.
@@ -770,147 +756,6 @@ func (a *batchArena) decodeObservations(body io.Reader, max int) (int, error) {
 	return a.decodeSlow(max)
 }
 
-// skipSpace advances past JSON whitespace.
-func skipSpace(b []byte, i int) int {
-	for i < len(b) {
-		switch b[i] {
-		case ' ', '\t', '\n', '\r':
-			i++
-		default:
-			return i
-		}
-	}
-	return i
-}
-
-// simpleString parses a JSON string of printable ASCII with no escapes
-// starting at b[i] (which must be '"'), returning the raw bytes between
-// the quotes. Anything else is left to encoding/json, which also
-// replaces invalid UTF-8.
-func simpleString(b []byte, i int) (raw []byte, next int, ok bool) {
-	if i >= len(b) || b[i] != '"' {
-		return nil, i, false
-	}
-	for j := i + 1; j < len(b); j++ {
-		switch {
-		case b[j] == '"':
-			return b[i+1 : j], j + 1, true
-		case b[j] == '\\' || b[j] < 0x20 || b[j] >= 0x80:
-			return nil, i, false
-		}
-	}
-	return nil, i, false
-}
-
-// digits advances past ASCII digits.
-func digits(b []byte, i int) int {
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// number parses a JSON number starting at b[i], exactly the RFC 8259
-// grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — so "+1",
-// "01", ".5" and "1." are refused here, as encoding/json refuses them.
-func number(b []byte, i int) (v float64, next int, ok bool) {
-	j := i
-	if j < len(b) && b[j] == '-' {
-		j++
-	}
-	switch {
-	case j < len(b) && b[j] == '0':
-		j++
-	case j < len(b) && b[j] >= '1' && b[j] <= '9':
-		j = digits(b, j+1)
-	default:
-		return 0, i, false
-	}
-	if j < len(b) && b[j] == '.' {
-		k := digits(b, j+1)
-		if k == j+1 {
-			return 0, i, false
-		}
-		j = k
-	}
-	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
-		j++
-		if j < len(b) && (b[j] == '+' || b[j] == '-') {
-			j++
-		}
-		k := digits(b, j)
-		if k == j {
-			return 0, i, false
-		}
-		j = k
-	}
-	v, err := strconv.ParseFloat(string(b[i:j]), 64)
-	if err != nil { // out of float64 range: encoding/json refuses it too
-		return 0, i, false
-	}
-	return v, j, true
-}
-
-// fieldStart scans `{ "key" :` from the start of b and returns the
-// index of the field's value.
-//
-//loclint:hotpath
-func fieldStart(b []byte, key string) (int, bool) {
-	i := skipSpace(b, 0)
-	if i >= len(b) || b[i] != '{' {
-		return i, false
-	}
-	raw, i, ok := simpleString(b, skipSpace(b, i+1))
-	if !ok || string(raw) != key {
-		return i, false
-	}
-	i = skipSpace(b, i)
-	if i >= len(b) || b[i] != ':' {
-		return i, false
-	}
-	return skipSpace(b, i+1), true
-}
-
-// scanObject parses the flat object at b[i] — plain string keys mapped
-// to numbers — into m, returning the index past its '}'. ok=false
-// means the object is not in that shape; m may then be partly filled.
-//
-//loclint:hotpath
-func (a *batchArena) scanObject(b []byte, i int, m localize.Observation) (next int, ok bool) {
-	if i >= len(b) || b[i] != '{' {
-		return i, false
-	}
-	i = skipSpace(b, i+1)
-	for i < len(b) && b[i] != '}' {
-		raw, j, sok := simpleString(b, i)
-		if !sok {
-			return i, false
-		}
-		j = skipSpace(b, j)
-		if j >= len(b) || b[j] != ':' {
-			return i, false
-		}
-		v, j, nok := number(b, skipSpace(b, j+1))
-		if !nok {
-			return i, false
-		}
-		m[a.intern(raw)] = v
-		i = skipSpace(b, j)
-		if i < len(b) && b[i] == ',' {
-			i = skipSpace(b, i+1)
-			if i >= len(b) || b[i] == '}' { // trailing comma
-				return i, false
-			}
-		} else if i >= len(b) || b[i] != '}' {
-			return i, false
-		}
-	}
-	if i >= len(b) {
-		return i, false
-	}
-	return i + 1, true
-}
-
 // decodeFast is the allocation-lean scanner for the canonical batch
 // shape. ok=false means "shape not recognised, retry with decodeSlow";
 // when ok=true, n and err are the final answer.
@@ -918,37 +763,25 @@ func (a *batchArena) scanObject(b []byte, i int, m localize.Observation) (next i
 //loclint:hotpath
 func (a *batchArena) decodeFast(max int) (n int, err error, ok bool) {
 	b := a.body.Bytes()
-	i, ok := fieldStart(b, "observations")
-	if !ok || i >= len(b) || b[i] != '[' {
+	i, ok := jsonscan.FieldStart(b, "observations")
+	if !ok {
 		return 0, nil, false
 	}
-	i = skipSpace(b, i+1)
-	for i < len(b) && b[i] != ']' {
+	i, more, ok := jsonscan.Open(b, i, '[', ']')
+	for ok && more {
 		if n >= max {
 			return 0, errBatchTooLarge, true
 		}
-		if i, ok = a.scanObject(b, i, a.obsAt(n)); !ok {
-			return 0, nil, false
+		if i, ok = jsonscan.FlatObject(b, i, &a.keys, a.obsAt(n)); !ok {
+			break
 		}
 		n++
-		i = skipSpace(b, i)
-		if i < len(b) && b[i] == ',' {
-			i = skipSpace(b, i+1)
-			if i >= len(b) || b[i] == ']' { // trailing comma
-				return 0, nil, false
-			}
-		} else if i >= len(b) || b[i] != ']' {
-			return 0, nil, false
-		}
+		i, more, ok = jsonscan.Sep(b, i, ']')
 	}
-	if i >= len(b) {
+	if !ok {
 		return 0, nil, false
 	}
-	i = skipSpace(b, i+1) // past ']'
-	if i >= len(b) || b[i] != '}' {
-		return 0, nil, false
-	}
-	if skipSpace(b, i+1) != len(b) {
+	if i, more, ok = jsonscan.Sep(b, i, '}'); !ok || more || !jsonscan.End(b, i) {
 		return 0, nil, false
 	}
 	return n, nil, true
@@ -1002,16 +835,15 @@ func (a *batchArena) decodeSlow(max int) (int, error) {
 //loclint:hotpath
 func (a *batchArena) decodeLocateFast() (localize.Observation, bool) {
 	b := a.body.Bytes()
-	i, ok := fieldStart(b, "observation")
+	i, ok := jsonscan.FieldStart(b, "observation")
 	if !ok {
 		return nil, false
 	}
 	m := a.obsAt(0)
-	if i, ok = a.scanObject(b, i, m); !ok || len(m) == 0 {
+	if i, ok = jsonscan.FlatObject(b, i, &a.keys, m); !ok || len(m) == 0 {
 		return nil, false
 	}
-	i = skipSpace(b, i)
-	if i >= len(b) || b[i] != '}' || skipSpace(b, i+1) != len(b) {
+	if i, more, ok := jsonscan.Sep(b, i, '}'); !ok || more || !jsonscan.End(b, i) {
 		return nil, false
 	}
 	return m, true
@@ -1334,9 +1166,9 @@ type trainRequest struct {
 	Reports []ingest.Report `json:"reports,omitempty"`
 }
 
-// maxTrainBody bounds the /train/report request body, mirroring the
-// batch-locate bound.
-const maxTrainBody = 8 << 20
+// maxTrainBody bounds the /train/report request body: the request
+// arena's bound, which readBody enforces with a 413.
+const maxTrainBody = maxBatchBody
 
 func (s *Server) handleTrainReport(w http.ResponseWriter, r *http.Request) {
 	s.trainReport(w, r, s.ing)
@@ -1351,23 +1183,11 @@ func (s *Server) handleTrainReportFrozen(w http.ResponseWriter, r *http.Request)
 }
 
 func (s *Server) trainReport(w http.ResponseWriter, r *http.Request, mgr *ingest.Manager) {
-	var req trainRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxTrainBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	reports := req.Reports
-	single := len(req.Report.Observation) > 0 || req.Report.Name != "" || req.Report.Pos != nil
-	switch {
-	case single && len(reports) > 0:
-		writeError(w, http.StatusBadRequest, errors.New("give one report or reports, not both"))
-		return
-	case single:
-		reports = []ingest.Report{req.Report}
-	case len(reports) == 0:
-		writeError(w, http.StatusBadRequest, errors.New("empty request: need a report or reports"))
+	a := batchArenaPool.Get().(*batchArena)
+	defer batchArenaPool.Put(a)
+	reports, err := a.decodeTrain(r.Body)
+	if err != nil {
+		writeError(w, decodeStatus(err), err)
 		return
 	}
 	if err := mgr.Submit(reports...); err != nil {
@@ -1390,7 +1210,89 @@ func (s *Server) trainReport(w http.ResponseWriter, r *http.Request, mgr *ingest
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"accepted": len(reports)})
+	// {"accepted":N}, as json.Encoder writes it.
+	a.out.Reset()
+	a.out.WriteString(`{"accepted":`)
+	a.out.Write(strconv.AppendInt(a.out.AvailableBuffer(), int64(len(reports)), 10))
+	a.out.WriteString("}\n")
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	w.Write(a.out.Bytes())
+}
+
+// decodeTrain reads a /train/report body into the arena and returns
+// its reports: a fresh slice of fresh reports, which the ingest queue
+// keeps. The canonical shapes — {"reports":[...]} or one report's
+// fields inline, each report as ingest.ScanReport reads it — take
+// decodeTrainFast; anything else takes decodeTrainSlow, which produces
+// the user-facing errors.
+func (a *batchArena) decodeTrain(body io.Reader) ([]ingest.Report, error) {
+	if err := a.readBody(body, errBodyTooLarge); err != nil {
+		return nil, err
+	}
+	if reports, ok := a.decodeTrainFast(); ok {
+		return reports, nil
+	}
+	return a.decodeTrainSlow()
+}
+
+// decodeTrainFast is the reflection-free scanner for the canonical
+// train shapes. It answers only what decodeTrainSlow accepts: a
+// non-empty batch, or a single report with at least one field set.
+// ok=false means "retry with decodeTrainSlow".
+func (a *batchArena) decodeTrainFast() ([]ingest.Report, bool) {
+	b := a.body.Bytes()
+	i, ok := jsonscan.FieldStart(b, "reports")
+	if !ok {
+		r, i, ok := ingest.ScanReport(b, jsonscan.SkipSpace(b, 0), &a.keys)
+		if !ok || !jsonscan.End(b, i) || (len(r.Observation) == 0 && r.Name == "" && r.Pos == nil) {
+			return nil, false
+		}
+		return []ingest.Report{r}, true
+	}
+	i, more, ok := jsonscan.Open(b, i, '[', ']')
+	for ok && more {
+		var r ingest.Report
+		if r, i, ok = ingest.ScanReport(b, i, &a.keys); !ok {
+			break
+		}
+		a.reports = append(a.reports, r)
+		i, more, ok = jsonscan.Sep(b, i, ']')
+	}
+	if ok {
+		i, more, ok = jsonscan.Sep(b, i, '}')
+		ok = ok && !more && jsonscan.End(b, i) && len(a.reports) > 0
+	}
+	var reports []ingest.Report
+	if ok {
+		reports = slices.Clone(a.reports)
+	}
+	// Leave the scratch empty: the pooled arena must not pin a batch.
+	clear(a.reports)
+	a.reports = a.reports[:0]
+	return reports, ok
+}
+
+// decodeTrainSlow decodes the buffered body with encoding/json. It
+// accepts everything JSON allows and is the source of the train decode
+// error messages.
+func (a *batchArena) decodeTrainSlow() ([]ingest.Report, error) {
+	var req trainRequest
+	dec := json.NewDecoder(bytes.NewReader(a.body.Bytes()))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, fmt.Errorf("bad request body: %w", err)
+	}
+	single := len(req.Report.Observation) > 0 || req.Report.Name != "" || req.Report.Pos != nil
+	switch {
+	case single && len(req.Reports) > 0:
+		return nil, errors.New("give one report or reports, not both")
+	case single:
+		return []ingest.Report{req.Report}, nil
+	case len(req.Reports) == 0:
+		return nil, errors.New("empty request: need a report or reports")
+	}
+	return req.Reports, nil
 }
 
 // ActiveTracks returns the number of clients with tracking state.

@@ -716,7 +716,7 @@ func TestDecodeFastSlowParity(t *testing.T) {
 	// The fast path refuses the non-RFC 8259 numbers; the fallback must
 	// then refuse them too, on both request shapes.
 	for _, num := range []string{"+1", "01", ".5", "1.", "-", "1e", "-1e400"} {
-		a := &batchArena{keys: map[string]string{}}
+		a := &batchArena{}
 		if _, err := a.decodeObservations(strings.NewReader(`{"observations":[{"a":`+num+`}]}`), 100); err == nil {
 			t.Errorf("batch accepted the number %q", num)
 		}
@@ -731,13 +731,13 @@ func TestDecodeFastSlowParity(t *testing.T) {
 func TestDecodeFastCap(t *testing.T) {
 	body := `{"observations":[{"a":-1},{"b":-2},{"c":-3}]}`
 	for _, max := range []int{2, 3} {
-		fast := &batchArena{keys: map[string]string{}}
+		fast := &batchArena{}
 		fast.body.WriteString(body)
 		n, err, ok := fast.decodeFast(max)
 		if !ok {
 			t.Fatalf("max=%d: fast path declined canonical body", max)
 		}
-		slow := &batchArena{keys: map[string]string{}}
+		slow := &batchArena{}
 		slow.body.WriteString(body)
 		sn, serr := slow.decodeSlow(max)
 		if (err == nil) != (serr == nil) || (err != nil && !errors.Is(serr, errBatchTooLarge)) {

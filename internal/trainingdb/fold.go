@@ -80,7 +80,7 @@ func (db *DB) Fold(name string, pos geom.Point, obs map[string]float64) {
 }
 
 // Clone copies the entry for mutation: the statistics structs are
-// fresh, and each sample slice shares the original's array capped at
+// fresh (one array holds them all), and each sample slice shares the original's array capped at
 // its length, so the clone's first AddSample copies that history once
 // into a new array and never writes into the original's. Folding into
 // the clone never disturbs readers of the original. This is the copy
@@ -88,10 +88,12 @@ func (db *DB) Fold(name string, pos geom.Point, obs map[string]float64) {
 // a published snapshot are cloned before the next fold touches them.
 func (e *Entry) Clone() *Entry {
 	ne := &Entry{Name: e.Name, Pos: e.Pos, PerAP: make(map[string]*APStats, len(e.PerAP))}
+	stats := make([]APStats, 0, len(e.PerAP)) // one allocation for every AP's copy
 	for b, s := range e.PerAP {
-		cs := *s
+		stats = append(stats, *s)
+		cs := &stats[len(stats)-1]
 		cs.Samples = s.Samples[:len(s.Samples):len(s.Samples)]
-		ne.PerAP[b] = &cs
+		ne.PerAP[b] = cs
 	}
 	return ne
 }
