@@ -12,6 +12,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"indoorloc/internal/jsonscan"
@@ -121,6 +123,25 @@ func TestAppendReportAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("AppendReport allocates %.1f per report, want 0", allocs)
+	}
+}
+
+// TestScanReportCommaFloodBounded checks that an observation of bare
+// commas, which the scanner refuses, does not make it size a map for
+// every comma first: the hint is bounded, so the refusal allocates a
+// few kilobytes however long the flood.
+func TestScanReportCommaFloodBounded(t *testing.T) {
+	b := []byte(`{"observation":{"a":-1` + strings.Repeat(",", 1<<20) + `}}`)
+	var keys jsonscan.Keys
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, ok := ScanReport(b, 0, &keys)
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatal("ScanReport accepted a comma flood")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("refusing a %d-byte comma flood allocated %d bytes, want at most 64 KiB", len(b), n)
 	}
 }
 

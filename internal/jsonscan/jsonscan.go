@@ -181,12 +181,18 @@ func FlatObject(b []byte, i int, keys *Keys, m map[string]float64) (next int, ok
 	return i, ok
 }
 
+// maxMembers bounds Members' hint. The hint sizes a map before
+// anything is parsed, so an unbounded one would let a body of bare
+// commas make the caller allocate buckets for millions of members.
+const maxMembers = 64
+
 // Members estimates the member count of the flat object at b[i] by its
 // commas, to size the map FlatObject fills. It is a hint, not a parse:
-// a key holding ',' or '}' makes it miscount.
+// a key holding ',' or '}' makes it miscount, and it counts no further
+// than maxMembers.
 func Members(b []byte, i int) int {
 	n := 1
-	for ; i < len(b) && b[i] != '}'; i++ {
+	for ; i < len(b) && b[i] != '}' && n < maxMembers; i++ {
 		if b[i] == ',' {
 			n++
 		}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"indoorloc/internal/geom"
@@ -343,6 +344,29 @@ func TestDecodeTrainFastSlowParity(t *testing.T) {
 		if ok := trainParity(t, c.body); ok != c.wantFast {
 			t.Errorf("%s: fast ok=%v, want %v", c.name, ok, c.wantFast)
 		}
+	}
+}
+
+// TestTrainScratchBounded checks that the pooled arena keeps the
+// capacity of an ordinary batch's decode scratch but drops the one a
+// body of many tiny reports grew.
+func TestTrainScratchBounded(t *testing.T) {
+	decode := func(a *batchArena, n int) {
+		t.Helper()
+		a.body.Reset()
+		a.body.WriteString(`{"reports":[{}` + strings.Repeat(`,{}`, n-1) + `]}`)
+		if got, ok := a.decodeTrainFast(); !ok || len(got) != n {
+			t.Fatalf("%d reports: fast ok=%v, decoded %d", n, ok, len(got))
+		}
+	}
+	a := &batchArena{}
+	decode(a, 16)
+	if cap(a.reports) == 0 {
+		t.Error("a 16-report batch left no scratch to reuse")
+	}
+	decode(a, 4*maxReportScratch)
+	if c := cap(a.reports); c > maxReportScratch {
+		t.Errorf("the arena kept a scratch of capacity %d, want at most %d", c, maxReportScratch)
 	}
 }
 

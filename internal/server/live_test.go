@@ -361,7 +361,7 @@ func TestLocateBatchConsistentUnderIngest(t *testing.T) {
 // short into a 400, and journals nothing.
 func TestTrainReportOversizeBody(t *testing.T) {
 	report := `{"name":"p_0_0","observation":{"ap0":-44.5}}`
-	big := report + strings.Repeat(" ", maxTrainBody) // valid JSON, one report
+	big := report + strings.Repeat(" ", maxBatchBody) // valid JSON, one report
 	post := func(srv *Server, path, body string, chunked bool) *httptest.ResponseRecorder {
 		req := httptest.NewRequest("POST", path, strings.NewReader(body))
 		if chunked {
@@ -374,7 +374,7 @@ func TestTrainReportOversizeBody(t *testing.T) {
 
 	// The single-venue live server, with the default cap and a raised one.
 	live := newLiveFixture(t, ingest.Config{FlushInterval: time.Hour})
-	raised, err := NewLive(live.mgr, nil, WithMaxBody(2*maxTrainBody))
+	raised, err := NewLive(live.mgr, nil, WithMaxBody(2*maxBatchBody))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,10 +102,10 @@ import (
 // DefaultMaxBatch is the observation cap New sets on /locate/batch.
 const DefaultMaxBatch = 4096
 
-// maxBatchBody bounds the /locate/batch request body. A full
-// DefaultMaxBatch of dense observations is well under a megabyte;
-// 8 MiB leaves generous headroom without letting one client pin
-// arbitrary memory.
+// maxBatchBody bounds the /locate/batch and /train/report request
+// bodies, which readBody enforces with a 413. A full DefaultMaxBatch of
+// dense observations is well under a megabyte; 8 MiB leaves generous
+// headroom without letting one client pin arbitrary memory.
 const maxBatchBody = 8 << 20
 
 // Server wraps a trained location service as an http.Handler. It
@@ -296,14 +296,14 @@ func newServer(reg *core.SnapshotRegistry, mgr *ingest.Manager, vr *venue.Regist
 			routeDef{name: "venue_track", venue: true, path: "/track/", prefix: true,
 				post: s.handleVenueTrackPost, del: s.handleVenueTrackDelete, maxBody: bodyCap(defaultMaxBody)},
 			routeDef{name: "venue_train", venue: true, path: "/train/report",
-				post: s.handleVenueTrainReport, maxBody: bodyCap(maxTrainBody)},
+				post: s.handleVenueTrainReport, maxBody: bodyCap(maxBatchBody)},
 			routeDef{name: "locations", path: "/locations", get: s.handleVenueLocations},
 			routeDef{name: "locate", path: "/locate", post: s.handleVenueLocate, maxBody: bodyCap(defaultMaxBody)},
 			routeDef{name: "locate_batch", path: "/locate/batch", post: s.handleVenueLocateBatch, maxBody: bodyCap(maxBatchBody)},
 			routeDef{name: "track", path: "/track/", prefix: true,
 				post: s.handleVenueTrackPost, del: s.handleVenueTrackDelete, maxBody: bodyCap(defaultMaxBody)},
 			routeDef{name: "train_report", path: "/train/report",
-				post: s.handleVenueTrainReport, maxBody: bodyCap(maxTrainBody)},
+				post: s.handleVenueTrainReport, maxBody: bodyCap(maxBatchBody)},
 		)
 	} else {
 		defs = append(defs,
@@ -315,14 +315,14 @@ func newServer(reg *core.SnapshotRegistry, mgr *ingest.Manager, vr *venue.Regist
 		)
 		if mgr != nil {
 			defs = append(defs, routeDef{name: "train_report", path: "/train/report",
-				post: s.handleTrainReport, maxBody: bodyCap(maxTrainBody)})
+				post: s.handleTrainReport, maxBody: bodyCap(maxBatchBody)})
 		}
 		if fol != nil {
 			// The follower is read-only: the endpoint exists so clients get
 			// a truthful 409 instead of a misleading 404, but reports
 			// belong at the trainer.
 			defs = append(defs, routeDef{name: "train_report", path: "/train/report",
-				post: s.handleTrainReportFrozen, maxBody: bodyCap(maxTrainBody)})
+				post: s.handleTrainReportFrozen, maxBody: bodyCap(maxBatchBody)})
 		}
 	}
 	if o.replSrc != nil {
@@ -673,6 +673,10 @@ type batchArena struct {
 	// itself is a fresh slice, since the ingest queue keeps its reports.
 	reports []ingest.Report
 }
+
+// maxReportScratch bounds the capacity of batchArena.reports kept
+// across requests; a larger scratch is dropped after use.
+const maxReportScratch = 1024
 
 var batchArenaPool = sync.Pool{New: func() any {
 	a := &batchArena{}
@@ -1166,10 +1170,6 @@ type trainRequest struct {
 	Reports []ingest.Report `json:"reports,omitempty"`
 }
 
-// maxTrainBody bounds the /train/report request body: the request
-// arena's bound, which readBody enforces with a 413.
-const maxTrainBody = maxBatchBody
-
 func (s *Server) handleTrainReport(w http.ResponseWriter, r *http.Request) {
 	s.trainReport(w, r, s.ing)
 }
@@ -1267,9 +1267,13 @@ func (a *batchArena) decodeTrainFast() ([]ingest.Report, bool) {
 	if ok {
 		reports = slices.Clone(a.reports)
 	}
-	// Leave the scratch empty: the pooled arena must not pin a batch.
+	// Leave the scratch empty: the pooled arena must not pin a batch,
+	// nor the capacity a body of millions of tiny reports grew.
 	clear(a.reports)
 	a.reports = a.reports[:0]
+	if cap(a.reports) > maxReportScratch {
+		a.reports = nil
+	}
 	return reports, ok
 }
 
