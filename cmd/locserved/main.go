@@ -98,7 +98,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		planPath     = fs.String("plan", "", "annotated plan supplying AP positions (geometric algorithms)")
 		listen       = fs.String("listen", "127.0.0.1:8080", "listen address")
 		batchMax     = fs.Int("batch-max", server.DefaultMaxBatch, "max observations per /locate/batch request")
-		maxBody      = fs.Int64("max-body", 0, "request body cap in bytes for every route (0 = per-route defaults: 1 MiB, 8 MiB batch/train)")
+		maxBody      = fs.Int64("max-body", 0, "request body cap in bytes for every route that takes a body, at most 8 MiB (0 = per-route defaults: 1 MiB, 8 MiB batch/train)")
 		routeTO      = fs.Duration("route-timeout", 0, "per-route handler deadline; overruns answer 503 (0 = off, keeps the hot path allocation-free)")
 		metricsOn    = fs.Bool("metrics", true, "expose Prometheus metrics at GET /metrics")
 		accessLog    = fs.String("access-log", "", "append one line per request here via the drop-oldest ring ('-' = stderr)")

@@ -13,7 +13,10 @@ package main
 //   - fleet capacity: saturated /locate throughput of the trainer alone
 //     and of each follower, measured sequentially (the container is
 //     single-CPU — concurrent measurement would just split one core),
-//     with the fleet figure the sum over followers.
+//     with the fleet figure the sum over followers. The scaling ratio
+//     compares successful locates per process CPU-second, which other
+//     processes sharing the machine move far less than requests per
+//     wall-clock second.
 
 import (
 	"context"
@@ -29,6 +32,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"indoorloc/internal/core"
@@ -108,8 +112,12 @@ type followCapacity struct {
 	SingleRPS   float64   `json:"single_node_rps"`
 	PerFollower []float64 `json:"per_follower_rps"`
 	FleetRPS    float64   `json:"fleet_rps"`
-	Scaling     float64   `json:"scaling_vs_single"`
-	Note        string    `json:"note"`
+	// SinglePerCPUS and PerFollowerPerCPUS are successful locates per
+	// process CPU-second; Scaling is their fleet-over-single ratio.
+	SinglePerCPUS      float64   `json:"single_node_locates_per_cpu_s"`
+	PerFollowerPerCPUS []float64 `json:"per_follower_locates_per_cpu_s"`
+	Scaling            float64   `json:"scaling_vs_single"`
+	Note               string    `json:"note"`
 }
 
 type followerFinal struct {
@@ -443,33 +451,42 @@ func runFollow(o followSoakOpts, out io.Writer) error {
 	// Capacity: saturated locate throughput, one node at a time, in
 	// capRounds interleaved rounds. Each node's figure is the median of
 	// its slices, so one slice the shared machine slowed down does not
-	// decide the scaling ratio.
+	// decide the scaling ratio. The ratio compares locates per process
+	// CPU-second: wall-clock throughput drops whenever other processes
+	// take the CPUs, CPU time per locate hardly moves.
 	fmt.Fprintf(out, "soak: capacity slices (%d rounds of %s each, %d workers)...\n", capRounds, capSlice, o.workers)
 	cap_ := followCapacity{
 		SliceS: capSlice.Seconds(),
 		Rounds: capRounds,
-		Note:   "single-CPU container: per-node saturation measured sequentially, median over interleaved rounds; fleet_rps is the sum over followers",
+		Note:   "single-CPU container: per-node saturation measured sequentially, median over interleaved rounds; fleet_rps is the sum over followers; scaling_vs_single compares locates per process CPU-second (getrusage), the *_rps fields are wall-clock",
 	}
 	urls := []string{trainerBase + "/locate"}
 	for _, n := range nodes {
 		urls = append(urls, n.base+"/locate")
 	}
-	slices := make([][]float64, len(urls))
+	rps := make([][]float64, len(urls))
+	perCPU := make([][]float64, len(urls))
 	for r := 0; r < capRounds; r++ {
 		for i, url := range urls {
 			runtime.GC() // pay earlier GC debt outside the slice
-			slices[i] = append(slices[i], saturate(client, url, bodies.locate, o.workers, capSlice))
+			wall, cpu := saturate(client, url, bodies.locate, o.workers, capSlice)
+			rps[i] = append(rps[i], wall)
+			perCPU[i] = append(perCPU[i], cpu)
 		}
 	}
-	cap_.SingleRPS = stats.Median(slices[0])
+	cap_.SingleRPS = stats.Median(rps[0])
+	cap_.SinglePerCPUS = stats.Median(perCPU[0])
+	fleetPerCPUS := 0.0
 	for i := range nodes {
-		rps := stats.Median(slices[i+1])
-		cap_.PerFollower = append(cap_.PerFollower, rps)
-		cap_.FleetRPS += rps
-		fmt.Fprintf(out, "soak: follower %d saturated at %.0f locates/s\n", i, rps)
+		wall, cpu := stats.Median(rps[i+1]), stats.Median(perCPU[i+1])
+		cap_.PerFollower = append(cap_.PerFollower, wall)
+		cap_.PerFollowerPerCPUS = append(cap_.PerFollowerPerCPUS, cpu)
+		cap_.FleetRPS += wall
+		fleetPerCPUS += cpu
+		fmt.Fprintf(out, "soak: follower %d saturated at %.0f locates/s, %.0f per CPU-second\n", i, wall, cpu)
 	}
-	if cap_.SingleRPS > 0 {
-		cap_.Scaling = cap_.FleetRPS / cap_.SingleRPS
+	if cap_.SinglePerCPUS > 0 {
+		cap_.Scaling = fleetPerCPUS / cap_.SinglePerCPUS
 	}
 
 	report := followReport{
@@ -511,9 +528,11 @@ func runFollow(o followSoakOpts, out io.Writer) error {
 const capRounds = 3
 
 // saturate drives unpaced POSTs at url with the given worker count for
-// one slice and returns requests/sec (successful only).
-func saturate(client *http.Client, url string, bodies [][]byte, workers int, slice time.Duration) float64 {
+// one slice. It returns the successful requests per wall-clock second
+// and per CPU-second of this process, which serves and drives them.
+func saturate(client *http.Client, url string, bodies [][]byte, workers int, slice time.Duration) (rps, perCPUS float64) {
 	var n atomic.Uint64
+	cpu0 := processCPU()
 	start := time.Now()
 	deadline := start.Add(slice)
 	var wg sync.WaitGroup
@@ -531,7 +550,19 @@ func saturate(client *http.Client, url string, bodies [][]byte, workers int, sli
 		}(w)
 	}
 	wg.Wait()
-	return float64(n.Load()) / time.Since(start).Seconds()
+	ok := float64(n.Load())
+	rps = ok / time.Since(start).Seconds()
+	if cpu := processCPU() - cpu0; cpu > 0 {
+		perCPUS = ok / cpu.Seconds()
+	}
+	return rps, perCPUS
+}
+
+// processCPU is the user plus system CPU time this process has used.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // buildFollowFixture assembles the replication soak's training DB,

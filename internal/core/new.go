@@ -15,63 +15,54 @@ import (
 //
 //	in, err := core.New(core.WithDB(db), core.WithAlgorithm(core.AlgoKNN))
 //	in, err := core.New(core.WithCompiledFile("campus.ilr"))
-//	in, err := core.New(core.WithService(svc))         // wrap a prebuilt service
 //
 // Exactly one source option is required: WithDB (train from a raw
-// database), WithCompiled (serve a compiled view), WithCompiledFile
-// (open and memory-map a v2 artifact), or WithService (adopt a
-// prebuilt Service). The returned Instance carries the built Service,
-// a static SnapshotRegistry over it, and an idempotent Close that
-// releases whatever the source pinned (the artifact mapping, for
-// WithCompiledFile).
+// database), WithCompiled (serve a compiled view), or WithCompiledFile
+// (open and memory-map a v2 artifact). The returned Instance carries
+// the built Service, a static SnapshotRegistry over it, and an
+// idempotent Close that releases whatever the source pinned (the
+// artifact mapping, for WithCompiledFile).
 func New(opts ...Option) (*Instance, error) {
 	o := newOptions{algo: AlgoProbabilistic}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	sources := 0
-	for _, set := range []bool{o.db != nil, o.compiled != nil, o.compiledFile != "", o.service != nil} {
+	for _, set := range []bool{o.db != nil, o.compiled != nil, o.compiledFile != ""} {
 		if set {
 			sources++
 		}
 	}
 	if sources != 1 {
-		return nil, errors.New("core: New needs exactly one source (WithDB, WithCompiled, WithCompiledFile or WithService)")
+		return nil, errors.New("core: New needs exactly one source (WithDB, WithCompiled or WithCompiledFile)")
 	}
 
-	var (
-		svc     *Service
-		closeFn func() error
-	)
+	var closeFn func() error
 	fail := func(err error) (*Instance, error) {
 		if closeFn != nil {
 			err = errors.Join(err, closeFn())
 		}
 		return nil, err
 	}
-	if o.service != nil {
-		svc = o.service
-	} else {
-		c := o.compiled
-		if o.compiledFile != "" {
-			var err error
-			if c, closeFn, err = trainingdb.OpenCompiledFile(o.compiledFile); err != nil {
-				return nil, err
-			}
-			if o.names == nil {
-				// The training locations themselves resolve names unless
-				// the caller overrides.
-				o.entryNames = true
-			}
+	c := o.compiled
+	if o.compiledFile != "" {
+		var err error
+		if c, closeFn, err = trainingdb.OpenCompiledFile(o.compiledFile); err != nil {
+			return nil, err
 		}
-		loc, err := buildLocator(o.algo, o.db, c, o.cfg)
-		if err != nil {
-			return fail(err)
+		if o.names == nil {
+			// The training locations themselves resolve names unless
+			// the caller overrides.
+			o.entryNames = true
 		}
-		// Every source records its recipe, so Patch can carry any
-		// service New built — an artifact's included — across folds.
-		svc = &Service{DB: o.db, Locator: loc, algo: o.algo, cfg: o.cfg}
 	}
+	loc, err := buildLocator(o.algo, o.db, c, o.cfg)
+	if err != nil {
+		return fail(err)
+	}
+	// Every source records its recipe, so Patch can carry any service
+	// New built — an artifact's included — across folds.
+	svc := &Service{DB: o.db, Locator: loc, algo: o.algo, cfg: o.cfg}
 	if o.names != nil {
 		svc.Names = o.names.Index()
 	} else if o.entryNames && svc.Names == nil {
@@ -130,7 +121,6 @@ type newOptions struct {
 	db           *trainingdb.DB
 	compiled     *trainingdb.Compiled
 	compiledFile string
-	service      *Service
 	algo         string
 	cfg          BuildConfig
 	names        *locmap.Map
@@ -157,12 +147,6 @@ func WithCompiled(c *trainingdb.Compiled) Option {
 // supported) and serves it. Instance.Close releases the mapping.
 func WithCompiledFile(path string) Option {
 	return func(o *newOptions) { o.compiledFile = path }
-}
-
-// WithService adopts a prebuilt Service unchanged — the StaticSnapshot
-// use case: wrap it in a registry without rebuilding anything.
-func WithService(svc *Service) Option {
-	return func(o *newOptions) { o.service = svc }
 }
 
 // WithAlgorithm selects the registry algorithm; the default is

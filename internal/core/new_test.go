@@ -25,7 +25,6 @@ func TestNewSourceExclusivity(t *testing.T) {
 		{"only algorithm", []Option{WithAlgorithm(AlgoKNN)}},
 		{"db and file", []Option{WithDB(f.db), WithCompiledFile(path)}},
 		{"db and compiled", []Option{WithDB(f.db), WithCompiled(f.db.Compile(-95, 4))}},
-		{"service and db", []Option{WithService(&Service{DB: f.db}), WithDB(f.db)}},
 	}
 	for _, tc := range cases {
 		in, err := New(tc.opts...)
@@ -155,28 +154,6 @@ func TestNewCompiledFileErrors(t *testing.T) {
 		if _, err := New(WithCompiledFile(path)); !errors.Is(err, trainingdb.ErrRetiredArtifact) {
 			t.Errorf("%s: %v, want ErrRetiredArtifact", path, err)
 		}
-	}
-}
-
-func TestNewWithService(t *testing.T) {
-	f := newFixture(t)
-	loc, err := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := &Service{DB: f.db, Locator: loc}
-	in, err := New(WithService(svc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Service != svc {
-		t.Error("WithService must adopt the service unchanged")
-	}
-	if in.Registry.Current().Service != svc {
-		t.Error("registry does not serve the adopted service")
-	}
-	if err := in.Close(); err != nil {
-		t.Errorf("close: %v", err)
 	}
 }
 

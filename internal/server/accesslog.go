@@ -98,11 +98,8 @@ func methodIndex(m string) int {
 var methodNames = [...]string{"GET", "POST", "DELETE", "OTHER"}
 
 // newAccessLogger starts a logger draining into w. size is rounded up
-// to a power of two; size <= 0 uses the default.
+// to a power of two.
 func newAccessLogger(w io.Writer, size int, names []string) *accessLogger {
-	if size <= 0 {
-		size = defaultLogRing
-	}
 	n := 1
 	for n < size {
 		n <<= 1

@@ -125,7 +125,7 @@ func TestAccessLogDropOldest(t *testing.T) {
 // drop counter surfaces in the exposition.
 func TestServerAccessLogOption(t *testing.T) {
 	var out syncBuffer
-	f := newFixture(t, WithAccessLog(&out), WithAccessLogRing(256))
+	f := newFixture(t, WithAccessLog(&out))
 	for _, path := range []string{"/healthz", "/healthz", "/missing"} {
 		resp, err := http.Get(f.ts.URL + path)
 		if err != nil {

@@ -205,6 +205,31 @@ func TestSingleLocateAllocsAtMostBatchOfOne(t *testing.T) {
 	}
 }
 
+// TestSingleVenueAllocs pins one request's allocations on a New server
+// at the measured counts. The server's one venue has the empty tracker
+// scope, so a /track key is the bare client id and costs nothing.
+func TestSingleVenueAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-runtime allocations make the count nondeterministic")
+	}
+	f := newFixture(t)
+	obs := f.averagedObservation(t, geom.Pt(25, 20))
+	single, _ := json.Marshal(map[string]any{"observation": obs})
+	for _, c := range []struct {
+		path    string
+		body    []byte
+		ceiling float64
+	}{
+		{"/locate", single, 1},
+		{"/locate/batch", batchBody(t, []map[string]float64{obs}), 3},
+		{"/track/cart-7", single, 1},
+	} {
+		if got := allocsPerServe(t, f.srv, c.path, c.body); got > c.ceiling {
+			t.Errorf("%s allocates %.1f per request, over the ceiling of %.0f", c.path, got, c.ceiling)
+		}
+	}
+}
+
 // TestSingleMatchesBatchOfOne checks that the single and batch codecs
 // give the same answer, field by field, on random house observations:
 // captures at random points, and random RSSI over a random subset of
@@ -279,6 +304,39 @@ func TestLocateOversizeBody(t *testing.T) {
 			f.srv.ServeHTTP(rec, req)
 			if rec.Code != http.StatusRequestEntityTooLarge || rec.Header().Get("Connection") != "close" {
 				t.Errorf("%s chunked=%v: status %d, Connection %q", path, chunked, rec.Code, rec.Header().Get("Connection"))
+			}
+		}
+	}
+}
+
+// TestLocateOversizeBodyRaisedCap checks that the router's cap is the
+// only one on the locate routes: under a cap raised past maxBatchBody,
+// a body of exactly maxBatchBody is answered, and a longer one,
+// declared or chunked, answers 413 body_too_large.
+func TestLocateOversizeBodyRaisedCap(t *testing.T) {
+	f := newFixture(t, WithMaxBody(2*maxBatchBody))
+	obs := `{"00:02:2d:00:00:0a":-30,"00:02:2d:00:00:0b":-70,"00:02:2d:00:00:0c":-62}`
+	for _, c := range []struct{ path, body string }{
+		{"/locate", `{"observation":` + obs + `}`},
+		{"/locate/batch", `{"observations":[` + obs + `]}`},
+	} {
+		fits := c.body + strings.Repeat(" ", maxBatchBody-len(c.body))
+		for _, chunked := range []bool{false, true} {
+			for _, body := range []string{fits, fits + " "} {
+				req := httptest.NewRequest("POST", c.path, strings.NewReader(body))
+				if chunked {
+					req.ContentLength = -1
+				}
+				rec := httptest.NewRecorder()
+				f.srv.ServeHTTP(rec, req)
+				if len(body) == maxBatchBody {
+					if rec.Code != http.StatusOK {
+						t.Errorf("%s chunked=%v: a body of the cap answered %d %s", c.path, chunked, rec.Code, rec.Body)
+					}
+				} else if rec.Code != http.StatusRequestEntityTooLarge || errCode(t, rec.Body.Bytes()) != codeBodyTooLarge {
+					t.Errorf("%s chunked=%v: oversize body answered %d %s, want 413 %s",
+						c.path, chunked, rec.Code, rec.Body, codeBodyTooLarge)
+				}
 			}
 		}
 	}

@@ -51,17 +51,28 @@
 // instead of a full request's worth of garbage. All handlers are safe
 // for concurrent use.
 //
+// # Constructors
+//
+// New serves a trained service (a static server), NewLive serves an
+// ingest pipeline and accepts /train/report, NewFollower serves a
+// replication follower read-only, and NewMultiVenue serves a
+// venue.Registry under /v1/venues (venue_handlers.go). The first three
+// build single-venue servers: their one venue is a venue.Standalone
+// that no registry owns, so one set of handlers serves every kind of
+// server. Each handler pins the request's venue — the path's, the
+// registry default, or the single venue — answers, and releases it.
+//
 // # Consistency model
 //
 // Handlers answer from an immutable core.Snapshot loaded once per
-// request from a core.SnapshotRegistry (one atomic pointer load).
-// A static server (New) wraps its service in a forever-current
-// snapshot; a live server (NewLive) reads whatever snapshot the ingest
-// compactor last published. Because the estimate, the symbolic name
-// and the room all resolve against the one snapshot the request
-// loaded, a hot swap mid-request can never produce a torn answer —
-// in-flight requests finish on the old world, new requests see the new
-// one.
+// request from the pinned venue's core.SnapshotRegistry (one atomic
+// pointer load). A static server wraps its service in a
+// forever-current snapshot; a live server reads whatever snapshot the
+// ingest compactor last published, and a follower whatever it last
+// replicated. Because the estimate, the symbolic name and the room all
+// resolve against the one snapshot the request loaded, a hot swap
+// mid-request can never produce a torn answer — in-flight requests
+// finish on the old world, new requests see the new one.
 //
 // /train/report accepts a single report
 //
@@ -94,7 +105,6 @@ import (
 	"indoorloc/internal/localize"
 	"indoorloc/internal/metrics"
 	"indoorloc/internal/repl"
-	"indoorloc/internal/track"
 	"indoorloc/internal/venue"
 	"indoorloc/internal/wiscan"
 )
@@ -102,8 +112,9 @@ import (
 // DefaultMaxBatch is the observation cap New sets on /locate/batch.
 const DefaultMaxBatch = 4096
 
-// maxBatchBody bounds the /locate/batch and /train/report request
-// bodies, which readBody enforces with a 413. A full DefaultMaxBatch of
+// maxBatchBody is the /locate/batch and /train/report body cap, and
+// the most any route buffers into a pooled arena: WithMaxBody can lower
+// a route's cap but not raise it past this. A full DefaultMaxBatch of
 // dense observations is well under a megabyte; 8 MiB leaves generous
 // headroom without letting one client pin arbitrary memory.
 const maxBatchBody = 8 << 20
@@ -112,16 +123,16 @@ const maxBatchBody = 8 << 20
 // serves every request from the snapshot current at the request's
 // start, so a live hot-swap never tears an in-flight answer.
 type Server struct {
-	reg *core.SnapshotRegistry
-	rt  *router
+	rt *router
 	// alog is the ring-buffer access logger; nil when not configured.
 	alog *accessLogger
-	// ing is the live training pipeline; nil for a static server (no
-	// /train/report endpoint, static /healthz counters).
-	ing *ingest.Manager
+	// home is a single-venue server's one venue: a static service, a
+	// live pipeline (its Manager is set) or a follower's replica. nil
+	// for a multi-venue server.
+	home *venue.Venue
 	// venues is the multi-tenant registry; nil for a single-venue
-	// server. When set, reg and ing are nil and every serving route
-	// resolves its venue from the path (or the registry default).
+	// server. Serving routes resolve their venue from the path (or the
+	// registry default).
 	venues *venue.Registry
 	// follower is the replication follower this server reads from; nil
 	// unless built with NewFollower. A follower server is read-only:
@@ -147,24 +158,25 @@ type Server struct {
 	newFilter func() filter.PositionFilter
 }
 
-// clientTrack is one client's tracking state plus the lock that
+// clientTrack is one client's tracking filter plus the lock that
 // serializes updates to it. Filters are stateful and order-dependent,
 // so same-client requests still serialize — but only with each other.
+// Only the filter is kept: the estimates it smooths come from each
+// request's own snapshot.
 type clientTrack struct {
 	mu sync.Mutex
-	tr *track.Tracker
+	f  filter.PositionFilter // built by the first update
 }
 
 // Option tunes the serving front end at construction.
 type Option func(*serverOptions)
 
 type serverOptions struct {
-	routeTimeout  time.Duration
-	maxBody       int64
-	accessLog     io.Writer
-	accessLogRing int
-	noMetrics     bool
-	replSrc       *repl.Source
+	routeTimeout time.Duration
+	maxBody      int64
+	accessLog    io.Writer
+	noMetrics    bool
+	replSrc      *repl.Source
 }
 
 // WithRouteTimeout puts every route under a deadline: a handler that
@@ -175,9 +187,10 @@ func WithRouteTimeout(d time.Duration) Option {
 	return func(o *serverOptions) { o.routeTimeout = d }
 }
 
-// WithMaxBody overrides every route's request-body cap (bytes).
-// Zero keeps the per-route defaults (1 MiB single-observation
-// endpoints, 8 MiB batch and training endpoints).
+// WithMaxBody overrides the request-body cap (bytes) of every route
+// that takes a body, up to maxBatchBody (8 MiB): a larger n caps them
+// all at 8 MiB. Zero keeps the per-route defaults (1 MiB
+// single-observation endpoints, 8 MiB batch and training endpoints).
 func WithMaxBody(n int64) Option {
 	return func(o *serverOptions) { o.maxBody = n }
 }
@@ -198,12 +211,6 @@ func WithAccessLog(w io.Writer) Option {
 	return func(o *serverOptions) { o.accessLog = w }
 }
 
-// WithAccessLogRing sizes the access-log ring (rounded up to a power
-// of two). Only meaningful with WithAccessLog.
-func WithAccessLogRing(n int) Option {
-	return func(o *serverOptions) { o.accessLogRing = n }
-}
-
 // WithReplicationSource mounts the trainer-side replication endpoints
 // (GET /v1/replicate/snapshot, GET /v1/replicate/wal) backed by src.
 // The WAL endpoint is a deliberately unbounded chunked stream, so
@@ -221,18 +228,18 @@ func New(svc *core.Service, filterFactory func() filter.PositionFilter, opts ...
 	if err != nil {
 		return nil, errors.New("server: nil service")
 	}
-	return newServer(reg, nil, nil, nil, filterFactory, opts)
+	return newServer(venue.Standalone(reg, nil), nil, nil, filterFactory, opts)
 }
 
 // NewLive builds a server over a live ingest pipeline: requests are
 // answered from the manager's latest published snapshot, POST
 // /train/report feeds the pipeline, and /healthz carries the ingest
-// counters.
+// counters. The caller still closes mgr.
 func NewLive(mgr *ingest.Manager, filterFactory func() filter.PositionFilter, opts ...Option) (*Server, error) {
 	if mgr == nil {
 		return nil, errors.New("server: nil ingest manager")
 	}
-	return newServer(mgr.Registry(), mgr, nil, nil, filterFactory, opts)
+	return newServer(venue.Standalone(mgr.Registry(), mgr), nil, nil, filterFactory, opts)
 }
 
 // NewFollower builds a read-only server over a started replication
@@ -241,14 +248,17 @@ func NewLive(mgr *ingest.Manager, filterFactory func() filter.PositionFilter, op
 // POST /train/report answers 409 venue_frozen (this node holds no
 // authority over the radio map — reports belong at the trainer), and
 // /healthz + /metrics expose the replication lag and catch-up state.
+// The caller still closes f.
 func NewFollower(f *repl.Follower, filterFactory func() filter.PositionFilter, opts ...Option) (*Server, error) {
 	if f == nil || f.Registry() == nil {
 		return nil, errors.New("server: follower not started")
 	}
-	return newServer(f.Registry(), nil, nil, f, filterFactory, opts)
+	return newServer(venue.Standalone(f.Registry(), nil), nil, f, filterFactory, opts)
 }
 
-func newServer(reg *core.SnapshotRegistry, mgr *ingest.Manager, vr *venue.Registry, fol *repl.Follower, filterFactory func() filter.PositionFilter, opts []Option) (*Server, error) {
+// newServer builds a server over exactly one of home (a single-venue
+// server) and vr (a multi-venue one).
+func newServer(home *venue.Venue, vr *venue.Registry, fol *repl.Follower, filterFactory func() filter.PositionFilter, opts []Option) (*Server, error) {
 	if filterFactory == nil {
 		filterFactory = func() filter.PositionFilter {
 			return &filter.Kalman{Dt: 1, ProcessNoise: 0.6, MeasurementNoise: 7}
@@ -259,8 +269,7 @@ func newServer(reg *core.SnapshotRegistry, mgr *ingest.Manager, vr *venue.Regist
 		opt(&o)
 	}
 	s := &Server{
-		reg:       reg,
-		ing:       mgr,
+		home:      home,
 		venues:    vr,
 		follower:  fol,
 		replSrc:   o.replSrc,
@@ -268,9 +277,12 @@ func newServer(reg *core.SnapshotRegistry, mgr *ingest.Manager, vr *venue.Regist
 		newFilter: filterFactory,
 		started:   time.Now(),
 	}
+	// Every route that takes a body decodes it into a pooled arena, so
+	// the router's cap is the only one: WithMaxBody may lower it, but
+	// never past what an arena buffers.
 	bodyCap := func(def int64) int64 {
 		if o.maxBody > 0 {
-			return o.maxBody
+			return min(o.maxBody, maxBatchBody)
 		}
 		return def
 	}
@@ -282,48 +294,35 @@ func newServer(reg *core.SnapshotRegistry, mgr *ingest.Manager, vr *venue.Regist
 		defs = append(defs, routeDef{name: "metrics", path: "/metrics", get: s.handleMetrics})
 	}
 	if vr != nil {
-		// The versioned namespace, plus the legacy unversioned routes as
-		// aliases onto the registry's default venue (the venue handlers
-		// fall back to the default when the path carries no venue id).
+		// The versioned namespace. The unversioned routes below serve the
+		// registry's default venue (the path carries no venue id).
 		defs = append(defs,
 			routeDef{name: "venues", path: "/v1/venues", get: s.handleVenues},
 			routeDef{name: "venue_status", venue: true, path: "", get: s.handleVenueStatus},
-			routeDef{name: "venue_locations", venue: true, path: "/locations", get: s.handleVenueLocations},
+			routeDef{name: "venue_locations", venue: true, path: "/locations", get: s.handleLocations},
 			routeDef{name: "venue_locate", venue: true, path: "/locate",
-				post: s.handleVenueLocate, maxBody: bodyCap(defaultMaxBody)},
+				post: s.handleLocate, maxBody: bodyCap(defaultMaxBody)},
 			routeDef{name: "venue_locate_batch", venue: true, path: "/locate/batch",
-				post: s.handleVenueLocateBatch, maxBody: bodyCap(maxBatchBody)},
+				post: s.handleLocateBatch, maxBody: bodyCap(maxBatchBody)},
 			routeDef{name: "venue_track", venue: true, path: "/track/", prefix: true,
-				post: s.handleVenueTrackPost, del: s.handleVenueTrackDelete, maxBody: bodyCap(defaultMaxBody)},
-			routeDef{name: "venue_train", venue: true, path: "/train/report",
-				post: s.handleVenueTrainReport, maxBody: bodyCap(maxBatchBody)},
-			routeDef{name: "locations", path: "/locations", get: s.handleVenueLocations},
-			routeDef{name: "locate", path: "/locate", post: s.handleVenueLocate, maxBody: bodyCap(defaultMaxBody)},
-			routeDef{name: "locate_batch", path: "/locate/batch", post: s.handleVenueLocateBatch, maxBody: bodyCap(maxBatchBody)},
-			routeDef{name: "track", path: "/track/", prefix: true,
-				post: s.handleVenueTrackPost, del: s.handleVenueTrackDelete, maxBody: bodyCap(defaultMaxBody)},
-			routeDef{name: "train_report", path: "/train/report",
-				post: s.handleVenueTrainReport, maxBody: bodyCap(maxBatchBody)},
-		)
-	} else {
-		defs = append(defs,
-			routeDef{name: "locations", path: "/locations", get: s.handleLocations},
-			routeDef{name: "locate", path: "/locate", post: s.handleLocate, maxBody: bodyCap(defaultMaxBody)},
-			routeDef{name: "locate_batch", path: "/locate/batch", post: s.handleLocateBatch, maxBody: bodyCap(maxBatchBody)},
-			routeDef{name: "track", path: "/track/", prefix: true,
 				post: s.handleTrackPost, del: s.handleTrackDelete, maxBody: bodyCap(defaultMaxBody)},
+			routeDef{name: "venue_train", venue: true, path: "/train/report",
+				post: s.handleTrainReport, maxBody: bodyCap(maxBatchBody)},
 		)
-		if mgr != nil {
-			defs = append(defs, routeDef{name: "train_report", path: "/train/report",
-				post: s.handleTrainReport, maxBody: bodyCap(maxBatchBody)})
-		}
-		if fol != nil {
-			// The follower is read-only: the endpoint exists so clients get
-			// a truthful 409 instead of a misleading 404, but reports
-			// belong at the trainer.
-			defs = append(defs, routeDef{name: "train_report", path: "/train/report",
-				post: s.handleTrainReportFrozen, maxBody: bodyCap(maxBatchBody)})
-		}
+	}
+	defs = append(defs,
+		routeDef{name: "locations", path: "/locations", get: s.handleLocations},
+		routeDef{name: "locate", path: "/locate", post: s.handleLocate, maxBody: bodyCap(defaultMaxBody)},
+		routeDef{name: "locate_batch", path: "/locate/batch", post: s.handleLocateBatch, maxBody: bodyCap(maxBatchBody)},
+		routeDef{name: "track", path: "/track/", prefix: true,
+			post: s.handleTrackPost, del: s.handleTrackDelete, maxBody: bodyCap(defaultMaxBody)},
+	)
+	// A static server has no training endpoint. A follower keeps one so
+	// clients get a truthful 409 venue_frozen instead of a misleading
+	// 404: its venue has no pipeline, and reports belong at the trainer.
+	if vr != nil || home.Manager() != nil || fol != nil {
+		defs = append(defs, routeDef{name: "train_report", path: "/train/report",
+			post: s.handleTrainReport, maxBody: bodyCap(maxBatchBody)})
 	}
 	if o.replSrc != nil {
 		defs = append(defs,
@@ -349,7 +348,7 @@ func newServer(reg *core.SnapshotRegistry, mgr *ingest.Manager, vr *venue.Regist
 			names[i] = d.name
 		}
 		names[len(defs)] = "other"
-		s.alog = newAccessLogger(o.accessLog, o.accessLogRing, names)
+		s.alog = newAccessLogger(o.accessLog, defaultLogRing, names)
 	}
 	s.rt = newRouter(defs, s.alog)
 	return s, nil
@@ -369,14 +368,9 @@ func (s *Server) Close() error {
 // renders. Route indexes follow Metrics().Names().
 func (s *Server) Metrics() *metrics.Registry { return s.rt.metrics }
 
-// current returns the snapshot this request serves from. Load it once
-// per request; every lookup the answer needs must come from the same
-// snapshot.
-func (s *Server) current() *core.Snapshot { return s.reg.Current() }
-
-// Snapshot returns the snapshot currently being served — what a
-// request arriving now would answer from.
-func (s *Server) Snapshot() *core.Snapshot { return s.current() }
+// Snapshot returns the snapshot a single-venue server is currently
+// serving — what a request arriving now would answer from.
+func (s *Server) Snapshot() *core.Snapshot { return s.home.Snapshot() }
 
 // ServeHTTP implements http.Handler.
 //
@@ -447,12 +441,17 @@ const (
 	codeTimeout          = "timeout"
 )
 
+// jsonContentType is every JSON response's Content-Type value, shared
+// so that setting it allocates nothing (Header().Set would build a
+// fresh slice per response). net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
 // writeJSON is the single success/error serialization point; all
 // error bodies funnel through it via writeErrorCode.
 //
 //loclint:errenvelope
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
@@ -526,7 +525,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	snap := s.current()
+	snap := s.home.Snapshot()
 	svc := snap.Service
 	body := map[string]any{
 		"status":     "ok",
@@ -536,8 +535,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"generation": snap.Generation,
 		"built_at":   snap.BuiltAt.UTC().Format(time.RFC3339Nano),
 	}
-	if s.ing != nil {
-		st := s.ing.Stats()
+	if mgr := s.home.Manager(); mgr != nil {
+		st := mgr.Stats()
 		body["ingest"] = st
 		if !st.LastSwap.IsZero() {
 			body["last_swap"] = st.LastSwap.UTC().Format(time.RFC3339Nano)
@@ -555,10 +554,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, core.Algorithms())
-}
-
-func (s *Server) handleLocations(w http.ResponseWriter, r *http.Request) {
-	s.locations(w, s.current().Service)
 }
 
 func (s *Server) locations(w http.ResponseWriter, svc *core.Service) {
@@ -595,10 +590,6 @@ func decodeStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
-}
-
-func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
-	s.locate(w, r, s.current().Service)
 }
 
 // locate answers a single observation. The request runs out of a
@@ -660,7 +651,6 @@ var errBatchTooLarge = errors.New("too many observations in batch")
 // not a fresh copy of all of this.
 type batchArena struct {
 	body    bytes.Buffer
-	lim     io.LimitedReader
 	obs     []localize.Observation
 	results []localize.BatchResult
 	items   []batchItem
@@ -697,18 +687,14 @@ func (a *batchArena) obsAt(n int) localize.Observation {
 	return m
 }
 
-// readBody buffers the request body into the arena. A body longer than
-// maxBatchBody answers tooLarge.
-func (a *batchArena) readBody(body io.Reader, tooLarge error) error {
+// readBody buffers the request body into the arena. The router caps
+// every arena route's body (declared lengths up front, chunked ones
+// with errBodyTooLarge mid-read), so the buffer never grows past
+// maxBatchBody.
+func (a *batchArena) readBody(body io.Reader) error {
 	a.body.Reset()
-	a.lim = io.LimitedReader{R: body, N: maxBatchBody + 1}
-	_, err := a.body.ReadFrom(&a.lim)
-	a.lim.R = nil // the pooled arena must not pin the request
-	if err != nil {
+	if _, err := a.body.ReadFrom(body); err != nil {
 		return fmt.Errorf("reading request body: %w", err)
-	}
-	if a.body.Len() > maxBatchBody {
-		return tooLarge
 	}
 	return nil
 }
@@ -721,7 +707,7 @@ func (a *batchArena) writeOK(w http.ResponseWriter, v any) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	w.Write(a.out.Bytes())
 }
@@ -732,7 +718,7 @@ func (a *batchArena) writeOK(w http.ResponseWriter, v any) {
 // anything else (records, escaped keys, malformed bodies) takes
 // decodeLocateSlow, which produces the user-facing errors.
 func (a *batchArena) decodeLocate(body io.Reader) (localize.Observation, error) {
-	if err := a.readBody(body, errBodyTooLarge); err != nil {
+	if err := a.readBody(body); err != nil {
 		return nil, err
 	}
 	if obs, ok := a.decodeLocateFast(); ok {
@@ -751,7 +737,7 @@ func (a *batchArena) decodeLocate(body io.Reader) (localize.Observation, error) 
 // values, malformed syntax) falls back to the token-based decoder,
 // which produces the user-facing errors.
 func (a *batchArena) decodeObservations(body io.Reader, max int) (int, error) {
-	if err := a.readBody(body, errBatchTooLarge); err != nil {
+	if err := a.readBody(body); err != nil {
 		return 0, err
 	}
 	if n, err, ok := a.decodeFast(max); ok {
@@ -886,12 +872,9 @@ func (a *batchArena) decodeLocateSlow() (localize.Observation, error) {
 	}
 }
 
-func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
-	// One snapshot answers the whole batch: the fan-out, the name and
-	// room lookups, and the reported algorithm all come from it.
-	s.locateBatch(w, r, s.current().Service)
-}
-
+// locateBatch answers a batch from svc: one snapshot answers the whole
+// batch, so the fan-out, the name and room lookups, and the reported
+// algorithm all come from it.
 func (s *Server) locateBatch(w http.ResponseWriter, r *http.Request, svc *core.Service) {
 	max := s.MaxBatch
 	if max <= 0 {
@@ -955,35 +938,34 @@ func trackClient(r *http.Request) string {
 	return p[strings.LastIndex(p, "/track/")+len("/track/"):]
 }
 
-func (s *Server) handleTrackDelete(w http.ResponseWriter, r *http.Request) {
-	s.trackDelete(w, r, "")
+// trackKey scopes a client's tracker to its venue:
+// venueID + "\x00" + client. NUL cannot appear in a venue id, so scopes
+// never collide by concatenation. A single-venue server's venue has
+// the empty id and keys by the bare client, which costs no allocation.
+//
+//loclint:hotpath
+func trackKey(v *venue.Venue, client string) string {
+	if v.ID == "" {
+		return client
+	}
+	return v.ID + "\x00" + client
 }
 
-// trackDelete forgets keyPrefix+client's tracking state. keyPrefix
-// scopes the tracker table per venue ("" for a single-venue server).
-func (s *Server) trackDelete(w http.ResponseWriter, r *http.Request, keyPrefix string) {
+// trackDelete forgets a client's tracking state in venue v.
+func (s *Server) trackDelete(w http.ResponseWriter, r *http.Request, v *venue.Venue) {
 	client := trackClient(r)
-	key := client
-	if keyPrefix != "" {
-		key = keyPrefix + client
-	}
-	if _, existed := s.trackers.LoadAndDelete(key); !existed {
+	if _, existed := s.trackers.LoadAndDelete(trackKey(v, client)); !existed {
 		writeErrorCode(w, http.StatusNotFound, codeTrackNotFound, fmt.Errorf("no track for %q", client))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "forgotten"})
 }
 
-func (s *Server) handleTrackPost(w http.ResponseWriter, r *http.Request) {
-	s.trackPost(w, r, s.current().Service, "")
-}
-
-func (s *Server) trackPost(w http.ResponseWriter, r *http.Request, svc *core.Service, keyPrefix string) {
-	client := trackClient(r)
-	key := client
-	if keyPrefix != "" {
-		key = keyPrefix + client
-	}
+// trackPost locates the request's observation in venue v and feeds it
+// through the client's filter.
+func (s *Server) trackPost(w http.ResponseWriter, r *http.Request, v *venue.Venue) {
+	svc := v.Snapshot().Service
+	key := trackKey(v, trackClient(r))
 	a := batchArenaPool.Get().(*batchArena)
 	defer batchArenaPool.Put(a)
 	obs, err := a.decodeLocate(r.Body)
@@ -1008,17 +990,12 @@ func (s *Server) trackPost(w http.ResponseWriter, r *http.Request, svc *core.Ser
 	}
 	slot := slotAny.(*clientTrack)
 	slot.mu.Lock()
-	if slot.tr == nil {
-		tr, err := track.New(svc.Locator, s.newFilter())
-		if err != nil {
-			slot.mu.Unlock()
-			s.trackers.Delete(key)
-			writeError(w, http.StatusInternalServerError, err)
-			return
+	if slot.f == nil {
+		if slot.f = s.newFilter(); slot.f == nil {
+			slot.f = filter.Raw{} // a nil factory result means no smoothing
 		}
-		slot.tr = tr
 	}
-	pos := slot.tr.Filter.Update(est.Pos)
+	pos := slot.f.Update(est.Pos)
 	slot.mu.Unlock()
 	a.resp = locateResponse{
 		X:                pos.X,
@@ -1043,6 +1020,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	defer metricsBufPool.Put(buf)
 	buf.Reset()
 	gauges := make([]metrics.Gauge, 0, 16)
+	var mgr *ingest.Manager // a live single-venue server's pipeline
 	if s.venues != nil {
 		st := s.venues.Stats()
 		gauges = append(gauges,
@@ -1064,7 +1042,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				Help: "99th-percentile venue cold-load latency.", Value: st.ColdLoadP99.Seconds()},
 		)
 	} else {
-		snap := s.current()
+		snap := s.home.Snapshot()
+		mgr = s.home.Manager()
 		gauges = append(gauges,
 			metrics.Gauge{Name: "indoorloc_snapshot_generation",
 				Help: "Radio-map generation of the serving snapshot.", Value: float64(snap.Generation)},
@@ -1086,8 +1065,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauges = append(gauges, metrics.Gauge{Name: "indoorloc_accesslog_dropped_total", Counter: true,
 			Help: "Access-log entries lost to ring pressure.", Value: float64(s.alog.Dropped())})
 	}
-	if s.ing != nil {
-		st := s.ing.Stats()
+	if mgr != nil {
+		st := mgr.Stats()
 		gauges = append(gauges,
 			metrics.Gauge{Name: "indoorloc_ingest_accepted_total", Counter: true,
 				Help: "Reports journaled and queued.", Value: float64(st.Accepted)},
@@ -1170,18 +1149,7 @@ type trainRequest struct {
 	Reports []ingest.Report `json:"reports,omitempty"`
 }
 
-func (s *Server) handleTrainReport(w http.ResponseWriter, r *http.Request) {
-	s.trainReport(w, r, s.ing)
-}
-
-// handleTrainReportFrozen is the follower's write path: always 409.
-// The same code (venue_frozen) as an artifact-backed venue — in both
-// cases the node serves a radio map it has no authority to mutate.
-func (s *Server) handleTrainReportFrozen(w http.ResponseWriter, r *http.Request) {
-	writeErrorCode(w, http.StatusConflict, codeVenueFrozen,
-		errors.New("read-only follower: submit training reports to the trainer"))
-}
-
+// trainReport decodes a /train/report body and submits it to mgr.
 func (s *Server) trainReport(w http.ResponseWriter, r *http.Request, mgr *ingest.Manager) {
 	a := batchArenaPool.Get().(*batchArena)
 	defer batchArenaPool.Put(a)
@@ -1215,7 +1183,7 @@ func (s *Server) trainReport(w http.ResponseWriter, r *http.Request, mgr *ingest
 	a.out.WriteString(`{"accepted":`)
 	a.out.Write(strconv.AppendInt(a.out.AvailableBuffer(), int64(len(reports)), 10))
 	a.out.WriteString("}\n")
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusAccepted)
 	w.Write(a.out.Bytes())
 }
@@ -1227,7 +1195,7 @@ func (s *Server) trainReport(w http.ResponseWriter, r *http.Request, mgr *ingest
 // decodeTrainFast; anything else takes decodeTrainSlow, which produces
 // the user-facing errors.
 func (a *batchArena) decodeTrain(body io.Reader) ([]ingest.Report, error) {
-	if err := a.readBody(body, errBodyTooLarge); err != nil {
+	if err := a.readBody(body); err != nil {
 		return nil, err
 	}
 	if reports, ok := a.decodeTrainFast(); ok {

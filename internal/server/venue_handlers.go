@@ -10,13 +10,14 @@ import (
 )
 
 // This file is the HTTP face of multi-tenancy: the /v1/venues
-// namespace over a venue.Registry. Every serving handler follows the
-// same frame — resolve the venue from the path (or the configured
-// default for the legacy unversioned aliases), pin it for the request,
-// answer from its snapshot, release. The resolution adds zero
-// allocations on the resident-venue hot path: the id is sliced out of
-// r.URL.Path (the router already proved the shape), Acquire is a
-// lock-free map read, and the pin is two atomics.
+// namespace over a venue.Registry, and the venue resolution every
+// serving handler starts with — resolve the venue from the path (or
+// the registry default for the legacy unversioned aliases, or a
+// single-venue server's one venue), pin it for the request, answer
+// from its snapshot, release. The resolution adds zero allocations on
+// the resident-venue hot path: the id is sliced out of r.URL.Path (the
+// router already proved the shape), Acquire is a lock-free map read,
+// and the pin is two atomics.
 
 // NewMultiVenue builds a server over a venue registry: one process,
 // many venues, each lazily loaded and LRU-evicted under the registry's
@@ -41,7 +42,7 @@ func NewMultiVenue(vr *venue.Registry, filterFactory func() filter.PositionFilte
 	if vr == nil {
 		return nil, errors.New("server: nil venue registry")
 	}
-	return newServer(nil, nil, vr, nil, filterFactory, opts)
+	return newServer(nil, vr, nil, filterFactory, opts)
 }
 
 // Venues returns the registry a multi-venue server serves from; nil
@@ -68,12 +69,18 @@ func venueID(r *http.Request) string {
 // has no default venue configured.
 var errNoDefaultVenue = errors.New("no default venue configured; use /v1/venues/{venue}/...")
 
-// resolveVenue pins the request's venue: the path's id, or the default
-// for legacy aliases. On false the error response has been written.
-// The caller must Release the returned venue.
+// resolveVenue pins the request's venue: the path's id, or for an
+// unversioned path the single venue, else the registry default. On
+// false the error response has been written. The caller must Release
+// the returned venue.
+//
+//loclint:hotpath
 func (s *Server) resolveVenue(w http.ResponseWriter, r *http.Request) (*venue.Venue, bool) {
 	id := venueID(r)
 	if id == "" {
+		if s.home != nil {
+			return s.home.Acquire(), true
+		}
 		id = s.venues.DefaultID()
 		if id == "" {
 			writeErrorCode(w, http.StatusNotFound, codeVenueNotFound, errNoDefaultVenue)
@@ -118,7 +125,7 @@ func (s *Server) handleVenueStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleVenueLocations(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleLocations(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.resolveVenue(w, r)
 	if !ok {
 		return
@@ -128,7 +135,7 @@ func (s *Server) handleVenueLocations(w http.ResponseWriter, r *http.Request) {
 }
 
 //loclint:hotpath
-func (s *Server) handleVenueLocate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.resolveVenue(w, r)
 	if !ok {
 		return
@@ -138,38 +145,34 @@ func (s *Server) handleVenueLocate(w http.ResponseWriter, r *http.Request) {
 }
 
 //loclint:hotpath
-func (s *Server) handleVenueLocateBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleLocateBatch(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.resolveVenue(w, r)
 	if !ok {
 		return
 	}
 	defer v.Release()
-	// One snapshot answers the whole batch, as in the single-venue
-	// path; the venue pin additionally keeps its mapping alive.
 	s.locateBatch(w, r, v.Snapshot().Service)
 }
 
-func (s *Server) handleVenueTrackPost(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTrackPost(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.resolveVenue(w, r)
 	if !ok {
 		return
 	}
 	defer v.Release()
-	// The venue id scopes the tracker key; '\x00' cannot appear in a
-	// venue id, so scopes can never collide by concatenation.
-	s.trackPost(w, r, v.Snapshot().Service, v.ID+"\x00")
+	s.trackPost(w, r, v)
 }
 
-func (s *Server) handleVenueTrackDelete(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTrackDelete(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.resolveVenue(w, r)
 	if !ok {
 		return
 	}
 	defer v.Release()
-	s.trackDelete(w, r, v.ID+"\x00")
+	s.trackDelete(w, r, v)
 }
 
-func (s *Server) handleVenueTrainReport(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTrainReport(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.resolveVenue(w, r)
 	if !ok {
 		return
@@ -177,9 +180,10 @@ func (s *Server) handleVenueTrainReport(w http.ResponseWriter, r *http.Request) 
 	defer v.Release()
 	mgr := v.Manager()
 	if mgr == nil {
-		// Artifact-backed venues (and .tdb venues without a WAL dir) are
-		// frozen: 409, not 404 — the endpoint and venue both exist, the
-		// venue just cannot accept training.
+		// A venue without a pipeline — an artifact, a .tdb without a WAL
+		// dir, a follower's replica — is frozen: 409, not 404. The
+		// endpoint and the venue both exist; the venue serves a radio map
+		// it has no authority to mutate.
 		writeErrorCode(w, http.StatusConflict, codeVenueFrozen, venue.ErrFrozen)
 		return
 	}

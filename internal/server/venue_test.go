@@ -8,12 +8,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"indoorloc/internal/core"
 	"indoorloc/internal/geom"
+	"indoorloc/internal/ingest"
 	"indoorloc/internal/localize"
 	"indoorloc/internal/sim"
 	"indoorloc/internal/trainingdb"
@@ -508,5 +510,38 @@ func TestRetiredArtifactVenue(t *testing.T) {
 	}
 	if st := f.srv.Venues().Stats(); st.LoadErrors != 4 || st.Loaded != 1 {
 		t.Errorf("registry stats %+v, want 4 load errors and the sibling loaded", st)
+	}
+}
+
+// TestRouteTablePerKind pins each kind of server's routes, in order:
+// one set of handlers serves them all, and a static server still has
+// no training endpoint while a follower keeps one that answers 409.
+func TestRouteTablePerKind(t *testing.T) {
+	serving := []string{"locations", "locate", "locate_batch", "track"}
+	front := []string{"healthz", "algorithms", "metrics"}
+	repl := newReplFixture(t)
+	static := newFixture(t)
+	for _, c := range []struct {
+		kind string
+		srv  *Server
+		want []string
+	}{
+		{"static", static.srv, slices.Concat(front, serving, []string{"other"})},
+		{"live", newLiveFixture(t, ingest.Config{}).srv, slices.Concat(front, serving, []string{"train_report", "other"})},
+		{"trainer", repl.trainer, slices.Concat(front, serving,
+			[]string{"train_report", "replicate_snapshot", "replicate_wal", "other"})},
+		{"follower", repl.follower, slices.Concat(front, serving, []string{"train_report", "other"})},
+		{"multi-venue", newVenueFixture(t, 1, 1, venue.Config{}).srv, slices.Concat(front,
+			[]string{"venues", "venue_status", "venue_locations", "venue_locate", "venue_locate_batch", "venue_track", "venue_train"},
+			serving, []string{"train_report", "other"})},
+	} {
+		if got := c.srv.Metrics().Names(); !slices.Equal(got, c.want) {
+			t.Errorf("%s routes:\n got %v\nwant %v", c.kind, got, c.want)
+		}
+	}
+	rec := httptest.NewRecorder()
+	static.srv.ServeHTTP(rec, httptest.NewRequest("POST", "/train/report", strings.NewReader(`{"name":"a","observation":{"b":-50}}`)))
+	if rec.Code != http.StatusNotFound || errCode(t, rec.Body.Bytes()) != codeNoRoute {
+		t.Errorf("static /train/report answered %d %s, want 404 %s", rec.Code, rec.Body, codeNoRoute)
 	}
 }

@@ -21,7 +21,8 @@
 // under itself. On the hot path (venue already resident) Acquire is a
 // lock-free map read plus two atomic operations and allocates
 // nothing; the cold path takes the registry mutex and does the real
-// load.
+// load. A Standalone venue, which no registry owns, is pinned with
+// Venue.Acquire and keeps its own reference for good.
 package venue
 
 import (
@@ -53,9 +54,10 @@ var (
 	ErrUnknownVenue = errors.New("venue: unknown venue")
 	// ErrInvalidID: the id fails ValidID.
 	ErrInvalidID = errors.New("venue: invalid venue id")
-	// ErrFrozen: the venue serves a compiled artifact and cannot accept
+	// ErrFrozen: the venue has no live-training pipeline (it serves a
+	// compiled artifact, or replicates a trainer) and cannot accept
 	// training reports.
-	ErrFrozen = errors.New("venue: artifact-backed venue is frozen (no live training)")
+	ErrFrozen = errors.New("venue: frozen venue (no live training here)")
 )
 
 // ValidID reports whether id is a well-formed venue id: 1–MaxIDLen
@@ -547,6 +549,24 @@ type Venue struct {
 func newVenue(id string, reg *core.SnapshotRegistry, mgr *ingest.Manager, closeFn func() error, bytes int64) *Venue {
 	v := &Venue{ID: id, reg: reg, mgr: mgr, closeFn: closeFn, bytes: bytes}
 	v.refs.Store(1)
+	return v
+}
+
+// Standalone wraps a snapshot registry and an optional live-training
+// pipeline as a venue that no registry owns: the one venue of a
+// single-venue server. Its ID is empty. Its own reference is never
+// dropped, so it is never evicted or finalized; whoever built reg and
+// mgr still closes them.
+func Standalone(reg *core.SnapshotRegistry, mgr *ingest.Manager) *Venue {
+	return newVenue("", reg, mgr, nil, 0)
+}
+
+// Acquire pins a venue the caller already holds, such as a Standalone
+// one, for one request; the request drops the pin with Release.
+//
+//loclint:hotpath
+func (v *Venue) Acquire() *Venue {
+	v.refs.Add(1)
 	return v
 }
 

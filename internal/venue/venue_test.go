@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"indoorloc/internal/core"
 	"indoorloc/internal/geom"
 	"indoorloc/internal/ingest"
 	"indoorloc/internal/localize"
@@ -432,5 +433,46 @@ func TestRegistryTDBAndLiveIngest(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(walDir, "live-0.wal")); err != nil {
 		t.Errorf("per-venue WAL missing: %v", err)
+	}
+}
+
+// TestStandaloneNeverFinalized checks the single-venue wrapper: its id
+// is empty, a request's pin costs no allocation, and dropping every
+// pin leaves the pipeline open for its owner to close.
+func TestStandaloneNeverFinalized(t *testing.T) {
+	db, err := sim.CityConfig{Seed: 42}.BuildVenueDB(0, 0)
+	if err != nil {
+		t.Fatalf("BuildVenueDB: %v", err)
+	}
+	rebuild := func(db *trainingdb.DB) (*core.Service, error) {
+		in, err := core.New(core.WithDB(db))
+		if err != nil {
+			return nil, err
+		}
+		return in.Service, nil
+	}
+	mgr, err := ingest.NewManager(db, rebuild, ingest.Config{WALPath: filepath.Join(t.TempDir(), "home.wal")})
+	if err != nil {
+		t.Fatalf("NewManager: %v", err)
+	}
+	defer mgr.Close()
+	v := Standalone(mgr.Registry(), mgr)
+	if v.ID != "" || v.Manager() != mgr {
+		t.Fatalf("standalone venue: id %q, manager %p, want \"\" and %p", v.ID, v.Manager(), mgr)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		p := v.Acquire()
+		_ = p.Snapshot()
+		p.Release()
+	})
+	if allocs != 0 {
+		t.Errorf("Acquire/Snapshot/Release allocates %.1f/op, want 0", allocs)
+	}
+	if n := v.refs.Load(); n != 1 {
+		t.Errorf("refs = %d after every pin was released, want 1", n)
+	}
+	rep := ingest.Report{Name: "home-1", Pos: &ingest.ReportPos{X: 15, Y: 15}, Observation: observe(t, 0, 0)}
+	if err := mgr.Submit(rep); err != nil {
+		t.Errorf("the pipeline stopped when the last pin was released: %v", err)
 	}
 }
