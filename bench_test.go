@@ -461,9 +461,11 @@ func BenchmarkHeatmapRender(b *testing.B) {
 // full HTTP stack (httptest, loopback only).
 func BenchmarkServerLocate(b *testing.B) {
 	f := fixture(b)
-	loc := localize.NewMaxLikelihood(f.db.Compile(-95, 4))
-	svc := &core.Service{DB: f.db, Locator: loc, Names: f.lm.Index()}
-	srv, err := server.New(svc, nil)
+	in, err := core.New(core.WithDB(f.db), core.WithNames(f.lm))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(in.Service, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -581,9 +583,11 @@ func syntheticObservations(db *trainingdb.DB, n int, seed int64) []localize.Obse
 // and allocs/op by 64 to compare per observation.
 func BenchmarkServerLocateBatch(b *testing.B) {
 	f := fixture(b)
-	loc := localize.NewMaxLikelihood(f.db.Compile(-95, 4))
-	svc := &core.Service{DB: f.db, Locator: loc, Names: f.lm.Index()}
-	srv, err := server.New(svc, nil)
+	in, err := core.New(core.WithDB(f.db), core.WithNames(f.lm))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(in.Service, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -841,7 +845,7 @@ func benchManagerPublish(b *testing.B) {
 		if err != nil {
 			return nil, err
 		}
-		return &core.Service{DB: svc.DB, Locator: svc.Locator, Names: svc.Names}, nil
+		return &core.Service{Locator: svc.Locator, Names: svc.Names}, nil
 	}
 	for _, kind := range []struct {
 		name    string

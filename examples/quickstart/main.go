@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"indoorloc"
-	"indoorloc/internal/core"
 	"indoorloc/internal/sim"
 )
 
@@ -57,13 +56,14 @@ func main() {
 	fmt.Printf("resolved name      %q\n", res.NearestName)
 	fmt.Printf("error              %.1f ft\n", res.Estimate.Pos.Dist(here))
 
-	// The same observation through the paper's geometric approach.
-	geo, err := indoorloc.BuildLocator(indoorloc.AlgoGeometric, service.DB,
-		core.BuildConfig{APPositions: scen.APPositions()})
+	// The same observation through the paper's geometric approach,
+	// trained from the same captures.
+	pipeline.Algorithm = indoorloc.AlgoGeometric
+	geo, _, err := pipeline.Train()
 	if err != nil {
 		log.Fatal(err)
 	}
-	est, err := geo.Locate(indoorloc.ObservationFromRecords(window))
+	est, err := geo.Locator.Locate(indoorloc.ObservationFromRecords(window))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,8 +39,8 @@ func TestFacadeTrainFromFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.DB.Len() != 30 {
-		t.Errorf("trained %d locations", svc.DB.Len())
+	if svc.NumLocations() != 30 {
+		t.Errorf("trained %d locations", svc.NumLocations())
 	}
 	target := scen.TestPoints[2]
 	res, err := svc.LocateRecords(sc.Capture(target, 15, 0))

@@ -39,10 +39,10 @@ func TestServiceFromCompiledFile(t *testing.T) {
 			}
 			defer in.Close()
 			svc := in.Service
-			if svc.DB != nil || svc.NumLocations() != f.db.Len() || svc.Names == nil || svc.Names.Len() != f.db.Len() {
-				t.Fatalf("artifact source should carry every entry, no DB, and default to entry names")
+			if svc.NumLocations() != f.db.Len() || svc.Names == nil || svc.Names.Len() != f.db.Len() {
+				t.Fatalf("artifact source should carry every entry and default to entry names")
 			}
-			ref, err := buildLocator(algo, f.db, nil, BuildConfig{})
+			ref, _, err := buildLocator(algo, f.db, nil, BuildConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestArtifactLocateAllocParity(t *testing.T) {
 	}
 	defer in.Close()
 
-	ref, err := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{TopK: 4})
+	ref, _, err := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{TopK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestNewCompiledErrors(t *testing.T) {
 // locator and that the warmed locator serves the posting-list view.
 func TestBuildConfigQuantizeTopK(t *testing.T) {
 	f := newFixture(t)
-	loc, err := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{TopK: 3})
+	loc, view, err := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,6 @@ func TestBuildConfigQuantizeTopK(t *testing.T) {
 	if ml.TopK != 3 {
 		t.Fatalf("option lost: topk=%d", ml.TopK)
 	}
-	view := ml.CompiledView()
 	if view == nil || len(view.Post) == 0 || len(view.PostStart) != view.NumAPs()+1 {
 		t.Fatal("warmed locator has no posting lists")
 	}

@@ -83,17 +83,20 @@ const (
 )
 
 // buildLocator constructs a registered algorithm over one compiled
-// radio-map view. A database source (c nil) is compiled here, once, at
-// FloorRSSI and FloorSigma; a compiled source (db nil — the serving shape of
-// a v2 artifact, where the raw training database never existed in this
-// process) is taken as given, its own floor parameters governing
-// scoring. The returned locator is complete — compiled view, histogram
-// tables and identifying codes are all built — so every consumer
-// serves its first query at full speed.
-func buildLocator(name string, db *trainingdb.DB, c *trainingdb.Compiled, cfg BuildConfig) (localize.Locator, error) {
+// radio-map view and returns the view with it. A database source (c
+// nil) is compiled here, once, at FloorRSSI and FloorSigma; a compiled
+// source (db nil — the serving shape of a v2 artifact, where the raw
+// training database never existed in this process) is taken as given,
+// its own floor parameters governing scoring. The geometric family
+// scores without the view, but gets one all the same: it is what the
+// service counts, names and writes as its artifact. The returned
+// locator is complete — compiled view, histogram tables and
+// identifying codes are all built — so every consumer serves its first
+// query at full speed.
+func buildLocator(name string, db *trainingdb.DB, c *trainingdb.Compiled, cfg BuildConfig) (localize.Locator, *trainingdb.Compiled, error) {
 	if c == nil {
 		if db == nil || db.Len() == 0 {
-			return nil, errors.New("core: empty training database")
+			return nil, nil, errors.New("core: empty training database")
 		}
 		c = db.Compile(FloorRSSI, FloorSigma)
 	}
@@ -105,11 +108,11 @@ func buildLocator(name string, db *trainingdb.DB, c *trainingdb.Compiled, cfg Bu
 	case AlgoProbabilistic:
 		ml := localize.NewMaxLikelihood(c)
 		ml.TopK = cfg.TopK
-		return ml, nil
+		return ml, c, nil
 	case AlgoSector:
 		s := localize.NewSector(c)
 		s.TopK = cfg.TopK
-		return s, nil
+		return s, c, nil
 	case AlgoNNSS, AlgoKNN, AlgoWKNN:
 		if name == AlgoNNSS {
 			k = 1
@@ -117,52 +120,48 @@ func buildLocator(name string, db *trainingdb.DB, c *trainingdb.Compiled, cfg Bu
 		knn := localize.NewKNN(c, k)
 		knn.Weighted = name == AlgoWKNN
 		knn.TopK = cfg.TopK
-		return knn, nil
+		return knn, c, nil
 	case AlgoHistogram, AlgoGeometric, AlgoGeometricLS, AlgoHybrid:
 		if db == nil {
-			return nil, fmt.Errorf("core: algorithm %q cannot serve from a compiled artifact "+
+			return nil, nil, fmt.Errorf("core: algorithm %q cannot serve from a compiled artifact "+
 				"(supported: %s, %s, %s, %s, %s)", name,
 				AlgoProbabilistic, AlgoNNSS, AlgoKNN, AlgoWKNN, AlgoSector)
 		}
 		if name == AlgoHistogram {
 			h := localize.NewHistogram(db, c)
 			h.TopK = cfg.TopK
-			return h, nil
+			return h, c, nil
 		}
 		if len(cfg.APPositions) == 0 {
-			return nil, fmt.Errorf("core: algorithm %q needs AP positions", name)
+			return nil, nil, fmt.Errorf("core: algorithm %q needs AP positions", name)
 		}
 		g, err := localize.FitGeometric(db, cfg.APPositions,
 			regress.InversePowerBasis{Degree: 2, MinDist: 1})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if name == AlgoGeometricLS {
 			g.Combine = localize.CombineLeastSquares
 		}
 		if name != AlgoHybrid {
-			return g, nil
+			return g, c, nil
 		}
 		ml := localize.NewMaxLikelihood(c)
 		ml.TopK = cfg.TopK
 		h, err := localize.NewHybrid(ml, g)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return h, nil
+		return h, c, nil
 	}
-	return nil, fmt.Errorf("core: unknown algorithm %q (have %v)", name, Algorithms())
+	return nil, nil, fmt.Errorf("core: unknown algorithm %q (have %v)", name, Algorithms())
 }
 
 // Service is a trained, ready-to-answer location service — the output
-// of Phase 1.
+// of Phase 1. It keeps the compiled view it answers from and nothing
+// else of training: the database it was built from stays with its
+// caller.
 type Service struct {
-	// DB is the training database the locator was built from; nil for
-	// a service built from a compiled view (WithCompiled,
-	// WithCompiledFile), where the raw database never existed in this
-	// process. Read entry counts and positions through the methods
-	// below, which serve both shapes.
-	DB      *trainingdb.DB
 	Locator localize.Locator
 	// Names resolves coordinates back to application-level location
 	// names (step 6's abstraction); may be nil. Built from a compiled
@@ -172,6 +171,9 @@ type Service struct {
 	// be empty.
 	Rooms []floorplan.Room
 
+	// view is the compiled radio map the service was built over, nil
+	// for a service built outside New and Pipeline.Train.
+	view *trainingdb.Compiled
 	// algo and cfg are the recipe New built the locator with, from any
 	// source; algo is empty for a service built outside New, which
 	// Patch declines.
@@ -185,90 +187,61 @@ type Service struct {
 // floor (trainingdb.DB.Patch) and rebuilds the locator over the result
 // with s's recorded algorithm and build knobs, carrying Names and
 // Rooms over: the patched view shares s's entry names and positions,
-// so an entry-name index over them stays valid. The result keeps s's
-// shape: it carries db as its DB only when s carries one. Patch
-// returns nil when s records no recipe, has no view, or the patch
-// declines a structural change; the caller then builds from scratch.
+// so an entry-name index over them stays valid. Patch returns nil when
+// s records no recipe or view, or the patch declines a structural
+// change; the caller then builds from scratch.
 func (s *Service) Patch(db *trainingdb.DB, touched map[string]struct{}) (*Service, error) {
-	prev := s.View()
-	if s.algo == "" || prev == nil {
+	if s.algo == "" || s.view == nil {
 		return nil, nil
 	}
-	c := db.Patch(prev, touched, prev.FloorRSSI, prev.FloorSigma)
+	c := db.Patch(s.view, touched, s.view.FloorRSSI, s.view.FloorSigma)
 	if c == nil {
 		return nil, nil
 	}
-	loc, err := buildLocator(s.algo, db, c, s.cfg)
+	loc, c, err := buildLocator(s.algo, db, c, s.cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := &Service{Locator: loc, Names: s.Names, Rooms: s.Rooms, algo: s.algo, cfg: s.cfg}
-	if s.DB != nil {
-		out.DB = db
-	}
-	return out, nil
+	return &Service{Locator: loc, Names: s.Names, Rooms: s.Rooms, view: c, algo: s.algo, cfg: s.cfg}, nil
 }
 
-// View returns the compiled radio-map view the locator scores
-// against, nil for the geometric family, which keeps none.
-func (s *Service) View() *trainingdb.Compiled {
-	if src, ok := s.Locator.(localize.CompiledSource); ok {
-		return src.CompiledView()
-	}
-	return nil
-}
+// View returns the compiled radio-map view the service was built
+// over, nil for a service built outside New and Pipeline.Train.
+func (s *Service) View() *trainingdb.Compiled { return s.view }
 
 // Locations returns the training locations' names, sorted, and their
-// positions in parallel. They alias the view where there is one; a
-// service without a view copies the positions out of DB.
+// positions in parallel, aliasing the view.
 func (s *Service) Locations() ([]string, []geom.Point) {
-	if c := s.View(); c != nil {
-		return c.Names, c.Pos
-	}
-	if s.DB == nil {
+	if s.view == nil {
 		return nil, nil
 	}
-	names := s.DB.Names()
-	pos := make([]geom.Point, len(names))
-	for i, name := range names {
-		pos[i] = s.DB.Entries[name].Pos
-	}
-	return names, pos
+	return s.view.Names, s.view.Pos
 }
 
 // NumLocations returns the number of training locations.
 func (s *Service) NumLocations() int {
-	if c := s.View(); c != nil {
-		return c.NumEntries()
-	}
-	if s.DB == nil {
+	if s.view == nil {
 		return 0
 	}
-	return s.DB.Len()
+	return s.view.NumEntries()
 }
 
 // NumAPs returns the size of the AP universe the service was trained
 // over.
 func (s *Service) NumAPs() int {
-	if c := s.View(); c != nil {
-		return c.NumAPs()
-	}
-	if s.DB == nil {
+	if s.view == nil {
 		return 0
 	}
-	return len(s.DB.BSSIDs)
+	return s.view.NumAPs()
 }
 
 // Generation returns the radio-map generation the service answers
 // from: the training database's mutation counter at build time.
 func (s *Service) Generation() uint64 {
-	if c := s.View(); c != nil {
-		return c.Generation
-	}
-	if s.DB == nil {
+	if s.view == nil {
 		return 0
 	}
-	return s.DB.Generation()
+	return s.view.Generation
 }
 
 // Resolution is a Phase 2 answer: coordinates, the localizer's own
@@ -401,14 +374,14 @@ func (p *Pipeline) Train() (*Service, []string, error) {
 		msg += fmt.Sprintf("; skipped unmapped %v", skipped)
 	}
 	trace = append(trace, msg)
-	loc, err := buildLocator(algo, db, nil, BuildConfig{APPositions: apPos})
+	loc, view, err := buildLocator(algo, db, nil, BuildConfig{APPositions: apPos})
 	if err != nil {
 		return nil, trace, fmt.Errorf("core: step 4: %w", err)
 	}
 	trace = append(trace,
 		"step 5: (working phase) observe signal-strength vectors",
 		"step 6: (working phase) resolve observations to locations")
-	svc := &Service{DB: db, Locator: loc, Names: lm.Index()}
+	svc := &Service{Locator: loc, Names: lm.Index(), view: view}
 	if p.Plan != nil {
 		svc.Rooms = p.Plan.Rooms
 	}

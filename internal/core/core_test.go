@@ -46,7 +46,7 @@ func newFixture(t *testing.T) *fixture {
 func TestAlgorithmsListMatchesRegistry(t *testing.T) {
 	f := newFixture(t)
 	for _, name := range Algorithms() {
-		loc, err := buildLocator(name, f.db, nil, BuildConfig{APPositions: f.scen.APPositions()})
+		loc, _, err := buildLocator(name, f.db, nil, BuildConfig{APPositions: f.scen.APPositions()})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -59,45 +59,46 @@ func TestAlgorithmsListMatchesRegistry(t *testing.T) {
 
 func TestBuildLocatorErrors(t *testing.T) {
 	f := newFixture(t)
-	if _, err := buildLocator("nope", f.db, nil, BuildConfig{}); err == nil {
+	if _, _, err := buildLocator("nope", f.db, nil, BuildConfig{}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, err := buildLocator(AlgoProbabilistic, nil, nil, BuildConfig{}); err == nil {
+	if _, _, err := buildLocator(AlgoProbabilistic, nil, nil, BuildConfig{}); err == nil {
 		t.Error("nil DB accepted")
 	}
-	if _, err := buildLocator(AlgoGeometric, f.db, nil, BuildConfig{}); err == nil {
+	if _, _, err := buildLocator(AlgoGeometric, f.db, nil, BuildConfig{}); err == nil {
 		t.Error("geometric without AP positions accepted")
 	}
 }
 
 func TestBuildLocatorKindsAndOptions(t *testing.T) {
 	f := newFixture(t)
-	nn, _ := buildLocator(AlgoNNSS, f.db, nil, BuildConfig{})
+	nn, _, _ := buildLocator(AlgoNNSS, f.db, nil, BuildConfig{})
 	if nn.Name() != "nnss" {
 		t.Errorf("nnss built %q", nn.Name())
 	}
-	knn, _ := buildLocator(AlgoKNN, f.db, nil, BuildConfig{K: 5})
+	knn, _, _ := buildLocator(AlgoKNN, f.db, nil, BuildConfig{K: 5})
 	if k, ok := knn.(*localize.KNN); !ok || k.K != 5 {
 		t.Errorf("knn K option lost: %#v", knn)
 	}
-	w, _ := buildLocator(AlgoWKNN, f.db, nil, BuildConfig{})
+	w, _, _ := buildLocator(AlgoWKNN, f.db, nil, BuildConfig{})
 	if k, ok := w.(*localize.KNN); !ok || !k.Weighted {
 		t.Error("wknn not weighted")
 	}
-	ls, _ := buildLocator(AlgoGeometricLS, f.db, nil, BuildConfig{APPositions: f.scen.APPositions()})
+	ls, _, _ := buildLocator(AlgoGeometricLS, f.db, nil, BuildConfig{APPositions: f.scen.APPositions()})
 	if g, ok := ls.(*localize.Geometric); !ok || g.Combine != localize.CombineLeastSquares {
 		t.Error("geometric-ls combiner wrong")
 	}
-	ml, _ := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{})
-	if m, ok := ml.(*localize.MaxLikelihood); !ok || m.CompiledView().FloorRSSI != FloorRSSI || m.CompiledView().FloorSigma != FloorSigma {
+	ml, view, _ := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{})
+	if _, ok := ml.(*localize.MaxLikelihood); !ok || view.FloorRSSI != FloorRSSI || view.FloorSigma != FloorSigma {
 		t.Error("database build not compiled at the floor constants")
 	}
 }
 
 // TestBuildCompilesOneView pins that a build's view does not depend on
-// the algorithm: every view-serving algorithm serves exactly
-// db.Compile(FloorRSSI, FloorSigma), so a trainer's artifact and its
-// replication stream are the same whichever algorithm it runs.
+// the algorithm: every algorithm, the geometric family included, is
+// built over exactly db.Compile(FloorRSSI, FloorSigma), so a trainer's
+// artifact and its replication stream are the same whichever algorithm
+// it runs.
 func TestBuildCompilesOneView(t *testing.T) {
 	f := newFixture(t)
 	want, err := trainingdb.EncodeCompiled(f.db.Compile(FloorRSSI, FloorSigma))
@@ -105,16 +106,12 @@ func TestBuildCompilesOneView(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := BuildConfig{APPositions: f.scen.APPositions()}
-	for _, name := range []string{AlgoProbabilistic, AlgoNNSS, AlgoKNN, AlgoWKNN, AlgoSector, AlgoHistogram, AlgoHybrid} {
-		loc, err := buildLocator(name, f.db, nil, cfg)
+	for _, name := range Algorithms() {
+		_, view, err := buildLocator(name, f.db, nil, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		src, ok := loc.(localize.CompiledSource)
-		if !ok {
-			t.Fatalf("%s exposes no compiled view", name)
-		}
-		got, err := trainingdb.EncodeCompiled(src.CompiledView())
+		got, err := trainingdb.EncodeCompiled(view)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -157,8 +154,8 @@ func TestPipelineTrainAndLocate(t *testing.T) {
 			t.Errorf("trace[%d] = %q", i, trace[i])
 		}
 	}
-	if svc.DB.Len() != 30 {
-		t.Errorf("service DB has %d entries", svc.DB.Len())
+	if svc.NumLocations() != 30 {
+		t.Errorf("service has %d locations", svc.NumLocations())
 	}
 	// Phase 2 against a training point.
 	target, _ := f.lm.Lookup(sim.TrainingName(2, 2))
@@ -194,8 +191,8 @@ func TestPipelineWithPlan(t *testing.T) {
 	}
 	// Plan-derived training positions are quantised to pixels; the DB
 	// should still hold one entry per grid point.
-	if svc.DB.Len() != 30 {
-		t.Errorf("DB has %d entries", svc.DB.Len())
+	if svc.NumLocations() != 30 {
+		t.Errorf("service has %d locations", svc.NumLocations())
 	}
 }
 
@@ -226,8 +223,8 @@ func TestPipelineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.DB.Len() != 1 {
-		t.Errorf("partial DB has %d entries", svc.DB.Len())
+	if svc.NumLocations() != 1 {
+		t.Errorf("partial service has %d locations", svc.NumLocations())
 	}
 }
 

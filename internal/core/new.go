@@ -56,19 +56,18 @@ func New(opts ...Option) (*Instance, error) {
 			o.entryNames = true
 		}
 	}
-	loc, err := buildLocator(o.algo, o.db, c, o.cfg)
+	loc, c, err := buildLocator(o.algo, o.db, c, o.cfg)
 	if err != nil {
 		return fail(err)
 	}
-	// Every source records its recipe, so Patch can carry any service
-	// New built — an artifact's included — across folds.
-	svc := &Service{DB: o.db, Locator: loc, algo: o.algo, cfg: o.cfg}
+	// Every source records its recipe and keeps its view, so Patch can
+	// carry any service New built — an artifact's included — across
+	// folds.
+	svc := &Service{Locator: loc, view: c, algo: o.algo, cfg: o.cfg}
 	if o.names != nil {
 		svc.Names = o.names.Index()
 	} else if o.entryNames && svc.Names == nil {
-		// The index serves the view's own names and positions in place;
-		// only a service without a view (the geometric family) reads
-		// them from its DB.
+		// The index serves the view's own names and positions in place.
 		names, err := locmap.NewIndex(svc.Locations())
 		if err != nil {
 			return fail(fmt.Errorf("core: entry names: %w", err))

@@ -40,7 +40,7 @@ func TestNewFromDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Service == nil || in.Service.Locator == nil || in.Service.DB != f.db {
+	if in.Service == nil || in.Service.Locator == nil || in.Service.NumLocations() != f.db.Len() || in.Service.Generation() != f.db.Generation() {
 		t.Fatal("instance not wired to the source DB")
 	}
 	if in.Service.Names != nil {
@@ -90,7 +90,7 @@ func TestNewCompiledFileParity(t *testing.T) {
 	if in.Service.Names == nil || in.Service.Names.Len() != f.db.Len() {
 		t.Fatal("artifact source should default to entry names")
 	}
-	ref, err := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{})
+	ref, _, err := buildLocator(AlgoProbabilistic, f.db, nil, BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +157,11 @@ func TestNewCompiledFileErrors(t *testing.T) {
 	}
 }
 
-// TestServicePatch checks Service.Patch for every algorithm: after a
-// fold into one entry, the patched service answers exactly as a fresh
-// New over the folded database, carries the name index over, and
-// declines services with no recipe or view and structural changes.
+// TestServicePatch checks Service.Patch for every algorithm, the
+// geometric family included: after a fold into one entry, the patched
+// service answers exactly as a fresh New over the folded database,
+// carries the name index over, and declines services with no recipe
+// and structural changes.
 func TestServicePatch(t *testing.T) {
 	f := newFixture(t)
 	cfg := BuildConfig{APPositions: f.scen.APPositions(), TopK: 3}
@@ -188,16 +189,10 @@ func TestServicePatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		if in.Service.View() == nil {
-			if got != nil {
-				t.Errorf("%s: patched a service with no view", algo)
-			}
-			continue
-		}
 		if got == nil {
 			t.Fatalf("%s: patch declined a fold-only change", algo)
 		}
-		if got.Names != in.Service.Names || got.DB != db || got.Generation() != db.Generation() {
+		if got.Names != in.Service.Names || got.Generation() != db.Generation() {
 			t.Errorf("%s: patched service not wired to the folded database and the old names", algo)
 		}
 		want, err := New(WithDB(db), WithAlgorithm(algo), WithConfig(cfg), WithEntryNames())
@@ -217,8 +212,8 @@ func TestServicePatch(t *testing.T) {
 			t.Errorf("%s: patched over a new BSSID", algo)
 		}
 	}
-	// A compiled-source service records its recipe too and patches into
-	// a service that, like it, serves no database.
+	// A compiled-source service records its recipe too and patches like
+	// a database-source one.
 	in, err := New(WithCompiled(f.db.Compile(FloorRSSI, FloorSigma)), WithEntryNames())
 	if err != nil {
 		t.Fatal(err)
@@ -230,8 +225,8 @@ func TestServicePatch(t *testing.T) {
 	if err != nil || got == nil {
 		t.Fatalf("compiled-source service not patched: %v", err)
 	}
-	if got.DB != nil || got.Names != in.Service.Names {
-		t.Error("patched compiled-source service gained a database or lost its names")
+	if got.Names != in.Service.Names {
+		t.Error("patched compiled-source service lost its names")
 	}
 	gotBytes, err := trainingdb.EncodeCompiled(got.View())
 	if err != nil {

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// Snapshot is one immutable, fully consistent serving state: a
-// training database frozen at a generation, the complete locator
-// compiled from exactly that database, and the name/room resolution
-// built from the same entry set. Handlers that load a snapshot once
+// Snapshot is one immutable, fully consistent serving state: the
+// radio map compiled at one generation of the training database, the
+// complete locator over it, and the name/room resolution built from
+// the same entry set. Handlers that load a snapshot once
 // and answer entirely from it can never mix worlds — the estimate, its
 // symbolic name and its room all come from the same radio map.
 //
@@ -19,8 +19,8 @@ type Snapshot struct {
 	// Generation is the training database's mutation counter at build
 	// time (see trainingdb.DB.Generation).
 	Generation uint64
-	// Service is the frozen serving state. Its DB, Locator, Names and
-	// Rooms must not be mutated after Publish.
+	// Service is the frozen serving state. Its Locator, Names and Rooms
+	// must not be mutated after Publish.
 	Service *Service
 	// BuiltAt records when the snapshot was built (the last-swap time
 	// /healthz reports).
@@ -30,7 +30,7 @@ type Snapshot struct {
 // SnapshotRegistry publishes the current snapshot to concurrent
 // readers. Reads are one atomic pointer load — the hot-path cost of
 // hot-swappability — and writers replace the whole snapshot at once,
-// so a reader always sees a consistent ⟨DB, locator, names⟩ triple.
+// so a reader always sees a consistent ⟨view, locator, names⟩ triple.
 type SnapshotRegistry struct {
 	cur atomic.Pointer[Snapshot]
 }

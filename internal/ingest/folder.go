@@ -13,9 +13,9 @@ import (
 // compactor (Manager) and a replication follower both fold reports
 // into a master database and build snapshots of it through one, so
 // they land on the same radio map. A snapshot is built from the master
-// itself; when the built service keeps it (Service.DB) or a caller
-// asks for it (Freeze), that state is frozen and the master goes on as
-// a shallow copy whose entries are cloned before a fold touches them.
+// itself, and no service keeps it; when a caller asks for that state
+// (Freeze), it is frozen and the master goes on as a shallow copy
+// whose entries are cloned before a fold touches them.
 // It is not safe for concurrent use.
 type Folder struct {
 	// touched names the entries folded since the latest snapshot, which
@@ -99,21 +99,12 @@ func (f *Folder) Freeze() *trainingdb.DB {
 	return f.frozen
 }
 
-// settle takes svc, which serves the master database's current state,
-// as the next patch base, and freezes that state when svc keeps a
-// database. A service that keeps another database would be patched
-// with the wrong entries, so the next snapshot rebuilds instead; so
-// does one with no view.
+// settle takes svc as the next patch base when its view is of the
+// master database's current state; otherwise the next snapshot
+// rebuilds.
 func (f *Folder) settle(svc *core.Service) {
 	f.served = nil
-	if svc == nil {
-		return
-	}
-	own := svc.DB == nil || svc.DB == f.db
-	if svc.DB != nil {
-		f.Freeze() // a kept database may share the master's entries
-	}
-	if v := svc.View(); own && v != nil && v.Generation == f.db.Generation() {
+	if svc != nil && svc.View() != nil && svc.View().Generation == f.db.Generation() {
 		f.served = svc
 	}
 }

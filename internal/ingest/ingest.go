@@ -72,7 +72,8 @@ type Config struct {
 	SyncEveryAppend bool
 	// QueueDepth bounds the accepted-but-unfolded backlog; a full queue
 	// rejects submissions with ErrQueueFull (the HTTP layer turns that
-	// into 429 + Retry-After). Zero means 1024.
+	// into 429 + Retry-After), a deeper batch with ErrBatchTooLarge
+	// (413). Zero means 1024.
 	QueueDepth int
 	// FlushReports triggers a recompile-and-swap after this many folded
 	// reports. Zero means 256.
@@ -92,8 +93,9 @@ type Config struct {
 	// its compiled radio map as a v2 artifact at this path, and a
 	// "<ArtifactPath>.manifest" sidecar with its generation, WAL
 	// watermark and epoch (tdbtool inspect reads it). Both are written
-	// atomically on the compactor goroutine; a locator with no compiled
-	// view counts an artifact error, and the snapshot still serves.
+	// atomically on the compactor goroutine; a service with no compiled
+	// view (one built outside core.New) counts an artifact error, and
+	// the snapshot still serves.
 	ArtifactPath string
 	// OnPublish, when set, is called on the compactor goroutine after
 	// every snapshot publish (including the initial build) with the
@@ -101,7 +103,9 @@ type Config struct {
 	// uses it to capture the artifact + exact-resume payload a follower
 	// bootstraps from. The callback must not block for long — it runs
 	// on the fold/recompile path (never the serving path) — and must
-	// treat the event's DB and Compiled as immutable.
+	// treat the event's DB and Compiled as immutable. Only a set
+	// OnPublish freezes the master at each publish, so that later folds
+	// clone each entry they touch; without it they fold in place.
 	OnPublish func(PublishEvent)
 }
 
@@ -114,9 +118,9 @@ type PublishEvent struct {
 	// they are never mutated after the freeze, so the callback may read
 	// them at any later time.
 	DB *trainingdb.DB
-	// Compiled is the locator's posting-list radio-map view, nil when the
-	// snapshot's locator does not expose one (then the snapshot cannot
-	// be replicated from).
+	// Compiled is the service's posting-list radio-map view, nil for a
+	// service built outside core.New (then the snapshot cannot be
+	// replicated from).
 	Compiled *trainingdb.Compiled
 	// Watermark is the WAL sequence folded into the snapshot: every
 	// record with seq ≤ Watermark is reflected (folded, or counted
@@ -151,6 +155,11 @@ func (c *Config) fillDefaults() {
 // take the reports; the caller should back off for RetryAfter.
 var ErrQueueFull = errors.New("ingest: report queue full")
 
+// ErrBatchTooLarge is returned by Submit for a batch of more reports
+// than Config.QueueDepth: no backoff makes room for it, so the caller
+// must split it.
+var ErrBatchTooLarge = errors.New("ingest: batch larger than the report queue")
+
 // ErrInvalidReport wraps Validate failures surfaced by Submit, so the
 // HTTP layer can answer 400 for bad reports and 500 for I/O trouble.
 var ErrInvalidReport = errors.New("invalid report")
@@ -158,9 +167,8 @@ var ErrInvalidReport = errors.New("invalid report")
 // Rebuilder turns the master database into a complete serving state:
 // it builds the locator (compiling the radio map) and the name/room
 // resolution for exactly that entry set. It runs on the compactor
-// goroutine — off the serving path — and must not mutate db or retain
-// it other than as the service's DB (the folder then freezes that
-// state, and later folds copy-on-write).
+// goroutine — off the serving path — and must neither mutate db nor
+// retain it: later folds may change it in place.
 // The manager calls it for the initial snapshot and for every publish
 // it cannot patch (see Folder.Snapshot).
 type Rebuilder func(db *trainingdb.DB) (*core.Service, error)
@@ -312,13 +320,17 @@ func (m *Manager) Registry() *core.SnapshotRegistry { return m.reg }
 func (m *Manager) RetryAfter() time.Duration { return m.cfg.RetryAfter }
 
 // Submit validates, journals and queues the reports, all-or-nothing.
-// It returns ErrQueueFull when the bounded queue cannot take the whole
-// batch — nothing is journaled in that case, so a client retry cannot
+// It returns ErrBatchTooLarge when the batch exceeds the queue's whole
+// depth, and ErrQueueFull when the queue cannot take the batch now —
+// nothing is journaled in either case, so a client retry cannot
 // duplicate reports. On nil return every report is durable in the WAL
 // and will be folded by the compactor.
 func (m *Manager) Submit(reports ...Report) error {
 	if len(reports) == 0 {
 		return fmt.Errorf("ingest: %w: empty submission", ErrInvalidReport)
+	}
+	if len(reports) > cap(m.slots) {
+		return fmt.Errorf("%w: %d reports, queue depth %d", ErrBatchTooLarge, len(reports), cap(m.slots))
 	}
 	for i := range reports {
 		if err := reports[i].Validate(); err != nil {
@@ -522,7 +534,7 @@ func ReadArtifactManifest(path string) (*ArtifactManifest, error) {
 // binary artifact, then its manifest sidecar, each atomically.
 func (m *Manager) writeArtifact(c *trainingdb.Compiled, am ArtifactManifest) error {
 	if c == nil {
-		return errors.New("ingest: snapshot locator exposes no compiled view")
+		return errors.New("ingest: snapshot service keeps no compiled view")
 	}
 	if err := trainingdb.WriteCompiledFile(m.cfg.ArtifactPath, c); err != nil {
 		return err

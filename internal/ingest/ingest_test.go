@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -56,6 +57,30 @@ func newTestManager(t *testing.T, path string, cfg Config) *Manager {
 	return m
 }
 
+// newPublishingManager is newTestManager with an OnPublish hook: the
+// returned channel yields every publish event, the initial build's
+// first.
+func newPublishingManager(t *testing.T, cfg Config) (*Manager, <-chan PublishEvent) {
+	t.Helper()
+	// Sized past any test's publish count, so the hook never blocks the
+	// compactor.
+	events := make(chan PublishEvent, 64)
+	cfg.OnPublish = func(ev PublishEvent) { events <- ev }
+	return newTestManager(t, filepath.Join(t.TempDir(), "w.wal"), cfg), events
+}
+
+// nextEvent returns the next publish event, failing after a deadline.
+func nextEvent(t *testing.T, events <-chan PublishEvent) PublishEvent {
+	t.Helper()
+	select {
+	case ev := <-events:
+		return ev
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for a publish event")
+		return PublishEvent{}
+	}
+}
+
 // waitFor polls until cond is true or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -70,10 +95,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestSubmitFoldsAndSwaps(t *testing.T) {
-	m := newTestManager(t, filepath.Join(t.TempDir(), "w.wal"), Config{
+	m, events := newPublishingManager(t, Config{
 		FlushReports: 2, FlushInterval: time.Hour, // count-triggered swaps only
 	})
-	gen0 := m.Registry().Current().Generation
+	gen0 := nextEvent(t, events).Snapshot.Generation
 	err := m.Submit(
 		Report{Name: "g0", Observation: map[string]float64{"ap0": -49}},
 		Report{Name: "g0", Observation: map[string]float64{"ap0": -51, "apNEW": -77}},
@@ -81,12 +106,11 @@ func TestSubmitFoldsAndSwaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "count-triggered swap", func() bool { return m.Stats().Swaps >= 1 })
-	snap := m.Registry().Current()
-	if snap.Generation <= gen0 {
-		t.Errorf("generation did not advance: %d -> %d", gen0, snap.Generation)
+	ev := nextEvent(t, events)
+	if ev.Snapshot.Generation <= gen0 {
+		t.Errorf("generation did not advance: %d -> %d", gen0, ev.Snapshot.Generation)
 	}
-	db := snap.Service.DB
+	db := ev.DB
 	if s := db.Entries["g0"].PerAP["ap0"]; s.N != 7 {
 		t.Errorf("g0/ap0 N=%d want 7 (5 trained + 2 folded)", s.N)
 	}
@@ -113,39 +137,36 @@ func TestIntervalTriggeredSwap(t *testing.T) {
 }
 
 func TestNewEntryAndSnapRadius(t *testing.T) {
-	m := newTestManager(t, filepath.Join(t.TempDir(), "w.wal"), Config{
+	m, events := newPublishingManager(t, Config{
 		FlushReports: 1, FlushInterval: time.Hour, SnapRadius: 5,
 	})
+	nextEvent(t, events)
 	// Within 5 ft of g0 at (0,0): snaps to g0.
 	if err := m.Submit(Report{Pos: &ReportPos{X: 3, Y: 0}, Observation: map[string]float64{"ap0": -48}}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "snap fold", func() bool { return m.Stats().Swaps >= 1 })
-	db := m.Registry().Current().Service.DB
-	if s := db.Entries["g0"].PerAP["ap0"]; s.N != 6 {
+	if s := nextEvent(t, events).DB.Entries["g0"].PerAP["ap0"]; s.N != 6 {
 		t.Errorf("snap: g0/ap0 N=%d want 6", s.N)
 	}
 	// Far from everything: founds a coordinate-named entry.
 	if err := m.Submit(Report{Pos: &ReportPos{X: 200, Y: 200}, Observation: map[string]float64{"ap0": -90}}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "new coordinate entry", func() bool {
-		_, ok := m.Registry().Current().Service.DB.Entries["xy:200.0,200.0"]
-		return ok
-	})
+	if _, ok := nextEvent(t, events).DB.Entries["xy:200.0,200.0"]; !ok {
+		t.Error("far report founded no coordinate entry")
+	}
 	// Named new location with a coordinate: founded under that name,
 	// and resolvable through the snapshot's name map.
 	if err := m.Submit(Report{Name: "annex", Pos: &ReportPos{X: -40, Y: -40}, Observation: map[string]float64{"ap1": -85}}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "named new entry", func() bool {
-		snap := m.Registry().Current()
-		if _, ok := snap.Service.DB.Entries["annex"]; !ok {
-			return false
-		}
-		_, ok := snap.Service.Names.Lookup("annex")
-		return ok
-	})
+	ev := nextEvent(t, events)
+	if _, ok := ev.DB.Entries["annex"]; !ok {
+		t.Error("named report founded no entry")
+	}
+	if _, ok := ev.Snapshot.Service.Names.Lookup("annex"); !ok {
+		t.Error("founded entry does not resolve through the snapshot's names")
+	}
 	// Unknown name without a coordinate: accepted (it is valid on its
 	// face) but dropped at fold time.
 	if err := m.Submit(Report{Name: "nowhere", Observation: map[string]float64{"ap0": -70}}); err != nil {
@@ -177,8 +198,8 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestBackpressure fills the bounded queue and checks Submit answers
-// ErrQueueFull all-or-nothing, with nothing journaled for the
-// rejected batch.
+// ErrQueueFull all-or-nothing, and ErrBatchTooLarge for a batch deeper
+// than the queue, with nothing journaled for a rejected batch.
 func TestBackpressure(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "w.wal")
 	cfg := Config{WALPath: path, QueueDepth: 4, FlushReports: 1 << 30, FlushInterval: time.Hour}
@@ -188,30 +209,36 @@ func TestBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	// Stall the compactor by feeding it nothing — it only wakes for
-	// queue/ticker — and fill the admission slots synchronously.
 	r := Report{Name: "g0", Observation: map[string]float64{"ap0": -50}}
-	accepted := 0
-	for i := 0; i < 64 && accepted < 4; i++ {
-		if err := m.Submit(r); err == nil {
-			accepted++
-		} else if !errors.Is(err, ErrQueueFull) {
-			t.Fatal(err)
-		}
+	if err := m.Submit(r); err != nil {
+		t.Fatal(err)
 	}
-	// The compactor drains concurrently, so we may land short of a
-	// provably full queue only if folding outpaces submission; batch
-	// submission of more than the depth is deterministically too big.
+	// A batch deeper than the queue can never be admitted: it is
+	// refused on its own error and not counted as backpressure.
 	batch := make([]Report, 5)
 	for i := range batch {
 		batch[i] = r
 	}
-	if err := m.Submit(batch...); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overdeep batch: err %v, want ErrQueueFull", err)
+	if err := m.Submit(batch...); !errors.Is(err, ErrBatchTooLarge) {
+		t.Fatalf("overdeep batch: err %v, want ErrBatchTooLarge", err)
+	}
+	if st := m.Stats(); st.RejectedFull != 0 {
+		t.Errorf("overdeep batch counted as queue-full: %+v", st)
+	}
+	// Hold every admission slot (the compactor releases only slots of
+	// reports it dequeues), so the queue is provably full.
+	for range cap(m.slots) {
+		m.slots <- struct{}{}
+	}
+	if err := m.Submit(batch[:2]...); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("full queue: err %v, want ErrQueueFull", err)
+	}
+	for range cap(m.slots) {
+		<-m.slots
 	}
 	st := m.Stats()
-	if st.RejectedFull == 0 {
-		t.Error("no rejections counted")
+	if st.RejectedFull != 2 {
+		t.Errorf("%d rejections counted, want 2", st.RejectedFull)
 	}
 	// All-or-nothing: the WAL holds exactly the accepted reports.
 	m.Close()
@@ -219,8 +246,8 @@ func TestBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(replayed) != int(st.Accepted) {
-		t.Errorf("WAL holds %d records, accepted %d — rejected reports leaked into the journal",
+	if len(replayed) != int(st.Accepted) || st.Accepted != 1 {
+		t.Errorf("WAL holds %d records, accepted %d (want 1) — rejected reports leaked into the journal",
 			len(replayed), st.Accepted)
 	}
 }
@@ -255,10 +282,19 @@ func TestRestartReplaysAcceptedReports(t *testing.T) {
 	if st.Replayed != 10 || st.Folded != 10 {
 		t.Fatalf("after restart: replayed %d folded %d, want 10/10", st.Replayed, st.Folded)
 	}
-	// The initial snapshot already contains the replayed evidence.
-	db := m2.Registry().Current().Service.DB
-	if s := db.Entries["g4"].PerAP["ap0"]; s.N != 15 {
-		t.Errorf("g4/ap0 N=%d want 15 (5 trained + 10 replayed)", s.N)
+	// The initial snapshot already contains the replayed evidence: its
+	// view is the compile of the seed database with the 10 reports
+	// folded.
+	want := testDB()
+	for i := 0; i < 10; i++ {
+		want.Fold("g4", geom.Point{}, map[string]float64{"ap0": -60 - float64(i)})
+	}
+	wantBytes, err := trainingdb.EncodeCompiled(want.Compile(core.FloorRSSI, core.FloorSigma))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := trainingdb.EncodeCompiled(m2.Registry().Current().Service.View()); err != nil || !bytes.Equal(got, wantBytes) {
+		t.Errorf("initial view after replay differs from the seed plus 10 folds (%v)", err)
 	}
 	if m.Close() == nil {
 		t.Log("first manager close tolerated closed WAL") // drain hits closed WAL only on append, fine
@@ -266,8 +302,8 @@ func TestRestartReplaysAcceptedReports(t *testing.T) {
 }
 
 // TestSnapshotIsolation verifies the published snapshot never changes
-// under continued folding — the copy-on-write contract seen from the
-// outside.
+// under continued folding, though with no OnPublish the master folds
+// in place: a service keeps only its compiled view.
 func TestSnapshotIsolation(t *testing.T) {
 	m := newTestManager(t, filepath.Join(t.TempDir(), "w.wal"), Config{
 		FlushReports: 1, FlushInterval: time.Hour,
@@ -277,35 +313,35 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	waitFor(t, "first swap", func() bool { return m.Stats().Swaps >= 1 })
 	snap := m.Registry().Current()
-	before := *snap.Service.DB.Entries["g0"].PerAP["ap0"]
+	encode := func(s *core.Snapshot) []byte {
+		t.Helper()
+		raw, err := trainingdb.EncodeCompiled(s.Service.View())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	before := encode(snap)
 	for i := 0; i < 5; i++ {
 		if err := m.Submit(Report{Name: "g0", Observation: map[string]float64{"ap0": -41}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitFor(t, "later swaps", func() bool { return m.Stats().Swaps >= 6 })
-	after := snap.Service.DB.Entries["g0"].PerAP["ap0"]
-	if after.N != before.N || after.Mean != before.Mean {
-		t.Errorf("published snapshot mutated: %+v -> %+v", before, *after)
+	if !bytes.Equal(encode(snap), before) {
+		t.Error("published snapshot's view mutated by later folds")
 	}
 	// The current snapshot did move on.
-	if cur := m.Registry().Current().Service.DB.Entries["g0"].PerAP["ap0"]; cur.N != before.N+5 {
-		t.Errorf("current snapshot N=%d want %d", cur.N, before.N+5)
+	if cur := m.Registry().Current(); cur.Generation != snap.Generation+5 || bytes.Equal(encode(cur), before) {
+		t.Errorf("current snapshot generation %d, want %d, and a changed view", cur.Generation, snap.Generation+5)
 	}
 }
 
 // TestFolderFreezesOnlyKeptState checks that copy-on-write is paid
-// only for a state something keeps: a folder whose services keep no
-// database (a follower's) folds in place, while a kept state — the
-// service's DB, or Freeze's — is never mutated by later folds.
+// only for a state a caller keeps: a folder folds in place until
+// Freeze is called, and the state Freeze returns is never mutated by
+// later folds, while the snapshots go on patching.
 func TestFolderFreezesOnlyKeptState(t *testing.T) {
-	viewOnly := func(db *trainingdb.DB) (*core.Service, error) {
-		in, err := core.New(core.WithCompiled(db.Compile(core.FloorRSSI, core.FloorSigma)), core.WithEntryNames())
-		if err != nil {
-			return nil, err
-		}
-		return in.Service, nil
-	}
 	report := Report{Name: "g0", Observation: map[string]float64{"ap0": -40}}
 	n0 := func(db *trainingdb.DB) int { return db.Entries["g0"].PerAP["ap0"].N }
 	snapshot := func(f *Folder, wantPatched bool) *core.Snapshot {
@@ -320,38 +356,27 @@ func TestFolderFreezesOnlyKeptState(t *testing.T) {
 		return snap
 	}
 
-	f := NewFolder(testDB(), 0, viewOnly, nil)
+	f := NewFolder(testDB(), 0, testRebuilder, nil)
 	snapshot(f, false)
 	e := f.db.Entries["g0"]
 	f.Fold(report)
 	if f.db.Entries["g0"] != e {
-		t.Error("folder cloned an entry no kept state shares")
+		t.Error("folder cloned an entry no frozen state shares")
 	}
 	snap := snapshot(f, true)
-	if snap.Service.DB != nil {
-		t.Fatal("view-only service keeps a database")
-	}
 	kept := f.Freeze()
 	if f.Freeze() != kept || kept.Generation() != snap.Generation {
 		t.Fatal("Freeze is not the latest snapshot's state")
 	}
 	n := n0(kept)
 	f.Fold(report)
+	f.Fold(report)
 	if n0(kept) != n {
 		t.Errorf("frozen state mutated by a later fold: N %d -> %d", n, n0(kept))
 	}
-
-	g := NewFolder(testDB(), 0, testRebuilder, nil)
-	kept = snapshot(g, false).Service.DB
-	n = n0(kept)
-	g.Fold(report)
-	g.Fold(report)
-	snap = snapshot(g, true)
-	if n0(kept) != n || n0(snap.Service.DB) != n+2 {
-		t.Errorf("g0/ap0 N: kept %d (want %d), next snapshot %d (want %d)", n0(kept), n, n0(snap.Service.DB), n+2)
-	}
-	if g.Freeze() != snap.Service.DB {
-		t.Error("Freeze did not return the state the service keeps")
+	snap = snapshot(f, true)
+	if next := f.Freeze(); next == kept || n0(next) != n+2 || next.Generation() != snap.Generation {
+		t.Errorf("next Freeze: N %d (want %d), generation %d (want %d)", n0(next), n+2, next.Generation(), snap.Generation)
 	}
 }
 
@@ -359,17 +384,18 @@ func TestFolderFreezesOnlyKeptState(t *testing.T) {
 // to end: fold-only publishes patch the previous view, structural ones
 // (a new AP, a new entry) rebuild in full, and every published view
 // encodes to the bytes a fresh compile of its frozen database gives.
-// A service with no recorded recipe is always rebuilt in full.
+// A service built outside New records no recipe and keeps no view, so
+// it is always rebuilt in full.
 func TestPublishPatchesFoldedEntries(t *testing.T) {
 	opaque := func(db *trainingdb.DB) (*core.Service, error) {
 		svc, err := testRebuilder(db)
 		if err != nil {
 			return nil, err
 		}
-		return &core.Service{DB: svc.DB, Locator: svc.Locator, Names: svc.Names}, nil
+		return &core.Service{Locator: svc.Locator, Names: svc.Names}, nil
 	}
-	// A service over a copy of the frozen database is never a patch
-	// base, and the entries it shares must still be cloned before folds.
+	// A service built over a copy of the master keeps nothing of either,
+	// so it patches like one built over the master itself.
 	copied := func(db *trainingdb.DB) (*core.Service, error) { return testRebuilder(db.Snapshot()) }
 	reports := []Report{
 		{Name: "g0", Observation: map[string]float64{"ap0": -49}},                                   // patch
@@ -382,10 +408,11 @@ func TestPublishPatchesFoldedEntries(t *testing.T) {
 		name          string
 		rebuild       Rebuilder
 		patched, full uint64
+		noView        bool
 	}{
-		{"recipe", testRebuilder, 3, 2},
-		{"no-recipe", opaque, 0, 5},
-		{"other-db", copied, 0, 5},
+		{"recipe", testRebuilder, 3, 2, false},
+		{"no-recipe", opaque, 0, 5, true},
+		{"other-db", copied, 3, 2, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var (
@@ -419,6 +446,15 @@ func TestPublishPatchesFoldedEntries(t *testing.T) {
 				t.Fatalf("%d publish events, want %d", len(events), len(reports)+1)
 			}
 			for i, ev := range events {
+				if n := ev.DB.Entries["g0"].PerAP["ap0"].N; n != g0N[i] {
+					t.Errorf("publish %d: frozen g0/ap0 mutated after publish: N %d -> %d", i, g0N[i], n)
+				}
+				if tc.noView {
+					if ev.Compiled != nil {
+						t.Errorf("publish %d: a service with no view published one", i)
+					}
+					continue
+				}
 				got, err := trainingdb.EncodeCompiled(ev.Compiled)
 				if err != nil {
 					t.Fatal(err)
@@ -430,11 +466,71 @@ func TestPublishPatchesFoldedEntries(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Errorf("publish %d: view differs from a fresh compile of its frozen database", i)
 				}
-				if n := ev.DB.Entries["g0"].PerAP["ap0"].N; n != g0N[i] {
-					t.Errorf("publish %d: frozen g0/ap0 mutated after publish: N %d -> %d", i, g0N[i], n)
-				}
 			}
 		})
+	}
+}
+
+// TestGeometricPublishPatchesAndWritesArtifact checks a live
+// geometric-ls service, which scores without its view but keeps one:
+// its fold-only publishes patch, and every publish writes that view as
+// the artifact.
+func TestGeometricPublishPatchesAndWritesArtifact(t *testing.T) {
+	aps := map[string]geom.Point{"ap0": geom.Pt(0, 0), "ap1": geom.Pt(60, 0), "ap2": geom.Pt(0, 60), "ap3": geom.Pt(60, 60)}
+	db := &trainingdb.DB{Entries: make(map[string]*trainingdb.Entry), BSSIDs: []string{"ap0", "ap1", "ap2", "ap3"}}
+	for i := 0; i < 16; i++ {
+		name := fmt.Sprintf("g%d", i)
+		pos := geom.Pt(float64(i%4)*20, float64(i/4)*20)
+		e := &trainingdb.Entry{Name: name, Pos: pos, PerAP: make(map[string]*trainingdb.APStats)}
+		for _, bssid := range db.BSSIDs {
+			s := &trainingdb.APStats{BSSID: bssid}
+			d := max(pos.Dist(aps[bssid]), 1)
+			for k := 0; k < 5; k++ {
+				s.AddSample(math.Round(-40-20*math.Log10(d)) - float64(k%2))
+			}
+			e.PerAP[bssid] = s
+		}
+		db.Entries[name] = e
+	}
+	rebuild := func(db *trainingdb.DB) (*core.Service, error) {
+		in, err := core.New(core.WithDB(db), core.WithAlgorithm(core.AlgoGeometricLS),
+			core.WithConfig(core.BuildConfig{APPositions: aps}), core.WithEntryNames())
+		if err != nil {
+			return nil, err
+		}
+		return in.Service, nil
+	}
+	art := filepath.Join(t.TempDir(), "map.ilr")
+	m, err := NewManager(db, rebuild, Config{
+		WALPath: filepath.Join(t.TempDir(), "w.wal"), ArtifactPath: art, FlushReports: 1, FlushInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for i := 0; i < 3; i++ {
+		if err := m.Submit(Report{Name: "g5", Observation: map[string]float64{"ap0": -62 - float64(i), "ap2": -66}}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "artifact write", func() bool {
+			st := m.Stats()
+			return st.Artifacts+st.ArtifactErrors == uint64(i+2)
+		})
+	}
+	if st := m.Stats(); st.PatchedSwaps != 3 || st.FullSwaps != 0 || st.Artifacts != 4 || st.ArtifactErrors != 0 {
+		t.Errorf("patched/full swaps %d/%d, artifacts/errors %d/%d; want 3/0, 4/0",
+			st.PatchedSwaps, st.FullSwaps, st.Artifacts, st.ArtifactErrors)
+	}
+	got, err := os.ReadFile(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := trainingdb.EncodeCompiled(m.Registry().Current().Service.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("artifact differs from the serving view")
 	}
 }
 

@@ -111,8 +111,8 @@ func refMaxLikelihood(db *trainingdb.DB, m *MaxLikelihood, obs Observation) (Est
 	if !overlaps(db, obs) {
 		return Estimate{}, ErrNoOverlap
 	}
-	floorRSSI := m.CompiledView().FloorRSSI
-	floorSigma := max(m.CompiledView().FloorSigma, stats.MinSigma)
+	floorRSSI := m.compiled.FloorRSSI
+	floorSigma := max(m.compiled.FloorSigma, stats.MinSigma)
 	candidates := make([]Candidate, 0, db.Len())
 	for _, name := range db.Names() {
 		e := db.Entries[name]
@@ -148,7 +148,7 @@ func refHistogram(db *trainingdb.DB, h *Histogram, obs Observation) (Estimate, e
 		return Estimate{}, ErrNoOverlap
 	}
 	const bins = 70
-	floorRSSI := h.CompiledView().FloorRSSI
+	floorRSSI := h.compiled.FloorRSSI
 	hists := make(map[string]map[string]*stats.Histogram, db.Len())
 	for name, e := range db.Entries {
 		m := make(map[string]*stats.Histogram, len(e.PerAP))
@@ -222,7 +222,7 @@ func refKNN(db *trainingdb.DB, k *KNN, obs Observation) (Estimate, error) {
 	candidates := make([]Candidate, 0, db.Len())
 	for _, name := range db.Names() {
 		e := db.Entries[name]
-		d := signalDistance(db, k.CompiledView().FloorRSSI, obs, e)
+		d := signalDistance(db, k.compiled.FloorRSSI, obs, e)
 		candidates = append(candidates, Candidate{Name: name, Pos: e.Pos, Score: -d})
 	}
 	rankCandidates(candidates)

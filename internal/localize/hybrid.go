@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"indoorloc/internal/feq"
-	"indoorloc/internal/trainingdb"
 )
 
 // Hybrid blends the two families the paper evaluates separately: the
@@ -37,9 +36,6 @@ func NewHybrid(prob *MaxLikelihood, geo *Geometric) (*Hybrid, error) {
 
 // Name implements Locator.
 func (h *Hybrid) Name() string { return "hybrid" }
-
-// CompiledView implements CompiledSource via the probabilistic side.
-func (h *Hybrid) CompiledView() *trainingdb.Compiled { return h.Prob.CompiledView() }
 
 // Locate implements Locator. Symbolic fields come from the
 // probabilistic side; when the geometric side fails (too few APs) the

@@ -54,9 +54,6 @@ func (k *KNN) kVal() int {
 	return k.K
 }
 
-// CompiledView implements CompiledSource.
-func (k *KNN) CompiledView() *trainingdb.Compiled { return k.compiled }
-
 // Locate implements Locator.
 //
 //loclint:hotpath

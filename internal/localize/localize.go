@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"indoorloc/internal/geom"
-	"indoorloc/internal/trainingdb"
 	"indoorloc/internal/wiscan"
 )
 
@@ -102,14 +101,6 @@ type Locator interface {
 	Locate(obs Observation) (Estimate, error)
 	// Name identifies the algorithm for registries and reports.
 	Name() string
-}
-
-// CompiledSource is implemented by locators whose scoring runs against
-// a compiled radio map. CompiledView returns the view the locator was
-// built over — the artifact writers (ingest compactor, tdbtool)
-// serialize exactly what serving reads.
-type CompiledSource interface {
-	CompiledView() *trainingdb.Compiled
 }
 
 // Errors shared by the localizers.

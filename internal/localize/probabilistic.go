@@ -47,9 +47,6 @@ func NewMaxLikelihood(c *trainingdb.Compiled) *MaxLikelihood {
 // Name implements Locator.
 func (m *MaxLikelihood) Name() string { return "probabilistic-ml" }
 
-// CompiledView implements CompiledSource.
-func (m *MaxLikelihood) CompiledView() *trainingdb.Compiled { return m.compiled }
-
 // Locate implements Locator.
 //
 //loclint:hotpath
@@ -148,11 +145,6 @@ func NewHistogram(db *trainingdb.DB, c *trainingdb.Compiled) *Histogram {
 
 // Name implements Locator.
 func (h *Histogram) Name() string { return "probabilistic-histogram" }
-
-// CompiledView implements CompiledSource. Note the histogram's scoring
-// tables are built from raw samples the view does not carry, so a
-// Histogram cannot be rebuilt from a serialized view alone.
-func (h *Histogram) CompiledView() *trainingdb.Compiled { return h.compiled }
 
 // Locate implements Locator.
 //

@@ -171,7 +171,7 @@ func checkML(t *testing.T, tag string, db *trainingdb.DB, m *MaxLikelihood, obs 
 	if wantErr != nil {
 		return
 	}
-	c := m.CompiledView()
+	c := m.compiled
 	heard := heardColumns(c, obs)
 	bound := make(map[string]float64, len(c.Names))
 	eps := 0.0
@@ -201,7 +201,7 @@ func checkKNN(t *testing.T, tag string, db *trainingdb.DB, k *KNN, obs Observati
 	if wantErr != nil {
 		return
 	}
-	c := k.CompiledView()
+	c := k.compiled
 	heard := heardColumns(c, obs)
 	entry := make(map[string]int, len(c.Names))
 	for i, name := range c.Names {

@@ -43,9 +43,6 @@ func NewSector(c *trainingdb.Compiled) *Sector {
 // Name implements Locator.
 func (s *Sector) Name() string { return "sector-code" }
 
-// CompiledView implements CompiledSource.
-func (s *Sector) CompiledView() *trainingdb.Compiled { return s.compiled }
-
 // buildCodes derives each training location's code: an AP is in the
 // code when it was heard in at least audibleFraction of that
 // location's sweeps (approximated by sample count relative to the

@@ -41,6 +41,8 @@ type trainerInstance struct {
 	mgr  *ingest.Manager
 	src  *Source
 	dead chan struct{}
+	// frozen is the database of the latest publish (PublishEvent.DB).
+	frozen atomic.Pointer[trainingdb.DB]
 }
 
 // trainerHarness serves replication endpoints for a swappable trainer
@@ -106,15 +108,19 @@ func (h *trainerHarness) tear(limit int64) {
 // WAL path, with replication capture wired from the first publish.
 func (h *trainerHarness) spawn(walPath string, cfg ingest.Config) *trainerInstance {
 	h.t.Helper()
-	src := NewSource(SourceConfig{Heartbeat: 50 * time.Millisecond})
+	inst := &trainerInstance{src: NewSource(SourceConfig{Heartbeat: 50 * time.Millisecond}), dead: make(chan struct{})}
 	cfg.WALPath = walPath
-	cfg.OnPublish = src.OnPublish
+	cfg.OnPublish = func(ev ingest.PublishEvent) {
+		inst.frozen.Store(ev.DB)
+		inst.src.OnPublish(ev)
+	}
 	mgr, err := ingest.NewManager(replTestDB(), replRebuilder, cfg)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	src.Bind(mgr)
-	return &trainerInstance{mgr: mgr, src: src, dead: make(chan struct{})}
+	inst.src.Bind(mgr)
+	inst.mgr = mgr
+	return inst
 }
 
 // restart simulates a trainer dying and coming back with a fresh WAL
@@ -289,8 +295,8 @@ func TestFollowerEntryNames(t *testing.T) {
 		converged(t, h.mgr(), f)
 		want := h.mgr().Registry().Current().Service
 		got := f.Registry().Current().Service
-		if got.Names == nil || got.DB != nil {
-			t.Fatal("follower service should serve entry names from its view, with no DB")
+		if got.Names == nil {
+			t.Fatal("follower service should serve entry names from its view")
 		}
 		names, pos := want.Locations()
 		if got.Names.Len() != len(names) {
@@ -589,7 +595,9 @@ func TestFollowerPatchesBitIdentical(t *testing.T) {
 	if f.Registry().Current().Service.Names != beforeNames {
 		t.Error("patched follower publish rebuilt its name index")
 	}
-	compiledEqual(t, "follower vs full compile", snap.Service.DB.Compile(-95, 4), got)
+	frozen := h.cur.Load().frozen.Load
+	waitFor(t, "publish event", func() bool { return frozen().Generation() == snap.Generation })
+	compiledEqual(t, "follower vs full compile", frozen().Compile(-95, 4), got)
 }
 
 // TestRestartAndBootstrapAgree pins that the two recovery paths land on

@@ -104,7 +104,7 @@ func (s *Source) OnPublish(ev ingest.PublishEvent) {
 // buildBundle encodes a publish event into a servable bundle.
 func buildBundle(ev ingest.PublishEvent) (*bundle, error) {
 	if ev.Compiled == nil {
-		return nil, errors.New("repl: snapshot locator exposes no compiled view; not replicable")
+		return nil, errors.New("repl: snapshot service keeps no compiled view; not replicable")
 	}
 	artifact, err := trainingdb.EncodeCompiled(ev.Compiled)
 	if err != nil {

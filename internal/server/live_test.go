@@ -84,7 +84,12 @@ func TestNewLiveValidation(t *testing.T) {
 }
 
 func TestTrainReportSingleAndBatch(t *testing.T) {
-	f := newLiveFixture(t, ingest.Config{FlushReports: 1, FlushInterval: time.Hour})
+	var (
+		mu     sync.Mutex
+		frozen *trainingdb.DB // the latest publish's database
+	)
+	f := newLiveFixture(t, ingest.Config{FlushReports: 1, FlushInterval: time.Hour,
+		OnPublish: func(ev ingest.PublishEvent) { mu.Lock(); frozen = ev.DB; mu.Unlock() }})
 	resp, body := postJSON(t, f.ts.URL+"/train/report",
 		[]byte(`{"name":"p_0_0","observation":{"ap0":-44.5}}`))
 	if resp.StatusCode != http.StatusAccepted || body["accepted"].(float64) != 1 {
@@ -102,8 +107,18 @@ func TestTrainReportSingleAndBatch(t *testing.T) {
 	if st := f.mgr.Stats(); st.Folded != 3 {
 		t.Fatalf("folded %d want 3 (stats %+v)", st.Folded, st)
 	}
-	// The folded samples show up in the served snapshot.
-	db := f.srv.Snapshot().Service.DB
+	// The folded samples show up in the state the served snapshot was
+	// built from.
+	var db *trainingdb.DB
+	for time.Now().Before(deadline) {
+		mu.Lock()
+		db = frozen
+		mu.Unlock()
+		if db.Generation() == f.srv.Snapshot().Generation && f.mgr.Stats().Swaps == 3 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if s := db.Entries["p_0_0"].PerAP["ap0"]; s.N != 6 {
 		t.Errorf("p_0_0/ap0 N=%d want 6", s.N)
 	}
@@ -129,17 +144,41 @@ func TestTrainReportSingleAndBatch(t *testing.T) {
 }
 
 func TestTrainReportBackpressure429(t *testing.T) {
+	// Stall the compactor inside its first live publish, so the queue
+	// fills deterministically: every later report holds its slot.
+	entered, release := make(chan struct{}), make(chan struct{})
+	publishes := 0
 	f := newLiveFixture(t, ingest.Config{
-		QueueDepth: 2, FlushReports: 1 << 30, FlushInterval: time.Hour,
+		QueueDepth: 2, FlushReports: 1, FlushInterval: time.Hour,
 		RetryAfter: 3 * time.Second,
+		OnPublish: func(ingest.PublishEvent) {
+			if publishes++; publishes == 2 {
+				close(entered)
+				<-release
+			}
+		},
 	})
-	// A batch larger than the whole queue is deterministically refused.
-	var reports []map[string]any
-	for i := 0; i < 3; i++ {
-		reports = append(reports, map[string]any{"name": "p_0_0", "observation": map[string]float64{"ap0": -50}})
+	t.Cleanup(func() { close(release) })
+	post := func(n int) (*http.Response, map[string]any) {
+		var reports []map[string]any
+		for i := 0; i < n; i++ {
+			reports = append(reports, map[string]any{"name": "p_0_0", "observation": map[string]float64{"ap0": -50}})
+		}
+		body, _ := json.Marshal(map[string]any{"reports": reports})
+		return postJSON(t, f.ts.URL+"/train/report", body)
 	}
-	body, _ := json.Marshal(map[string]any{"reports": reports})
-	resp, out := postJSON(t, f.ts.URL+"/train/report", body)
+	if resp, out := post(1); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first report: status %d (%v)", resp.StatusCode, out)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("compactor never published the first report")
+	}
+	if resp, out := post(2); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("batch filling the queue: status %d (%v)", resp.StatusCode, out)
+	}
+	resp, out := post(1)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d want 429 (%v)", resp.StatusCode, out)
 	}
@@ -422,6 +461,57 @@ func TestTrainReportOversizeBody(t *testing.T) {
 		}
 		if after := c.seq(); after != before {
 			t.Errorf("%s: WAL seq %d -> %d, want nothing journaled", c.name, before, after)
+		}
+	}
+}
+
+// TestTrainReportBatchTooLarge posts a batch deeper than the default
+// report queue (1024): no backoff could ever admit it, so it answers
+// 413 batch_too_large, not 429 with Retry-After, and journals nothing,
+// on the unversioned and the venue route.
+func TestTrainReportBatchTooLarge(t *testing.T) {
+	body := `{"reports":[` + strings.Repeat(`{"name":"p_0_0","observation":{"ap0":-44.5}},`, 1024) +
+		`{"name":"p_0_0","observation":{"ap0":-44.5}}]}`
+	live := newLiveFixture(t, ingest.Config{FlushInterval: time.Hour})
+	dir, walDir := t.TempDir(), t.TempDir()
+	if err := trainingdb.SaveFile(filepath.Join(dir, "grid.tdb"), gridDB(25)); err != nil {
+		t.Fatal(err)
+	}
+	vr, err := venue.NewRegistry(venue.Config{Dir: dir, WALDir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := NewMultiVenue(vr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { multi.Close(); vr.Close() })
+	venueMgr := func() *ingest.Manager {
+		v, err := vr.Acquire("grid")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Release()
+		return v.Manager()
+	}
+	for _, c := range []struct {
+		srv  *Server
+		path string
+		mgr  func() *ingest.Manager
+	}{
+		{live.srv, "/train/report", func() *ingest.Manager { return live.mgr }},
+		{multi, "/v1/venues/grid/train/report", venueMgr},
+	} {
+		before := c.mgr().WAL().Seq()
+		rec := httptest.NewRecorder()
+		c.srv.ServeHTTP(rec, httptest.NewRequest("POST", c.path, strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge || errCode(t, rec.Body.Bytes()) != codeBatchTooLarge || rec.Header().Get("Retry-After") != "" {
+			t.Errorf("%s: 1025-report batch answered %d %s (Retry-After %q), want 413 %s",
+				c.path, rec.Code, rec.Body, rec.Header().Get("Retry-After"), codeBatchTooLarge)
+		}
+		if st := c.mgr().Stats(); c.mgr().WAL().Seq() != before || st.RejectedFull != 0 {
+			t.Errorf("%s: WAL seq %d -> %d, %d counted queue-full; want nothing journaled or counted",
+				c.path, before, c.mgr().WAL().Seq(), st.RejectedFull)
 		}
 	}
 }

@@ -482,7 +482,7 @@ func codeFor(status int, err error) string {
 		return codeTimeout
 	case errors.Is(err, errBodyTooLarge):
 		return codeBodyTooLarge
-	case errors.Is(err, errBatchTooLarge):
+	case errors.Is(err, errBatchTooLarge), errors.Is(err, ingest.ErrBatchTooLarge):
 		return codeBatchTooLarge
 	case errors.Is(err, ingest.ErrQueueFull):
 		return codeQueueFull
@@ -1159,7 +1159,9 @@ func (s *Server) trainReport(w http.ResponseWriter, r *http.Request, mgr *ingest
 		return
 	}
 	if err := mgr.Submit(reports...); err != nil {
-		if errors.Is(err, ingest.ErrQueueFull) {
+		status := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, ingest.ErrQueueFull):
 			// The backpressure contract: nothing was journaled, the
 			// client should retry the whole batch after the advertised
 			// backoff.
@@ -1168,14 +1170,15 @@ func (s *Server) trainReport(w http.ResponseWriter, r *http.Request, mgr *ingest
 				secs = 1
 			}
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeError(w, http.StatusTooManyRequests, err)
-			return
+			status = http.StatusTooManyRequests
+		case errors.Is(err, ingest.ErrBatchTooLarge):
+			// Nothing was journaled either, but no backoff helps: the
+			// batch never fits the queue.
+			status = http.StatusRequestEntityTooLarge
+		case errors.Is(err, ingest.ErrInvalidReport):
+			status = http.StatusBadRequest
 		}
-		if errors.Is(err, ingest.ErrInvalidReport) {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
+		writeError(w, status, err)
 		return
 	}
 	// {"accepted":N}, as json.Encoder writes it.

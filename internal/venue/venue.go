@@ -444,25 +444,33 @@ func (r *Registry) Status(id string) (Status, error) {
 	} else {
 		return Status{}, fmt.Errorf("%w: %q", ErrUnknownVenue, id)
 	}
-	if v, ok := r.venues.Load(id); ok {
-		lv := v.(*Venue)
-		// Pin before reading the snapshot: an evicted venue's mmap can
-		// be unmapped the instant its refcount hits zero, and a bare
-		// Snapshot() on it would read freed memory. A venue draining to
-		// zero refuses the pin and is reported as not loaded.
-		if lv.tryRef() {
-			st.Loaded = true
-			st.Live = lv.mgr != nil
-			if snap := lv.Snapshot(); snap != nil {
-				st.Generation = snap.Generation
-				if snap.Service != nil {
-					st.Locations = snap.Service.NumLocations()
-				}
-			}
-			lv.unref()
+	r.fillResident(&st)
+	return st, nil
+}
+
+// fillResident fills st's Loaded, Live, Generation and Locations when
+// venue st.ID is resident. It pins before reading the snapshot: an
+// evicted venue's mmap can be unmapped the instant its refcount hits
+// zero, and a bare Snapshot() on it would read freed memory. A venue
+// draining to zero refuses the pin and is reported as not loaded.
+func (r *Registry) fillResident(st *Status) {
+	v, ok := r.venues.Load(st.ID)
+	if !ok {
+		return
+	}
+	lv := v.(*Venue)
+	if !lv.tryRef() {
+		return
+	}
+	defer lv.unref()
+	st.Loaded = true
+	st.Live = lv.mgr != nil
+	if snap := lv.Snapshot(); snap != nil {
+		st.Generation = snap.Generation
+		if snap.Service != nil {
+			st.Locations = snap.Service.NumLocations()
 		}
 	}
-	return st, nil
 }
 
 // List enumerates every venue the directory offers, resident or cold,
@@ -501,26 +509,8 @@ func (r *Registry) List() ([]Status, error) {
 		seen[id] = st
 	}
 	out := make([]Status, 0, len(seen))
-	for id, st := range seen {
-		if v, ok := r.venues.Load(id); ok {
-			lv := v.(*Venue)
-			// Pin before reading, as in Status: a concurrently evicted
-			// venue's snapshot may alias an unmapped artifact.
-			if lv.tryRef() {
-				st.Loaded = true
-				st.Live = lv.mgr != nil
-				// Each iteration reads a different venue's registry — the
-				// one-snapshot-per-answer rule guards repeated reads of the
-				// same registry, which this is not.
-				if snap := lv.Snapshot(); snap != nil { //loclint:allow snapshotonce
-					st.Generation = snap.Generation
-					if snap.Service != nil {
-						st.Locations = snap.Service.NumLocations()
-					}
-				}
-				lv.unref()
-			}
-		}
+	for _, st := range seen {
+		r.fillResident(&st)
 		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
