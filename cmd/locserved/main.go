@@ -101,7 +101,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		maxBody      = fs.Int64("max-body", 0, "request body cap in bytes for every route that takes a body, at most 8 MiB (0 = per-route defaults: 1 MiB, 8 MiB batch/train)")
 		routeTO      = fs.Duration("route-timeout", 0, "per-route handler deadline; overruns answer 503 (0 = off, keeps the hot path allocation-free)")
 		metricsOn    = fs.Bool("metrics", true, "expose Prometheus metrics at GET /metrics")
-		accessLog    = fs.String("access-log", "", "append one line per request here via the drop-oldest ring ('-' = stderr)")
+		accessLog    = fs.String("access-log", "", "append one line per request here via the drop-oldest queue ('-' = stderr)")
 		topK         = fs.Int("topk", 0, "bound rankings to the best K candidates via heap selection (0 = full sort)")
 
 		trainWAL      = fs.String("train-wal", "", "report journal path; enables live training via POST /train/report")

@@ -238,7 +238,7 @@ func TestServeFrontEndFlags(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("-metrics=false still serves /metrics: %d", resp.StatusCode)
 	}
-	// The ring drains on its own cadence; wait for the lines to land.
+	// The log drains on its own cadence; wait for the lines to land.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if b, err := os.ReadFile(logPath); err == nil && bytes.Contains(b, []byte("route=locate")) {

@@ -172,7 +172,7 @@ type Service struct {
 	Rooms []floorplan.Room
 
 	// view is the compiled radio map the service was built over, nil
-	// for a service built outside New and Pipeline.Train.
+	// for a service built outside New.
 	view *trainingdb.Compiled
 	// algo and cfg are the recipe New built the locator with, from any
 	// source; algo is empty for a service built outside New, which
@@ -206,7 +206,7 @@ func (s *Service) Patch(db *trainingdb.DB, touched map[string]struct{}) (*Servic
 }
 
 // View returns the compiled radio-map view the service was built
-// over, nil for a service built outside New and Pipeline.Train.
+// over, nil for a service built outside New.
 func (s *Service) View() *trainingdb.Compiled { return s.view }
 
 // Locations returns the training locations' names, sorted, and their
@@ -374,16 +374,16 @@ func (p *Pipeline) Train() (*Service, []string, error) {
 		msg += fmt.Sprintf("; skipped unmapped %v", skipped)
 	}
 	trace = append(trace, msg)
-	loc, view, err := buildLocator(algo, db, nil, BuildConfig{APPositions: apPos})
+	opts := []Option{WithDB(db), WithAlgorithm(algo), WithConfig(BuildConfig{APPositions: apPos}), WithNames(lm)}
+	if p.Plan != nil {
+		opts = append(opts, WithRooms(p.Plan.Rooms))
+	}
+	in, err := New(opts...)
 	if err != nil {
 		return nil, trace, fmt.Errorf("core: step 4: %w", err)
 	}
 	trace = append(trace,
 		"step 5: (working phase) observe signal-strength vectors",
 		"step 6: (working phase) resolve observations to locations")
-	svc := &Service{Locator: loc, Names: lm.Index(), view: view}
-	if p.Plan != nil {
-		svc.Rooms = p.Plan.Rooms
-	}
-	return svc, trace, nil
+	return in.Service, trace, nil
 }

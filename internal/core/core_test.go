@@ -228,6 +228,38 @@ func TestPipelineErrors(t *testing.T) {
 	}
 }
 
+// TestPipelineRecordsRecipe checks that a pipeline-trained service
+// records the algorithm and build knobs it was trained with, so Patch
+// carries it across a fold like any service New built.
+func TestPipelineRecordsRecipe(t *testing.T) {
+	f := newFixture(t)
+	svc, _, err := (&Pipeline{Collection: f.coll, LocMap: f.lm, Algorithm: AlgoKNN}).Train()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if svc.algo != AlgoKNN {
+		t.Errorf("pipeline service records algorithm %q, want %q", svc.algo, AlgoKNN)
+	}
+	// The pipeline generated its database from the fixture's inputs, so
+	// a fold into the fixture's database is a later state of it.
+	db := f.db.Snapshot()
+	name := db.Names()[0]
+	var bssid string
+	for b := range db.Entries[name].PerAP {
+		bssid = b
+		break
+	}
+	db.Entries[name] = db.Entries[name].Clone()
+	db.Fold(name, geom.Point{}, map[string]float64{bssid: -41.5})
+	got, err := svc.Patch(db, map[string]struct{}{name: {}})
+	if err != nil || got == nil {
+		t.Fatalf("pipeline-trained service not patched (%v)", err)
+	}
+	if got.Names != svc.Names {
+		t.Error("patched pipeline service lost its names")
+	}
+}
+
 func TestServiceLocateRecordsEmpty(t *testing.T) {
 	f := newFixture(t)
 	svc, _, err := (&Pipeline{Collection: f.coll, LocMap: f.lm}).Train()

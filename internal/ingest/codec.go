@@ -120,12 +120,14 @@ func appendFloat(dst []byte, f float64) ([]byte, error) {
 // Report: the members name (a plain string), pos (an object of the
 // numbers x and y) and observation (an object of plain BSSIDs mapped
 // to numbers), each at most once and in any order, with the BSSIDs
-// interned through keys. It returns the index
-// past the object. ok=false means the object is not in that shape —
+// interned through keys and the name through names. The two tables are
+// apart so a floor's thousands of location names cannot crowd its
+// BSSIDs out of the bounded table. It returns the index past the
+// object. ok=false means the object is not in that shape —
 // escapes, unknown, repeated or differently-cased names, null — and
 // the caller must decode it with encoding/json instead; when ok is
 // true the Report is what encoding/json would decode.
-func ScanReport(b []byte, i int, keys *jsonscan.Keys) (r Report, next int, ok bool) {
+func ScanReport(b []byte, i int, keys, names *jsonscan.Keys) (r Report, next int, ok bool) {
 	var seen uint8 // bit 0 name, bit 1 pos, bit 2 observation
 	i, more, ok := jsonscan.Open(b, i, '{', '}')
 	for ok && more {
@@ -139,7 +141,7 @@ func ScanReport(b []byte, i int, keys *jsonscan.Keys) (r Report, next int, ok bo
 			bit = 1
 			var raw []byte
 			if raw, i, ok = jsonscan.String(b, i); ok {
-				r.Name = string(raw)
+				r.Name = names.Intern(raw)
 			}
 		case "pos":
 			bit = 2
@@ -197,11 +199,12 @@ func scanPos(b []byte, i int, p *ReportPos) (next int, ok bool) {
 }
 
 // DecodeReport decodes one report payload — a WAL record or a
-// replicated one — interning its BSSIDs through keys. The canonical shape, which AppendReport writes, takes
+// replicated one — interning its BSSIDs through keys and its name
+// through names. The canonical shape, which AppendReport writes, takes
 // ScanReport; any other payload takes json.Unmarshal, so what decodes,
 // what fails and every decoded value are encoding/json's.
-func DecodeReport(payload []byte, keys *jsonscan.Keys) (Report, error) {
-	if r, i, ok := ScanReport(payload, jsonscan.SkipSpace(payload, 0), keys); ok && jsonscan.End(payload, i) {
+func DecodeReport(payload []byte, keys, names *jsonscan.Keys) (Report, error) {
+	if r, i, ok := ScanReport(payload, jsonscan.SkipSpace(payload, 0), keys, names); ok && jsonscan.End(payload, i) {
 		return r, nil
 	}
 	var r Report

@@ -59,7 +59,7 @@ func pinnedReports() []Report {
 // followers, bit-for-bit as it was.
 func TestWALRecordBytesPinned(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pinned.wal")
-	w, _, _, err := OpenWAL(path, false)
+	w, _, _, err := openWALCollect(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestScanReportCommaFloodBounded(t *testing.T) {
 	var keys jsonscan.Keys
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, ok := ScanReport(b, 0, &keys)
+	_, _, ok := ScanReport(b, 0, &keys, &jsonscan.Keys{})
 	runtime.ReadMemStats(&after)
 	if ok {
 		t.Fatal("ScanReport accepted a comma flood")
@@ -179,7 +179,7 @@ func TestDecodeReportShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		b := []byte(c.payload)
-		if _, i, ok := ScanReport(b, jsonscan.SkipSpace(b, 0), &jsonscan.Keys{}); (ok && jsonscan.End(b, i)) != c.wantFast {
+		if _, i, ok := ScanReport(b, jsonscan.SkipSpace(b, 0), &jsonscan.Keys{}, &jsonscan.Keys{}); (ok && jsonscan.End(b, i)) != c.wantFast {
 			t.Errorf("%s: fast path ok=%v, want %v", c.name, ok, c.wantFast)
 		}
 		sameDecode(t, c.name, []byte(c.payload))
@@ -192,7 +192,7 @@ func sameDecode(t *testing.T, name string, payload []byte) {
 	t.Helper()
 	var want Report
 	werr := json.Unmarshal(payload, &want)
-	got, gerr := DecodeReport(payload, &jsonscan.Keys{})
+	got, gerr := DecodeReport(payload, &jsonscan.Keys{}, &jsonscan.Keys{})
 	switch {
 	case (werr == nil) != (gerr == nil):
 		t.Errorf("%s %q: json.Unmarshal err %v, DecodeReport err %v", name, payload, werr, gerr)

@@ -50,7 +50,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		tailed := tailAll(t, path)
-		w, reports, _, err := OpenWAL(path, false)
+		w, reports, _, err := openWALCollect(path, false)
 		if err != nil {
 			return
 		}
@@ -78,7 +78,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		// The first open truncated any damage, so a reopen must be
 		// clean: same records, nothing dropped.
-		w2, reports2, dropped2, err := OpenWAL(path, false)
+		w2, reports2, dropped2, err := openWALCollect(path, false)
 		if err != nil {
 			t.Fatalf("reopen of repaired wal failed: %v", err)
 		}
@@ -96,7 +96,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := w2.Close(); err != nil {
 			t.Fatalf("close after append: %v", err)
 		}
-		w3, reports3, dropped3, err := OpenWAL(path, false)
+		w3, reports3, dropped3, err := openWALCollect(path, false)
 		if err != nil {
 			t.Fatalf("reopen after append failed: %v", err)
 		}

@@ -205,6 +205,10 @@ type Stats struct {
 	ArtifactErrors uint64 `json:"artifact_errors"`
 	// Replayed counts reports recovered from the WAL at startup.
 	Replayed int `json:"replayed"`
+	// ReplayDropped counts the torn or corrupt trailing records the
+	// startup replay truncated away (never acknowledged, so nothing
+	// accepted is lost; nonzero after a crash mid-append).
+	ReplayDropped int `json:"replay_dropped"`
 	// Applied is the WAL sequence of the last report the compactor
 	// resolved.
 	Applied uint64 `json:"applied_seq"`
@@ -261,6 +265,7 @@ type Manager struct {
 	artifacts      atomic.Uint64
 	artifactErrors atomic.Uint64
 	replayed       int
+	replayDropped  int
 	lastSwap       atomic.Int64 // UnixNano; 0 = never
 }
 
@@ -288,16 +293,17 @@ func NewManager(db *trainingdb.DB, rebuild Rebuilder, cfg Config) (*Manager, err
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	wal, recovered, dropped, err := OpenWAL(cfg.WALPath, cfg.SyncEveryAppend)
+	// Replay folds each recovered report as it is read, so a restart
+	// never holds the venue's whole report history at once.
+	wal, dropped, err := OpenWAL(cfg.WALPath, cfg.SyncEveryAppend, func(r Report) {
+		m.replayed++
+		m.apply(r, uint64(m.replayed))
+	})
 	if err != nil {
 		return nil, err
 	}
 	m.wal = wal
-	m.replayed = len(recovered)
-	_ = dropped // torn-tail records were never acknowledged; nothing to recover
-	for i, r := range recovered {
-		m.apply(r, uint64(i+1))
-	}
+	m.replayDropped = dropped
 	snap, _, err := m.folder.Snapshot()
 	if err != nil {
 		return nil, errors.Join(fmt.Errorf("ingest: initial snapshot: %w", err), wal.Close())
@@ -561,6 +567,7 @@ func (m *Manager) Stats() Stats {
 		Artifacts:      m.artifacts.Load(),
 		ArtifactErrors: m.artifactErrors.Load(),
 		Replayed:       m.replayed,
+		ReplayDropped:  m.replayDropped,
 		Applied:        m.applied.Load(),
 		Watermark:      m.watermark.Load(),
 	}

@@ -242,7 +242,7 @@ func TestBackpressure(t *testing.T) {
 	}
 	// All-or-nothing: the WAL holds exactly the accepted reports.
 	m.Close()
-	_, replayed, _, err := OpenWAL(path, false)
+	_, replayed, _, err := openWALCollect(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,6 +298,40 @@ func TestRestartReplaysAcceptedReports(t *testing.T) {
 	}
 	if m.Close() == nil {
 		t.Log("first manager close tolerated closed WAL") // drain hits closed WAL only on append, fine
+	}
+}
+
+// TestRestartReportsTruncatedTail checks that a torn final record,
+// truncated away by the startup replay, shows up in the manager's
+// stats rather than vanishing silently.
+func TestRestartReportsTruncatedTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.wal")
+	cfg := Config{WALPath: path, FlushReports: 1 << 30, FlushInterval: time.Hour}
+	m, err := NewManager(testDB(), testRebuilder, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := m.Submit(Report{Name: "g4", Observation: map[string]float64{"ap0": -60 - float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A crash mid-append leaves a partial record header behind.
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x10, 0x00, 0x00}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	m2 := newTestManager(t, path, cfg)
+	if st := m2.Stats(); st.Replayed != 3 || st.ReplayDropped != 1 {
+		t.Errorf("after restart: replayed %d, replay dropped %d; want 3 and 1", st.Replayed, st.ReplayDropped)
 	}
 }
 

@@ -94,53 +94,55 @@ type WAL struct {
 	notify chan struct{}
 }
 
-// OpenWAL opens (creating if needed) the log at path, replays every
-// intact record into reports, and returns the WAL positioned to
-// append. dropped counts trailing records discarded as torn or
-// corrupt — the file is truncated to the last intact record, so the
-// damage never propagates into future appends. syncEach makes every
-// append fsync (durable against power loss, not just process death).
-func OpenWAL(path string, syncEach bool) (w *WAL, reports []Report, dropped int, err error) {
+// OpenWAL opens (creating if needed) the log at path, hands every
+// intact record to each in log order as it replays, and returns the
+// WAL positioned to append. Replay keeps no report: a caller that
+// folds them as they come never holds the whole history. dropped
+// counts trailing records discarded as torn or corrupt — the file is
+// truncated to the last intact record, so the damage never propagates
+// into future appends. On an error, the reports already handed to each
+// stay handed. syncEach makes every append fsync (durable against
+// power loss, not just process death).
+func OpenWAL(path string, syncEach bool, each func(Report)) (w *WAL, dropped int, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("ingest: open wal: %w", err)
+		return nil, 0, fmt.Errorf("ingest: open wal: %w", err)
 	}
-	reports, goodOff, dropped, err := replay(f)
+	records, goodOff, dropped, err := replay(f, each)
 	if err != nil {
 		f.Close()
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	fresh := goodOff == 0
 	if fresh {
 		// Fresh (or empty) file: write the magic.
 		if err := f.Truncate(0); err != nil {
 			f.Close()
-			return nil, nil, 0, fmt.Errorf("ingest: reset wal: %w", err)
+			return nil, 0, fmt.Errorf("ingest: reset wal: %w", err)
 		}
 		if _, err := f.WriteAt([]byte(walMagic), 0); err != nil {
 			f.Close()
-			return nil, nil, 0, fmt.Errorf("ingest: init wal: %w", err)
+			return nil, 0, fmt.Errorf("ingest: init wal: %w", err)
 		}
 		goodOff = int64(len(walMagic))
 	} else if dropped > 0 {
 		if err := f.Truncate(goodOff); err != nil {
 			f.Close()
-			return nil, nil, 0, fmt.Errorf("ingest: truncate damaged wal tail: %w", err)
+			return nil, 0, fmt.Errorf("ingest: truncate damaged wal tail: %w", err)
 		}
 	}
 	if _, err := f.Seek(goodOff, io.SeekStart); err != nil {
 		f.Close()
-		return nil, nil, 0, fmt.Errorf("ingest: seek wal: %w", err)
+		return nil, 0, fmt.Errorf("ingest: seek wal: %w", err)
 	}
 	epoch, err := loadEpoch(path, fresh)
 	if err != nil {
 		f.Close()
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	w = &WAL{f: f, bw: bufio.NewWriterSize(f, 64<<10), sync: syncEach, path: path,
-		off: goodOff, epoch: epoch, notify: make(chan struct{})}
-	w.records = len(reports)
-	return w, reports, dropped, nil
+		off: goodOff, epoch: epoch, notify: make(chan struct{}), records: records}
+	return w, dropped, nil
 }
 
 // loadEpoch reads (or mints) the WAL's lifetime identifier from the
@@ -174,46 +176,48 @@ func loadEpoch(path string, fresh bool) (uint64, error) {
 	return e, nil
 }
 
-// replay scans the log from the start, returning the intact reports,
-// the offset just past the last intact record, and how many trailing
-// records were dropped as torn or corrupt. A file shorter than the
-// magic (including empty) replays as zero records at offset zero. A
-// wrong magic is a hard error: the file is not a WAL and truncating it
-// would destroy someone else's data.
-func replay(f *os.File) (reports []Report, goodOff int64, dropped int, err error) {
+// replay scans the log from the start, handing each intact report to
+// each, and returns how many it handed over, the offset just past the
+// last intact record, and how many trailing records were dropped as
+// torn or corrupt. A file shorter than the magic (including empty)
+// replays as zero records at offset zero. A wrong magic is a hard
+// error: the file is not a WAL and truncating it would destroy someone
+// else's data.
+func replay(f *os.File, each func(Report)) (records int, goodOff int64, dropped int, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, 0, fmt.Errorf("ingest: seek wal: %w", err)
+		return 0, 0, 0, fmt.Errorf("ingest: seek wal: %w", err)
 	}
 	br := bufio.NewReaderSize(f, 64<<10)
 	magic := make([]byte, len(walMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, 0, 0, nil // empty or sub-magic file: treat as fresh
+			return 0, 0, 0, nil // empty or sub-magic file: treat as fresh
 		}
-		return nil, 0, 0, fmt.Errorf("ingest: read wal magic: %w", err)
+		return 0, 0, 0, fmt.Errorf("ingest: read wal magic: %w", err)
 	}
 	if string(magic) != walMagic {
-		return nil, 0, 0, fmt.Errorf("ingest: %s is not a report WAL (bad magic %q)", f.Name(), magic)
+		return 0, 0, 0, fmt.Errorf("ingest: %s is not a report WAL (bad magic %q)", f.Name(), magic)
 	}
 	goodOff = int64(len(walMagic))
 	var hdr [RecordOverhead]byte
 	var payload []byte
-	var keys jsonscan.Keys
+	var keys, names jsonscan.Keys
 	for {
 		payload, err = readFrame(br, &hdr, payload)
 		switch {
 		case errors.Is(err, io.EOF):
-			return reports, goodOff, dropped, nil // clean end
+			return records, goodOff, dropped, nil // clean end
 		case errors.Is(err, errTornFrame), errors.Is(err, errBadFrame):
-			return reports, goodOff, dropped + 1, nil // torn or corrupt tail
+			return records, goodOff, dropped + 1, nil // torn or corrupt tail
 		case err != nil:
-			return nil, 0, 0, fmt.Errorf("ingest: read wal record: %w", err)
+			return 0, 0, 0, fmt.Errorf("ingest: read wal record: %w", err)
 		}
-		r, err := DecodeReport(payload, &keys)
+		r, err := DecodeReport(payload, &keys, &names)
 		if err != nil {
-			return reports, goodOff, dropped + 1, nil // undecodable: reject
+			return records, goodOff, dropped + 1, nil // undecodable: reject
 		}
-		reports = append(reports, r)
+		each(r)
+		records++
 		goodOff += int64(RecordOverhead + len(payload))
 	}
 }

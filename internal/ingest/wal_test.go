@@ -2,11 +2,24 @@ package ingest
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
+
+// openWALCollect opens the WAL at path and collects the reports its
+// replay hands over, for tests that inspect the whole replayed log.
+func openWALCollect(path string, syncEach bool) (*WAL, []Report, int, error) {
+	var reports []Report
+	w, dropped, err := OpenWAL(path, syncEach, func(r Report) { reports = append(reports, r) })
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return w, reports, dropped, nil
+}
 
 func walPath(t *testing.T) string {
 	t.Helper()
@@ -26,7 +39,7 @@ func sampleReports() []Report {
 func TestWALReplayRoundTrip(t *testing.T) {
 	path := walPath(t)
 	reports := sampleReports()
-	w, got, dropped, err := OpenWAL(path, false)
+	w, got, dropped, err := openWALCollect(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +59,7 @@ func TestWALReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, got, dropped, err := OpenWAL(path, false)
+	w2, got, dropped, err := openWALCollect(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +76,7 @@ func TestWALReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2.Close()
-	_, got, _, err = OpenWAL(path, false)
+	_, got, _, err = openWALCollect(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +90,7 @@ func TestWALReplayRoundTrip(t *testing.T) {
 func TestWALTruncatedTail(t *testing.T) {
 	path := walPath(t)
 	reports := sampleReports()
-	w, _, _, err := OpenWAL(path, false)
+	w, _, _, err := openWALCollect(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +109,7 @@ func TestWALTruncatedTail(t *testing.T) {
 		if err := os.WriteFile(path, full[:len(full)-cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, got, dropped, err := OpenWAL(path, false)
+		w, got, dropped, err := openWALCollect(path, false)
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
@@ -112,7 +125,7 @@ func TestWALTruncatedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.Close()
-		_, got, dropped, err = OpenWAL(path, false)
+		_, got, dropped, err = openWALCollect(path, false)
 		if err != nil || len(got) != 3 || dropped != 0 {
 			t.Fatalf("cut %d: after repair+append: %d records dropped %d err %v", cut, len(got), dropped, err)
 		}
@@ -127,7 +140,7 @@ func TestWALTruncatedTail(t *testing.T) {
 func TestWALChecksumMismatch(t *testing.T) {
 	path := walPath(t)
 	reports := sampleReports()
-	w, _, _, err := OpenWAL(path, false)
+	w, _, _, err := openWALCollect(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +162,7 @@ func TestWALChecksumMismatch(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w2, got, dropped, err := OpenWAL(path, false)
+	w2, got, dropped, err := openWALCollect(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +182,7 @@ func TestWALForeignFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("definitely not a WAL, but longer than the magic"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := OpenWAL(path, false); err == nil {
+	if _, _, _, err := openWALCollect(path, false); err == nil {
 		t.Fatal("foreign file accepted as WAL")
 	}
 	// And the file must be untouched.
@@ -187,7 +200,7 @@ func TestWALEmptyAndSubMagic(t *testing.T) {
 		if err := os.WriteFile(path, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, got, dropped, err := OpenWAL(path, false)
+		w, got, dropped, err := openWALCollect(path, false)
 		if err != nil {
 			t.Fatalf("content %q: %v", content, err)
 		}
@@ -198,9 +211,61 @@ func TestWALEmptyAndSubMagic(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.Close()
-		_, got, _, err = OpenWAL(path, false)
+		_, got, _, err = openWALCollect(path, false)
 		if err != nil || len(got) != 1 {
 			t.Errorf("content %q: after append: %d records err %v", content, len(got), err)
 		}
+	}
+}
+
+// TestWALReplayStreams checks that replay holds no report history: by
+// the last callback of a 20k-report replay the live heap has grown by
+// far less than the ~11 MiB the decoded reports would take if replay
+// kept them.
+func TestWALReplayStreams(t *testing.T) {
+	const n, aps = 20000, 12
+	path := walPath(t)
+	w, _, _, err := openWALCollect(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Report, 0, 1000)
+	for i := 0; i < n; i++ {
+		obs := make(map[string]float64, aps)
+		for a := 0; a < aps; a++ {
+			obs[fmt.Sprintf("02:00:00:00:%02x:%02x", a, i%7)] = -40 - float64((i+a)%60)
+		}
+		batch = append(batch, Report{Name: fmt.Sprintf("cell-%d", i%3000), Observation: obs})
+		if len(batch) == cap(batch) {
+			if _, err := w.Append(batch...); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	batch = nil
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	seen := 0
+	w, dropped, err := OpenWAL(path, false, func(r Report) {
+		if seen++; seen == n {
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if seen != n || dropped != 0 {
+		t.Fatalf("replayed %d reports (dropped %d), want %d", seen, dropped, n)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 4<<20 {
+		t.Errorf("live heap grew %d KiB during replay, want under 4 MiB", grew>>10)
 	}
 }

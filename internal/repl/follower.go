@@ -91,8 +91,9 @@ type Follower struct {
 	// replica database, folded and snapshotted through the trainer's
 	// own code. nil before the first bootstrap and after a world reset.
 	folder *ingest.Folder
-	// keys interns the tailed records' BSSIDs (follow goroutine only).
-	keys jsonscan.Keys
+	// keys and names intern the tailed records' BSSIDs and location
+	// names (follow goroutine only).
+	keys, names jsonscan.Keys
 
 	// Shared gauges and counters.
 	state        atomic.Int32
@@ -469,7 +470,7 @@ func (f *Follower) stream(ctx context.Context) (reset bool, err error) {
 			if frame.Seq != want {
 				return false, fmt.Errorf("repl: wal stream gap: got seq %d, want %d", frame.Seq, want)
 			}
-			rep, err := ingest.DecodeReport(frame.Payload, &f.keys)
+			rep, err := ingest.DecodeReport(frame.Payload, &f.keys, &f.names)
 			if err != nil {
 				return false, fmt.Errorf("repl: undecodable record %d: %w", frame.Seq, err)
 			}

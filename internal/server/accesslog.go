@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"io"
 	"net/http"
 	"strconv"
@@ -10,22 +9,15 @@ import (
 	"time"
 )
 
-// The access logger is a lock-free ring between the request goroutines
+// The access logger is a bounded queue between the request goroutines
 // and one background drainer. Recording an entry on the serving path
-// is a ticket fetch (one atomic add) plus a fixed number of atomic
-// stores into a pre-allocated slot — no locks, no channels that can
-// block, and no per-request allocations. When producers outrun the
-// drainer the ring laps itself and the oldest unread entries are
-// dropped (counted, surfaced at /metrics as
-// indoorloc_accesslog_dropped_total): under pressure the serving path
-// never waits for the log.
-//
-// Every slot field is an atomic, so producers, a lapping producer and
-// the drainer are race-detector-clean by construction. Torn records —
-// a slot overwritten between the drainer's sequence checks — are
-// detected by re-reading the slot's sequence stamp after the copy and
-// dropped rather than logged; that is the drop-oldest contract, not a
-// failure.
+// copies a fixed-size logEntry into a buffered channel with
+// non-blocking channel operations only — no waits and no per-request
+// allocations. When producers outrun the drainer the queue fills and
+// the oldest queued entries are dropped (counted, surfaced at /metrics
+// as indoorloc_accesslog_dropped_total): under pressure the serving
+// path never waits for the log, and every entry is either logged or
+// counted dropped.
 
 const (
 	// logRemoteBytes holds the longest remote address net/http hands us
@@ -35,28 +27,16 @@ const (
 	logRemoteBytes = 48
 	logPathBytes   = 48
 
-	// defaultLogRing is the default ring size; at ~130 kB total it
-	// absorbs multi-millisecond drainer stalls at 100k req/s.
-	defaultLogRing = 8192
+	// defaultLogQueue is the queue depth, in entries: ~1.3 MB of
+	// entries that absorb an ~80 ms drainer stall at 100k req/s.
+	defaultLogQueue = 8192
 )
 
-// logSlot is one ring entry, fully atomic. meta packs
-// status<<32 | route<<24 | method<<16 | remoteLen<<8 | pathLen.
-type logSlot struct {
-	seq    atomic.Uint64 // pos+1 once published; 0 while being written
-	id     atomic.Uint64
-	when   atomic.Int64 // unix nanoseconds
-	dur    atomic.Int64 // request latency, nanoseconds
-	meta   atomic.Uint64
-	remote [logRemoteBytes / 8]atomic.Uint64
-	path   [logPathBytes / 8]atomic.Uint64
-}
-
-// logEntry is one decoded record on the drainer side.
+// logEntry is one request's record, copied whole through the queue.
 type logEntry struct {
 	id        uint64
-	when      int64
-	dur       int64
+	when      int64 // unix nanoseconds
+	dur       int64 // request latency, nanoseconds
 	status    int
 	route     int
 	method    int
@@ -66,21 +46,18 @@ type logEntry struct {
 	pathBuf   [logPathBytes]byte
 }
 
-// accessLogger is the ring plus its drainer goroutine.
+// accessLogger is the queue plus its drainer goroutine.
 type accessLogger struct {
-	slots   []logSlot
-	mask    uint64
-	head    atomic.Uint64
+	queue   chan logEntry
 	dropped atomic.Uint64
 
 	names []string // route index → label, shared with the router
 	w     io.Writer
-	kick  chan struct{}
 	stop  chan struct{}
 	done  chan struct{}
 }
 
-// methodIndex compresses the dispatchable methods into a slot field.
+// methodIndex compresses the dispatchable methods into an entry field.
 //
 //loclint:hotpath
 func methodIndex(m string) int {
@@ -97,19 +74,13 @@ func methodIndex(m string) int {
 
 var methodNames = [...]string{"GET", "POST", "DELETE", "OTHER"}
 
-// newAccessLogger starts a logger draining into w. size is rounded up
-// to a power of two.
+// newAccessLogger starts a logger draining into w through a queue of
+// size entries.
 func newAccessLogger(w io.Writer, size int, names []string) *accessLogger {
-	n := 1
-	for n < size {
-		n <<= 1
-	}
 	l := &accessLogger{
-		slots: make([]logSlot, n),
-		mask:  uint64(n - 1),
+		queue: make(chan logEntry, size),
 		names: names,
 		w:     w,
-		kick:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -117,136 +88,67 @@ func newAccessLogger(w io.Writer, size int, names []string) *accessLogger {
 	return l
 }
 
-// record appends one entry. It never blocks and never allocates: a
-// ticket from the head counter names the slot; lapped readers lose.
+// record queues one entry. It never blocks and never allocates: when
+// the queue is full it takes out the oldest entry and counts it
+// dropped, and if another producer fills the freed place first it
+// counts its own entry dropped too.
 //
 //loclint:hotpath
 func (l *accessLogger) record(id uint64, routeIdx int, method, path, remote string, status int, d time.Duration) {
-	pos := l.head.Add(1) - 1
-	s := &l.slots[pos&l.mask]
-	s.seq.Store(0) // invalidate while the fields are in flux
-	s.id.Store(id)
-	s.when.Store(time.Now().UnixNano())
-	s.dur.Store(int64(d))
-	var rbuf [logRemoteBytes]byte
-	rn := copy(rbuf[:], remote)
-	for i := range s.remote {
-		s.remote[i].Store(binary.LittleEndian.Uint64(rbuf[i*8:]))
-	}
-	var pbuf [logPathBytes]byte
-	pn := copy(pbuf[:], path)
-	for i := range s.path {
-		s.path[i].Store(binary.LittleEndian.Uint64(pbuf[i*8:]))
-	}
-	s.meta.Store(uint64(uint16(status))<<32 | uint64(uint8(routeIdx))<<24 |
-		uint64(uint8(methodIndex(method)))<<16 | uint64(uint8(rn))<<8 | uint64(uint8(pn)))
-	s.seq.Store(pos + 1) // publish
+	e := logEntry{id: id, when: time.Now().UnixNano(), dur: int64(d),
+		status: status, route: routeIdx, method: methodIndex(method)}
+	e.remoteLen = copy(e.remoteBuf[:], remote)
+	e.pathLen = copy(e.pathBuf[:], path)
 	select {
-	case l.kick <- struct{}{}:
-	default: // drainer already signalled
+	case l.queue <- e:
+		return
+	default:
+	}
+	select {
+	case <-l.queue:
+		l.dropped.Add(1)
+	default: // the drainer emptied a place meanwhile
+	}
+	select {
+	case l.queue <- e:
+	default:
+		l.dropped.Add(1)
 	}
 }
 
-// readSlot copies a slot into e and reports whether the copy is
-// consistent: the sequence stamp must still match after the field
-// reads, or a lapping producer tore the record.
-func readSlot(s *logSlot, want uint64, e *logEntry) bool {
-	e.id = s.id.Load()
-	e.when = s.when.Load()
-	e.dur = s.dur.Load()
-	meta := s.meta.Load()
-	e.status = int(meta >> 32 & 0xffff)
-	e.route = int(meta >> 24 & 0xff)
-	e.method = int(meta >> 16 & 0xff)
-	e.remoteLen = int(meta >> 8 & 0xff)
-	e.pathLen = int(meta & 0xff)
-	for i := range s.remote {
-		binary.LittleEndian.PutUint64(e.remoteBuf[i*8:], s.remote[i].Load())
-	}
-	for i := range s.path {
-		binary.LittleEndian.PutUint64(e.pathBuf[i*8:], s.path[i].Load())
-	}
-	return s.seq.Load() == want
-}
-
-// drain is the single consumer: it follows the head, skips over lapped
-// ground, formats consistent records into a reused buffer and writes
-// them through one bufio.Writer.
+// drain is the single consumer: it formats each entry into a reused
+// buffer and writes it through one bufio.Writer, flushing whenever the
+// queue runs empty, on a 250 ms ticker while it never does, and after
+// a final drain on Close.
 func (l *accessLogger) drain() {
 	defer close(l.done)
 	bw := bufio.NewWriterSize(l.w, 16<<10)
 	flush := time.NewTicker(250 * time.Millisecond)
 	defer flush.Stop()
-	var cursor uint64
-	var e logEntry
 	buf := make([]byte, 0, 256)
-	// A claimed-but-unpublished slot is normally in flux for
-	// nanoseconds, but a producer descheduled mid-record (or before it
-	// even invalidated the slot, leaving a stale stamp from the previous
-	// lap) can hold one slot hostage for a whole ring lap. The drainer
-	// waits a bounded number of yields, then counts the slot dropped and
-	// moves on — one stuck producer must not stall the entire log.
-	const maxUnpublishedWaits = 50 // ~1 ms of 20 µs yields
-	var stuckPos uint64
-	var stuckWaits int
-	drainReady := func(final bool) {
-		for {
-			h := l.head.Load()
-			if cursor == h {
-				return
+	// The log is best-effort by contract (drop-oldest): a sink write
+	// error loses entries exactly like queue pressure does.
+	for {
+		select {
+		case e := <-l.queue:
+			buf = appendEntry(buf[:0], &e, l.names)
+			bw.Write(buf)
+			if len(l.queue) == 0 {
+				_ = bw.Flush()
 			}
-			if lag := h - cursor; lag > uint64(len(l.slots)) {
-				skip := lag - uint64(len(l.slots))
-				l.dropped.Add(skip)
-				cursor += skip
-			}
-			s := &l.slots[cursor&l.mask]
-			switch seq := s.seq.Load(); {
-			case seq == cursor+1:
-				if readSlot(s, cursor+1, &e) {
+		case <-flush.C:
+			_ = bw.Flush()
+		case <-l.stop:
+			for {
+				select {
+				case e := <-l.queue:
 					buf = appendEntry(buf[:0], &e, l.names)
 					bw.Write(buf)
-				} else {
-					l.dropped.Add(1) // torn by a lapping producer
+				default:
+					_ = bw.Flush()
+					return
 				}
-				cursor++
-			case seq > cursor+1:
-				l.dropped.Add(1) // lapped before we got here
-				cursor++
-			default:
-				// Claimed but not yet published. On the final drain the
-				// producer has already returned (Close postdates the last
-				// request), so an unpublished slot cannot complete — drop
-				// it; otherwise yield briefly and retry, up to the bound.
-				if final {
-					l.dropped.Add(1)
-					cursor++
-					continue
-				}
-				if stuckPos != cursor {
-					stuckPos, stuckWaits = cursor, 0
-				}
-				if stuckWaits++; stuckWaits > maxUnpublishedWaits {
-					l.dropped.Add(1)
-					cursor++
-					continue
-				}
-				time.Sleep(20 * time.Microsecond)
 			}
-		}
-	}
-	for {
-		drainReady(false)
-		// The log is best-effort by contract (drop-oldest ring): a sink
-		// write error loses entries exactly like ring pressure does.
-		_ = bw.Flush()
-		select {
-		case <-l.kick:
-		case <-flush.C:
-		case <-l.stop:
-			drainReady(true)
-			_ = bw.Flush()
-			return
 		}
 	}
 }
@@ -282,10 +184,10 @@ func appendEntry(buf []byte, e *logEntry, names []string) []byte {
 	return append(buf, '\n')
 }
 
-// Dropped reports how many entries were lost to lapping or tearing.
+// Dropped reports how many entries were lost to queue pressure.
 func (l *accessLogger) Dropped() uint64 { return l.dropped.Load() }
 
-// Close stops the drainer after a final drain of published entries.
+// Close stops the drainer after a final drain of the queued entries.
 // Callers must stop serving requests first.
 func (l *accessLogger) Close() error {
 	select {

@@ -34,8 +34,9 @@ import (
 //     allocates and is off by default — see DESIGN.md §11).
 //  4. recovery + observation: one deferred finish() recovers panics
 //     (500, connection closed), records the fixed-bucket latency
-//     histogram and status counter, and appends the access-log ring
-//     entry. All atomics; zero allocations.
+//     histogram and status counter, and queues the access-log entry
+//     without waiting. Atomics and non-blocking channel operations;
+//     zero allocations.
 //
 // The pooled per-request state (statusWriter, body limiter) makes the
 // whole chain add exactly 0 allocs/request on the hot path — enforced

@@ -124,7 +124,7 @@ const maxBatchBody = 8 << 20
 // start, so a live hot-swap never tears an in-flight answer.
 type Server struct {
 	rt *router
-	// alog is the ring-buffer access logger; nil when not configured.
+	// alog is the bounded-queue access logger; nil when not configured.
 	alog *accessLogger
 	// home is a single-venue server's one venue: a static service, a
 	// live pipeline (its Manager is set) or a follower's replica. nil
@@ -203,10 +203,11 @@ func WithoutMetrics() Option {
 	return func(o *serverOptions) { o.noMetrics = true }
 }
 
-// WithAccessLog streams one line per request into w through the
-// lock-free ring buffer (drop-oldest under pressure; dropped counts
-// are exported at /metrics). w is written by exactly one background
-// goroutine; if it implements io.Closer, Server.Close closes it.
+// WithAccessLog streams one line per request into w through a bounded
+// queue that never blocks a request (drop-oldest under pressure;
+// dropped counts are exported at /metrics). w is written by exactly
+// one background goroutine; if it implements io.Closer, Server.Close
+// closes it.
 func WithAccessLog(w io.Writer) Option {
 	return func(o *serverOptions) { o.accessLog = w }
 }
@@ -348,7 +349,7 @@ func newServer(home *venue.Venue, vr *venue.Registry, fol *repl.Follower, filter
 			names[i] = d.name
 		}
 		names[len(defs)] = "other"
-		s.alog = newAccessLogger(o.accessLog, defaultLogRing, names)
+		s.alog = newAccessLogger(o.accessLog, defaultLogQueue, names)
 	}
 	s.rt = newRouter(defs, s.alog)
 	return s, nil
@@ -657,8 +658,10 @@ type batchArena struct {
 	resp    locateResponse
 	out     bytes.Buffer
 	enc     *json.Encoder
-	// keys interns BSSID strings across requests (see jsonscan.Keys).
-	keys jsonscan.Keys
+	// keys interns BSSID strings across requests (see jsonscan.Keys);
+	// names interns /train/report location names, in a table of their
+	// own so a floor's cell names cannot crowd the BSSIDs out.
+	keys, names jsonscan.Keys
 	// reports is the /train/report decode scratch; the decoded batch
 	// itself is a fresh slice, since the ingest queue keeps its reports.
 	reports []ingest.Report
@@ -1063,7 +1066,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	)
 	if s.alog != nil {
 		gauges = append(gauges, metrics.Gauge{Name: "indoorloc_accesslog_dropped_total", Counter: true,
-			Help: "Access-log entries lost to ring pressure.", Value: float64(s.alog.Dropped())})
+			Help: "Access-log entries lost to queue pressure.", Value: float64(s.alog.Dropped())})
 	}
 	if mgr != nil {
 		st := mgr.Stats()
@@ -1215,7 +1218,7 @@ func (a *batchArena) decodeTrainFast() ([]ingest.Report, bool) {
 	b := a.body.Bytes()
 	i, ok := jsonscan.FieldStart(b, "reports")
 	if !ok {
-		r, i, ok := ingest.ScanReport(b, jsonscan.SkipSpace(b, 0), &a.keys)
+		r, i, ok := ingest.ScanReport(b, jsonscan.SkipSpace(b, 0), &a.keys, &a.names)
 		if !ok || !jsonscan.End(b, i) || (len(r.Observation) == 0 && r.Name == "" && r.Pos == nil) {
 			return nil, false
 		}
@@ -1224,7 +1227,7 @@ func (a *batchArena) decodeTrainFast() ([]ingest.Report, bool) {
 	i, more, ok := jsonscan.Open(b, i, '[', ']')
 	for ok && more {
 		var r ingest.Report
-		if r, i, ok = ingest.ScanReport(b, i, &a.keys); !ok {
+		if r, i, ok = ingest.ScanReport(b, i, &a.keys, &a.names); !ok {
 			break
 		}
 		a.reports = append(a.reports, r)

@@ -428,6 +428,9 @@ type Status struct {
 	Locations  int    `json:"locations,omitempty"`
 	// Live reports a venue with an ingestion pipeline attached.
 	Live bool `json:"live,omitempty"`
+	// Ingest is a live venue's pipeline counters; nil when the venue is
+	// cold or has no pipeline.
+	Ingest *ingest.Stats `json:"ingest,omitempty"`
 }
 
 // Status describes one venue without forcing a cold load — a status
@@ -448,11 +451,12 @@ func (r *Registry) Status(id string) (Status, error) {
 	return st, nil
 }
 
-// fillResident fills st's Loaded, Live, Generation and Locations when
-// venue st.ID is resident. It pins before reading the snapshot: an
-// evicted venue's mmap can be unmapped the instant its refcount hits
-// zero, and a bare Snapshot() on it would read freed memory. A venue
-// draining to zero refuses the pin and is reported as not loaded.
+// fillResident fills st's Loaded, Live, Ingest, Generation and
+// Locations when venue st.ID is resident. It pins before reading the
+// snapshot: an evicted venue's mmap can be unmapped the instant its
+// refcount hits zero, and a bare Snapshot() on it would read freed
+// memory. A venue draining to zero refuses the pin and is reported as
+// not loaded.
 func (r *Registry) fillResident(st *Status) {
 	v, ok := r.venues.Load(st.ID)
 	if !ok {
@@ -464,7 +468,10 @@ func (r *Registry) fillResident(st *Status) {
 	}
 	defer lv.unref()
 	st.Loaded = true
-	st.Live = lv.mgr != nil
+	if lv.mgr != nil {
+		ist := lv.mgr.Stats()
+		st.Live, st.Ingest = true, &ist
+	}
 	if snap := lv.Snapshot(); snap != nil {
 		st.Generation = snap.Generation
 		if snap.Service != nil {
